@@ -82,13 +82,10 @@ fn main() {
         "id", "rounds", "vertex_rounds", "best_wall_ms", "vr/sec"
     );
     for e in &entries {
-        let mut obs = String::new();
-        if let Some(r) = e.fast_hit_rate {
-            obs.push_str(&format!("  fast_hit={:.1}%", r * 100.0));
-        }
-        if let Some(r) = e.barrier_wait_frac {
-            obs.push_str(&format!("  barrier_wait={:.1}%", r * 100.0));
-        }
+        let obs = e
+            .barrier_wait_frac
+            .map(|r| format!("  barrier_wait={:.1}%", r * 100.0))
+            .unwrap_or_default();
         println!(
             "{:<24} {:>7} {:>14} {:>14.3} {:>12}{}",
             e.id,

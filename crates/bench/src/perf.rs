@@ -21,16 +21,15 @@
 
 use crate::results::{fnum, quote, Json};
 use graphcore::{gen, Graph, IdAssignment, VertexId};
-use simlocal::{
-    ActorRunner, EngineStats, EngineTuning, Protocol, Runner, StepCtx, Toggle, Transition,
-};
+use simlocal::{ActorRunner, EngineStats, Protocol, Runner, StepCtx, Transition};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Version of the JSON schema written by [`PerfSummary::to_json`]. Bump on
 /// any incompatible change; `bench-diff --perf` refuses mismatched
-/// versions. Version 2 added the optional obs-snapshot ratios
-/// (`fast_hit_rate`, `barrier_wait_frac`) to entries.
+/// versions. Version 2 added the optional obs-snapshot ratio
+/// (`barrier_wait_frac`) to entries.
 pub const PERF_SCHEMA_VERSION: u64 = 2;
 
 /// Vertex count of the standard perf workloads (ROADMAP item 2's n = 2²⁰).
@@ -57,14 +56,11 @@ pub struct PerfEntry {
     pub best_wall_ns: u64,
     /// `vertex_rounds / best_wall` in rounds/second — the gated number.
     pub vr_per_sec: f64,
-    /// Fraction of rounds the sync engine took its in-place fast path
-    /// (`simlocal_engine_fast_rounds_total / simlocal_engine_rounds_total`),
-    /// measured by one extra obs-enabled run after the timed reps. Context
-    /// only — never gated. `None` for entries where it does not apply.
-    pub fast_hit_rate: Option<f64>,
     /// Fraction of actor-shard time spent blocked on the round barrier
     /// (`Σ barrier_wait_ns / (Σ barrier_wait_ns + Σ compute_ns)` over
-    /// shards), from the same extra obs-enabled run. Context only.
+    /// shards), measured by one extra obs-enabled run after the timed
+    /// reps. Context only — never gated. `None` for entries where it
+    /// does not apply.
     pub barrier_wait_frac: Option<f64>,
 }
 
@@ -102,13 +98,10 @@ impl PerfSummary {
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            let mut extras = String::new();
-            if let Some(r) = e.fast_hit_rate {
-                let _ = write!(extras, ", \"fast_hit_rate\": {}", fnum(r));
-            }
-            if let Some(r) = e.barrier_wait_frac {
-                let _ = write!(extras, ", \"barrier_wait_frac\": {}", fnum(r));
-            }
+            let extras = e
+                .barrier_wait_frac
+                .map(|r| format!(", \"barrier_wait_frac\": {}", fnum(r)))
+                .unwrap_or_default();
             let _ = writeln!(
                 out,
                 "    {{\"id\": {}, \"n\": {}, \"rounds\": {}, \"vertex_rounds\": {}, \
@@ -147,9 +140,9 @@ impl PerfSummary {
             .as_array()?
             .iter()
             .map(|e| {
-                // Snapshot ratios are optional: absent on entries they do
-                // not apply to, and on documents written before they ran.
-                let opt_f64 = |key: &str| e.get(key).ok().map(|v| v.as_f64()).transpose();
+                // The snapshot ratio is optional: absent on entries it
+                // does not apply to.
+                let barrier = e.get("barrier_wait_frac").ok().map(|v| v.as_f64());
                 Ok(PerfEntry {
                     id: e.get("id")?.as_str()?.to_string(),
                     n: e.get_u64("n")? as usize,
@@ -157,8 +150,7 @@ impl PerfSummary {
                     vertex_rounds: e.get_u64("vertex_rounds")?,
                     best_wall_ns: e.get_u64("best_wall_ns")?,
                     vr_per_sec: e.get("vr_per_sec")?.as_f64()?,
-                    fast_hit_rate: opt_f64("fast_hit_rate")?,
-                    barrier_wait_frac: opt_f64("barrier_wait_frac")?,
+                    barrier_wait_frac: barrier.transpose()?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -263,34 +255,57 @@ pub fn fmt_throughput(vr_per_sec: f64) -> String {
     }
 }
 
-/// Times `reps` runs of `run` and records the fastest, using the engine's
-/// own wall measurement (`EngineStats::wall`, which includes slab init but
-/// not graph generation). Panics if reps disagree on the work performed —
-/// a nondeterministic workload cannot be a perf baseline.
-pub fn measure(id: &str, n: usize, reps: usize, mut run: impl FnMut() -> EngineStats) -> PerfEntry {
+/// Runs `rep` `reps` times and keeps the fastest wall time. Each rep
+/// returns the work it performed alongside its wall; panics if reps
+/// disagree on the work — a nondeterministic workload cannot be a perf
+/// baseline.
+fn best_of<W: PartialEq + std::fmt::Debug>(
+    id: &str,
+    reps: usize,
+    mut rep: impl FnMut() -> (W, Duration),
+) -> (W, u64) {
     assert!(reps >= 1, "at least one rep");
-    let first = run();
-    let mut best = first.wall;
+    let (work, mut best) = rep();
     for _ in 1..reps {
-        let stats = run();
+        let (w, wall) = rep();
         assert_eq!(
-            (stats.steps, stats.rounds),
-            (first.steps, first.rounds),
+            w, work,
             "perf workload `{id}` must be deterministic across reps"
         );
-        best = best.min(stats.wall);
+        best = best.min(wall);
     }
-    let best_wall_ns = best.as_nanos() as u64;
+    (work, best.as_nanos() as u64)
+}
+
+/// An entry whose gated throughput is `units` per second of `best_wall_ns`.
+fn entry(
+    id: &str,
+    n: usize,
+    rounds: u32,
+    vertex_rounds: u64,
+    best_wall_ns: u64,
+    units: u64,
+) -> PerfEntry {
     PerfEntry {
         id: id.to_string(),
         n,
-        rounds: first.rounds,
-        vertex_rounds: first.steps,
+        rounds,
+        vertex_rounds,
         best_wall_ns,
-        vr_per_sec: first.steps as f64 / (best_wall_ns.max(1) as f64 / 1e9),
-        fast_hit_rate: None,
+        vr_per_sec: units as f64 / (best_wall_ns.max(1) as f64 / 1e9),
         barrier_wait_frac: None,
     }
+}
+
+/// Times `reps` runs of `run` and records the fastest, using the engine's
+/// own wall measurement (`EngineStats::wall`, which includes slab init but
+/// not graph generation). Panics if reps disagree on the work performed.
+pub fn measure(id: &str, n: usize, reps: usize, mut run: impl FnMut() -> EngineStats) -> PerfEntry {
+    let ((steps, rounds), best_wall_ns) = best_of(id, reps, || {
+        let stats = run();
+        ((stats.steps, stats.rounds), stats.wall)
+    });
+    entry(id, n, rounds, steps, best_wall_ns, steps)
 }
 
 /// Neighbor-free geometric decay: vertex `v` terminates in round
@@ -362,13 +377,6 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
         measure("decay_seq_n20", n, reps, || {
             Runner::new(&PureDecay, &g, &ids).run().unwrap().stats
         }),
-        measure("decay_classic_seq_n20", n, reps, || {
-            Runner::new(&PureDecay, &g, &ids)
-                .tuning(EngineTuning::default().fast_path(Toggle::Off))
-                .run()
-                .unwrap()
-                .stats
-        }),
         measure("flood_seq_n20", n, reps, || {
             Runner::new(&FloodDecay, &g, &ids).run().unwrap().stats
         }),
@@ -385,23 +393,12 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
         }),
     ];
 
-    // One extra, *untimed* obs-enabled run per instrumented entry. The
+    // One extra, *untimed* obs-enabled run for the actor entry. The
     // timed reps above stay metrics-free so the gated wall numbers carry
-    // zero instrumentation overhead; the ratios ride along in the summary
-    // as context (diff_perf never compares them).
+    // zero instrumentation overhead; the ratio rides along in the summary
+    // as context (diff_perf never compares it).
     {
         use simlocal::obs::{Metric, Registry};
-        let reg = Registry::new(1);
-        Runner::new(&PureDecay, &g, &ids)
-            .obs(&reg)
-            .run()
-            .expect("decay workload runs");
-        let rounds = reg.total(Metric::EngineRounds);
-        if let Some(e) = entries.iter_mut().find(|e| e.id == "decay_seq_n20") {
-            e.fast_hit_rate =
-                (rounds > 0).then(|| reg.total(Metric::EngineFastRounds) as f64 / rounds as f64);
-        }
-
         let reg = Registry::new(4);
         ActorRunner::new(&PureDecay, &g, &ids)
             .shards(4)
@@ -435,36 +432,15 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
 /// region — the gate covers ingestion, not formatting.
 fn ingest_parse_n20(n: usize, reps: usize) -> PerfEntry {
     use graphcore::io::{normalize, parse_raw, FileFormat, NormalizeOptions};
-    assert!(reps >= 1, "at least one rep");
     let text = graphcore::io::to_matrix_market(&gen::cycle(n));
-    let mut best_wall_ns = u64::MAX;
-    let mut work: Option<(usize, u64)> = None;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
+    let id = "ingest_parse_n20";
+    let ((vertices, m_raw), best_wall_ns) = best_of(id, reps, || {
+        let t0 = Instant::now();
         let raw = parse_raw(&text, FileFormat::MatrixMarket).expect("generated document parses");
         let (graph, report) = normalize(&raw, NormalizeOptions::default());
-        let wall = t0.elapsed().as_nanos() as u64;
-        match &work {
-            None => work = Some((graph.n(), report.m_raw as u64)),
-            Some(w) => assert_eq!(
-                *w,
-                (graph.n(), report.m_raw as u64),
-                "ingest_parse_n20 must be deterministic across reps"
-            ),
-        }
-        best_wall_ns = best_wall_ns.min(wall);
-    }
-    let (vertices, m_raw) = work.expect("at least one rep ran");
-    PerfEntry {
-        id: "ingest_parse_n20".into(),
-        n: vertices,
-        rounds: 1,
-        vertex_rounds: m_raw,
-        best_wall_ns,
-        vr_per_sec: m_raw as f64 / (best_wall_ns.max(1) as f64 / 1e9),
-        fast_hit_rate: None,
-        barrier_wait_frac: None,
-    }
+        ((graph.n(), report.m_raw as u64), t0.elapsed())
+    });
+    entry(id, vertices, 1, m_raw, best_wall_ns, m_raw)
 }
 
 /// Measures the full table2 quick plan (identity IDs, seed 0, sync
@@ -477,16 +453,14 @@ fn ingest_parse_n20(n: usize, reps: usize) -> PerfEntry {
 fn harness_table2_quick(reps: usize) -> PerfEntry {
     use crate::pipeline::{plan_rows, run_plan, CollectSink, WorkloadCache};
     use crate::spec::SpecKind;
-    assert!(reps >= 1, "at least one rep");
     let cli = crate::Cli::parse_from(["--quick".to_string()]).expect("static flags parse");
     let specs = crate::suites::table2();
-    let mut best_wall_ns = u64::MAX;
-    let mut work: Option<(u64, u64, u64)> = None;
-    for _ in 0..reps {
+    let id = "harness_table2_quick";
+    let ((trials, total_n, pubs), best_wall_ns) = best_of(id, reps, || {
         let cache = WorkloadCache::new();
         let mut next_id = 0u64;
         let (mut trials, mut total_n, mut pubs) = (0u64, 0u64, 0u64);
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         for spec in &specs {
             if let SpecKind::Rows {
                 workloads, runs, ..
@@ -500,35 +474,22 @@ fn harness_table2_quick(reps: usize) -> PerfEntry {
                 pubs += sink.rows.iter().map(|r| r.pubs).sum::<u64>();
             }
         }
-        let wall = t0.elapsed().as_nanos() as u64;
-        match &work {
-            None => work = Some((trials, total_n, pubs)),
-            Some(w) => assert_eq!(
-                *w,
-                (trials, total_n, pubs),
-                "harness_table2_quick must be deterministic across reps"
-            ),
-        }
-        best_wall_ns = best_wall_ns.min(wall);
-    }
-    let (trials, total_n, pubs) = work.expect("at least one rep ran");
-    PerfEntry {
-        id: "harness_table2_quick".into(),
-        n: total_n as usize,
-        rounds: trials as u32,
-        vertex_rounds: pubs,
+        ((trials, total_n, pubs), t0.elapsed())
+    });
+    entry(
+        id,
+        total_n as usize,
+        trials as u32,
+        pubs,
         best_wall_ns,
-        vr_per_sec: trials as f64 / (best_wall_ns.max(1) as f64 / 1e9),
-        fast_hit_rate: None,
-        barrier_wait_frac: None,
-    }
+        trials,
+    )
 }
 
 /// Ids measured by [`run_suite`], for `--list` output.
 pub fn suite_ids() -> Vec<&'static str> {
     vec![
         "decay_seq_n20",
-        "decay_classic_seq_n20",
         "flood_seq_n20",
         "decay_actor_n20",
         "harness_table2_quick",
@@ -609,7 +570,6 @@ mod tests {
                     vertex_rounds: 2048,
                     best_wall_ns: 1000,
                     vr_per_sec: 2.048e9,
-                    fast_hit_rate: Some(0.9375),
                     barrier_wait_frac: None,
                 },
                 PerfEntry {
@@ -619,7 +579,6 @@ mod tests {
                     vertex_rounds: 2048,
                     best_wall_ns: 2000,
                     vr_per_sec: 1.024e9,
-                    fast_hit_rate: None,
                     barrier_wait_frac: Some(0.25),
                 },
             ],
@@ -637,18 +596,17 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_eq!(a.vertex_rounds, b.vertex_rounds);
             assert!((a.vr_per_sec - b.vr_per_sec).abs() / b.vr_per_sec < 1e-6);
-            assert_eq!(a.fast_hit_rate, b.fast_hit_rate);
             assert_eq!(a.barrier_wait_frac, b.barrier_wait_frac);
         }
     }
 
     #[test]
     fn perf_gate_ignores_snapshot_ratios() {
-        // The obs ratios are context, not gated work: a fresh run whose
-        // ratios differ (or are absent) passes against the baseline.
+        // The obs ratio is context, not gated work: a fresh run whose
+        // ratio differs (or is absent) passes against the baseline.
         let base = sample();
         let mut fresh = sample();
-        fresh.entries[0].fast_hit_rate = Some(0.5);
+        fresh.entries[0].barrier_wait_frac = Some(0.5);
         fresh.entries[1].barrier_wait_frac = None;
         assert!(diff_perf(&base, &fresh, 0.25).is_empty());
     }

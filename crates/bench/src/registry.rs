@@ -16,13 +16,11 @@
 //! [`AlgoSpec::exec`], driven by an [`ExecOptions`] value. The options
 //! select the observation level ([`ObserveMode`]: `Bare` for benches,
 //! `Standard` for measurement rows, `Traced` for the full event-log
-//! stack), the execution mode (sequential / parallel), and the engine
-//! tuning ([`EngineTuning`]) — so the spec-driven binaries (via
-//! [`crate::spec::execute`]), the `trace` binary, and the Criterion
-//! benches all go through the same construct → run → verify path.
-//! Registering a new algorithm here makes it immediately runnable,
-//! traceable, and benchable. The pre-redesign trio (`run`, `run_traced`,
-//! `run_bare`) survives as deprecated shims over `exec`.
+//! stack), the execution mode (sequential / parallel), and the backend —
+//! so the spec-driven binaries (via [`crate::spec::execute`]), the
+//! `trace` binary, and the Criterion benches all go through the same
+//! construct → run → verify path. Registering a new algorithm here makes
+//! it immediately runnable, traceable, and benchable.
 
 use crate::{cfg, harness_observer, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
@@ -30,8 +28,8 @@ use graphcore::churn::{self, ChurnPlan};
 use graphcore::{gen::GenGraph, verify, Graph, IdAssignment, VertexId};
 use simlocal::obs::Metric as ObsMetric;
 use simlocal::{
-    ActorRunner, EngineStats, EngineTuning, NoObserver, Observer, PhaseBreakdown, Profile,
-    Protocol, Runner, SimOutcome, TraceLog, WarmOutcome, WarmStart,
+    ActorRunner, EngineStats, NoObserver, Observer, PhaseBreakdown, Profile, Protocol, Runner,
+    SimOutcome, TraceLog, WarmOutcome, WarmStart,
 };
 use std::sync::OnceLock;
 
@@ -181,10 +179,7 @@ impl Problem {
                     }
                 }
             }
-            _ => Verdict {
-                colors: 0,
-                valid: false,
-            },
+            _ => Verdict::INVALID,
         }
     }
 }
@@ -222,6 +217,14 @@ pub struct Verdict {
     pub colors: usize,
     /// Whether the output passed the problem's verifier.
     pub valid: bool,
+}
+
+impl Verdict {
+    /// The verdict on an output that could not even be assembled.
+    pub const INVALID: Verdict = Verdict {
+        colors: 0,
+        valid: false,
+    };
 }
 
 /// Per-run algorithm parameters. All fields default to 0 = "unset"; each
@@ -287,7 +290,7 @@ pub enum ObserveMode {
 /// Options for one erased execution: what to run it on, and how.
 ///
 /// Construct with [`ExecOptions::new`] (sequential, [`ObserveMode::
-/// Standard`], default [`EngineTuning`]) and override per call site.
+/// Standard`], sync backend) and override per call site.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions<'a> {
     /// Experiment tag recorded in [`Row::exp`].
@@ -302,8 +305,6 @@ pub struct ExecOptions<'a> {
     pub parallel: bool,
     /// Observation level.
     pub observe: ObserveMode,
-    /// Engine tuning forwarded to the runner.
-    pub tuning: EngineTuning,
     /// Execution backend (sync engine or actor shards).
     pub backend: Backend,
     /// Metrics registry handed to the runner (engine/actor/transport
@@ -314,7 +315,7 @@ pub struct ExecOptions<'a> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Sequential, standard-observed execution with default tuning.
+    /// Sequential, standard-observed execution on the sync backend.
     pub fn new(exp: &'a str, gg: &'a GenGraph, trial: &'a Trial) -> ExecOptions<'a> {
         ExecOptions {
             exp,
@@ -323,7 +324,6 @@ impl<'a> ExecOptions<'a> {
             trial,
             parallel: false,
             observe: ObserveMode::default(),
-            tuning: EngineTuning::default(),
             backend: Backend::default(),
             metrics: None,
         }
@@ -344,12 +344,6 @@ impl<'a> ExecOptions<'a> {
     /// Sets the observation level.
     pub fn observe(mut self, observe: ObserveMode) -> Self {
         self.observe = observe;
-        self
-    }
-
-    /// Sets the engine tuning.
-    pub fn tuning(mut self, tuning: EngineTuning) -> Self {
-        self.tuning = tuning;
         self
     }
 
@@ -387,21 +381,6 @@ impl ExecOutcome {
     pub fn into_row(self) -> Row {
         self.row.expect("bare executions produce no row")
     }
-}
-
-/// Everything a traced run produces, for the `trace` binary: the standard
-/// [`Row`] plus the engine stats and the full observer stack.
-pub struct TracedRun {
-    /// The verified measurement row (active series + phases included).
-    pub row: Row,
-    /// Engine work/wall accounting.
-    pub stats: EngineStats,
-    /// Per-phase RoundSum / termination accounting.
-    pub breakdown: PhaseBreakdown,
-    /// The exportable event log (JSONL / Chrome trace).
-    pub log: TraceLog,
-    /// Termination-round and round-wall histograms.
-    pub profile: Profile,
 }
 
 /// A dyn-erased algorithm: the one run path behind every table row,
@@ -485,48 +464,6 @@ impl AlgoSpec {
         self.algo.exec_dynamic(opts, plan, check_cold)
     }
 
-    /// Pre-redesign entry: standard-observed sequential run.
-    #[deprecated(note = "use `exec(&ExecOptions::new(exp, gg, trial).params(params))`")]
-    pub fn run(&self, exp: &str, gg: &GenGraph, params: Params, trial: &Trial) -> Row {
-        self.exec(&ExecOptions::new(exp, gg, trial).params(params))
-            .into_row()
-    }
-
-    /// Pre-redesign entry: run with the full tracing stack attached.
-    #[deprecated(note = "use `exec` with `ObserveMode::Traced`")]
-    pub fn run_traced(
-        &self,
-        gg: &GenGraph,
-        params: Params,
-        trial: &Trial,
-        parallel: bool,
-    ) -> TracedRun {
-        let out = self.exec(
-            &ExecOptions::new("trace", gg, trial)
-                .params(params)
-                .parallel(parallel)
-                .observe(ObserveMode::Traced),
-        );
-        let (log, profile) = out.trace.expect("traced execution carries a trace");
-        TracedRun {
-            row: out.row.expect("traced execution carries a row"),
-            stats: out.stats,
-            breakdown: out.breakdown.expect("traced execution carries a breakdown"),
-            log,
-            profile,
-        }
-    }
-
-    /// Pre-redesign entry: unobserved, unverified benching run.
-    #[deprecated(note = "use `exec` with `ObserveMode::Bare`")]
-    pub fn run_bare(&self, gg: &GenGraph, params: Params, trial: &Trial) {
-        self.exec(
-            &ExecOptions::new("bench", gg, trial)
-                .params(params)
-                .observe(ObserveMode::Bare),
-        );
-    }
-
     fn decay(mut self, ratio: f64, stride: usize, floor: f64, grace: usize) -> AlgoSpec {
         self.decay = Some(DecayClaim {
             ratio,
@@ -565,15 +502,6 @@ struct Algo<P, B, C, E> {
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
-/// The output of one erased execution, before the caller picks the parts
-/// it needs.
-struct ExecOut<X> {
-    row: Row,
-    stats: EngineStats,
-    breakdown: PhaseBreakdown,
-    extra: X,
-}
-
 impl<P, B, C, E> Algo<P, B, C, E>
 where
     P: Protocol,
@@ -583,7 +511,7 @@ where
 {
     /// The engine configuration an [`ExecOptions`] value asks for.
     fn run_cfg(o: &ExecOptions<'_>) -> simlocal::RunConfig {
-        let run_cfg = cfg(o.trial.seed).with_tuning(o.tuning);
+        let run_cfg = cfg(o.trial.seed);
         if o.parallel {
             run_cfg.parallel()
         } else {
@@ -620,20 +548,57 @@ where
         .expect("protocol terminates")
     }
 
+    /// Extracts and verifies a finished run's solution. Assembly failure
+    /// (e.g. inconsistent edge labels) is an invalid verdict, not a
+    /// panic: the bound checks reject the row.
+    fn judge(
+        &self,
+        p: &P,
+        g: &Graph,
+        out: &SimOutcome<P::Output>,
+        cap: usize,
+    ) -> (Verdict, Option<Extracted>) {
+        match (self.extract)(p, g, out) {
+            Ok(e) => (self.problem.verify_output(g, &e.solution, cap), Some(e)),
+            Err(_) => (Verdict::INVALID, None),
+        }
+    }
+
+    /// The measurement row of a judged run on `o`'s workload.
+    fn row(
+        &self,
+        o: &ExecOptions<'_>,
+        metrics: &simlocal::RoundMetrics,
+        verdict: Verdict,
+        stats: &EngineStats,
+        cap: usize,
+    ) -> Row {
+        Row::from_metrics(
+            o.exp,
+            &(self.label)(self.name, o.params),
+            o.gg.family,
+            o.gg.graph.n(),
+            o.gg.arboricity,
+            metrics,
+            verdict.colors,
+            verdict.valid,
+        )
+        .with_stats(stats)
+        .with_trial(o.trial)
+        .with_cap(cap)
+    }
+
     /// The single construct → run → observe → verify → Row path behind
     /// every observed execution; [`ErasedAlgo::exec`] only chooses the
-    /// extra observer to tee on.
+    /// extra observer to tee on and what of it to keep as the trace.
     fn exec_observed<X: Observer>(
         &self,
         o: &ExecOptions<'_>,
         mk_extra: impl FnOnce(&P) -> X,
-    ) -> ExecOut<X> {
+        trace: impl FnOnce(X) -> Option<(TraceLog, Profile)>,
+    ) -> ExecOutcome {
         let ExecOptions {
-            exp,
-            gg,
-            params,
-            trial,
-            ..
+            gg, params, trial, ..
         } = *o;
         // Harness-level trial timings (queue = setup before the engine
         // starts, run = engine wall, verify = extract + judge). Global
@@ -654,44 +619,22 @@ where
             m.add(ObsMetric::HarnessTrials, 1);
         }
         let verify_t0 = mob.is_some().then(std::time::Instant::now);
-        let (verdict, metrics) = match (self.extract)(&p, &gg.graph, &out) {
-            Ok(Extracted { solution, commit }) => {
-                let verdict = self.problem.verify_output(&gg.graph, &solution, cap);
-                (verdict, commit.unwrap_or_else(|| out.metrics.clone()))
-            }
-            // Assembly failure (e.g. inconsistent edge labels) is an
-            // invalid row, not a panic: the bound checks reject it.
-            Err(_) => (
-                Verdict {
-                    colors: 0,
-                    valid: false,
-                },
-                out.metrics.clone(),
-            ),
-        };
+        let (verdict, extracted) = self.judge(&p, &gg.graph, &out, cap);
+        let metrics = extracted
+            .and_then(|e| e.commit)
+            .unwrap_or_else(|| out.metrics.clone());
         if let (Some(m), Some(t0)) = (mob, verify_t0) {
             m.add_elapsed(ObsMetric::HarnessVerifyNs, t0);
         }
-        let row = Row::from_metrics(
-            exp,
-            &(self.label)(self.name, params),
-            gg.family,
-            gg.graph.n(),
-            gg.arboricity,
-            &metrics,
-            verdict.colors,
-            verdict.valid,
-        )
-        .with_stats(&out.stats)
-        .with_trial(trial)
-        .with_cap(cap)
-        .with_trace(&obs.0 .0, &obs.0 .1);
+        let row = self
+            .row(o, &metrics, verdict, &out.stats, cap)
+            .with_trace(&obs.0 .0, &obs.0 .1);
         let simlocal::Tee(simlocal::Tee(_telemetry, breakdown), extra) = obs;
-        ExecOut {
-            row,
+        ExecOutcome {
+            row: Some(row),
             stats: out.stats,
-            breakdown,
-            extra,
+            breakdown: Some(breakdown),
+            trace: trace(extra),
         }
     }
 }
@@ -714,11 +657,7 @@ where
 
     fn exec_dynamic(&self, o: &ExecOptions<'_>, plan: &ChurnPlan, check_cold: bool) -> Vec<Row> {
         let ExecOptions {
-            exp,
-            gg,
-            params,
-            trial,
-            ..
+            gg, params, trial, ..
         } = *o;
         let ids = trial.ids(gg.graph.n());
         // Cold recorded solve of the base graph seeds the warm chain.
@@ -761,19 +700,8 @@ where
             let cap = (self.cap)(&p, &edited, &ids);
             // The headline metrics are always the warm engine's update
             // cost (commit-based overrides would re-report cold work).
-            let (verdict, solution) = match (self.extract)(&p, &edited.graph, &outcome) {
-                Ok(Extracted { solution, .. }) => (
-                    self.problem.verify_output(&edited.graph, &solution, cap),
-                    Some(solution),
-                ),
-                Err(_) => (
-                    Verdict {
-                        colors: 0,
-                        valid: false,
-                    },
-                    None,
-                ),
-            };
+            let (verdict, extracted) = self.judge(&p, &edited.graph, &outcome, cap);
+            let solution = extracted.map(|e| e.solution);
             if check_cold {
                 let pc = (self.build)(&edited, params);
                 let cold = Runner::new(&pc, &edited.graph, &ids)
@@ -788,22 +716,11 @@ where
                     "warm batch {i} diverged from the cold re-solve"
                 );
             }
-            let n = edited.graph.n();
+            // Churn keeps the vertex set, so `o`'s workload size stands.
+            let n = edited.graph.n().max(1) as f64;
             rows.push(
-                Row::from_metrics(
-                    exp,
-                    &(self.label)(self.name, params),
-                    gg.family,
-                    n,
-                    gg.arboricity,
-                    &outcome.metrics,
-                    verdict.colors,
-                    verdict.valid,
-                )
-                .with_stats(&outcome.stats)
-                .with_trial(trial)
-                .with_cap(cap)
-                .with_reactivated(stats.reactivated as f64 / n.max(1) as f64),
+                self.row(o, &outcome.metrics, verdict, &outcome.stats, cap)
+                    .with_reactivated(stats.reactivated as f64 / n),
             );
             replay = next_replay;
             outputs = outcome.outputs;
@@ -826,27 +743,12 @@ where
                     trace: None,
                 }
             }
-            ObserveMode::Standard => {
-                let out = self.exec_observed(opts, |_| NoObserver);
-                ExecOutcome {
-                    row: Some(out.row),
-                    stats: out.stats,
-                    breakdown: Some(out.breakdown),
-                    trace: None,
-                }
-            }
-            ObserveMode::Traced => {
-                let out = self.exec_observed(opts, |p| {
-                    simlocal::Tee(TraceLog::with_phases(p.phase_names()), Profile::new())
-                });
-                let simlocal::Tee(log, profile) = out.extra;
-                ExecOutcome {
-                    row: Some(out.row),
-                    stats: out.stats,
-                    breakdown: Some(out.breakdown),
-                    trace: Some((log, profile)),
-                }
-            }
+            ObserveMode::Standard => self.exec_observed(opts, |_| NoObserver, |_| None),
+            ObserveMode::Traced => self.exec_observed(
+                opts,
+                |p| simlocal::Tee(TraceLog::with_phases(p.phase_names()), Profile::new()),
+                |simlocal::Tee(log, profile)| Some((log, profile)),
+            ),
         }
     }
 }

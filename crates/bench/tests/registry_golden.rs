@@ -201,33 +201,28 @@ fn erased_run_matches_inline_wiring_for_mis() {
     assert_rows_equivalent(&reg_row, &inline_row);
 }
 
-/// The deprecated pre-redesign trio must stay behaviorally pinned to
-/// `exec` until it is removed: `run` produces the identical row, and
-/// `run_traced` produces the identical row plus a populated trace stack.
+/// Each observation level populates exactly what it promises: `Traced`
+/// carries the standard row plus an event log covering every step,
+/// `Bare` carries engine stats and nothing else.
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_match_exec() {
+fn observe_modes_populate_what_they_promise() {
     let gg = forest_workload(240, 2, 11);
     let trial = Trial::identity(1);
     let spec = registry::get("a2logn");
 
-    let via_exec = spec.exec(&ExecOptions::new("EQ", &gg, &trial)).into_row();
-    let via_run = spec.run("EQ", &gg, Params::default(), &trial);
-    assert_rows_equivalent(&via_exec, &via_run);
+    let standard = spec.exec(&ExecOptions::new("EQ", &gg, &trial)).into_row();
+    let traced = spec.exec(&ExecOptions::new("EQ", &gg, &trial).observe(ObserveMode::Traced));
+    let (log, _profile) = traced.trace.expect("traced execution carries a trace");
+    assert_rows_equivalent(
+        &standard,
+        &traced.row.expect("traced execution carries a row"),
+    );
+    assert_eq!(log.step_events(), traced.stats.steps);
+    assert_eq!(log.terminate_events() as usize, gg.graph.n());
 
-    let traced = spec.run_traced(&gg, Params::default(), &trial, false);
-    let via_exec_traced =
-        spec.exec(&ExecOptions::new("trace", &gg, &trial).observe(ObserveMode::Traced));
-    assert_rows_equivalent(&via_exec_traced.row.unwrap(), &traced.row);
-    let (log, _profile) = via_exec_traced.trace.unwrap();
-    assert_eq!(log.step_events(), traced.log.step_events());
-    assert_eq!(log.terminate_events(), traced.log.terminate_events());
-
-    // The bare shim runs to completion with nothing observed.
-    spec.run_bare(&gg, Params::default(), &trial);
     let bare = spec.exec(&ExecOptions::new("bench", &gg, &trial).observe(ObserveMode::Bare));
     assert!(bare.row.is_none());
     assert!(bare.breakdown.is_none());
     assert!(bare.trace.is_none());
-    assert!(bare.stats.rounds > 0);
+    assert_eq!(bare.stats.steps, traced.stats.steps);
 }

@@ -39,19 +39,30 @@ pub struct ActiveSet {
     universe: usize,
 }
 
+/// Bit words with every vertex of `0..n` set.
+pub(crate) fn full_words(n: usize) -> Vec<u64> {
+    let mut words = vec![!0u64; n.div_ceil(64)];
+    if !n.is_multiple_of(64) {
+        if let Some(last) = words.last_mut() {
+            *last = (1u64 << (n % 64)) - 1;
+        }
+    }
+    words
+}
+
+/// Clears vertex `v`'s bit in `words`.
+#[inline]
+pub(crate) fn clear_bit(words: &mut [u64], v: VertexId) {
+    words[(v as usize) >> 6] &= !(1u64 << (v as usize & 63));
+}
+
 impl ActiveSet {
     /// The full set `{0, …, n-1}`.
     pub fn full(n: usize) -> ActiveSet {
-        let n_words = n.div_ceil(64);
-        let mut words = vec![!0u64; n_words];
-        if !n.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (n % 64)) - 1;
-            }
-        }
+        let words = full_words(n);
         ActiveSet {
+            live: (0..words.len() as u32).collect(),
             words,
-            live: (0..n_words as u32).collect(),
             count: n,
             universe: n,
         }

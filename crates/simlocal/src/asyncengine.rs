@@ -23,9 +23,12 @@
 //! published at the end of round `r - 1`, activity as it stood when round
 //! `r` began. Outputs, termination rounds, and wire accounting therefore
 //! merge into a [`SimOutcome`] equal field-for-field to the sync engine's
-//! (`parallel_rounds`/`fast_rounds` excepted — those describe sync-engine
-//! execution paths and read 0 here), which the property tests in
-//! `tests/actor_backend.rs` pin across transports and shard counts.
+//! (`parallel_rounds` excepted — it describes sync-engine thread fan-out
+//! and reads 0 here), which the property tests in
+//! `tests/actor_backend.rs` pin across transports and shard counts. Both
+//! engines step through the same round kernel (`kernel.rs`); only
+//! the iteration (a shard's owned active list) and the snapshot (the
+//! shard's mirror) differ.
 //!
 //! ## Initial messages
 //!
@@ -66,16 +69,19 @@
 //! sync engine's as-you-go hooks. The replay buffer costs `O(RoundSum)`
 //! memory on observed runs; unobserved runs record nothing.
 
+use crate::active::{clear_bit, full_words};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
+use crate::kernel::{Kernel, Record, Slots, StepEvent};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry, ShardObs};
 use crate::observer::{NoObserver, Observer, RoundRecord};
-use crate::protocol::{NeighborView, PhaseId, Protocol, StepCtx, Transition};
+use crate::protocol::Protocol;
 use crate::transport::{
     channel_mesh, tcp_loopback_mesh, Batch, Recv, Transport, TransportStats, Update,
 };
-use crate::wire::{WireCodec, WireSize};
+use crate::wire::WireCodec;
 use graphcore::{Graph, IdAssignment, VertexId};
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// Why a shard's barrier drain stopped making progress — the raw
@@ -252,31 +258,6 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<(VertexId, VertexId)> {
         .collect()
 }
 
-/// All-active bit words for `n` vertices (the round-1 activity snapshot).
-fn full_words(n: usize) -> Vec<u64> {
-    let mut words = vec![u64::MAX; n.div_ceil(64)];
-    if !n.is_multiple_of(64) {
-        if let Some(last) = words.last_mut() {
-            *last = (1u64 << (n % 64)) - 1;
-        }
-    }
-    words
-}
-
-#[inline]
-fn clear_bit(words: &mut [u64], v: VertexId) {
-    words[(v as usize) >> 6] &= !(1u64 << (v as usize & 63));
-}
-
-/// One step event, recorded shard-side (observed runs only) and replayed
-/// in `(round, vertex)` order by the merge.
-struct StepEvent {
-    round: u32,
-    v: VertexId,
-    phase: PhaseId,
-    terminated: bool,
-}
-
 /// What one shard hands back to the merge.
 struct ShardResult<P: Protocol> {
     outputs: Vec<Option<P::Output>>,
@@ -293,21 +274,29 @@ struct ShardResult<P: Protocol> {
     last_round: u32,
     /// Step events in `(round, vertex)` order (observed runs only).
     events: Vec<StepEvent>,
-    /// Per-round `(msg_bits, max_msg_bits, wall)` (observed runs only).
-    round_stats: Vec<(u64, u64, Duration)>,
+    /// Per-round `(stepped, msg_bits, max_msg_bits, wall)` (observed
+    /// runs only).
+    round_stats: Vec<(usize, u64, u64, Duration)>,
 }
 
-/// Mirrors a transport's cumulative I/O tallies into the registry's
-/// per-shard slots (absolute stores: the tallies are already sums).
-fn publish_transport(o: &ShardObs<'_>, s: TransportStats) {
-    o.set(Metric::TransportBatchesOut, s.batches_out);
-    o.set(Metric::TransportBatchesIn, s.batches_in);
-    o.set(Metric::TransportEntriesOut, s.entries_out);
-    o.set(Metric::TransportEntriesIn, s.entries_in);
-    o.set(Metric::TransportBytesOut, s.bytes_out);
-    o.set(Metric::TransportBytesIn, s.bytes_in);
-    o.set(Metric::TransportFramesIn, s.frames_in);
+/// Adds a transport's I/O since the last call (`seen`) to the registry's
+/// per-shard counters — a transport's tallies start from zero with every
+/// run, while a registry's counters stay cumulative across the runs it
+/// outlives — and stores the inbox-depth level.
+fn publish_transport(o: &ShardObs<'_>, seen: &mut TransportStats, s: TransportStats) {
+    for (m, now, was) in [
+        (Metric::TransportBatchesOut, s.batches_out, seen.batches_out),
+        (Metric::TransportBatchesIn, s.batches_in, seen.batches_in),
+        (Metric::TransportEntriesOut, s.entries_out, seen.entries_out),
+        (Metric::TransportEntriesIn, s.entries_in, seen.entries_in),
+        (Metric::TransportBytesOut, s.bytes_out, seen.bytes_out),
+        (Metric::TransportBytesIn, s.bytes_in, seen.bytes_in),
+        (Metric::TransportFramesIn, s.frames_in, seen.frames_in),
+    ] {
+        o.add(m, now - was);
+    }
     o.set(Metric::TransportInboxDepth, s.inbox_depth);
+    *seen = s;
 }
 
 /// The per-shard worker: owns `lo..hi`, mirrors the rest.
@@ -346,6 +335,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         round_stats: Vec::new(),
     };
     let mut barrier = RoundBarrier::new(shards, sid);
+    let mut seen = TransportStats::default();
 
     if active.is_empty() {
         // Nothing to own (more shards than vertices): deregister from the
@@ -358,7 +348,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         });
         if let Some(o) = &ob {
             o.add(Metric::ActorRetire, 1);
-            publish_transport(o, transport.stats());
+            publish_transport(o, &mut seen, transport.stats());
         }
         transport.linger();
         return result;
@@ -377,69 +367,46 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         let round_t0 = Ob::ENABLED.then(Instant::now);
         let compute_t0 = ob.is_some().then(Instant::now);
         let stepped = active.len() as u64;
-        let mut round_bits = 0u64;
-        let mut round_max = 0u64;
-        let mut entries: Vec<Update<P::Msg>> = Vec::with_capacity(active.len());
-        // Read phase: step owned active vertices against the mirror
-        // snapshot — nothing a step can observe is mutated until every
-        // owned vertex has stepped.
-        for &v in &active {
-            let vi = (v - lo) as usize;
-            if Ob::ENABLED {
-                result.events.push(StepEvent {
-                    round,
-                    v,
-                    phase: protocol.phase_of(&states[vi]),
-                    terminated: false,
-                });
-            }
-            let ctx = StepCtx {
-                graph: g,
-                ids,
+        // Step phase: the round kernel steps owned active vertices
+        // against the mirror snapshot, writing owned slots only.
+        let kernel = Kernel {
+            protocol,
+            graph: g,
+            ids,
+            msgs: &msgs,
+            active_words: &active_words,
+            round,
+            seed: cfg.seed,
+        };
+        let mut slots = Slots::new(
+            lo as usize,
+            &mut states,
+            &mut result.outputs,
+            &mut result.term,
+        );
+        let mut record = Record::<Ob>(&mut result.events, PhantomData);
+        let mut entries: Vec<Update<P::Msg>> = active
+            .iter()
+            .map(|&v| Update {
                 v,
-                round,
-                state: &states[vi],
-                view: NeighborView {
-                    graph: g,
-                    v,
-                    msgs: &msgs,
-                    active_words: &active_words,
-                },
-                run_seed: cfg.seed,
-            };
-            let (s, out) = match protocol.step(ctx) {
-                Transition::Continue(s) => (s, None),
-                Transition::Terminate(s, o) => (s, Some(o)),
-            };
-            let m = protocol.publish(&s);
-            let mb = m.wire_bits();
-            round_bits += mb;
-            round_max = round_max.max(mb);
-            entries.push(Update {
-                v,
-                msg: m,
-                terminated: out.is_some(),
-            });
-            states[vi] = s;
-            if let Some(o) = out {
-                result.outputs[vi] = Some(o);
-                result.term[vi] = round;
-                if Ob::ENABLED {
-                    result.events.last_mut().expect("just pushed").terminated = true;
-                }
-            }
-        }
+                msg: kernel.step(v, &mut slots, &mut record),
+                terminated: false,
+            })
+            .collect();
+        let (round_bits, round_max) = (slots.bits, slots.max_bits);
         result.msg_bits += round_bits;
         result.max_msg_bits = result.max_msg_bits.max(round_max);
         if let Some(t0) = round_t0 {
+            let wall = t0.elapsed();
             result
                 .round_stats
-                .push((round_bits, round_max, t0.elapsed()));
+                .push((active.len(), round_bits, round_max, wall));
         }
 
-        // Retire phase, local half: fold this shard's updates into the
-        // mirror and the activity snapshot.
-        for e in &entries {
+        // Retire phase, local half: fold this shard's fresh messages into
+        // the mirror; terminated vertices leave the activity snapshot.
+        for e in &mut entries {
+            e.terminated = result.term[(e.v - lo) as usize] == round;
             msgs[e.v as usize] = e.msg.clone();
             if e.terminated {
                 clear_bit(&mut active_words, e.v);
@@ -468,7 +435,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             if let Some(o) = &ob {
                 o.add(Metric::ActorRounds, 1);
                 o.add(Metric::ActorRetire, 1);
-                publish_transport(o, transport.stats());
+                publish_transport(o, &mut seen, transport.stats());
             }
             transport.linger();
             return result;
@@ -493,7 +460,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
                 Metric::ActorDeregister,
                 (live_before - barrier.live_peers()) as u64,
             );
-            publish_transport(o, transport.stats());
+            publish_transport(o, &mut seen, transport.stats());
         }
         if let Err(stall) = drained {
             // Watchdog: hand the partial state back instead of hanging —
@@ -651,33 +618,23 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             .unwrap_or(0);
         let mut cursors = vec![0usize; shards];
         for r in 1..=rounds as u32 {
-            let active_r: usize = results
-                .iter()
-                .zip(&cursors)
-                .map(|(res, &c)| res.events[c..].iter().take_while(|e| e.round == r).count())
-                .sum();
+            let this_round = || {
+                results
+                    .iter()
+                    .filter_map(|res| res.round_stats.get(r as usize - 1))
+            };
+            let active_r: usize = this_round().map(|s| s.0).sum();
             observer.on_round_start(r, active_r);
-            let mut bits = 0u64;
-            let mut max_bits = 0u64;
-            let mut wall = Duration::ZERO;
-            for (s, res) in results.iter().enumerate() {
-                while let Some(e) = res.events.get(cursors[s]) {
-                    if e.round != r {
-                        break;
-                    }
-                    observer.on_phase(e.v, r, e.phase);
-                    observer.on_step(e.v, r);
-                    if e.terminated {
-                        observer.on_terminate(e.v, r);
-                    }
-                    cursors[s] += 1;
+            for (res, cursor) in results.iter().zip(&mut cursors) {
+                let stepped = res.round_stats.get(r as usize - 1).map_or(0, |s| s.0);
+                for e in &res.events[*cursor..*cursor + stepped] {
+                    e.fire(observer);
                 }
-                if let Some(&(b, m, w)) = res.round_stats.get((r - 1) as usize) {
-                    bits += b;
-                    max_bits = max_bits.max(m);
-                    wall = wall.max(w);
-                }
+                *cursor += stepped;
             }
+            let bits = this_round().map(|s| s.1).sum();
+            let max_bits = this_round().map(|s| s.2).max().unwrap_or(0);
+            let wall = this_round().map(|s| s.3).max().unwrap_or_default();
             observer.on_round_end(&RoundRecord {
                 round: r,
                 active: active_r,
@@ -923,6 +880,7 @@ mod tests {
     use super::*;
     use crate::engine::Runner;
     use crate::observer::Telemetry;
+    use crate::protocol::{StepCtx, Transition};
     use graphcore::gen;
 
     /// Vertex v waits v rounds then outputs the round it terminated in.

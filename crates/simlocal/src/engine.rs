@@ -11,9 +11,10 @@
 //!
 //! * a **private state slab** (`Vec<P::State>`), mutated in place and
 //!   never read by anyone but its own vertex;
-//! * a **published message slab** (`Vec<P::Msg>`), refreshed from
-//!   [`Protocol::publish`] whenever a vertex steps — the only thing
-//!   [`NeighborView`] serves, each write charged its
+//! * a **published message slab** (`Vec<P::Msg>`) — the only thing
+//!   [`NeighborView`](crate::NeighborView) serves — and its double
+//!   buffer, into which each step writes its [`Protocol::publish`]ed
+//!   message, charged its
 //!   [`WireSize::wire_bits`](crate::wire::WireSize::wire_bits);
 //! * output and termination-round slabs, written once per vertex;
 //! * the [`ActiveSet`] bitset, whose live-word index makes per-round
@@ -25,60 +26,38 @@
 //!
 //! ## Round structure
 //!
-//! Each round has a read phase and a retire phase. The read phase steps
-//! every active vertex against the *previous* round's message snapshot
-//! and the bitset as it stood when the round began; nothing a step can
-//! observe is mutated during it, which is what makes the parallel
-//! fan-out (chunks of the live-word list on scoped threads) trivially
-//! equal to the sequential path. The retire phase then publishes the new
-//! messages, clears the bits of vertices that terminated, and compacts
-//! the live-word list — all in one `O(active)` sweep.
+//! Each round has a step phase and a retire phase. The step phase runs
+//! the in-place round kernel (`kernel.rs`) over every active
+//! vertex against the *previous* round's message snapshot and the bitset
+//! as it stood when the round began; nothing a step can observe is
+//! mutated during it, which is what makes the parallel fan-out (chunks
+//! of the live-word list on scoped threads, each owning the slots of its
+//! vertex range) trivially equal to the sequential path. The retire
+//! phase then swaps the new messages into the visible slab, clears the
+//! bits of vertices that terminated, and compacts the live-word list —
+//! all in one `O(active)` sweep.
 //!
-//! Two step paths share that structure:
-//!
-//! * the **classic path** buffers each stepped vertex's
-//!   [`Transition`] in a hoisted scratch vector and applies them in the
-//!   retire sweep. It is the path observers see (hooks fire in
-//!   deterministic vertex order with pre-step states intact);
-//! * the **fast path** writes states, outputs, and published messages
-//!   in place during the read phase — legal because states are private,
-//!   outputs are per-vertex slots, and messages go to a double buffer
-//!   (`msgs_next`) that readers never see until the retire sweep copies
-//!   it into the visible slab. It skips the transition buffer entirely
-//!   and is chosen by [`Toggle::Auto`] for small `Copy`-like message
-//!   types on unobserved runs ([`FAST_PATH_MAX_MSG_BYTES`]); forcing it
-//!   [`On`](Toggle::On) is byte-identical for *any* protocol, just not
-//!   always faster. Observed runs always take the classic path — the
-//!   [`Observer`] contract hands `phase_of` the pre-step state, which
-//!   the fast path overwrites.
+//! Observers ride the same kernel: sequential rounds fire the hooks
+//! inline, in vertex order; parallel workers buffer their step events
+//! and the coordinating thread replays them in chunk order — the same
+//! sequence. Property tests pin every mode, observed and unobserved,
+//! byte-identical to the retained dense engine in [`crate::reference`].
 //!
 //! ## Allocation discipline
 //!
-//! With the default [`ScratchPolicy::Eager`], every slab and scratch
-//! buffer is sized at run start; because the active set only shrinks,
-//! steady-state sequential rounds allocate **nothing** (a debug-build
-//! assertion inside the round loop and the `zero_alloc` integration test
-//! both pin this). Parallel rounds reuse their per-worker scratch too,
-//! but thread fan-out itself allocates (stacks), so the zero-alloc
-//! contract is a sequential-path guarantee.
-//!
-//! Engine tuning — par threshold, worker count, fast-path toggle,
-//! scratch policy — lives in [`EngineTuning`]; the default resolves each
-//! knob from the graph shape at run start.
-//!
-//! Sequential and parallel modes produce byte-identical outcomes: every
-//! step reads only the previous round's snapshot, and retirements apply
-//! in deterministic vertex order. Property tests check both modes and
-//! both step paths against the retained dense engine in
-//! [`crate::reference`].
+//! Every slab is sized at run start and the active set only shrinks, so
+//! steady-state sequential rounds allocate **nothing** (the `zero_alloc`
+//! integration test pins this). Thread fan-out itself allocates
+//! (stacks), so the zero-alloc contract is a sequential-path guarantee.
 
 use crate::active::ActiveSet;
+use crate::kernel::{Kernel, Record, Slots, StepEvent};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry, ShardObs};
 use crate::observer::{NoObserver, Observer, RoundRecord};
-use crate::protocol::{NeighborView, Protocol, StepCtx, Transition};
-use crate::wire::WireSize;
-use graphcore::{Graph, IdAssignment, VertexId};
+use crate::protocol::Protocol;
+use graphcore::{Graph, IdAssignment};
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// Default active-set size above which a parallel-mode round fans out to
@@ -87,54 +66,20 @@ use std::time::{Duration, Instant};
 /// protocols.
 pub const DEFAULT_PAR_THRESHOLD: usize = 4096;
 
-/// Largest `size_of::<P::Msg>()` for which [`Toggle::Auto`] selects the
-/// in-place fast path. Larger messages make the double-buffer copy in
-/// the retire sweep more expensive than the classic path's single write.
-pub const FAST_PATH_MAX_MSG_BYTES: usize = 32;
-
-/// A tri-state tuning knob: let the engine decide, force on, force off.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Toggle {
-    /// Engine picks from the protocol's types and the run mode.
-    #[default]
-    Auto,
-    /// Force-enable wherever legal (for the fast path: whenever the run
-    /// is unobserved — the result is byte-identical either way).
-    On,
-    /// Never.
-    Off,
-}
-
-/// When the engine's per-round scratch buffers get their capacity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScratchPolicy {
-    /// Allocate full capacity at run start: steady-state sequential
-    /// rounds are allocation-free (the default).
-    #[default]
-    Eager,
-    /// Start empty and grow on demand: cheaper run setup for tiny or
-    /// short runs, at the cost of amortized growth early on.
-    Lazy,
-}
-
 /// Engine tuning in one place: everything about *how* the engine runs a
 /// protocol that does not change *what* it computes. The default is
-/// all-auto — every knob resolved from the graph shape and the
-/// protocol's types at run start:
+/// all-auto — every knob resolved from the graph shape at run start:
 ///
 /// ```
-/// use simlocal::{EngineTuning, Toggle};
+/// use simlocal::EngineTuning;
 /// let tuning = EngineTuning::default()   // auto everything, or:
 ///     .par_threshold(512)                // fan out above 512 active
-///     .workers(4)                        // on exactly 4 workers
-///     .fast_path(Toggle::Off);           // always buffer transitions
+///     .workers(4);                       // on exactly 4 workers
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTuning {
     par_threshold: Option<usize>,
     workers: Option<usize>,
-    fast_path: Toggle,
-    scratch: ScratchPolicy,
 }
 
 impl EngineTuning {
@@ -155,23 +100,9 @@ impl EngineTuning {
         self
     }
 
-    /// Sets the fast-path policy (see the module docs for the
-    /// contract). [`Toggle::On`] is byte-identical to [`Toggle::Off`]
-    /// on any protocol; [`Toggle::Auto`] enables it for message types
-    /// of at most [`FAST_PATH_MAX_MSG_BYTES`] with no drop glue.
-    pub fn fast_path(mut self, toggle: Toggle) -> Self {
-        self.fast_path = toggle;
-        self
-    }
-
-    /// Sets the scratch allocation policy.
-    pub fn scratch(mut self, policy: ScratchPolicy) -> Self {
-        self.scratch = policy;
-        self
-    }
-
-    /// Resolves every auto knob against the graph.
-    pub(crate) fn resolve(&self, g: &Graph) -> ResolvedTuning {
+    /// Resolves every auto knob against the graph:
+    /// `(par_threshold, workers)`.
+    pub(crate) fn resolve(&self, g: &Graph) -> (usize, usize) {
         let par_threshold = self.par_threshold.unwrap_or_else(|| {
             // Dense graphs do more work per step (neighbor walks), so
             // fan-out pays for itself at smaller active sets.
@@ -183,22 +114,8 @@ impl EngineTuning {
                 .map(|w| w.get())
                 .unwrap_or(1)
         });
-        ResolvedTuning {
-            par_threshold,
-            workers,
-            fast_path: self.fast_path,
-            scratch: self.scratch,
-        }
+        (par_threshold, workers)
     }
-}
-
-/// [`EngineTuning`] with every auto knob decided.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ResolvedTuning {
-    pub(crate) par_threshold: usize,
-    pub(crate) workers: usize,
-    pub(crate) fast_path: Toggle,
-    pub(crate) scratch: ScratchPolicy,
 }
 
 /// Engine configuration. Buildable:
@@ -220,7 +137,7 @@ pub struct RunConfig {
     pub parallel: bool,
     /// Override the protocol's round cap (`None` = ask the protocol).
     pub max_rounds: Option<u32>,
-    /// Engine tuning (par threshold, workers, fast path, scratch).
+    /// Engine tuning (par threshold, workers).
     pub tuning: EngineTuning,
 }
 
@@ -281,9 +198,6 @@ pub struct EngineStats {
     pub max_msg_bits: u64,
     /// Rounds that actually fanned out to worker threads.
     pub parallel_rounds: u32,
-    /// Rounds that took the in-place fast path (0 or `rounds`: the path
-    /// is chosen per run).
-    pub fast_rounds: u32,
 }
 
 /// A completed simulation: every vertex's output, the round metrics, and
@@ -416,8 +330,7 @@ impl<'a, P: Protocol> Runner<'a, P> {
         self
     }
 
-    /// Replaces the engine tuning (par threshold, workers, fast path,
-    /// scratch policy) in one call.
+    /// Replaces the engine tuning (par threshold, workers) in one call.
     pub fn tuning(mut self, tuning: EngineTuning) -> Self {
         self.cfg.tuning = tuning;
         self
@@ -425,8 +338,7 @@ impl<'a, P: Protocol> Runner<'a, P> {
 
     /// Attaches a metrics registry (see [`crate::obs`]). Engine-level
     /// series land in the registry's global slots; all recording is
-    /// per-round, so the per-vertex hot loop is untouched and the path
-    /// choice (fast vs classic) is identical with or without it.
+    /// per-round, so the per-vertex hot loop is untouched.
     pub fn obs(mut self, registry: &'a crate::obs::Registry) -> Self {
         self.obs = Some(registry);
         self
@@ -478,41 +390,6 @@ impl<'a, P: Protocol> Runner<'a, P> {
     }
 }
 
-/// A stepped vertex paired with the transition it chose.
-type Stepped<P> = (
-    VertexId,
-    Transition<<P as Protocol>::State, <P as Protocol>::Output>,
-);
-
-/// A raw pointer into a slab, shared across the parallel fast path's
-/// workers. Every write goes to the slot of a vertex owned by exactly
-/// one worker (the live-word chunks partition the active set), so the
-/// aliasing rules hold even though the type erases the borrow.
-struct SlabPtr<T>(*mut T);
-
-unsafe impl<T: Send> Sync for SlabPtr<T> {}
-
-impl<T> SlabPtr<T> {
-    fn new(slab: &mut [T]) -> SlabPtr<T> {
-        SlabPtr(slab.as_mut_ptr())
-    }
-
-    /// # Safety
-    /// `i` must be in bounds and not concurrently written.
-    #[inline]
-    unsafe fn get<'s>(&self, i: usize) -> &'s T {
-        unsafe { &*self.0.add(i) }
-    }
-
-    /// # Safety
-    /// `i` must be in bounds and this thread must be the only one
-    /// accessing slot `i`.
-    #[inline]
-    unsafe fn set(&self, i: usize, value: T) {
-        unsafe { *self.0.add(i) = value }
-    }
-}
-
 /// Splits the live-word list into at most `workers` contiguous chunks of
 /// roughly equal *work*, writing chunk boundaries (indices into `live`)
 /// into `cuts`. Work per word is its population count plus the CSR
@@ -548,6 +425,62 @@ fn fill_balanced_cuts(
     cuts.push(live.len());
 }
 
+/// One fanned-out step phase: each chunk of live words steps on its own
+/// scoped thread against the shared snapshot, writing only the slots and
+/// `next` messages of its vertex range; step events buffer per worker
+/// (observed runs only)
+/// and replay on this thread in chunk order — vertex order. Returns the
+/// round's wire-bit total and widest message.
+fn step_parallel<P: Protocol, Ob: Observer>(
+    kernel: &Kernel<'_, P>,
+    live: &[u32],
+    cuts: &[usize],
+    slots: Slots<'_, P>,
+    next: &mut [P::Msg],
+    worker_events: &mut [Vec<StepEvent>],
+    observer: &mut Ob,
+) -> (u64, u64) {
+    // Chunk k owns every vertex from its first live word up to the next
+    // chunk's first live word, so the slab splits are disjoint.
+    let (mut rest, mut rest_next) = (slots, next);
+    let mut parts = Vec::with_capacity(cuts.len() - 1);
+    for &cut in &cuts[1..cuts.len() - 1] {
+        let at = (live[cut] as usize) << 6;
+        let (next_head, next_tail) = rest_next.split_at_mut(at - rest.base);
+        let (head, tail) = rest.split_at(at);
+        parts.push((head, next_head));
+        (rest, rest_next) = (tail, next_tail);
+    }
+    parts.push((rest, rest_next));
+    let words = kernel.active_words;
+    let bits: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .zip(cuts.windows(2))
+            .zip(worker_events.iter_mut())
+            .map(|(((mut part, next), w), events)| {
+                let chunk = &live[w[0]..w[1]];
+                scope.spawn(move || {
+                    let mut record = Record::<Ob>(events, PhantomData);
+                    kernel.step_words(chunk, words, &mut part, next, &mut record);
+                    (part.bits, part.max_bits)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("step panicked"))
+            .collect()
+    });
+    for events in worker_events.iter_mut() {
+        for e in events.drain(..) {
+            e.fire(observer);
+        }
+    }
+    bits.iter()
+        .fold((0, 0), |(sum, max), &(s, m)| (sum + s, max.max(m)))
+}
+
 /// Adds the elapsed time since `t0` to phase counter `m` — a no-op when
 /// either the obs handle or the phase mark is absent.
 #[inline]
@@ -569,56 +502,27 @@ fn execute<P: Protocol, Ob: Observer>(
     assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
     let n = g.n();
     let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
-    let tun = cfg.tuning.resolve(g);
-    let workers = if cfg.parallel { tun.workers } else { 1 };
-    // The fast path requires an unobserved run (observer hooks need the
-    // pre-step state the fast path overwrites); within that, Auto takes
-    // it only when the message copy into the double buffer is cheap.
-    let use_fast = match tun.fast_path {
-        Toggle::Off => false,
-        Toggle::On => !Ob::ENABLED,
-        Toggle::Auto => {
-            !Ob::ENABLED
-                && !std::mem::needs_drop::<P::Msg>()
-                && std::mem::size_of::<P::Msg>() <= FAST_PATH_MAX_MSG_BYTES
-        }
-    };
-    let eager = tun.scratch == ScratchPolicy::Eager;
+    let (par_threshold, workers) = cfg.tuning.resolve(g);
+    let workers = if cfg.parallel { workers } else { 1 };
     // Metrics handle — engine series are global (shard-agnostic), so the
     // slot-0 handle serves. Every `ob` touch below runs a handful of
-    // times per round, never per vertex, and nothing here feeds back
-    // into the path choice above.
+    // times per round, never per vertex.
     let ob = obs.map(|r| r.handle(0));
     let obs_on = ob.is_some();
 
     let run_t0 = Instant::now();
     // The struct-of-arrays slabs. `msgs` is the visible snapshot that
-    // NeighborView serves; `msgs_next` is the fast path's write buffer
-    // (unused — and unallocated — on the classic path).
+    // NeighborView serves; `msgs_next` is the kernel's write buffer.
     let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
     let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
-    let mut msgs_next: Vec<P::Msg> = if use_fast { msgs.clone() } else { Vec::new() };
+    let mut msgs_next = msgs.clone();
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
     let mut active = ActiveSet::full(n);
-    // Classic-path scratch: the transition buffer (capacity n up front
-    // under Eager — the active set only shrinks, so it never grows) and
-    // per-worker buffers that the parallel read phase fills.
-    let mut transitions: Vec<Stepped<P>> = if !use_fast && eager {
-        Vec::with_capacity(n)
-    } else {
-        Vec::new()
-    };
-    let mut worker_scratch: Vec<Vec<Stepped<P>>> = if !use_fast && workers > 1 {
-        (0..workers).map(|_| Vec::new()).collect()
-    } else {
-        Vec::new()
-    };
     let mut cuts: Vec<usize> = Vec::with_capacity(workers + 1);
+    let mut worker_events: Vec<Vec<StepEvent>> = vec![Vec::new(); workers];
     let mut active_per_round: Vec<usize> = Vec::with_capacity((max_rounds as usize).min(4096) + 1);
     let mut stats = EngineStats::default();
-    #[cfg(debug_assertions)]
-    let scratch_cap0 = transitions.capacity();
 
     let mut round: u32 = 0;
     while !active.is_empty() {
@@ -631,256 +535,55 @@ fn execute<P: Protocol, Ob: Observer>(
         }
         let stepped = active.count();
         observer.on_round_start(round, stepped);
-        let round_t0 = if Ob::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let round_t0 = Ob::ENABLED.then(Instant::now);
         active_per_round.push(stepped);
         let obs_round_t0 = obs_on.then(Instant::now);
-        let scratch_cap_before = if obs_on {
-            transitions.capacity() + worker_scratch.iter().map(Vec::capacity).sum::<usize>()
+
+        let fan_out = workers > 1 && stepped >= par_threshold;
+        let kernel = Kernel {
+            protocol,
+            graph: g,
+            ids,
+            msgs: &msgs,
+            active_words: active.words(),
+            round,
+            seed: cfg.seed,
+        };
+        let mut slots = Slots::new(0, &mut states, &mut outputs, &mut termination_round);
+        let (round_bits, round_max_bits) = if fan_out {
+            stats.parallel_rounds += 1;
+            let scan_t0 = obs_on.then(Instant::now);
+            fill_balanced_cuts(g, active.live_words(), active.words(), workers, &mut cuts);
+            obs_lap(ob, Metric::EngineScanNs, scan_t0);
+            let step_t0 = obs_on.then(Instant::now);
+            let bits = step_parallel(
+                &kernel,
+                active.live_words(),
+                &cuts,
+                slots,
+                &mut msgs_next,
+                &mut worker_events,
+                observer,
+            );
+            obs_lap(ob, Metric::EngineStepNs, step_t0);
+            bits
         } else {
-            0
+            let step_t0 = obs_on.then(Instant::now);
+            let (live, words) = (active.live_words(), active.words());
+            kernel.step_words(live, words, &mut slots, &mut msgs_next, observer);
+            obs_lap(ob, Metric::EngineStepNs, step_t0);
+            (slots.bits, slots.max_bits)
         };
 
-        let fan_out = workers > 1 && stepped >= tun.par_threshold;
-        let mut round_bits = 0u64;
-        let mut round_max_bits = 0u64;
-        let words = active.words();
-
-        if use_fast {
-            // Fast path: states, outputs, and next-round messages are
-            // written in place during the read phase. Private state and
-            // per-vertex slots make the writes invisible to other steps;
-            // the message double buffer keeps the snapshot intact.
-            stats.fast_rounds += 1;
-            if fan_out {
-                stats.parallel_rounds += 1;
-                let scan_t0 = obs_on.then(Instant::now);
-                fill_balanced_cuts(g, active.live_words(), words, workers, &mut cuts);
-                obs_lap(ob, Metric::EngineScanNs, scan_t0);
-                let step_t0 = obs_on.then(Instant::now);
-                let states_p = SlabPtr::new(&mut states);
-                let msgs_next_p = SlabPtr::new(&mut msgs_next);
-                let outputs_p = SlabPtr::new(&mut outputs);
-                let term_p = SlabPtr::new(&mut termination_round);
-                let msgs_ref: &[P::Msg] = &msgs;
-                let live = active.live_words();
-                let bit_totals: Vec<(u64, u64)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = cuts
-                        .windows(2)
-                        .map(|w| {
-                            let chunk = &live[w[0]..w[1]];
-                            let (states_p, msgs_next_p, outputs_p, term_p) =
-                                (&states_p, &msgs_next_p, &outputs_p, &term_p);
-                            scope.spawn(move || {
-                                let mut bits_sum = 0u64;
-                                let mut bits_max = 0u64;
-                                for &wi in chunk {
-                                    let mut bits = words[wi as usize];
-                                    while bits != 0 {
-                                        let v = (wi << 6) | bits.trailing_zeros();
-                                        bits &= bits - 1;
-                                        let vu = v as usize;
-                                        // SAFETY: `v` belongs to this
-                                        // worker's chunk only; slabs are
-                                        // length n > vu.
-                                        unsafe {
-                                            let ctx = StepCtx {
-                                                graph: g,
-                                                ids,
-                                                v,
-                                                round,
-                                                state: states_p.get(vu),
-                                                view: NeighborView {
-                                                    graph: g,
-                                                    v,
-                                                    msgs: msgs_ref,
-                                                    active_words: words,
-                                                },
-                                                run_seed: cfg.seed,
-                                            };
-                                            let (s, out) = match protocol.step(ctx) {
-                                                Transition::Continue(s) => (s, None),
-                                                Transition::Terminate(s, o) => (s, Some(o)),
-                                            };
-                                            let m = protocol.publish(&s);
-                                            let mb = m.wire_bits();
-                                            bits_sum += mb;
-                                            bits_max = bits_max.max(mb);
-                                            msgs_next_p.set(vu, m);
-                                            states_p.set(vu, s);
-                                            if let Some(o) = out {
-                                                outputs_p.set(vu, Some(o));
-                                                term_p.set(vu, round);
-                                            }
-                                        }
-                                    }
-                                }
-                                (bits_sum, bits_max)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("step panicked"))
-                        .collect()
-                });
-                for (sum, max) in bit_totals {
-                    round_bits += sum;
-                    round_max_bits = round_max_bits.max(max);
-                }
-                obs_lap(ob, Metric::EngineStepNs, step_t0);
-            } else {
-                let step_t0 = obs_on.then(Instant::now);
-                active.for_each(|v| {
-                    let vu = v as usize;
-                    let ctx = StepCtx {
-                        graph: g,
-                        ids,
-                        v,
-                        round,
-                        state: &states[vu],
-                        view: NeighborView {
-                            graph: g,
-                            v,
-                            msgs: &msgs,
-                            active_words: words,
-                        },
-                        run_seed: cfg.seed,
-                    };
-                    let (s, out) = match protocol.step(ctx) {
-                        Transition::Continue(s) => (s, None),
-                        Transition::Terminate(s, o) => (s, Some(o)),
-                    };
-                    let m = protocol.publish(&s);
-                    let mb = m.wire_bits();
-                    round_bits += mb;
-                    round_max_bits = round_max_bits.max(mb);
-                    msgs_next[vu] = m;
-                    states[vu] = s;
-                    if let Some(o) = out {
-                        outputs[vu] = Some(o);
-                        termination_round[vu] = round;
-                    }
-                });
-                obs_lap(ob, Metric::EngineStepNs, step_t0);
-            }
-            // Retire sweep: expose the new messages and drop the
-            // vertices that terminated this round from the active set.
-            let retire_t0 = obs_on.then(Instant::now);
-            active.retire(|v| {
-                let vu = v as usize;
-                msgs[vu] = msgs_next[vu].clone();
-                termination_round[vu] == round
-            });
-            obs_lap(ob, Metric::EngineRetireNs, retire_t0);
-        } else {
-            // Classic path: buffer transitions during the read phase,
-            // apply them (and fire observer hooks, in vertex order,
-            // against pre-step states) in the retire phase.
-            let step_one = |v: VertexId| -> Stepped<P> {
-                let ctx = StepCtx {
-                    graph: g,
-                    ids,
-                    v,
-                    round,
-                    state: &states[v as usize],
-                    view: NeighborView {
-                        graph: g,
-                        v,
-                        msgs: &msgs,
-                        active_words: words,
-                    },
-                    run_seed: cfg.seed,
-                };
-                (v, protocol.step(ctx))
-            };
-            if fan_out {
-                stats.parallel_rounds += 1;
-                let scan_t0 = obs_on.then(Instant::now);
-                fill_balanced_cuts(g, active.live_words(), words, workers, &mut cuts);
-                obs_lap(ob, Metric::EngineScanNs, scan_t0);
-                let step_t0 = obs_on.then(Instant::now);
-                let live = active.live_words();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = cuts
-                        .windows(2)
-                        .zip(worker_scratch.iter_mut())
-                        .map(|(w, scratch)| {
-                            let chunk = &live[w[0]..w[1]];
-                            let step_one = &step_one;
-                            scope.spawn(move || {
-                                for &wi in chunk {
-                                    let mut bits = words[wi as usize];
-                                    while bits != 0 {
-                                        let v = (wi << 6) | bits.trailing_zeros();
-                                        bits &= bits - 1;
-                                        scratch.push(step_one(v));
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().expect("step panicked");
-                    }
-                });
-                // Funnel into the single transition buffer in worker
-                // order — chunks are ascending, so this is vertex order.
-                for scratch in &mut worker_scratch {
-                    transitions.append(scratch);
-                }
-                obs_lap(ob, Metric::EngineStepNs, step_t0);
-            } else {
-                let step_t0 = obs_on.then(Instant::now);
-                active.for_each(|v| transitions.push(step_one(v)));
-                obs_lap(ob, Metric::EngineStepNs, step_t0);
-            }
-
-            let publish_t0 = obs_on.then(Instant::now);
-            for (v, t) in transitions.drain(..) {
-                let vu = v as usize;
-                if Ob::ENABLED {
-                    // `states[v]` still holds the state the vertex
-                    // entered the round with — the one `phase_of`
-                    // attributes.
-                    observer.on_phase(v, round, protocol.phase_of(&states[vu]));
-                }
-                observer.on_step(v, round);
-                let (s, out) = match t {
-                    Transition::Continue(s) => (s, None),
-                    Transition::Terminate(s, o) => (s, Some(o)),
-                };
-                let m = protocol.publish(&s);
-                let mb = m.wire_bits();
-                round_bits += mb;
-                round_max_bits = round_max_bits.max(mb);
-                msgs[vu] = m;
-                states[vu] = s;
-                if let Some(o) = out {
-                    outputs[vu] = Some(o);
-                    termination_round[vu] = round;
-                    observer.on_terminate(v, round);
-                }
-            }
-            obs_lap(ob, Metric::EnginePublishNs, publish_t0);
-            let retire_t0 = obs_on.then(Instant::now);
-            active.retire(|v| termination_round[v as usize] == round);
-            obs_lap(ob, Metric::EngineRetireNs, retire_t0);
-        }
-
-        // Zero-alloc audit: under Eager scratch, nothing the engine owns
-        // may have grown during the round.
-        #[cfg(debug_assertions)]
-        if eager && !use_fast {
-            debug_assert_eq!(
-                transitions.capacity(),
-                scratch_cap0,
-                "engine scratch reallocated mid-run (round {round})"
-            );
-        }
+        // Retire sweep: expose the new messages and drop the vertices
+        // that terminated this round from the active set.
+        let retire_t0 = obs_on.then(Instant::now);
+        active.retire(|v| {
+            let vu = v as usize;
+            std::mem::swap(&mut msgs[vu], &mut msgs_next[vu]);
+            termination_round[vu] == round
+        });
+        obs_lap(ob, Metric::EngineRetireNs, retire_t0);
 
         stats.steps += stepped as u64;
         stats.publications += stepped as u64;
@@ -888,14 +591,7 @@ fn execute<P: Protocol, Ob: Observer>(
         stats.max_msg_bits = stats.max_msg_bits.max(round_max_bits);
         if let Some(o) = ob {
             o.add(Metric::EngineRounds, 1);
-            o.add(
-                if use_fast {
-                    Metric::EngineFastRounds
-                } else {
-                    Metric::EngineClassicRounds
-                },
-                1,
-            );
+            o.add(Metric::EngineFastRounds, 1);
             if fan_out {
                 o.add(Metric::EngineParallelRounds, 1);
             }
@@ -903,11 +599,6 @@ fn execute<P: Protocol, Ob: Observer>(
             o.add(Metric::EnginePublications, stepped as u64);
             o.add(Metric::EngineMsgBits, round_bits);
             o.set(Metric::EngineActiveLast, active.count() as u64);
-            let scratch_cap_after =
-                transitions.capacity() + worker_scratch.iter().map(Vec::capacity).sum::<usize>();
-            if scratch_cap_after != scratch_cap_before {
-                o.add(Metric::EngineScratchReallocs, 1);
-            }
             o.observe(
                 Metric::EngineRoundWallNs,
                 obs_round_t0
@@ -916,14 +607,14 @@ fn execute<P: Protocol, Ob: Observer>(
                     .as_nanos() as u64,
             );
         }
-        if Ob::ENABLED {
+        if let Some(t0) = round_t0 {
             observer.on_round_end(&RoundRecord {
                 round,
                 active: stepped,
                 publications: stepped,
                 msg_bits: round_bits,
                 max_msg_bits: round_max_bits,
-                wall: round_t0.expect("timed when enabled").elapsed(),
+                wall: t0.elapsed(),
             });
         }
     }
@@ -1247,90 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_classic_paths_agree() {
-        // FloodMax's u64 message auto-selects the fast path; forcing it
-        // off must not change a single byte of the outcome.
-        let g = gen::grid(5, 9);
-        let n = g.n();
-        let fast = Runner::new(&FloodMax { rounds: 4 }, &g, &ids(n))
-            .run()
-            .unwrap();
-        let classic = Runner::new(&FloodMax { rounds: 4 }, &g, &ids(n))
-            .tuning(EngineTuning::default().fast_path(Toggle::Off))
-            .run()
-            .unwrap();
-        assert!(fast.stats.fast_rounds > 0, "Auto must pick fast for u64");
-        assert_eq!(classic.stats.fast_rounds, 0);
-        assert_eq!(fast.outputs, classic.outputs);
-        assert_eq!(fast.metrics, classic.metrics);
-        assert_eq!(fast.stats.msg_bits, classic.stats.msg_bits);
-        assert_eq!(fast.stats.max_msg_bits, classic.stats.max_msg_bits);
-    }
-
-    #[test]
-    fn observed_runs_fall_back_to_classic() {
-        let g = gen::path(5);
-        let mut t = Telemetry::new();
-        let out = Runner::new(&FloodMax { rounds: 2 }, &g, &ids(5))
-            .tuning(EngineTuning::default().fast_path(Toggle::On))
-            .run_with(&mut t)
-            .unwrap();
-        assert_eq!(
-            out.stats.fast_rounds, 0,
-            "observer hooks require the classic path even when forced on"
-        );
-    }
-
-    #[test]
-    fn forced_fast_path_handles_heap_messages() {
-        // Vec<u64> messages: needs_drop, so Auto declines — but forcing
-        // the fast path on must still be byte-identical.
-        struct HeapMsg;
-        impl Protocol for HeapMsg {
-            type State = u64;
-            type Msg = Vec<u64>;
-            type Output = u64;
-            fn init(&self, _: &Graph, ids: &IdAssignment, v: VertexId) -> u64 {
-                ids.id(v)
-            }
-            fn publish(&self, s: &u64) -> Vec<u64> {
-                vec![*s; 2]
-            }
-            fn step(&self, ctx: StepCtx<'_, u64, Vec<u64>>) -> Transition<u64, u64> {
-                let sum: u64 = ctx.view.neighbors().map(|(_, m)| m[0]).sum();
-                if ctx.round >= 3 {
-                    Transition::Terminate(sum, sum)
-                } else {
-                    Transition::Continue(sum + 1)
-                }
-            }
-        }
-        let g = gen::cycle(9);
-        let auto = Runner::new(&HeapMsg, &g, &ids(9)).run().unwrap();
-        let forced = Runner::new(&HeapMsg, &g, &ids(9))
-            .tuning(EngineTuning::default().fast_path(Toggle::On))
-            .run()
-            .unwrap();
-        assert_eq!(auto.stats.fast_rounds, 0, "Auto declines droppy messages");
-        assert!(forced.stats.fast_rounds > 0);
-        assert_eq!(auto.outputs, forced.outputs);
-        assert_eq!(auto.metrics, forced.metrics);
-        assert_eq!(auto.stats.msg_bits, forced.stats.msg_bits);
-    }
-
-    #[test]
-    fn lazy_scratch_matches_eager() {
-        let g = gen::grid(4, 4);
-        let eager = Runner::new(&Staircase, &g, &ids(16)).run().unwrap();
-        let lazy = Runner::new(&Staircase, &g, &ids(16))
-            .tuning(EngineTuning::default().scratch(ScratchPolicy::Lazy))
-            .run()
-            .unwrap();
-        assert_eq!(eager.outputs, lazy.outputs);
-        assert_eq!(eager.metrics, lazy.metrics);
-    }
-
-    #[test]
     fn adaptive_cutover_keeps_small_rounds_sequential() {
         let g = gen::cycle(16);
         let out = Runner::new(&Staircase, &g, &ids(16))
@@ -1400,20 +1007,19 @@ mod tests {
     #[test]
     fn auto_tuning_resolves_from_graph_shape() {
         let sparse = gen::cycle(1000);
-        let rt = EngineTuning::default().resolve(&sparse);
-        assert!(rt.par_threshold <= DEFAULT_PAR_THRESHOLD);
-        assert!(rt.par_threshold >= 256);
-        assert!(rt.workers >= 1);
+        let (threshold, workers) = EngineTuning::default().resolve(&sparse);
+        assert!(threshold <= DEFAULT_PAR_THRESHOLD);
+        assert!(threshold >= 256);
+        assert!(workers >= 1);
         // Denser graph → lower threshold (heavier steps amortize sooner).
         let dense = gen::clique(64);
-        let rd = EngineTuning::default().resolve(&dense);
-        assert!(rd.par_threshold <= rt.par_threshold);
+        let (dense_threshold, _) = EngineTuning::default().resolve(&dense);
+        assert!(dense_threshold <= threshold);
         // Explicit settings win over auto.
         let forced = EngineTuning::default()
             .par_threshold(7)
             .workers(3)
             .resolve(&sparse);
-        assert_eq!(forced.par_threshold, 7);
-        assert_eq!(forced.workers, 3);
+        assert_eq!(forced, (7, 3));
     }
 }

@@ -67,6 +67,7 @@
 pub mod active;
 pub mod asyncengine;
 pub mod engine;
+mod kernel;
 pub mod metrics;
 pub mod obs;
 pub mod observer;
@@ -81,8 +82,7 @@ pub mod wire;
 pub use active::ActiveSet;
 pub use asyncengine::{ActorRunner, BarrierStall, RoundBarrier, StallKind};
 pub use engine::{
-    EngineError, EngineStats, EngineTuning, RunConfig, Runner, ScratchPolicy, SimOutcome, Toggle,
-    DEFAULT_PAR_THRESHOLD, FAST_PATH_MAX_MSG_BYTES,
+    EngineError, EngineStats, EngineTuning, RunConfig, Runner, SimOutcome, DEFAULT_PAR_THRESHOLD,
 };
 pub use metrics::{Percentiles, RoundMetrics};
 pub use observer::{NoObserver, Observer, RoundRecord, Tee, Telemetry};

@@ -104,9 +104,7 @@ metric_table! {
     (EngineRounds, "simlocal_engine_rounds_total", Counter, false,
      "Rounds completed by the sync engine."),
     (EngineFastRounds, "simlocal_engine_fast_rounds_total", Counter, false,
-     "Rounds that took the in-place fast path."),
-    (EngineClassicRounds, "simlocal_engine_classic_rounds_total", Counter, false,
-     "Rounds that took the transition-buffering classic path."),
+     "Rounds stepped by the in-place round kernel (every round)."),
     (EngineParallelRounds, "simlocal_engine_parallel_rounds_total", Counter, false,
      "Rounds that fanned out to worker threads."),
     (EngineSteps, "simlocal_engine_steps_total", Counter, false,
@@ -120,11 +118,9 @@ metric_table! {
     (EngineStepNs, "simlocal_engine_step_ns_total", Counter, false,
      "Nanoseconds in the read phase (stepping active vertices)."),
     (EnginePublishNs, "simlocal_engine_publish_ns_total", Counter, false,
-     "Nanoseconds draining transitions and publishing messages (classic path; fused into the step phase on the fast path)."),
+     "Nanoseconds in a separate publish phase (always 0: the round kernel publishes during the step phase)."),
     (EngineRetireNs, "simlocal_engine_retire_ns_total", Counter, false,
      "Nanoseconds in the retire sweep (clearing bits, compacting live words)."),
-    (EngineScratchReallocs, "simlocal_engine_scratch_reallocs_total", Counter, false,
-     "Rounds whose transition scratch buffer grew (should stay 0 under ScratchPolicy::Eager)."),
     (EngineWarmRuns, "simlocal_engine_warm_runs_total", Counter, false,
      "Warm-start (incremental re-solve) runs executed."),
     (EngineWarmFullResolves, "simlocal_engine_warm_full_resolves_total", Counter, false,

@@ -13,7 +13,7 @@
 //!    via [`Protocol::phase_of`](crate::Protocol::phase_of) from the state
 //!    the vertex entered the round with);
 //! 3. [`Observer::on_step`] — once per `(active vertex, round)`, in
-//!    deterministic vertex order, after the round's transitions are
+//!    deterministic vertex order, after the vertex's transition is
 //!    computed (identical in sequential and parallel modes); `on_phase`
 //!    for the same vertex fires immediately before it;
 //! 4. [`Observer::on_terminate`] — once per vertex, in its final round;

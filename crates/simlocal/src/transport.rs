@@ -43,6 +43,13 @@ use std::time::Duration;
 /// [`Transport::set_stall_timeout`].
 pub const RECV_STALL_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// Largest frame payload a TCP reader accepts, in bytes. The `u32`
+/// length prefix is untrusted input: a frame declaring more than this is
+/// treated as a broken link ([`Recv::Lost`]) before anything is
+/// allocated for it. Generous for real batches — a 2²⁰-vertex round at
+/// 200 bytes per entry still fits.
+pub const MAX_FRAME_BYTES: usize = 256 << 20;
+
 /// One stepped vertex's round result as it crosses the wire: the message
 /// it published, and whether that publication was its final broadcast.
 #[derive(Clone, Debug, PartialEq)]
@@ -273,7 +280,9 @@ pub fn decode_payload<M: WireCodec>(mut buf: &[u8]) -> Option<Batch<M>> {
     let round = u32::decode(buf)?;
     let retiring = bool::decode(buf)?;
     let count = u32::decode(buf)? as usize;
-    let mut entries = Vec::with_capacity(count);
+    // Every entry takes at least 5 bytes (vertex + flag), so an inflated
+    // count cannot reserve more than the payload could hold.
+    let mut entries = Vec::with_capacity(count.min(buf.len() / 5));
     for _ in 0..count {
         let v = VertexId::decode(buf)?;
         let terminated = bool::decode(buf)?;
@@ -350,7 +359,12 @@ where
             let mut id = [0u8; 4];
             inc.read_exact(&mut id)?;
             let peer = u32::from_le_bytes(id) as usize;
-            debug_assert_eq!(peer, i, "handshake names the connector");
+            if peer != i {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("handshake on shard {j}'s listener named shard {peer}, expected {i}"),
+                ));
+            }
             out.set_nodelay(true)?;
             inc.set_nodelay(true)?;
             streams[i].push((j, out));
@@ -387,9 +401,27 @@ where
         .collect()
 }
 
+/// Reads one frame payload off `stream`: `None` on EOF, a socket error,
+/// a truncated payload, or a length prefix above [`MAX_FRAME_BYTES`].
+/// The buffer grows with the bytes that actually arrive, never with
+/// what the prefix claims.
+fn read_payload(stream: &mut TcpStream) -> Option<Vec<u8>> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).ok()?;
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME_BYTES {
+        return None;
+    }
+    let mut payload = Vec::new();
+    stream.take(len as u64).read_to_end(&mut payload).ok()?;
+    (payload.len() == len).then_some(payload)
+}
+
 /// Reader-thread body: decode length-prefixed frames from `stream` into
 /// `tx` until the peer closes or the inbox goes away, metering wire
-/// bytes and frames into `inflow`.
+/// bytes and frames into `inflow`. A link that ends, breaks, or delivers
+/// an oversize or undecodable frame reports [`Recv::Lost`] — to the
+/// engine, a peer that misframes is as gone as one that hung up.
 fn read_frames<M: WireCodec>(
     peer: usize,
     mut stream: TcpStream,
@@ -397,19 +429,11 @@ fn read_frames<M: WireCodec>(
     inflow: Arc<Inflow>,
 ) {
     loop {
-        let mut len = [0u8; 4];
-        if stream.read_exact(&mut len).is_err() {
-            // EOF or reset: the peer is gone, cleanly or not.
+        let Some((payload, batch)) =
+            read_payload(&mut stream).and_then(|p| decode_payload::<M>(&p).map(|b| (p, b)))
+        else {
             let _ = tx.send(Recv::Lost(peer));
             return;
-        }
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-        if stream.read_exact(&mut payload).is_err() {
-            let _ = tx.send(Recv::Lost(peer));
-            return;
-        }
-        let Some(batch) = decode_payload::<M>(&payload) else {
-            panic!("malformed frame from shard {peer}: {} bytes", payload.len());
         };
         inflow.bytes.fetch_add(4 + payload.len() as u64, Relaxed);
         inflow.frames.fetch_add(1, Relaxed);
@@ -617,6 +641,58 @@ mod tests {
         let mut t0 = mesh.pop().unwrap();
         drop(t1);
         t0.broadcast(batch(0, 1)); // must not panic
+    }
+
+    /// Writes `bytes` into a loopback socket whose far end runs a frame
+    /// reader, and returns the first event the reader reports.
+    fn reader_event_for(bytes: &[u8]) -> Recv<u64> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        let (tx, rx) = std::sync::mpsc::sync_channel(4);
+        let inflow = Arc::new(Inflow::default());
+        let handle = std::thread::spawn(move || read_frames::<u64>(5, reader, tx, inflow));
+        writer.write_all(bytes).unwrap();
+        let event = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        // The reader must have stopped on its own, socket still open.
+        handle.join().expect("reader thread must not panic");
+        event
+    }
+
+    #[test]
+    fn tcp_reader_rejects_oversize_and_garbage_frames() {
+        // A length prefix far above the cap: reported as a lost link
+        // without allocating the claimed 4 GiB.
+        let huge = u32::MAX.to_le_bytes();
+        assert!(matches!(reader_event_for(&huge), Recv::Lost(5)));
+        let over = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes();
+        assert!(matches!(reader_event_for(&over), Recv::Lost(5)));
+        // Well-framed payloads that do not decode — an entry count far
+        // beyond the bytes present, or a flag byte that is no bool: lost,
+        // not a panic.
+        for payload in [
+            [0u8, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 9, 9],
+            [0u8, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0],
+        ] {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&payload);
+            assert!(matches!(reader_event_for(&frame), Recv::Lost(5)));
+        }
+        // A frame cut short by the peer's close is lost too.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        let (tx, rx) = std::sync::mpsc::sync_channel(4);
+        let inflow = Arc::new(Inflow::default());
+        let handle = std::thread::spawn(move || read_frames::<u64>(2, reader, tx, inflow));
+        writer.write_all(&100u32.to_le_bytes()).unwrap();
+        writer.write_all(&[1, 2, 3]).unwrap();
+        drop(writer);
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_secs(10)).unwrap(),
+            Recv::Lost(2)
+        ));
+        handle.join().unwrap();
     }
 
     #[test]

@@ -36,12 +36,13 @@
 //! vertices only, so `RoundMetrics::vertex_averaged` is the
 //! vertex-averaged update cost of the batch.
 
-use crate::active::ActiveSet;
+use crate::active::{clear_bit, full_words, ActiveSet};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
+use crate::kernel::{Kernel, Slots};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry};
-use crate::protocol::{NeighborView, Protocol, StepCtx, Transition};
-use crate::wire::WireSize;
+use crate::observer::NoObserver;
+use crate::protocol::Protocol;
 use graphcore::{Graph, IdAssignment, VertexId};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -149,28 +150,62 @@ fn multi_bfs(g: &Graph, sources: &[VertexId]) -> Vec<u32> {
     dist
 }
 
-/// Cold run that also records the [`Replay`] log. Sequential classic
-/// path only (the recorded log is what warm equivalence is pinned
-/// against, so this path never forks); byte-identical outputs to
-/// [`Runner::run`](crate::Runner::run).
-pub(crate) fn run_recorded<P: Protocol>(
+/// The warm loop: steps the vertices `stepping` marks with the round
+/// kernel, against a message slab whose frozen slots replay the prior
+/// run's log on the cold schedule, and records every stepped message.
+/// Frozen vertices carry the prior run's outputs, log, and cold
+/// termination round forward unchanged; the outcome's termination
+/// rounds stay 0 for them (update cost). With every vertex stepping (and
+/// no prior) it is a recorded cold run.
+fn replay_loop<P: Protocol>(
     protocol: &P,
     g: &Graph,
     ids: &IdAssignment,
     cfg: RunConfig,
+    stepping: &[bool],
+    prior: Option<&WarmStart<'_, P::Msg, P::Output>>,
 ) -> Result<Recorded<P>, EngineError> {
-    assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
     let n = g.n();
     let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
     let run_t0 = Instant::now();
+    // With every vertex stepping no frozen slot ever reads the log.
+    let empty = Replay {
+        history: Vec::new(),
+        term: Vec::new(),
+    };
+    let (prior, prior_outputs) = prior.map_or((&empty, &[][..]), |w| (w.replay, w.outputs));
 
+    // Slabs. Every slot holds a state (`init` is pure), but only
+    // stepping vertices are ever stepped; frozen message slots serve
+    // the replay log.
     let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
-    let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
-    let mut history: Vec<Vec<P::Msg>> = msgs.iter().map(|m| vec![m.clone()]).collect();
+    let mut msgs: Vec<P::Msg> = (0..n)
+        .map(|v| match stepping[v] {
+            true => protocol.publish(&states[v]),
+            false => prior.history[v][0].clone(),
+        })
+        .collect();
+    let mut msgs_next = msgs.clone();
+    let mut history: Vec<Vec<P::Msg>> = (0..n)
+        .map(|v| match stepping[v] {
+            true => vec![msgs[v].clone()],
+            false => Vec::new(), // the prior log carries it forward
+        })
+        .collect();
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
+
+    // Two activity structures: `active` drives iteration (stepping
+    // vertices only); `visible` is the snapshot NeighborView serves and
+    // follows the *cold* schedule — frozen vertices stay visible-active
+    // until their recorded termination round.
+    let mut visible = full_words(n);
     let mut active = ActiveSet::full(n);
-    let mut transitions = Vec::with_capacity(n);
+    active.retire(|v| !stepping[v as usize]);
+    // Frozen vertices whose cold schedule is still unfolding, i.e.
+    // whose messages/activity may yet change round-over-round.
+    let mut frozen_live: Vec<VertexId> = (0..n as u32).filter(|&v| !stepping[v as usize]).collect();
+
     let mut active_per_round: Vec<usize> = Vec::new();
     let mut stats = EngineStats::default();
 
@@ -185,67 +220,90 @@ pub(crate) fn run_recorded<P: Protocol>(
         }
         let stepped = active.count();
         active_per_round.push(stepped);
-        let words = active.words();
-        active.for_each(|v| {
-            let ctx = StepCtx {
-                graph: g,
-                ids,
-                v,
-                round,
-                state: &states[v as usize],
-                view: NeighborView {
-                    graph: g,
-                    v,
-                    msgs: &msgs,
-                    active_words: words,
-                },
-                run_seed: cfg.seed,
-            };
-            transitions.push((v, protocol.step(ctx)));
-        });
-        for (v, t) in transitions.drain(..) {
+        let kernel = Kernel {
+            protocol,
+            graph: g,
+            ids,
+            msgs: &msgs,
+            active_words: &visible,
+            round,
+            seed: cfg.seed,
+        };
+        let mut slots = Slots::new(0, &mut states, &mut outputs, &mut termination_round);
+        let (live, words) = (active.live_words(), active.words());
+        kernel.step_words(live, words, &mut slots, &mut msgs_next, &mut NoObserver);
+        stats.msg_bits += slots.bits;
+        stats.max_msg_bits = stats.max_msg_bits.max(slots.max_bits);
+        active.retire(|v| {
             let vu = v as usize;
-            let (s, out) = match t {
-                Transition::Continue(s) => (s, None),
-                Transition::Terminate(s, o) => (s, Some(o)),
-            };
-            let m = protocol.publish(&s);
-            let mb = m.wire_bits();
-            stats.msg_bits += mb;
-            stats.max_msg_bits = stats.max_msg_bits.max(mb);
-            history[vu].push(m.clone());
-            msgs[vu] = m;
-            states[vu] = s;
-            if let Some(o) = out {
-                outputs[vu] = Some(o);
-                termination_round[vu] = round;
+            history[vu].push(msgs_next[vu].clone());
+            std::mem::swap(&mut msgs[vu], &mut msgs_next[vu]);
+            let done = termination_round[vu] == round;
+            if done {
+                clear_bit(&mut visible, v);
             }
-        }
-        active.retire(|v| termination_round[v as usize] == round);
+            done
+        });
+        // Advance the frozen vertices' recorded schedule: refresh the
+        // message slots of those that stepped in this cold round, hide
+        // those that terminated in it.
+        frozen_live.retain(|&u| {
+            let uu = u as usize;
+            let term = prior.term[uu];
+            if term >= round {
+                // The message the cold run would show entering round + 1.
+                msgs[uu] = prior.msg_entering(uu, round + 1).clone();
+            }
+            if term == round {
+                clear_bit(&mut visible, u);
+            }
+            term > round
+        });
         stats.steps += stepped as u64;
         stats.publications += stepped as u64;
     }
 
     stats.rounds = round;
     stats.wall = run_t0.elapsed();
-    let outputs = outputs
-        .into_iter()
-        .map(|o| o.expect("terminated vertex must have an output"))
+    let mut term_cold = termination_round.clone();
+    let outputs = (0..n)
+        .map(|v| match outputs[v].take() {
+            Some(o) => o,
+            None => {
+                debug_assert!(!stepping[v], "stepped vertex without an output");
+                term_cold[v] = prior.term[v];
+                history[v] = prior.history[v].clone();
+                prior_outputs[v].clone()
+            }
+        })
         .collect();
     Ok((
         SimOutcome {
             outputs,
             metrics: RoundMetrics {
-                termination_round: termination_round.clone(),
+                termination_round,
                 active_per_round,
             },
             stats,
         },
         Replay {
             history,
-            term: termination_round,
+            term: term_cold,
         },
     ))
+}
+
+/// Cold run that also records the [`Replay`] log: the warm loop with
+/// every vertex stepping and nothing frozen. Sequential; byte-identical
+/// outputs to [`Runner::run`](crate::Runner::run).
+pub(crate) fn run_recorded<P: Protocol>(
+    protocol: &P,
+    g: &Graph,
+    ids: &IdAssignment,
+    cfg: RunConfig,
+) -> Result<Recorded<P>, EngineError> {
+    assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
+    replay_loop(protocol, g, ids, cfg, &vec![true; g.n()], None)
 }
 
 /// Incremental re-solve of `g` (the post-edit graph) warm-started from
@@ -306,152 +364,10 @@ pub(crate) fn run_warm<P: Protocol>(
         o.add(Metric::EngineReactivated, reactivated as u64);
     }
 
-    let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
-    let run_t0 = Instant::now();
-
-    // Slabs. Stepping vertices re-init on the edited graph; frozen
-    // slots serve the replay log and are never stepped.
-    let mut states: Vec<Option<P::State>> = (0..n)
-        .map(|v| stepping[v].then(|| protocol.init(g, ids, v as VertexId)))
-        .collect();
-    let mut msgs: Vec<P::Msg> = (0..n)
-        .map(|v| match &states[v] {
-            Some(s) => protocol.publish(s),
-            None => prior.replay.history[v][0].clone(),
-        })
-        .collect();
-    let mut history: Vec<Vec<P::Msg>> = (0..n)
-        .map(|v| {
-            if stepping[v] {
-                vec![msgs[v].clone()]
-            } else {
-                Vec::new() // filled from the prior log at the end
-            }
-        })
-        .collect();
-    let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-    let mut termination_round = vec![0u32; n];
-
-    // Two activity structures: `active` drives iteration (stepping
-    // vertices only); `visible` is the snapshot NeighborView serves and
-    // follows the *cold* schedule — frozen vertices stay visible-active
-    // until their recorded termination round.
-    let mut active = ActiveSet::full(n);
-    active.retire(|v| !stepping[v as usize]);
-    let wlen = n.div_ceil(64).max(1);
-    let mut visible = vec![u64::MAX; wlen];
-    if !n.is_multiple_of(64) {
-        visible[wlen - 1] = (1u64 << (n % 64)) - 1;
-    }
-    if n == 0 {
-        visible[0] = 0;
-    }
-    // Frozen vertices whose cold schedule is still unfolding, i.e.
-    // whose messages/activity may yet change round-over-round.
-    let mut frozen_live: Vec<VertexId> = (0..n as u32).filter(|&v| !stepping[v as usize]).collect();
-
-    let mut transitions = Vec::with_capacity(reactivated);
-    let mut active_per_round: Vec<usize> = Vec::new();
-    let mut stats = EngineStats::default();
-
-    let mut round: u32 = 0;
-    while !active.is_empty() {
-        round += 1;
-        if round > max_rounds {
-            return Err(EngineError::RoundLimitExceeded {
-                max_rounds,
-                still_active: active.count(),
-            });
-        }
-        let stepped = active.count();
-        active_per_round.push(stepped);
-        active.for_each(|v| {
-            let ctx = StepCtx {
-                graph: g,
-                ids,
-                v,
-                round,
-                state: states[v as usize].as_ref().expect("stepping vertex"),
-                view: NeighborView {
-                    graph: g,
-                    v,
-                    msgs: &msgs,
-                    active_words: &visible,
-                },
-                run_seed: cfg.seed,
-            };
-            transitions.push((v, protocol.step(ctx)));
-        });
-        for (v, t) in transitions.drain(..) {
-            let vu = v as usize;
-            let (s, out) = match t {
-                Transition::Continue(s) => (s, None),
-                Transition::Terminate(s, o) => (s, Some(o)),
-            };
-            let m = protocol.publish(&s);
-            let mb = m.wire_bits();
-            stats.msg_bits += mb;
-            stats.max_msg_bits = stats.max_msg_bits.max(mb);
-            history[vu].push(m.clone());
-            msgs[vu] = m;
-            states[vu] = Some(s);
-            if let Some(o) = out {
-                outputs[vu] = Some(o);
-                termination_round[vu] = round;
-                visible[vu >> 6] &= !(1u64 << (vu & 63));
-            }
-        }
-        active.retire(|v| termination_round[v as usize] == round);
-        // Advance the frozen vertices' recorded schedule: refresh the
-        // message slots of those that stepped in this cold round, hide
-        // those that terminated in it.
-        frozen_live.retain(|&u| {
-            let uu = u as usize;
-            let term = prior.replay.term[uu];
-            if term >= round {
-                // The message the cold run would show entering round + 1.
-                msgs[uu] = prior.replay.msg_entering(uu, round + 1).clone();
-            }
-            if term == round {
-                visible[uu >> 6] &= !(1u64 << (uu & 63));
-            }
-            term > round
-        });
-        stats.steps += stepped as u64;
-        stats.publications += stepped as u64;
-    }
-
-    stats.rounds = round;
-    stats.wall = run_t0.elapsed();
-    // Merge: stepping vertices contribute their recomputed trajectory,
-    // frozen vertices carry the prior run's forward unchanged. The
-    // outcome's termination rounds stay 0 for frozen (update cost); the
-    // replay's `term` is the cold-equivalent round for every vertex.
-    let mut term_cold = termination_round.clone();
-    let outputs: Vec<P::Output> = (0..n)
-        .map(|v| match outputs[v].take() {
-            Some(o) => o,
-            None => {
-                debug_assert!(!stepping[v]);
-                term_cold[v] = prior.replay.term[v];
-                history[v] = prior.replay.history[v].clone();
-                prior.outputs[v].clone()
-            }
-        })
-        .collect();
+    let (outcome, replay) = replay_loop(protocol, g, ids, cfg, &stepping, Some(&prior))?;
     Ok(WarmOutcome {
-        outcome: SimOutcome {
-            outputs,
-            metrics: RoundMetrics {
-                termination_round,
-                active_per_round,
-            },
-            stats,
-        },
-        replay: Replay {
-            history,
-            term: term_cold,
-        },
+        outcome,
+        replay,
         stats: WarmStats {
             reactivated,
             full_resolve: false,
@@ -462,6 +378,7 @@ pub(crate) fn run_warm<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{StepCtx, Transition};
     use crate::Runner;
     use graphcore::churn::{apply, churn_sequence, ChurnPlan};
     use graphcore::gen;

@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::{
-    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, Toggle,
-    Transition,
+    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, Transition,
 };
 
 /// Tuning that forces genuine thread fan-out on every round, regardless
@@ -174,6 +173,41 @@ impl Protocol for SplitWire {
     }
 }
 
+/// Messages that own heap data: each vertex publishes a variable-length
+/// `Vec<u64>` trail of the values it has seen. Pins the retire sweep's
+/// swap of a fresh message into the visible slab — a stale or aliased
+/// buffer would show up as a wrong neighbor read.
+struct HeapTrail;
+impl Protocol for HeapTrail {
+    type State = Vec<u64>;
+    type Msg = Vec<u64>;
+    type Output = u64;
+    fn init(&self, _: &Graph, ids: &IdAssignment, v: VertexId) -> Vec<u64> {
+        vec![ids.id(v); (v % 3) as usize + 1]
+    }
+    fn publish(&self, s: &Vec<u64>) -> Vec<u64> {
+        s.clone()
+    }
+    fn step(&self, ctx: StepCtx<'_, Vec<u64>>) -> Transition<Vec<u64>, u64> {
+        let seen: u64 = ctx
+            .view
+            .neighbors()
+            .map(|(_, m)| {
+                m.iter()
+                    .fold(m.len() as u64, |a, &x| a.wrapping_mul(31) ^ x)
+            })
+            .fold(0, u64::wrapping_add);
+        let mut s = ctx.state.clone();
+        s.truncate(3);
+        s.push(seen);
+        if ctx.round > ctx.v % 4 + 1 {
+            Transition::Terminate(s, seen)
+        } else {
+            Transition::Continue(s)
+        }
+    }
+}
+
 /// A graph from one of four families, chosen by `pick`.
 fn family_graph(pick: u8, n: usize, a: usize, seed: u64) -> Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -199,33 +233,23 @@ where
         .run()
         .unwrap();
     let dense = run_reference(p, g, &ids, seed).unwrap();
-    // Both step paths, forced explicitly (Auto picks by message type):
-    // the in-place fast path and the transition-buffering classic path
-    // must be byte-identical to each other and to the oracle — wire
-    // stats included — sequentially and under real fan-out.
-    let fast = Runner::new(p, g, &ids)
+    // Observed runs step through the same in-place kernel as unobserved
+    // ones (hooks inline when sequential, replayed in chunk order when
+    // fanned out): attaching an observer must not change a byte — wire
+    // stats included — sequentially or under real fan-out.
+    let mut seq_t = simlocal::Telemetry::new();
+    let observed = Runner::new(p, g, &ids)
         .seed(seed)
-        .tuning(EngineTuning::default().fast_path(Toggle::On))
-        .run()
+        .run_with(&mut seq_t)
         .unwrap();
-    let classic = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(EngineTuning::default().fast_path(Toggle::Off))
-        .run()
-        .unwrap();
-    let fast_par = Runner::new(p, g, &ids)
+    let mut par_t = simlocal::Telemetry::new();
+    let observed_par = Runner::new(p, g, &ids)
         .seed(seed)
         .parallel()
-        .tuning(fan_out().fast_path(Toggle::On))
-        .run()
+        .tuning(fan_out())
+        .run_with(&mut par_t)
         .unwrap();
-    assert_eq!(fast.stats.fast_rounds, fast.stats.rounds, "fast path taken");
-    assert_eq!(classic.stats.fast_rounds, 0, "classic path taken");
-    for (label, other) in [
-        ("fast", &fast),
-        ("classic", &classic),
-        ("fast-par", &fast_par),
-    ] {
+    for (label, other) in [("observed", &observed), ("observed-par", &observed_par)] {
         assert_eq!(sparse.outputs, other.outputs, "{label} outputs");
         assert_eq!(sparse.metrics, other.metrics, "{label} metrics");
         assert_eq!(sparse.stats.steps, other.stats.steps, "{label} steps");
@@ -235,6 +259,8 @@ where
             "{label} max bits"
         );
     }
+    assert_eq!(seq_t.terminations, par_t.terminations, "hook order");
+    assert_eq!(seq_t.msg_bits, par_t.msg_bits, "per-round bits");
     assert_eq!(sparse.outputs, dense.outputs, "sparse vs reference outputs");
     assert_eq!(sparse.metrics, dense.metrics, "sparse vs reference metrics");
     assert_eq!(sparse.outputs, par.outputs, "seq vs par outputs");
@@ -310,6 +336,17 @@ proptest! {
         // not change outcomes or accounting across engines.
         let g = family_graph(pick, n, 2, gseed);
         assert_outcomes_identical(&SplitWire, &g, 0);
+    }
+
+    #[test]
+    fn heap_messages_identical_across_engines(
+        pick in any::<u8>(),
+        n in 4usize..120,
+        gseed in any::<u64>(),
+    ) {
+        // Msg = Vec<u64>: messages that own heap data retire by swap.
+        let g = family_graph(pick, n, 2, gseed);
+        assert_outcomes_identical(&HeapTrail, &g, 0);
     }
 
     #[test]

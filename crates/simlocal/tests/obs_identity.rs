@@ -1,7 +1,8 @@
 //! The obs registry is an observer, never a participant: attaching it to
 //! a run must leave outputs, metrics, and `EngineStats` byte-identical to
-//! the same run without it — on the sync engine's fast and classic paths
-//! and on the actor backend — and the counters it records must reconcile
+//! the same run without it — on the sync engine, sequential and fanned
+//! out, observed and unobserved, and on the actor backend — and the
+//! counters it records must reconcile
 //! *exactly* with the engine's own accounting. A documented-names drift
 //! test pins DESIGN.md's metric list to the registry enumeration.
 
@@ -11,11 +12,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::obs::{metric_names, Metric, Registry};
 use simlocal::{
-    ActorRunner, EngineTuning, Protocol, Runner, SimOutcome, StepCtx, Toggle, Transition,
+    ActorRunner, EngineTuning, Protocol, Runner, SimOutcome, StepCtx, Telemetry, Transition,
 };
 
 /// Randomized geometric decay (state-free, message-free): exercises the
-/// fast path and the per-(seed, vertex, round) RNG streams.
+/// per-(seed, vertex, round) RNG streams.
 struct CoinFlip;
 impl Protocol for CoinFlip {
     type State = ();
@@ -32,8 +33,8 @@ impl Protocol for CoinFlip {
     }
 }
 
-/// Neighbor-reading flood with real message bits: exercises the classic
-/// path's publish sweep and the wire accounting the reconciliation pins.
+/// Neighbor-reading flood with real message bits: exercises the wire
+/// accounting the reconciliation pins.
 struct FloodMax;
 impl Protocol for FloodMax {
     type State = u64;
@@ -97,26 +98,34 @@ fn assert_runs_identical<O: PartialEq + std::fmt::Debug>(
     );
 }
 
-/// Sync engine (given tuning): obs-attached run is identical to the plain
-/// run, and the engine counter totals reconcile exactly with its stats.
-fn check_sync<P>(p: &P, g: &Graph, seed: u64, tuning: EngineTuning, label: &str)
+/// Sync engine (sequential, or fanned out on every round): an
+/// obs-attached run — with or without an observer on top — is identical
+/// to the plain run, and the engine counter totals reconcile exactly with
+/// its stats.
+fn check_sync<P>(p: &P, g: &Graph, seed: u64, fan_out: bool, observed: bool, label: &str)
 where
     P: Protocol,
     P::Output: PartialEq + std::fmt::Debug,
 {
     let ids = IdAssignment::identity(g.n());
-    let plain = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(tuning)
-        .run()
-        .unwrap();
+    let runner = || {
+        let r = Runner::new(p, g, &ids).seed(seed);
+        if fan_out {
+            r.parallel()
+                .tuning(EngineTuning::default().par_threshold(1).workers(4))
+        } else {
+            r
+        }
+    };
+    let plain = runner().run().unwrap();
     let reg = Registry::new(1);
-    let observed = Runner::new(p, g, &ids)
-        .seed(seed)
-        .tuning(tuning)
-        .obs(&reg)
-        .run()
-        .unwrap();
+    let with_obs = runner().obs(&reg);
+    let observed = if observed {
+        with_obs.run_with(&mut Telemetry::new())
+    } else {
+        with_obs.run()
+    }
+    .unwrap();
     assert_runs_identical(&plain, &observed, label);
     assert_eq!(
         reg.total(Metric::EngineRounds),
@@ -124,9 +133,9 @@ where
         "{label}: EngineRounds reconciles"
     );
     assert_eq!(
-        reg.total(Metric::EngineFastRounds) + reg.total(Metric::EngineClassicRounds),
+        reg.total(Metric::EngineFastRounds),
         reg.total(Metric::EngineRounds),
-        "{label}: fast + classic = total rounds"
+        "{label}: every round runs the in-place kernel"
     );
     assert_eq!(
         reg.total(Metric::EngineSteps),
@@ -191,14 +200,10 @@ proptest! {
         shards in 1usize..5,
     ) {
         let g = family_graph(pick, n, gseed);
-        check_sync(&CoinFlip, &g, seed, EngineTuning::default(), "sync fast");
-        check_sync(
-            &CoinFlip,
-            &g,
-            seed,
-            EngineTuning::default().fast_path(Toggle::Off),
-            "sync classic",
-        );
+        check_sync(&CoinFlip, &g, seed, false, false, "sync");
+        check_sync(&CoinFlip, &g, seed, false, true, "sync observed");
+        check_sync(&CoinFlip, &g, seed, true, false, "sync fan-out");
+        check_sync(&CoinFlip, &g, seed, true, true, "sync fan-out observed");
         check_actor(&CoinFlip, &g, seed, shards);
     }
 
@@ -211,14 +216,10 @@ proptest! {
         shards in 1usize..5,
     ) {
         let g = family_graph(pick, n, gseed);
-        check_sync(&FloodMax, &g, seed, EngineTuning::default(), "sync fast");
-        check_sync(
-            &FloodMax,
-            &g,
-            seed,
-            EngineTuning::default().fast_path(Toggle::Off),
-            "sync classic",
-        );
+        check_sync(&FloodMax, &g, seed, false, false, "sync");
+        check_sync(&FloodMax, &g, seed, false, true, "sync observed");
+        check_sync(&FloodMax, &g, seed, true, false, "sync fan-out");
+        check_sync(&FloodMax, &g, seed, true, true, "sync fan-out observed");
         check_actor(&FloodMax, &g, seed, shards);
     }
 }

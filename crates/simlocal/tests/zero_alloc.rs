@@ -1,8 +1,7 @@
 //! The engine's zero-alloc steady-state contract, enforced with a
-//! counting global allocator: once the slabs and scratch are hoisted
-//! before round 1, sequential rounds allocate nothing — on the in-place
-//! Copy-message fast path *and* on the classic transition-buffering path
-//! under [`ScratchPolicy::Eager`].
+//! counting global allocator: once the slabs are hoisted before round 1,
+//! sequential rounds of the in-place round kernel allocate nothing — for
+//! a word-sized message and for an inline message wider than 32 bytes.
 //!
 //! The measurement trick: run the same protocol on the same graph for
 //! two very different round counts and compare *allocation-call counts*.
@@ -16,7 +15,7 @@
 //! in the same binary would run on other threads and pollute it.
 
 use graphcore::{gen, Graph, IdAssignment, VertexId};
-use simlocal::{EngineTuning, Protocol, Runner, ScratchPolicy, StepCtx, Toggle, Transition};
+use simlocal::{Protocol, Runner, StepCtx, Transition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,11 +75,39 @@ impl Protocol for Countdown {
     }
 }
 
-fn run_counting(g: &Graph, ids: &IdAssignment, rounds: u32, tuning: EngineTuning) -> u64 {
-    let p = Countdown { rounds };
+/// [`Countdown`] with a 48-byte inline message: wider than any
+/// register-sized copy, still heap-free.
+struct WideCountdown {
+    rounds: u32,
+}
+
+impl Protocol for WideCountdown {
+    type State = u64;
+    type Msg = [u64; 6];
+    type Output = u64;
+    fn init(&self, _: &Graph, ids: &IdAssignment, v: VertexId) -> u64 {
+        ids.id(v)
+    }
+    fn publish(&self, s: &u64) -> [u64; 6] {
+        [*s; 6]
+    }
+    fn step(&self, ctx: StepCtx<'_, u64, [u64; 6]>) -> Transition<u64, u64> {
+        let best = ctx
+            .view
+            .neighbors()
+            .fold(*ctx.state, |a, (_, m)| a.max(m[5]));
+        if ctx.round >= self.rounds {
+            Transition::Terminate(best, best)
+        } else {
+            Transition::Continue(best)
+        }
+    }
+}
+
+fn run_counting<P: Protocol>(p: &P, g: &Graph, ids: &IdAssignment, rounds: u32) -> u64 {
     let mut stats_rounds = 0;
     let calls = alloc_calls_during(|| {
-        let out = Runner::new(&p, g, ids).tuning(tuning).run().unwrap();
+        let out = Runner::new(p, g, ids).run().unwrap();
         stats_rounds = out.stats.rounds;
         assert_eq!(out.stats.steps, g.n() as u64 * rounds as u64);
         drop(out);
@@ -96,34 +123,31 @@ fn steady_state_sequential_rounds_allocate_nothing() {
 
     // Warm up process-lazy allocations (test-harness I/O, etc.) and any
     // one-time engine state, so the measured runs start from parity.
-    run_counting(&g, &ids, 2, EngineTuning::default());
+    run_counting(&Countdown { rounds: 2 }, &g, &ids, 2);
 
     const SHORT: u32 = 8;
     const LONG: u32 = 200;
 
-    // Fast path (Copy-sized Msg, unobserved: Auto resolves to fast).
-    let fast = EngineTuning::default().fast_path(Toggle::On);
-    let short = run_counting(&g, &ids, SHORT, fast);
-    let long = run_counting(&g, &ids, LONG, fast);
+    // Word-sized message.
+    let short = run_counting(&Countdown { rounds: SHORT }, &g, &ids, SHORT);
+    let long = run_counting(&Countdown { rounds: LONG }, &g, &ids, LONG);
     assert_eq!(
         short,
         long,
-        "fast path: {} extra allocation calls across {} extra rounds",
+        "u64 messages: {} extra allocation calls across {} extra rounds",
         long.saturating_sub(short),
         LONG - SHORT
     );
 
-    // Classic path with eager scratch: the transition buffer is hoisted
-    // to full capacity before round 1 and must never grow.
-    let classic = EngineTuning::default()
-        .fast_path(Toggle::Off)
-        .scratch(ScratchPolicy::Eager);
-    let short = run_counting(&g, &ids, SHORT, classic);
-    let long = run_counting(&g, &ids, LONG, classic);
+    // A 48-byte inline message through the same kernel: the double
+    // buffer is hoisted and the retire sweep swaps, so it must not
+    // allocate either.
+    let short = run_counting(&WideCountdown { rounds: SHORT }, &g, &ids, SHORT);
+    let long = run_counting(&WideCountdown { rounds: LONG }, &g, &ids, LONG);
     assert_eq!(
         short,
         long,
-        "classic path: {} extra allocation calls across {} extra rounds",
+        "[u64; 6] messages: {} extra allocation calls across {} extra rounds",
         long.saturating_sub(short),
         LONG - SHORT
     );
