@@ -15,6 +15,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== benchmark package: builds and passes its tests against these crates"
+# benchmark/ is a workspace of its own (path dependencies on crates/*),
+# so the workspace steps above never compile it; an API change here
+# that breaks it would otherwise surface only when the benchmark runs.
+# Its build goes to a target dir under the ignored /target.
+CARGO_TARGET_DIR=target/benchmark-build \
+    cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== cargo build --examples"
 # The examples are the public face of the library API; they must keep
 # compiling against the Protocol / message-layer surface.

@@ -3,12 +3,11 @@
 //!
 //! The algorithm is resolved by name from `benchharness::registry`, so
 //! every registered algorithm is traceable with no wiring here. The run
-//! attaches [`Telemetry`], [`PhaseBreakdown`], [`TraceLog`], and
-//! [`Profile`] (composed with `Tee` inside the registry's single run
-//! path), then:
+//! attaches `PhaseBreakdown` and `TraceLog` (composed with `Tee` inside
+//! the registry's single run path), then:
 //!
 //! * prints the per-phase `RoundSum` breakdown and the termination-round /
-//!   round-wall histograms,
+//!   round-wall histograms it builds from the trace's events,
 //! * asserts the trace-level accounting identities (per-phase `RoundSum`s
 //!   total the engine's step count; trace event counts match
 //!   [`EngineStats`]; terminations == `n`),
@@ -37,7 +36,7 @@ use benchharness::pipeline::{WorkloadCache, WorkloadKey};
 use benchharness::registry::{self, Backend, ExecOptions, ObserveMode, Params};
 use benchharness::results::Json;
 use benchharness::Trial;
-use simlocal::EngineStats;
+use simlocal::{EngineStats, Histogram, TraceEvent, TraceLog};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -186,7 +185,7 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     let out = spec.exec(&opts);
     let (row, stats) = (out.row.unwrap(), out.stats);
     let breakdown = out.breakdown.unwrap();
-    let (log, profile) = out.trace.unwrap();
+    let log = out.trace.unwrap();
     let n = gg.graph.n();
 
     println!(
@@ -218,11 +217,9 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         );
     }
     println!();
-    print!(
-        "{}",
-        profile.termination_rounds.render("termination rounds")
-    );
-    print!("{}", profile.round_wall_us.render("round wall time (us)"));
+    let (termination_rounds, round_wall_us) = histograms(&log);
+    print!("{}", termination_rounds.render("termination rounds"));
+    print!("{}", round_wall_us.render("round wall time (us)"));
 
     let mut failures = Vec::new();
 
@@ -351,6 +348,20 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         }
     }
     failures
+}
+
+/// Log₂ histograms of the per-vertex termination rounds `r(v)` and of
+/// the per-round wall times in µs, from a trace's events.
+fn histograms(log: &TraceLog) -> (Histogram, Histogram) {
+    let (mut rounds, mut walls) = (Histogram::new(), Histogram::new());
+    for e in &log.events {
+        match *e {
+            TraceEvent::Terminate { round, .. } => rounds.record(round as u64),
+            TraceEvent::RoundEnd { wall_us, .. } => walls.record(wall_us),
+            _ => {}
+        }
+    }
+    (rounds, walls)
 }
 
 fn io_buf(f: fs::File) -> std::io::BufWriter<fs::File> {

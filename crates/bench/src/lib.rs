@@ -44,13 +44,15 @@ pub use trials::{print_summaries, summarize, IdMode, Stats, Sweep, Trial, TrialS
 
 use algos::itlog;
 use graphcore::gen::GenGraph;
-use simlocal::{EngineStats, PhaseBreakdown, Protocol, RoundMetrics, RunConfig, Tee, Telemetry};
+use simlocal::{EngineStats, PhaseBreakdown, RoundMetrics, RunConfig};
 
 /// One phase's share of a run's `RoundSum`, as reported by the protocol's
-/// [`Protocol::phase_of`] attribution (see `simlocal::PhaseBreakdown`).
+/// [`Protocol::phase_of`](simlocal::Protocol::phase_of) attribution (see
+/// [`PhaseBreakdown`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSum {
-    /// Phase name (from [`Protocol::phase_names`]).
+    /// Phase name (from
+    /// [`Protocol::phase_names`](simlocal::Protocol::phase_names)).
     pub name: String,
     /// Rounds this phase consumed, summed over all vertices.
     pub round_sum: u64,
@@ -86,7 +88,8 @@ pub struct Row {
     pub valid: bool,
     /// Engine wall-clock time for the run, in milliseconds.
     pub wall_ms: f64,
-    /// States published by the engine (equals the run's RoundSum).
+    /// Messages published by the engine: one per step, so the run's
+    /// engine RoundSum ([`EngineStats::steps`]).
     pub pubs: u64,
     /// Total wire bits across every published message
     /// ([`simlocal::WireSize`] accounting).
@@ -154,7 +157,7 @@ impl Row {
             cap: usize::MAX,
             seed: 0,
             ids: "identity",
-            active_series: m.active_per_round.iter().map(|&a| a as u64).collect(),
+            active_series: m.active_per_round().iter().map(|&a| a as u64).collect(),
             phases: Vec::new(),
             reactivated: None,
         }
@@ -167,11 +170,11 @@ impl Row {
         self
     }
 
-    /// Attaches the engine's wall-time, publication, and wire-size
-    /// telemetry.
+    /// Attaches the engine's wall-time, step (= publication), and
+    /// wire-size accounting.
     pub fn with_stats(mut self, stats: &EngineStats) -> Row {
         self.wall_ms = stats.wall.as_secs_f64() * 1e3;
-        self.pubs = stats.publications;
+        self.pubs = stats.steps;
         self.msg_bits = stats.msg_bits;
         self.avg_msg_bits = stats.msg_bits as f64 / self.n.max(1) as f64;
         self.max_msg_bits = stats.max_msg_bits;
@@ -191,12 +194,16 @@ impl Row {
         self
     }
 
-    /// Attaches the observer data every harness run now collects: the
-    /// [`Telemetry`] active-set series (engine rounds, even when the row's
-    /// headline metrics are commit-based) and the per-phase `RoundSum`
-    /// breakdown.
-    pub fn with_trace(mut self, telemetry: &Telemetry, breakdown: &PhaseBreakdown) -> Row {
-        self.active_series = telemetry.active.iter().map(|&a| a as u64).collect();
+    /// Attaches what every observed harness run adds to its row: the
+    /// engine's own active-set series (from the run's [`RoundMetrics`],
+    /// even when the row's headline metrics are commit-based) and the
+    /// per-phase `RoundSum` breakdown.
+    pub fn with_trace(mut self, engine: &RoundMetrics, breakdown: &PhaseBreakdown) -> Row {
+        self.active_series = engine
+            .active_per_round()
+            .iter()
+            .map(|&a| a as u64)
+            .collect();
         self.phases = breakdown
             .rows()
             .into_iter()
@@ -204,12 +211,6 @@ impl Row {
             .collect();
         self
     }
-}
-
-/// The observer pair every harness runner attaches: telemetry for the
-/// active-decay series, phase breakdown for the per-subroutine RoundSum.
-pub fn harness_observer<P: Protocol>(p: &P) -> Tee<Telemetry, PhaseBreakdown> {
-    Tee(Telemetry::new(), PhaseBreakdown::new(p.phase_names()))
 }
 
 /// Prints a header followed by rows, both human-readable and as `#csv`.

@@ -7,9 +7,8 @@
 //! now declares its name, its [`Problem`], its constructor over
 //! `(GenGraph, Params)`, its claimed palette-cap function, and its paper
 //! bound tag — and **exactly one** code path constructs the protocol,
-//! runs it under the standard observer pair ([`Telemetry`] +
-//! [`PhaseBreakdown`] via `Tee`), verifies the output through
-//! [`Problem::verify_output`], and assembles the [`Row`].
+//! runs it under the standard observer ([`PhaseBreakdown`]), verifies the
+//! output through [`Problem::verify_output`], and assembles the [`Row`].
 //!
 //! Consumers resolve algorithms by name ([`find`]) or enumerate them
 //! ([`all`]), then execute through **one** entry point:
@@ -22,14 +21,14 @@
 //! construct → run → verify path. Registering a new algorithm here makes
 //! it immediately runnable, traceable, and benchable.
 
-use crate::{cfg, harness_observer, Row, Trial};
+use crate::{cfg, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
 use graphcore::churn::{self, ChurnPlan};
 use graphcore::{gen::GenGraph, verify, Graph, IdAssignment, VertexId};
 use simlocal::obs::Metric as ObsMetric;
 use simlocal::{
-    ActorRunner, EngineStats, NoObserver, Observer, PhaseBreakdown, Profile, Protocol, Runner,
-    SimOutcome, TraceLog, WarmOutcome, WarmStart,
+    ActorRunner, EngineStats, NoObserver, Observer, PhaseBreakdown, Protocol, Runner, SimOutcome,
+    TraceLog, WarmOutcome, WarmStart,
 };
 use std::sync::OnceLock;
 
@@ -278,12 +277,11 @@ pub enum ObserveMode {
     /// No observers, no verification, no row: the benching path (timing
     /// includes protocol construction, as Criterion measures it).
     Bare,
-    /// The standard observer pair ([`simlocal::Telemetry`] +
-    /// [`PhaseBreakdown`]), output verification, and a [`Row`].
+    /// The standard observer ([`PhaseBreakdown`]), output verification,
+    /// and a [`Row`].
     #[default]
     Standard,
-    /// `Standard` plus the full tracing stack ([`TraceLog`] +
-    /// [`Profile`]) teed on.
+    /// `Standard` plus the full event log ([`TraceLog`]) teed on.
     Traced,
 }
 
@@ -370,9 +368,9 @@ pub struct ExecOutcome {
     pub stats: EngineStats,
     /// Per-phase RoundSum / termination accounting ([`None`] for `Bare`).
     pub breakdown: Option<PhaseBreakdown>,
-    /// The exportable event log + histograms ([`Some`] only for
+    /// The exportable event log ([`Some`] only for
     /// [`ObserveMode::Traced`]).
-    pub trace: Option<(TraceLog, Profile)>,
+    pub trace: Option<TraceLog>,
 }
 
 impl ExecOutcome {
@@ -595,7 +593,7 @@ where
         &self,
         o: &ExecOptions<'_>,
         mk_extra: impl FnOnce(&P) -> X,
-        trace: impl FnOnce(X) -> Option<(TraceLog, Profile)>,
+        trace: impl FnOnce(X) -> Option<TraceLog>,
     ) -> ExecOutcome {
         let ExecOptions {
             gg, params, trial, ..
@@ -608,7 +606,7 @@ where
         let p = (self.build)(gg, params);
         let ids = trial.ids(gg.graph.n());
         let cap = (self.cap)(&p, gg, &ids);
-        let mut obs = simlocal::Tee(harness_observer(&p), mk_extra(&p));
+        let mut obs = simlocal::Tee(PhaseBreakdown::new(p.phase_names()), mk_extra(&p));
         if let (Some(m), Some(t0)) = (mob, queue_t0) {
             m.add_elapsed(ObsMetric::HarnessQueueNs, t0);
         }
@@ -620,16 +618,15 @@ where
         }
         let verify_t0 = mob.is_some().then(std::time::Instant::now);
         let (verdict, extracted) = self.judge(&p, &gg.graph, &out, cap);
-        let metrics = extracted
-            .and_then(|e| e.commit)
-            .unwrap_or_else(|| out.metrics.clone());
+        let commit = extracted.and_then(|e| e.commit);
         if let (Some(m), Some(t0)) = (mob, verify_t0) {
             m.add_elapsed(ObsMetric::HarnessVerifyNs, t0);
         }
+        let metrics = commit.as_ref().unwrap_or(&out.metrics);
         let row = self
-            .row(o, &metrics, verdict, &out.stats, cap)
-            .with_trace(&obs.0 .0, &obs.0 .1);
-        let simlocal::Tee(simlocal::Tee(_telemetry, breakdown), extra) = obs;
+            .row(o, metrics, verdict, &out.stats, cap)
+            .with_trace(&out.metrics, &obs.0);
+        let simlocal::Tee(breakdown, extra) = obs;
         ExecOutcome {
             row: Some(row),
             stats: out.stats,
@@ -744,11 +741,9 @@ where
                 }
             }
             ObserveMode::Standard => self.exec_observed(opts, |_| NoObserver, |_| None),
-            ObserveMode::Traced => self.exec_observed(
-                opts,
-                |p| simlocal::Tee(TraceLog::with_phases(p.phase_names()), Profile::new()),
-                |simlocal::Tee(log, profile)| Some((log, profile)),
-            ),
+            ObserveMode::Traced => {
+                self.exec_observed(opts, |p| TraceLog::with_phases(p.phase_names()), Some)
+            }
         }
     }
 }

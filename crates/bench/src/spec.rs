@@ -15,7 +15,6 @@ use crate::{
     bounds, n_sweep, print_rows, print_summaries, summarize, Bound, Cli, Row, SuiteResult,
     TrialSummary,
 };
-use graphcore::gen::GenGraph;
 use std::fmt;
 
 /// Hub degree for the `a ≪ Δ` hub workloads, as a function of `n` and the
@@ -38,7 +37,8 @@ pub fn hub_degree_for(n: usize, problem: Problem) -> usize {
     }
 }
 
-/// A declarative workload: expanded into concrete [`GenGraph`]s by
+/// A declarative workload: expanded into concrete
+/// [`GenGraph`](graphcore::gen::GenGraph)s by
 /// [`execute`] (over the standard `n` sweep unless pinned).
 #[derive(Clone, Debug)]
 pub enum WorkloadSpec {
@@ -81,8 +81,9 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Expands into cacheable [`WorkloadKey`]s, in deterministic order —
-    /// the planner's form of [`WorkloadSpec::expand`]. `problem` selects
+    /// Expands into cacheable [`WorkloadKey`]s, in deterministic order;
+    /// the pipeline generates each through its
+    /// [`WorkloadCache`]. `problem` selects
     /// the hub degree policy (see [`hub_degree_for`]), which the key
     /// carries pre-resolved so equal keys mean equal graphs.
     pub fn keys(&self, quick: bool, problem: Problem) -> Vec<WorkloadKey> {
@@ -135,16 +136,6 @@ impl WorkloadSpec {
                 }]
             }
         }
-    }
-
-    /// Expands into concrete graphs, in deterministic order (generating
-    /// each [`WorkloadKey`] eagerly; the pipeline path goes through the
-    /// [`WorkloadCache`] instead).
-    pub fn expand(&self, quick: bool, problem: Problem) -> Vec<GenGraph> {
-        self.keys(quick, problem)
-            .iter()
-            .map(WorkloadKey::generate)
-            .collect()
     }
 }
 

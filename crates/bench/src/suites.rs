@@ -496,7 +496,7 @@ fn f1(_cli: &Cli) -> Vec<String> {
     let (_, m) = algos::partition::run_partition(&gg.graph, 2, 2.0);
     println!("{:>5} {:>10} {:>14}", "round", "active", "lemma bound");
     let n = gg.graph.n() as f64;
-    for (i, &a) in m.active_per_round.iter().enumerate() {
+    for (i, &a) in m.active_per_round().iter().enumerate() {
         let bound = (0.5f64).powi(i as i32) * n;
         println!("{:>5} {:>10} {:>14.1}", i + 1, a, bound);
         println!("#series,F.1,{},{},{:.1}", i + 1, a, bound);

@@ -214,7 +214,8 @@ pub struct TrialSummary {
     pub colors_max: usize,
     /// Palette cap the rows were verified against (`usize::MAX` = none).
     pub cap: usize,
-    /// Largest engine `RoundSum` (publications) over all trials.
+    /// Largest engine `RoundSum` (steps, one publication each) over all
+    /// trials.
     pub round_sum_max: u64,
     /// Vertex-averaged complexity statistics.
     pub va: Stats,

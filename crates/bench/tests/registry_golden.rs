@@ -1,13 +1,13 @@
 //! Golden tests pinning the algorithm registry: the enumerated set of
 //! algorithms (names, problems, claimed caps) must not drift silently,
 //! and the erased run path must produce rows field-identical to the
-//! pre-registry wiring (observer pair + verify + `Row` builders inlined
+//! pre-registry wiring (harness observer + verify + `Row` builders inlined
 //! by hand, exactly as the deleted `run_*` wrappers did).
 
 use benchharness::registry::{self, ExecOptions, ObserveMode, Params, Problem, Solution};
-use benchharness::{cfg, forest_workload, harness_observer, Row, Trial};
+use benchharness::{cfg, forest_workload, Row, Trial};
 use graphcore::verify;
-use simlocal::Runner;
+use simlocal::{PhaseBreakdown, Protocol, Runner};
 
 /// Golden enumeration: every registered algorithm with its problem and
 /// the palette cap it claims on the reference workload (n = 256, a = 2,
@@ -98,7 +98,7 @@ fn assert_rows_equivalent(reg: &Row, inline: &Row) {
 }
 
 /// The erased run path must be observation-for-observation identical to
-/// the pre-registry wiring: same observer pair, same verification, same
+/// the pre-registry wiring: same observer, same verification, same
 /// Row fields. Recreates that wiring inline for a deterministic and a
 /// randomized coloring and compares every measured field.
 #[test]
@@ -111,13 +111,13 @@ fn erased_run_matches_inline_wiring_for_colorings() {
             .into_row();
 
         // Pre-registry wiring, by hand: construct, run under the
-        // standard observer pair, verify, assemble.
+        // standard harness observer, verify, assemble.
         let ids = trial.ids(gg.graph.n());
         let inline_row = match name {
             "a2logn" => {
                 let p = algos::coloring::a2logn::ColoringA2LogN::new(gg.arboricity);
                 let cap = p.palette(&ids) as usize;
-                let mut obs = harness_observer(&p);
+                let mut obs = PhaseBreakdown::new(p.phase_names());
                 let out = Runner::new(&p, &gg.graph, &ids)
                     .config(cfg(trial.seed))
                     .run_with(&mut obs)
@@ -127,7 +127,7 @@ fn erased_run_matches_inline_wiring_for_colorings() {
             _ => {
                 let p = algos::rand_coloring::delta_plus_one::RandDeltaPlusOne::new();
                 let cap = p.palette_on(&gg.graph) as usize;
-                let mut obs = harness_observer(&p);
+                let mut obs = PhaseBreakdown::new(p.phase_names());
                 let out = Runner::new(&p, &gg.graph, &ids)
                     .config(cfg(trial.seed))
                     .run_with(&mut obs)
@@ -145,7 +145,7 @@ fn row_from(
     out: &simlocal::SimOutcome<u64>,
     cap: usize,
     trial: &Trial,
-    obs: &simlocal::Tee<simlocal::Telemetry, simlocal::PhaseBreakdown>,
+    obs: &PhaseBreakdown,
 ) -> Row {
     let colors = verify::count_distinct(&out.outputs);
     let valid = verify::proper_vertex_coloring(&gg.graph, &out.outputs, cap).is_ok();
@@ -162,7 +162,7 @@ fn row_from(
     .with_stats(&out.stats)
     .with_trial(trial)
     .with_cap(cap)
-    .with_trace(&obs.0, &obs.1)
+    .with_trace(&out.metrics, obs)
 }
 
 /// Same equivalence for a set problem (MIS): the registry row must match
@@ -177,7 +177,7 @@ fn erased_run_matches_inline_wiring_for_mis() {
 
     let p = algos::mis::MisExtension::new(gg.arboricity);
     let ids = trial.ids(gg.graph.n());
-    let mut obs = harness_observer(&p);
+    let mut obs = PhaseBreakdown::new(p.phase_names());
     let out = Runner::new(&p, &gg.graph, &ids)
         .config(cfg(trial.seed))
         .run_with(&mut obs)
@@ -197,7 +197,7 @@ fn erased_run_matches_inline_wiring_for_mis() {
     .with_stats(&out.stats)
     .with_trial(&trial)
     .with_cap(usize::MAX)
-    .with_trace(&obs.0, &obs.1);
+    .with_trace(&out.metrics, &obs);
     assert_rows_equivalent(&reg_row, &inline_row);
 }
 
@@ -212,7 +212,7 @@ fn observe_modes_populate_what_they_promise() {
 
     let standard = spec.exec(&ExecOptions::new("EQ", &gg, &trial)).into_row();
     let traced = spec.exec(&ExecOptions::new("EQ", &gg, &trial).observe(ObserveMode::Traced));
-    let (log, _profile) = traced.trace.expect("traced execution carries a trace");
+    let log = traced.trace.expect("traced execution carries a trace");
     assert_rows_equivalent(
         &standard,
         &traced.row.expect("traced execution carries a row"),

@@ -82,25 +82,18 @@ impl IterationSchedule {
 
 /// Rebuilds round metrics under the output-commit definition: vertex `v`'s
 /// running time is `commits[v]` (the round its output was fixed), even if
-/// it kept relaying afterwards.
+/// it kept relaying afterwards. The activity series follows from the
+/// commit rounds ([`RoundMetrics::active_per_round`]).
 pub fn metrics_from_commits(commits: &[u32]) -> RoundMetrics {
-    let worst = commits.iter().copied().max().unwrap_or(0);
-    let mut active = vec![0usize; worst as usize];
-    for &c in commits {
-        // Vertex active in rounds 1..=c.
-        for slot in active.iter_mut().take(c as usize) {
-            *slot += 1;
-        }
-    }
     RoundMetrics {
         termination_round: commits.to_vec(),
-        active_per_round: active,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn windows_are_disjoint_and_ordered() {
@@ -125,7 +118,7 @@ mod tests {
         let m = metrics_from_commits(&[1, 3, 2, 3]);
         assert_eq!(m.worst_case(), 3);
         assert_eq!(m.round_sum(), 9);
-        assert_eq!(m.active_per_round, vec![4, 3, 2]);
+        assert_eq!(m.active_per_round(), vec![4, 3, 2]);
         m.check_identities().unwrap();
     }
 
@@ -134,5 +127,26 @@ mod tests {
         let m = metrics_from_commits(&[]);
         assert_eq!(m.worst_case(), 0);
         assert!(m.check_identities().is_ok());
+    }
+
+    proptest! {
+        // The derived series equals the direct O(n·rounds) construction:
+        // a vertex committing in round c is active in rounds 1..=c, and
+        // one committing in round 0 in none.
+        #[test]
+        fn commit_series_matches_direct_count(
+            commits in proptest::collection::vec(0u32..40, 0..80),
+        ) {
+            let worst = commits.iter().copied().max().unwrap_or(0);
+            let mut direct = vec![0usize; worst as usize];
+            for &c in &commits {
+                for slot in direct.iter_mut().take(c as usize) {
+                    *slot += 1;
+                }
+            }
+            let m = metrics_from_commits(&commits);
+            prop_assert_eq!(m.active_per_round(), direct);
+            prop_assert!(m.check_identities().is_ok());
+        }
     }
 }

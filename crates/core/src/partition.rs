@@ -150,7 +150,7 @@ mod tests {
         let gg = gen::forest_union(4096, 2, &mut rng);
         let (_, m) = run_partition(&gg.graph, 2, 2.0);
         let n = gg.graph.n() as f64;
-        for (i, &a) in m.active_per_round.iter().enumerate() {
+        for (i, &a) in m.active_per_round().iter().enumerate() {
             let bound = (2.0f64 / 4.0).powi(i as i32) * n;
             assert!(
                 a as f64 <= bound + 1e-9,

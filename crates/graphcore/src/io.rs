@@ -38,52 +38,11 @@ pub fn to_edge_list(g: &Graph) -> String {
     s
 }
 
-/// Parses the edge-list format produced by [`to_edge_list`].
+/// Parses the edge-list format produced by [`to_edge_list`]: the
+/// `n <count>` header comes first; out-of-range endpoints and self-loops
+/// are errors naming their line.
 pub fn from_edge_list(text: &str) -> Result<Graph, String> {
-    let mut n: Option<usize> = None;
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("n") => {
-                let val = it
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing vertex count", lineno + 1))?;
-                n = Some(
-                    val.parse()
-                        .map_err(|e| format!("line {}: bad vertex count: {e}", lineno + 1))?,
-                );
-            }
-            Some(tok) => {
-                let u: VertexId = tok
-                    .parse()
-                    .map_err(|e| format!("line {}: bad endpoint: {e}", lineno + 1))?;
-                let v: VertexId = it
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing second endpoint", lineno + 1))?
-                    .parse()
-                    .map_err(|e| format!("line {}: bad endpoint: {e}", lineno + 1))?;
-                edges.push((u, v));
-            }
-            None => unreachable!("non-empty line yields a token"),
-        }
-    }
-    let n = n.ok_or("missing `n <count>` header")?;
-    let mut b = GraphBuilder::new(n);
-    for (i, (u, v)) in edges.into_iter().enumerate() {
-        if (u as usize) >= n || (v as usize) >= n {
-            return Err(format!("edge {i}: endpoint out of range for n={n}"));
-        }
-        if u == v {
-            return Err(format!("edge {i}: self-loop {u}"));
-        }
-        b.push(u, v);
-    }
-    Ok(b.build())
+    raw_from_edge_list(text, true).map(build)
 }
 
 /// Serializes in DIMACS-like format (1-based endpoints).
@@ -96,41 +55,10 @@ pub fn to_dimacs(g: &Graph) -> String {
     s
 }
 
-/// Parses the DIMACS-like format produced by [`to_dimacs`].
+/// Parses the DIMACS-like format produced by [`to_dimacs`]; out-of-range
+/// endpoints and self-loops are errors naming their line.
 pub fn from_dimacs(text: &str) -> Result<Graph, String> {
-    let mut builder: Option<GraphBuilder> = None;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('c') || line.starts_with('#') {
-            continue;
-        }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks.as_slice() {
-            ["p", "edge", n, _m] => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|e| format!("line {}: bad n: {e}", lineno + 1))?;
-                builder = Some(GraphBuilder::new(n));
-            }
-            ["e", u, v] => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| format!("line {}: edge before header", lineno + 1))?;
-                let u: u64 = u
-                    .parse()
-                    .map_err(|e| format!("line {}: bad u: {e}", lineno + 1))?;
-                let v: u64 = v
-                    .parse()
-                    .map_err(|e| format!("line {}: bad v: {e}", lineno + 1))?;
-                if u == 0 || v == 0 {
-                    return Err(format!("line {}: DIMACS endpoints are 1-based", lineno + 1));
-                }
-                b.push((u - 1) as VertexId, (v - 1) as VertexId);
-            }
-            _ => return Err(format!("line {}: unrecognized: {line}", lineno + 1)),
-        }
-    }
-    Ok(builder.ok_or("missing `p edge` header")?.build())
+    raw_from_dimacs(text, true).map(build)
 }
 
 /// Serializes in Matrix Market coordinate format (`pattern symmetric`,
@@ -156,15 +84,17 @@ pub fn to_matrix_market(g: &Graph) -> String {
 /// out-of-range endpoints are errors carrying the line number. Use
 /// [`parse_raw`]/[`normalize`] for files that need cleaning.
 pub fn from_matrix_market(text: &str) -> Result<Graph, String> {
-    let raw = raw_from_matrix_market(text)?;
+    raw_from_matrix_market(text, true).map(build)
+}
+
+/// The simple graph of a strictly parsed [`RawGraph`] (no self-loops;
+/// parallel edges collapse in the builder).
+fn build(raw: RawGraph) -> Graph {
     let mut b = GraphBuilder::new(raw.n);
-    for (i, &(u, v)) in raw.edges.iter().enumerate() {
-        if u == v {
-            return Err(format!("entry {i}: self-loop {u} (diagonal entry)"));
-        }
+    for (u, v) in raw.edges {
         b.push(u, v);
     }
-    Ok(b.build())
+    b.build()
 }
 
 // ---------------------------------------------------------------------
@@ -176,7 +106,7 @@ pub fn from_matrix_market(text: &str) -> Result<Graph, String> {
 /// count and drop.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RawGraph {
-    /// Declared vertex count (endpoints are all `< n`).
+    /// Declared vertex count (below `u32::MAX`; endpoints are all `< n`).
     pub n: usize,
     /// Edge multiset as listed in the file, orientation-normalized
     /// (`u ≤ v`) but otherwise untouched.
@@ -239,10 +169,42 @@ impl FileFormat {
 /// kept for [`normalize`] to report.
 pub fn parse_raw(text: &str, fmt: FileFormat) -> Result<RawGraph, String> {
     match fmt {
-        FileFormat::EdgeList => raw_from_edge_list(text),
-        FileFormat::Dimacs => raw_from_dimacs(text),
-        FileFormat::MatrixMarket => raw_from_matrix_market(text),
+        FileFormat::EdgeList => raw_from_edge_list(text, false),
+        FileFormat::Dimacs => raw_from_dimacs(text, false),
+        FileFormat::MatrixMarket => raw_from_matrix_market(text, false),
     }
+}
+
+/// Parses the vertex count declared on line `lineno` (0-based). It must
+/// fit the `u32` vertex index space, whose last value [`GraphBuilder`]
+/// reserves — which also makes every 1-based index `≤ n` convert to a
+/// [`VertexId`] without truncation.
+fn vertex_count(tok: &str, lineno: usize) -> Result<usize, String> {
+    let n: usize = tok
+        .parse()
+        .map_err(|e| format!("line {}: bad vertex count: {e}", lineno + 1))?;
+    if n >= u32::MAX as usize {
+        return Err(format!(
+            "line {}: vertex count {n} exceeds the u32 vertex index space",
+            lineno + 1
+        ));
+    }
+    Ok(n)
+}
+
+/// Records edge `{u, v}` from line `lineno` (0-based). Strict parsing
+/// rejects a self-loop; lenient parsing keeps it for [`normalize`].
+fn push_edge(
+    edges: &mut Vec<(VertexId, VertexId)>,
+    lineno: usize,
+    (u, v): (VertexId, VertexId),
+    strict: bool,
+) -> Result<(), String> {
+    if strict && u == v {
+        return Err(format!("line {}: self-loop {u}", lineno + 1));
+    }
+    edges.push(orient(u, v));
+    Ok(())
 }
 
 fn orient(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
@@ -253,7 +215,7 @@ fn orient(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
     }
 }
 
-fn raw_from_edge_list(text: &str) -> Result<RawGraph, String> {
+fn raw_from_edge_list(text: &str, strict: bool) -> Result<RawGraph, String> {
     let mut n: Option<usize> = None;
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -267,10 +229,7 @@ fn raw_from_edge_list(text: &str) -> Result<RawGraph, String> {
                 let val = it
                     .next()
                     .ok_or_else(|| format!("line {}: missing vertex count", lineno + 1))?;
-                n = Some(
-                    val.parse()
-                        .map_err(|e| format!("line {}: bad vertex count: {e}", lineno + 1))?,
-                );
+                n = Some(vertex_count(val, lineno)?);
             }
             Some(tok) => {
                 let u: VertexId = tok
@@ -290,7 +249,7 @@ fn raw_from_edge_list(text: &str) -> Result<RawGraph, String> {
                         lineno + 1
                     ));
                 }
-                edges.push(orient(u, v));
+                push_edge(&mut edges, lineno, (u, v), strict)?;
             }
             None => unreachable!("non-empty line yields a token"),
         }
@@ -299,7 +258,7 @@ fn raw_from_edge_list(text: &str) -> Result<RawGraph, String> {
     Ok(RawGraph { n, edges })
 }
 
-fn raw_from_dimacs(text: &str) -> Result<RawGraph, String> {
+fn raw_from_dimacs(text: &str, strict: bool) -> Result<RawGraph, String> {
     let mut n: Option<usize> = None;
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -309,12 +268,7 @@ fn raw_from_dimacs(text: &str) -> Result<RawGraph, String> {
         }
         let toks: Vec<&str> = line.split_whitespace().collect();
         match toks.as_slice() {
-            ["p", "edge", nn, _m] => {
-                n = Some(
-                    nn.parse()
-                        .map_err(|e| format!("line {}: bad n: {e}", lineno + 1))?,
-                );
-            }
+            ["p", "edge", nn, _m] => n = Some(vertex_count(nn, lineno)?),
             ["e", u, v] => {
                 let n = n.ok_or_else(|| format!("line {}: edge before header", lineno + 1))?;
                 let u: u64 = u
@@ -332,7 +286,8 @@ fn raw_from_dimacs(text: &str) -> Result<RawGraph, String> {
                         lineno + 1
                     ));
                 }
-                edges.push(orient((u - 1) as VertexId, (v - 1) as VertexId));
+                let e = ((u - 1) as VertexId, (v - 1) as VertexId);
+                push_edge(&mut edges, lineno, e, strict)?;
             }
             _ => return Err(format!("line {}: unrecognized: {line}", lineno + 1)),
         }
@@ -341,7 +296,7 @@ fn raw_from_dimacs(text: &str) -> Result<RawGraph, String> {
     Ok(RawGraph { n, edges })
 }
 
-fn raw_from_matrix_market(text: &str) -> Result<RawGraph, String> {
+fn raw_from_matrix_market(text: &str, strict: bool) -> Result<RawGraph, String> {
     let mut lines = text.lines().enumerate();
     let (_, banner) = lines
         .next()
@@ -383,9 +338,7 @@ fn raw_from_matrix_market(text: &str) -> Result<RawGraph, String> {
                         lineno + 1
                     ));
                 }
-                let rows: usize = toks[0]
-                    .parse()
-                    .map_err(|e| format!("line {}: bad row count: {e}", lineno + 1))?;
+                let rows = vertex_count(toks[0], lineno)?;
                 let cols: usize = toks[1]
                     .parse()
                     .map_err(|e| format!("line {}: bad column count: {e}", lineno + 1))?;
@@ -416,7 +369,8 @@ fn raw_from_matrix_market(text: &str) -> Result<RawGraph, String> {
                 if i as usize > n || j as usize > n {
                     return Err(format!("line {}: index out of range for n={n}", lineno + 1));
                 }
-                edges.push(orient((i - 1) as VertexId, (j - 1) as VertexId));
+                let e = ((i - 1) as VertexId, (j - 1) as VertexId);
+                push_edge(&mut edges, lineno, e, strict)?;
             }
         }
     }
@@ -607,6 +561,76 @@ mod tests {
         assert!(from_dimacs("e 1 2\n").is_err()); // edge before header
         assert!(from_dimacs("p edge 3 1\ne 0 1\n").is_err()); // 0-based
         assert!(from_dimacs("p edge 3 1\nq 1 2\n").is_err()); // unknown line
+    }
+
+    #[test]
+    fn dimacs_rejects_out_of_range_endpoint() {
+        let e = from_dimacs("p edge 3 1\ne 1 9\n").unwrap_err();
+        assert!(e.contains("line 2") && e.contains("out of range"), "{e}");
+    }
+
+    #[test]
+    fn dimacs_rejects_self_loop_but_lenient_parse_keeps_it() {
+        let text = "p edge 3 1\ne 2 2\n";
+        let e = from_dimacs(text).unwrap_err();
+        assert!(e.contains("line 2") && e.contains("self-loop"), "{e}");
+        let raw = parse_raw(text, FileFormat::Dimacs).unwrap();
+        assert_eq!(raw.edges, vec![(1, 1)]);
+    }
+
+    #[test]
+    fn vertex_count_beyond_u32_index_space_is_an_error() {
+        // u32::MAX itself is reserved by the builder; 2^32 would be
+        // truncated by a cast. Every parser, strict and lenient, names
+        // the header line instead of panicking or truncating.
+        for n in ["4294967295", "4294967296"] {
+            let el = format!("n {n}\n");
+            let dimacs = format!("p edge {n} 0\n");
+            let mm = format!("%%MatrixMarket matrix coordinate pattern general\n{n} {n} 0\n");
+            let results = [
+                ("edge list", from_edge_list(&el).map(|_| ()), "line 1"),
+                ("dimacs", from_dimacs(&dimacs).map(|_| ()), "line 1"),
+                (
+                    "matrix market",
+                    from_matrix_market(&mm).map(|_| ()),
+                    "line 2",
+                ),
+                (
+                    "raw edge list",
+                    parse_raw(&el, FileFormat::EdgeList).map(|_| ()),
+                    "line 1",
+                ),
+                (
+                    "raw dimacs",
+                    parse_raw(&dimacs, FileFormat::Dimacs).map(|_| ()),
+                    "line 1",
+                ),
+                (
+                    "raw mm",
+                    parse_raw(&mm, FileFormat::MatrixMarket).map(|_| ()),
+                    "line 2",
+                ),
+            ];
+            for (what, res, line) in results {
+                let e = res.unwrap_err();
+                assert!(
+                    e.contains(line) && e.contains("vertex count"),
+                    "{what}: {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lenient_parsers_never_truncate_wide_indices() {
+        // Index 2^32 + 1 is in range for a declared n of 2^32 + 2, and
+        // would cast to vertex 0; the header is rejected first.
+        let e = parse_raw("p edge 4294967298 1\ne 4294967297 2\n", FileFormat::Dimacs).unwrap_err();
+        assert!(e.contains("line 1"), "{e}");
+        let mm = "%%MatrixMarket matrix coordinate pattern general\n\
+                  4294967298 4294967298 1\n4294967297 2\n";
+        let e = parse_raw(mm, FileFormat::MatrixMarket).unwrap_err();
+        assert!(e.contains("line 2"), "{e}");
     }
 
     #[test]

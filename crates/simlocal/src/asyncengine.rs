@@ -63,7 +63,7 @@
 //! Observer hooks fire on the coordinating thread *after* the run, in
 //! the sync engine's deterministic `(round, vertex)` order: shards record
 //! their step events (only when the observer is enabled) and the merge
-//! replays them. Telemetry fields match the sync engine exactly, except
+//! replays them. Round records match the sync engine exactly, except
 //! per-round wall times, which measure shard-side round latency here.
 //! Failed runs (round cap) replay the rounds that completed, like the
 //! sync engine's as-you-go hooks. The replay buffer costs `O(RoundSum)`
@@ -71,10 +71,9 @@
 
 use crate::active::{clear_bit, full_words};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
-use crate::kernel::{Kernel, Record, Slots, StepEvent};
-use crate::metrics::RoundMetrics;
+use crate::kernel::{Kernel, Record, Slots};
 use crate::obs::{Metric, Registry, ShardObs};
-use crate::observer::{NoObserver, Observer, RoundRecord};
+use crate::observer::{NoObserver, Observer, RoundRecord, StepEvent};
 use crate::protocol::Protocol;
 use crate::transport::{
     channel_mesh, tcp_loopback_mesh, Batch, Recv, Transport, TransportStats, Update,
@@ -628,7 +627,7 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             for (res, cursor) in results.iter().zip(&mut cursors) {
                 let stepped = res.round_stats.get(r as usize - 1).map_or(0, |s| s.0);
                 for e in &res.events[*cursor..*cursor + stepped] {
-                    e.fire(observer);
+                    observer.on_step(e);
                 }
                 *cursor += stepped;
             }
@@ -638,7 +637,6 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             observer.on_round_end(&RoundRecord {
                 round: r,
                 active: active_r,
-                publications: active_r,
                 msg_bits: bits,
                 max_msg_bits: max_bits,
                 wall,
@@ -667,28 +665,8 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
                 .map(|o| o.expect("terminated vertex must have an output")),
         );
     }
-    let rounds = termination_round.iter().copied().max().unwrap_or(0);
-    stats.rounds = rounds;
-    stats.steps = termination_round.iter().map(|&r| r as u64).sum();
-    stats.publications = stats.steps;
-    // A vertex is active in round r iff it terminates in round >= r:
-    // bucket by termination round, then suffix-sum.
-    let mut active_per_round = vec![0usize; rounds as usize];
-    for &t in &termination_round {
-        active_per_round[(t - 1) as usize] += 1;
-    }
-    for r in (0..active_per_round.len().saturating_sub(1)).rev() {
-        active_per_round[r] += active_per_round[r + 1];
-    }
     stats.wall = run_t0.elapsed();
-    Ok(SimOutcome {
-        outputs,
-        metrics: RoundMetrics {
-            termination_round,
-            active_per_round,
-        },
-        stats,
-    })
+    Ok(SimOutcome::derived(outputs, termination_round, stats))
 }
 
 /// Execution entry point for the actor backend — the [`Runner`]
@@ -879,8 +857,9 @@ impl<'a, P: Protocol> ActorRunner<'a, P> {
 mod tests {
     use super::*;
     use crate::engine::Runner;
-    use crate::observer::Telemetry;
     use crate::protocol::{StepCtx, Transition};
+    use crate::trace::testing::rounds_and_terminations;
+    use crate::trace::TraceLog;
     use graphcore::gen;
 
     /// Vertex v waits v rounds then outputs the round it terminated in.
@@ -1008,7 +987,7 @@ mod tests {
             .unwrap();
         assert_eq!(actor.stats.msg_bits, sync.stats.msg_bits);
         assert_eq!(actor.stats.max_msg_bits, sync.stats.max_msg_bits);
-        assert_eq!(actor.stats.publications, sync.stats.publications);
+        assert_eq!(actor.stats.steps, sync.stats.steps);
     }
 
     #[test]
@@ -1033,21 +1012,24 @@ mod tests {
     fn telemetry_replay_matches_sync_observer() {
         let g = gen::grid(4, 5);
         let n = g.n();
-        let mut sync_t = Telemetry::new();
+        let mut sync_t = TraceLog::new();
         let sync = Runner::new(&Staircase, &g, &ids(n))
             .run_with(&mut sync_t)
             .unwrap();
-        let mut actor_t = Telemetry::new();
+        let mut actor_t = TraceLog::new();
         let actor = ActorRunner::new(&Staircase, &g, &ids(n))
             .shards(3)
             .run_with(&mut actor_t)
             .unwrap();
         assert_eq!(actor.outputs, sync.outputs);
-        assert_eq!(actor_t.active, sync_t.active);
-        assert_eq!(actor_t.publications, sync_t.publications);
-        assert_eq!(actor_t.msg_bits, sync_t.msg_bits);
-        assert_eq!(actor_t.max_msg_bits, sync_t.max_msg_bits);
-        assert_eq!(actor_t.terminations, sync_t.terminations);
+        // Per-round active / msg_bits / max_msg_bits and the termination
+        // order: everything but the machine-dependent wall time.
+        let (actor_rounds, actor_terms) = rounds_and_terminations(&actor_t);
+        let (sync_rounds, sync_terms) = rounds_and_terminations(&sync_t);
+        assert_eq!(actor_rounds, sync_rounds);
+        assert_eq!(actor_terms, sync_terms);
+        let active: Vec<usize> = sync_rounds.iter().map(|r| r.0).collect();
+        assert_eq!(active, sync.metrics.active_per_round());
     }
 
     #[test]

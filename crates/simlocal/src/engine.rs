@@ -51,10 +51,10 @@
 //! (stacks), so the zero-alloc contract is a sequential-path guarantee.
 
 use crate::active::ActiveSet;
-use crate::kernel::{Kernel, Record, Slots, StepEvent};
+use crate::kernel::{Kernel, Record, Slots};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry, ShardObs};
-use crate::observer::{NoObserver, Observer, RoundRecord};
+use crate::observer::{NoObserver, Observer, RoundRecord, StepEvent};
 use crate::protocol::Protocol;
 use graphcore::{Graph, IdAssignment};
 use std::marker::PhantomData;
@@ -184,10 +184,9 @@ pub struct EngineStats {
     /// Rounds executed.
     pub rounds: u32,
     /// Total `step` invocations — equals `RoundSum(V)`; in the sparse
-    /// engine this is also the total number of vertex touches.
+    /// engine this is also the total number of vertex touches and of
+    /// published messages (one per step, final broadcasts included).
     pub steps: u64,
-    /// Total messages published (one per step, final broadcasts included).
-    pub publications: u64,
     /// Total message bits published: the sum of
     /// [`WireSize::wire_bits`](crate::wire::WireSize::wire_bits) over
     /// every published message (initial-state broadcasts excluded, final
@@ -210,6 +209,31 @@ pub struct SimOutcome<O> {
     pub metrics: RoundMetrics,
     /// Wall time and work accounting for the run.
     pub stats: EngineStats,
+}
+
+impl<O> SimOutcome<O> {
+    /// The outcome of a completed run, built from its one per-vertex
+    /// record: `stats.rounds` and `stats.steps` are derived from the
+    /// termination rounds (the worst case and `RoundSum(V)`), exactly
+    /// as the metrics derive the activity series. `stats` supplies the
+    /// rest (wall time, wire bits, parallel rounds).
+    pub(crate) fn derived(
+        outputs: Vec<O>,
+        termination_round: Vec<u32>,
+        stats: EngineStats,
+    ) -> Self {
+        let metrics = RoundMetrics { termination_round };
+        let stats = EngineStats {
+            rounds: metrics.worst_case(),
+            steps: metrics.round_sum(),
+            ..stats
+        };
+        SimOutcome {
+            outputs,
+            metrics,
+            stats,
+        }
+    }
 }
 
 /// Engine failure modes.
@@ -374,7 +398,8 @@ impl<'a, P: Protocol> Runner<'a, P> {
         )
     }
 
-    /// Runs with `observer` attached (per-round telemetry enabled).
+    /// Runs with `observer` attached (per-round and per-step hooks
+    /// enabled).
     pub fn run_with<Ob: Observer>(
         self,
         observer: &mut Ob,
@@ -474,7 +499,7 @@ fn step_parallel<P: Protocol, Ob: Observer>(
     });
     for events in worker_events.iter_mut() {
         for e in events.drain(..) {
-            e.fire(observer);
+            observer.on_step(&e);
         }
     }
     bits.iter()
@@ -521,7 +546,6 @@ fn execute<P: Protocol, Ob: Observer>(
     let mut active = ActiveSet::full(n);
     let mut cuts: Vec<usize> = Vec::with_capacity(workers + 1);
     let mut worker_events: Vec<Vec<StepEvent>> = vec![Vec::new(); workers];
-    let mut active_per_round: Vec<usize> = Vec::with_capacity((max_rounds as usize).min(4096) + 1);
     let mut stats = EngineStats::default();
 
     let mut round: u32 = 0;
@@ -536,7 +560,6 @@ fn execute<P: Protocol, Ob: Observer>(
         let stepped = active.count();
         observer.on_round_start(round, stepped);
         let round_t0 = Ob::ENABLED.then(Instant::now);
-        active_per_round.push(stepped);
         let obs_round_t0 = obs_on.then(Instant::now);
 
         let fan_out = workers > 1 && stepped >= par_threshold;
@@ -585,8 +608,6 @@ fn execute<P: Protocol, Ob: Observer>(
         });
         obs_lap(ob, Metric::EngineRetireNs, retire_t0);
 
-        stats.steps += stepped as u64;
-        stats.publications += stepped as u64;
         stats.msg_bits += round_bits;
         stats.max_msg_bits = stats.max_msg_bits.max(round_max_bits);
         if let Some(o) = ob {
@@ -596,7 +617,6 @@ fn execute<P: Protocol, Ob: Observer>(
                 o.add(Metric::EngineParallelRounds, 1);
             }
             o.add(Metric::EngineSteps, stepped as u64);
-            o.add(Metric::EnginePublications, stepped as u64);
             o.add(Metric::EngineMsgBits, round_bits);
             o.set(Metric::EngineActiveLast, active.count() as u64);
             o.observe(
@@ -611,7 +631,6 @@ fn execute<P: Protocol, Ob: Observer>(
             observer.on_round_end(&RoundRecord {
                 round,
                 active: stepped,
-                publications: stepped,
                 msg_bits: round_bits,
                 max_msg_bits: round_max_bits,
                 wall: t0.elapsed(),
@@ -619,27 +638,20 @@ fn execute<P: Protocol, Ob: Observer>(
         }
     }
 
-    stats.rounds = round;
     stats.wall = run_t0.elapsed();
     let outputs = outputs
         .into_iter()
         .map(|o| o.expect("terminated vertex must have an output"))
         .collect();
-    Ok(SimOutcome {
-        outputs,
-        metrics: RoundMetrics {
-            termination_round,
-            active_per_round,
-        },
-        stats,
-    })
+    Ok(SimOutcome::derived(outputs, termination_round, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::Telemetry;
     use crate::protocol::{Protocol, StepCtx, Transition};
+    use crate::trace::testing::rounds_and_terminations;
+    use crate::trace::TraceLog;
     use graphcore::{gen, Graph, IdAssignment, VertexId};
     use rand::Rng;
 
@@ -761,7 +773,7 @@ mod tests {
         let g = gen::path(4);
         let out = Runner::new(&Staircase, &g, &ids(4)).run().unwrap();
         assert_eq!(out.metrics.termination_round, vec![1, 2, 3, 4]);
-        assert_eq!(out.metrics.active_per_round, vec![4, 3, 2, 1]);
+        assert_eq!(out.metrics.active_per_round(), vec![4, 3, 2, 1]);
         assert_eq!(out.metrics.round_sum(), 10);
         out.metrics.check_identities().unwrap();
     }
@@ -771,7 +783,6 @@ mod tests {
         let g = gen::path(6);
         let out = Runner::new(&Staircase, &g, &ids(6)).run().unwrap();
         assert_eq!(out.stats.steps, out.metrics.round_sum());
-        assert_eq!(out.stats.publications, out.metrics.round_sum());
         assert_eq!(out.stats.rounds, out.metrics.worst_case());
         assert_eq!(out.stats.msg_bits, 0, "() messages cost zero wire bits");
         assert_eq!(out.stats.max_msg_bits, 0);
@@ -972,18 +983,23 @@ mod tests {
     #[test]
     fn telemetry_matches_engine_accounting() {
         let g = gen::path(5);
-        let mut t = Telemetry::new();
+        let mut t = TraceLog::new();
         let out = Runner::new(&FloodMax { rounds: 2 }, &g, &ids(5))
             .run_with(&mut t)
             .unwrap();
-        assert_eq!(t.active, out.metrics.active_per_round);
-        assert_eq!(t.total_publications(), out.stats.publications);
-        assert_eq!(t.total_msg_bits(), out.stats.msg_bits);
-        assert_eq!(t.peak_msg_bits(), out.stats.max_msg_bits);
-        assert_eq!(t.rounds() as u32, out.stats.rounds);
+        let (rounds, terminations) = rounds_and_terminations(&t);
+        let active: Vec<usize> = rounds.iter().map(|r| r.0).collect();
+        assert_eq!(active, out.metrics.active_per_round());
+        assert_eq!(t.step_events(), out.stats.steps);
+        assert_eq!(rounds.iter().map(|r| r.1).sum::<u64>(), out.stats.msg_bits);
+        assert_eq!(
+            rounds.iter().map(|r| r.2).max(),
+            Some(out.stats.max_msg_bits)
+        );
+        assert_eq!(t.rounds(), out.stats.rounds);
         // Every vertex terminates exactly once, at its recorded round.
         let mut seen = [0u32; 5];
-        for &(v, r) in &t.terminations {
+        for &(v, r) in &terminations {
             seen[v as usize] += 1;
             assert_eq!(out.metrics.termination_round[v as usize], r);
         }

@@ -19,36 +19,11 @@
 //! inline, in step order, or — through [`Record`] — buffer for an
 //! in-order replay on the coordinating thread.
 
-use crate::observer::Observer;
-use crate::protocol::{NeighborView, PhaseId, Protocol, StepCtx, Transition};
+use crate::observer::{Observer, StepEvent};
+use crate::protocol::{NeighborView, Protocol, StepCtx, Transition};
 use crate::wire::WireSize;
 use graphcore::{Graph, IdAssignment, VertexId};
 use std::marker::PhantomData;
-
-/// One vertex's step, as the observer hooks report it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct StepEvent {
-    pub(crate) round: u32,
-    pub(crate) v: VertexId,
-    /// [`Protocol::phase_of`] the pre-step state (0 when unobserved).
-    pub(crate) phase: PhaseId,
-    pub(crate) terminated: bool,
-}
-
-impl StepEvent {
-    /// Fires the event's hooks: `on_phase`, `on_step`, then
-    /// `on_terminate` if the vertex terminated.
-    #[inline]
-    pub(crate) fn fire<Ob: Observer>(&self, observer: &mut Ob) {
-        if Ob::ENABLED {
-            observer.on_phase(self.v, self.round, self.phase);
-            observer.on_step(self.v, self.round);
-            if self.terminated {
-                observer.on_terminate(self.v, self.round);
-            }
-        }
-    }
-}
 
 /// An observer that buffers step events for a later in-order replay
 /// (parallel chunks, actor shards) — only when `Ob` is a real observer;
@@ -61,17 +36,8 @@ pub(crate) struct Record<'e, Ob>(
 impl<Ob: Observer> Observer for Record<'_, Ob> {
     const ENABLED: bool = Ob::ENABLED;
 
-    fn on_phase(&mut self, v: VertexId, round: u32, phase: PhaseId) {
-        self.0.push(StepEvent {
-            round,
-            v,
-            phase,
-            terminated: false,
-        });
-    }
-
-    fn on_terminate(&mut self, _: VertexId, _: u32) {
-        self.0.last_mut().expect("on_phase fired first").terminated = true;
+    fn on_step(&mut self, event: &StepEvent) {
+        self.0.push(*event);
     }
 }
 
@@ -137,7 +103,7 @@ pub(crate) struct Kernel<'a, P: Protocol> {
 
 impl<P: Protocol> Kernel<'_, P> {
     /// Steps vertex `v`, writing its results into its slots and firing
-    /// its hooks; returns the message it publishes.
+    /// its `on_step` hook; returns the message it publishes.
     #[inline]
     pub(crate) fn step<Ob: Observer>(
         &self,
@@ -180,13 +146,14 @@ impl<P: Protocol> Kernel<'_, P> {
             slots.outputs[i] = Some(o);
             slots.term[i] = self.round;
         }
-        StepEvent {
-            round: self.round,
-            v,
-            phase,
-            terminated,
+        if Ob::ENABLED {
+            ob.on_step(&StepEvent {
+                v,
+                round: self.round,
+                phase,
+                terminated,
+            });
         }
-        .fire(ob);
         m
     }
 

@@ -60,7 +60,8 @@
 //! ```
 //!
 //! `run()` is the zero-overhead unobserved path; `run_with(&mut observer)`
-//! attaches an [`Observer`] for per-round telemetry (see [`observer`]).
+//! attaches an [`Observer`] for per-round and per-step events (see
+//! [`observer`]).
 //! The engine does sparse rounds — per-round work proportional to the
 //! active set — so wall time tracks `RoundSum`, not `n × worst-case`.
 
@@ -85,10 +86,10 @@ pub use engine::{
     EngineError, EngineStats, EngineTuning, RunConfig, Runner, SimOutcome, DEFAULT_PAR_THRESHOLD,
 };
 pub use metrics::{Percentiles, RoundMetrics};
-pub use observer::{NoObserver, Observer, RoundRecord, Tee, Telemetry};
+pub use observer::{NoObserver, Observer, RoundRecord, StepEvent, Tee};
 pub use protocol::{NeighborView, PhaseId, Protocol, StepCtx, Transition};
 pub use reference::run_reference;
-pub use trace::{Histogram, PhaseBreakdown, Profile, TraceEvent, TraceLog};
+pub use trace::{Histogram, PhaseBreakdown, TraceEvent, TraceLog};
 pub use warm::{Replay, WarmOutcome, WarmStart, WarmStats};
 
 pub use transport::{

@@ -4,14 +4,14 @@
 ///
 /// The *running time* of a vertex is the round in which it terminated
 /// (decides + final broadcast); the vertex-averaged complexity of the run
-/// is `round_sum / n`, the worst-case complexity is the maximum.
+/// is `round_sum / n`, the worst-case complexity is the maximum. Every
+/// other count of a run — the activity series, the engine's rounds and
+/// steps — is a function of these termination rounds (Equation 1).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoundMetrics {
-    /// Termination round of each vertex (1-based).
+    /// Termination round of each vertex (1-based; 0 for a vertex a warm
+    /// start froze, which stepped in no round).
     pub termination_round: Vec<u32>,
-    /// `active_per_round[i]` = number of vertices active during round
-    /// `i + 1` (the paper's `n_i` with `i` 1-based).
-    pub active_per_round: Vec<usize>,
 }
 
 impl RoundMetrics {
@@ -63,23 +63,44 @@ impl RoundMetrics {
         self.percentiles().rank(p)
     }
 
-    /// Consistency check: `Σ_i n_i == RoundSum(V)` (Equation 1) and the
-    /// active series is non-increasing.
+    /// `active_per_round()[i]` = number of vertices active during round
+    /// `i + 1` (the paper's `n_i` with `i` 1-based): those whose
+    /// termination round is at least `i + 1`. A vertex with termination
+    /// round 0 counts in no round. O(n + rounds).
+    pub fn active_per_round(&self) -> Vec<usize> {
+        let mut active = vec![0usize; self.worst_case() as usize];
+        for &r in &self.termination_round {
+            if r > 0 {
+                active[r as usize - 1] += 1;
+            }
+        }
+        // Bucketed by termination round; a suffix sum counts every
+        // vertex in each round up to its own.
+        for i in (1..active.len()).rev() {
+            active[i - 1] += active[i];
+        }
+        active
+    }
+
+    /// Consistency check of the derived activity series: `Σ_i n_i ==
+    /// RoundSum(V)` (Equation 1), the series is non-increasing, and it
+    /// spans exactly the worst case.
     pub fn check_identities(&self) -> Result<(), String> {
-        let from_series: u64 = self.active_per_round.iter().map(|&a| a as u64).sum();
+        let series = self.active_per_round();
+        let from_series: u64 = series.iter().map(|&a| a as u64).sum();
         if from_series != self.round_sum() {
             return Err(format!(
                 "Σ active[i] = {from_series} but RoundSum = {}",
                 self.round_sum()
             ));
         }
-        if self.active_per_round.windows(2).any(|w| w[0] < w[1]) {
+        if series.windows(2).any(|w| w[0] < w[1]) {
             return Err("active-per-round series increased".into());
         }
-        if self.active_per_round.len() != self.worst_case() as usize {
+        if series.len() != self.worst_case() as usize {
             return Err(format!(
                 "series length {} != worst case {}",
-                self.active_per_round.len(),
+                series.len(),
                 self.worst_case()
             ));
         }
@@ -125,7 +146,6 @@ mod tests {
         // round 1: 3 active; round 2: 2 active.
         RoundMetrics {
             termination_round: vec![1, 2, 2],
-            active_per_round: vec![3, 2],
         }
     }
 
@@ -142,23 +162,31 @@ mod tests {
 
     #[test]
     fn identities_hold() {
+        assert_eq!(sample().active_per_round(), vec![3, 2]);
         assert!(sample().check_identities().is_ok());
     }
 
     #[test]
-    fn identities_catch_mismatch() {
+    fn series_skips_frozen_vertices() {
+        // Termination round 0 (a vertex a warm start froze) counts in no
+        // round; the series still spans the worst case.
         let m = RoundMetrics {
-            termination_round: vec![1, 1],
-            active_per_round: vec![2, 1],
+            termination_round: vec![0, 3, 0, 1],
         };
-        assert!(m.check_identities().is_err());
+        assert_eq!(m.active_per_round(), vec![2, 1, 1]);
+        assert_eq!(m.round_sum(), 4);
+        assert!(m.check_identities().is_ok());
+        let all_frozen = RoundMetrics {
+            termination_round: vec![0, 0],
+        };
+        assert!(all_frozen.active_per_round().is_empty());
+        assert!(all_frozen.check_identities().is_ok());
     }
 
     #[test]
     fn empty() {
         let m = RoundMetrics {
             termination_round: vec![],
-            active_per_round: vec![],
         };
         assert_eq!(m.vertex_averaged(), 0.0);
         assert_eq!(m.worst_case(), 0);
@@ -174,12 +202,12 @@ mod more_tests {
     fn percentile_interpolation_points() {
         let m = RoundMetrics {
             termination_round: vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-            active_per_round: vec![10, 9, 8, 7, 6, 5, 4, 3, 2, 1],
         };
         assert_eq!(m.percentile(0.0), 1);
         // Index round(0.5 · 9) = 5 into the sorted values 1..=10 is 6.
         assert_eq!(m.percentile(50.0), 6);
         assert_eq!(m.percentile(100.0), 10);
+        assert_eq!(m.active_per_round(), vec![10, 9, 8, 7, 6, 5, 4, 3, 2, 1]);
         assert!(m.check_identities().is_ok());
     }
 
@@ -188,7 +216,6 @@ mod more_tests {
     fn percentile_out_of_range_panics() {
         let m = RoundMetrics {
             termination_round: vec![1],
-            active_per_round: vec![1],
         };
         m.percentile(101.0);
     }
@@ -197,10 +224,10 @@ mod more_tests {
     fn single_vertex_graph_metrics() {
         let m = RoundMetrics {
             termination_round: vec![4],
-            active_per_round: vec![1, 1, 1, 1],
         };
         assert_eq!(m.vertex_averaged(), 4.0);
         assert_eq!(m.median(), 4);
+        assert_eq!(m.active_per_round(), vec![1, 1, 1, 1]);
         assert!(m.check_identities().is_ok());
     }
 
@@ -208,7 +235,6 @@ mod more_tests {
     fn percentiles_struct_matches_one_shot_queries() {
         let m = RoundMetrics {
             termination_round: vec![9, 1, 5, 3, 7],
-            active_per_round: vec![5, 4, 4, 3, 3, 2, 2, 1, 1],
         };
         let p = m.percentiles();
         assert_eq!(p.median(), m.median());
@@ -217,20 +243,9 @@ mod more_tests {
         }
         let empty = RoundMetrics {
             termination_round: vec![],
-            active_per_round: vec![],
         };
         assert_eq!(empty.percentiles().median(), 0);
         assert_eq!(empty.percentiles().rank(95.0), 0);
-    }
-
-    #[test]
-    fn identities_catch_series_length_mismatch() {
-        // Sum matches but the series is longer than the worst case.
-        let m = RoundMetrics {
-            termination_round: vec![2, 2],
-            active_per_round: vec![2, 1, 1],
-        };
-        assert!(m.check_identities().is_err());
     }
 }
 
@@ -243,7 +258,6 @@ mod quantile_edge_cases {
     fn empty_metrics_answer_every_quantile_with_zero() {
         let m = RoundMetrics {
             termination_round: vec![],
-            active_per_round: vec![],
         };
         for p in [0.0, 50.0, 95.0, 100.0] {
             assert_eq!(m.percentile(p), 0);
@@ -256,7 +270,6 @@ mod quantile_edge_cases {
     fn extreme_quantiles_are_min_and_max() {
         let m = RoundMetrics {
             termination_round: vec![7, 2, 9, 2, 4],
-            active_per_round: vec![5, 5, 4, 3, 2, 2, 2, 1, 1],
         };
         assert_eq!(m.percentile(0.0), 2);
         assert_eq!(m.percentile(100.0), 9);
@@ -271,7 +284,6 @@ mod quantile_edge_cases {
         // the median — must report exactly it.
         let m = RoundMetrics {
             termination_round: vec![3],
-            active_per_round: vec![1, 1, 1],
         };
         for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
             assert_eq!(m.percentile(p), 3);
@@ -292,7 +304,6 @@ mod quantile_edge_cases {
             let p = p_tenths as f64 / 10.0;
             let m = RoundMetrics {
                 termination_round: rounds,
-                active_per_round: vec![],
             };
             let sorted = m.percentiles();
             prop_assert_eq!(m.percentile(p), sorted.rank(p));

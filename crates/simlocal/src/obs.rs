@@ -109,8 +109,6 @@ metric_table! {
      "Rounds that fanned out to worker threads."),
     (EngineSteps, "simlocal_engine_steps_total", Counter, false,
      "Vertex step invocations (RoundSum)."),
-    (EnginePublications, "simlocal_engine_publications_total", Counter, false,
-     "Messages published into the visible slab."),
     (EngineMsgBits, "simlocal_engine_msg_bits_total", Counter, false,
      "Message bits published (WireSize-accounted)."),
     (EngineScanNs, "simlocal_engine_scan_ns_total", Counter, false,

@@ -37,7 +37,6 @@ pub fn run_reference<P: Protocol>(
     let mut active = ActiveSet::full(n);
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
-    let mut active_per_round = Vec::new();
     let mut stats = crate::engine::EngineStats::default();
 
     let mut round: u32 = 0;
@@ -50,11 +49,9 @@ pub fn run_reference<P: Protocol>(
                 still_active: remaining,
             });
         }
-        active_per_round.push(remaining);
         let mut next: Vec<P::State> = prev.clone();
         let mut next_msgs: Vec<P::Msg> = prev_msgs.clone();
         let mut next_active = active.clone();
-        let mut stepped = 0u64;
         for v in g.vertices() {
             if !active.contains(v) {
                 continue;
@@ -73,7 +70,6 @@ pub fn run_reference<P: Protocol>(
                 },
                 run_seed: seed,
             };
-            stepped += 1;
             let (s, output) = match protocol.step(ctx) {
                 Transition::Continue(s) => (s, None),
                 Transition::Terminate(s, o) => (s, Some(o)),
@@ -95,7 +91,6 @@ pub fn run_reference<P: Protocol>(
         prev_msgs = next_msgs;
         active = next_active;
         stats.steps += n as u64; // dense: every vertex is touched
-        stats.publications += stepped;
     }
 
     stats.rounds = round;
@@ -106,10 +101,7 @@ pub fn run_reference<P: Protocol>(
         .collect();
     Ok(SimOutcome {
         outputs,
-        metrics: RoundMetrics {
-            termination_round,
-            active_per_round,
-        },
+        metrics: RoundMetrics { termination_round },
         stats,
     })
 }
@@ -156,7 +148,7 @@ mod tests {
         // Dense touches n per round (16); sparse touches RoundSum (10).
         assert_eq!(dense.stats.steps, 16);
         assert_eq!(sparse.stats.steps, 10);
-        // Both publish once per actual step.
-        assert_eq!(dense.stats.publications, sparse.stats.publications);
+        // Both publish once per actual step: RoundSum messages.
+        assert_eq!(dense.metrics.round_sum(), sparse.stats.steps);
     }
 }

@@ -1,7 +1,7 @@
-//! Structured tracing and profiling observers built on the hook sequence
-//! of [`crate::observer`].
+//! Structured tracing observers built on the hook sequence of
+//! [`crate::observer`].
 //!
-//! Three layers, freely composable via [`Tee`](crate::observer::Tee):
+//! Two layers, freely composable via [`Tee`](crate::observer::Tee):
 //!
 //! * [`TraceLog`] — records the full event stream (round start/end, per-
 //!   vertex steps with their [`PhaseId`], terminations) and exports it as
@@ -10,14 +10,16 @@
 //!   `chrome://tracing`;
 //! * [`PhaseBreakdown`] — per-phase `RoundSum` and termination counts for
 //!   composed protocols, so the subroutine-level round accounting behind
-//!   the paper's Theorems 6.3–9.2 is observable, not just asserted;
-//! * [`Profile`] — log-bucketed [`Histogram`]s of termination rounds and
-//!   per-round wall times.
+//!   the paper's Theorems 6.3–9.2 is observable, not just asserted.
+//!
+//! [`Histogram`] is the log₂ bucketing shared with [`crate::obs`]; the
+//! `trace` binary also builds its termination-round and round-wall
+//! histograms from a [`TraceLog`]'s events.
 //!
 //! None of this costs anything on unobserved runs: the engine only calls
 //! these hooks when the observer's `ENABLED` flag is true.
 
-use crate::observer::{Observer, RoundRecord};
+use crate::observer::{Observer, RoundRecord, StepEvent};
 use crate::protocol::PhaseId;
 use graphcore::VertexId;
 use std::io::{self, Write};
@@ -52,10 +54,8 @@ pub enum TraceEvent {
     RoundEnd {
         /// Round number (1-based).
         round: u32,
-        /// Vertices that stepped.
+        /// Vertices that stepped (each published one message).
         active: usize,
-        /// Messages published (== active in the sparse engine).
-        publications: usize,
         /// Wire bits published this round.
         msg_bits: u64,
         /// Widest message published this round, in bits.
@@ -143,15 +143,14 @@ impl TraceLog {
                 TraceEvent::RoundEnd {
                     round,
                     active,
-                    publications,
                     msg_bits,
                     max_msg_bits,
                     wall_us,
                 } => writeln!(
                     w,
                     "{{\"ev\":\"round_end\",\"round\":{round},\"active\":{active},\
-                     \"publications\":{publications},\"msg_bits\":{msg_bits},\
-                     \"max_msg_bits\":{max_msg_bits},\"wall_us\":{wall_us}}}"
+                     \"msg_bits\":{msg_bits},\"max_msg_bits\":{max_msg_bits},\
+                     \"wall_us\":{wall_us}}}"
                 )?,
             }
         }
@@ -207,7 +206,6 @@ impl TraceLog {
                 TraceEvent::RoundEnd {
                     round,
                     active,
-                    publications,
                     wall_us,
                     ..
                 } => {
@@ -217,7 +215,7 @@ impl TraceLog {
                         format!(
                             "{{\"name\":\"round {round}\",\"ph\":\"X\",\"ts\":{ts_us},\
                              \"dur\":{wall_us},\"pid\":1,\"tid\":1,\
-                             \"args\":{{\"active\":{active},\"publications\":{publications}}}}}"
+                             \"args\":{{\"active\":{active}}}}}"
                         ),
                     )?;
                     emit(
@@ -271,22 +269,24 @@ impl Observer for TraceLog {
         self.events.push(TraceEvent::RoundStart { round, active });
     }
 
-    // Step events are recorded in `on_phase`, which fires exactly once per
-    // stepped vertex on observed runs and carries the attribution that
-    // `on_step` lacks.
-    fn on_phase(&mut self, v: VertexId, round: u32, phase: PhaseId) {
-        self.events.push(TraceEvent::Step { v, round, phase });
-    }
-
-    fn on_terminate(&mut self, v: VertexId, round: u32) {
-        self.events.push(TraceEvent::Terminate { v, round });
+    fn on_step(&mut self, e: &StepEvent) {
+        self.events.push(TraceEvent::Step {
+            v: e.v,
+            round: e.round,
+            phase: e.phase,
+        });
+        if e.terminated {
+            self.events.push(TraceEvent::Terminate {
+                v: e.v,
+                round: e.round,
+            });
+        }
     }
 
     fn on_round_end(&mut self, record: &RoundRecord) {
         self.events.push(TraceEvent::RoundEnd {
             round: record.round,
             active: record.active,
-            publications: record.publications,
             msg_bits: record.msg_bits,
             max_msg_bits: record.max_msg_bits,
             wall_us: record.wall.as_micros() as u64,
@@ -305,7 +305,6 @@ pub struct PhaseBreakdown {
     names: Vec<String>,
     steps: Vec<u64>,
     terminations: Vec<u64>,
-    last_phase: PhaseId,
 }
 
 impl PhaseBreakdown {
@@ -316,7 +315,6 @@ impl PhaseBreakdown {
             names: names.iter().map(|s| s.to_string()).collect(),
             steps: vec![0; names.len().max(1)],
             terminations: vec![0; names.len().max(1)],
-            last_phase: 0,
         }
     }
 
@@ -374,17 +372,11 @@ impl PhaseBreakdown {
 }
 
 impl Observer for PhaseBreakdown {
-    fn on_phase(&mut self, _v: VertexId, _round: u32, phase: PhaseId) {
-        let p = phase as usize;
+    fn on_step(&mut self, e: &StepEvent) {
+        let p = e.phase as usize;
         self.grow(p);
         self.steps[p] += 1;
-        self.last_phase = phase;
-    }
-
-    // The publish loop fires `on_phase(v) … on_terminate(v)` back-to-back
-    // for a terminating vertex, so the most recent phase is v's phase.
-    fn on_terminate(&mut self, _v: VertexId, _round: u32) {
-        self.terminations[self.last_phase as usize] += 1;
+        self.terminations[p] += e.terminated as u64;
     }
 }
 
@@ -481,30 +473,31 @@ impl Histogram {
     }
 }
 
-/// Profiling observer: log-bucketed histograms of termination rounds and
-/// per-round wall times (microseconds).
-#[derive(Clone, Debug, Default)]
-pub struct Profile {
-    /// Histogram of per-vertex running times `r(v)`.
-    pub termination_rounds: Histogram,
-    /// Histogram of round wall-clock durations, in µs.
-    pub round_wall_us: Histogram,
-}
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{TraceEvent, TraceLog};
+    use graphcore::VertexId;
 
-impl Profile {
-    /// Empty profile.
-    pub fn new() -> Profile {
-        Profile::default()
-    }
-}
+    /// Per-round `(active, msg_bits, max_msg_bits)` — every round-end
+    /// field but the machine-dependent wall time — and the termination
+    /// events, in order, that a trace recorded.
+    pub(crate) type RoundsAndTerminations = (Vec<(usize, u64, u64)>, Vec<(VertexId, u32)>);
 
-impl Observer for Profile {
-    fn on_terminate(&mut self, _v: VertexId, round: u32) {
-        self.termination_rounds.record(round as u64);
-    }
-
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        self.round_wall_us.record(record.wall.as_micros() as u64);
+    pub(crate) fn rounds_and_terminations(log: &TraceLog) -> RoundsAndTerminations {
+        let (mut rounds, mut terminations) = (Vec::new(), Vec::new());
+        for e in &log.events {
+            match *e {
+                TraceEvent::RoundEnd {
+                    active,
+                    msg_bits,
+                    max_msg_bits,
+                    ..
+                } => rounds.push((active, msg_bits, max_msg_bits)),
+                TraceEvent::Terminate { v, round } => terminations.push((v, round)),
+                _ => {}
+            }
+        }
+        (rounds, terminations)
     }
 }
 
@@ -517,10 +510,18 @@ mod tests {
         RoundRecord {
             round,
             active,
-            publications: active,
             msg_bits: active as u64 * 64,
             max_msg_bits: if active == 0 { 0 } else { 64 },
             wall: Duration::from_micros(wall_us),
+        }
+    }
+
+    fn step(v: VertexId, round: u32, phase: PhaseId, terminated: bool) -> StepEvent {
+        StepEvent {
+            v,
+            round,
+            phase,
+            terminated,
         }
     }
 
@@ -528,11 +529,8 @@ mod tests {
     fn trace_log_records_and_counts() {
         let mut t = TraceLog::with_phases(&["partition", "inset"]);
         t.on_round_start(1, 2);
-        t.on_phase(0, 1, 0);
-        t.on_step(0, 1);
-        t.on_phase(1, 1, 1);
-        t.on_step(1, 1);
-        t.on_terminate(1, 1);
+        t.on_step(&step(0, 1, 0, false));
+        t.on_step(&step(1, 1, 1, true));
         t.on_round_end(&record(1, 2, 10));
         assert_eq!(t.step_events(), 2);
         assert_eq!(t.terminate_events(), 1);
@@ -545,14 +543,15 @@ mod tests {
                 phase: 0
             }
         );
+        // A terminating step records its termination right after it.
+        assert_eq!(t.events[3], TraceEvent::Terminate { v: 1, round: 1 });
     }
 
     #[test]
     fn jsonl_export_shape() {
         let mut t = TraceLog::new();
         t.on_round_start(1, 1);
-        t.on_phase(0, 1, 0);
-        t.on_terminate(0, 1);
+        t.on_step(&step(0, 1, 0, true));
         t.on_round_end(&record(1, 1, 3));
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
@@ -575,7 +574,7 @@ mod tests {
         for r in 1..=3u32 {
             t.on_round_start(r, 4);
             for v in 0..4 {
-                t.on_phase(v, r, 0);
+                t.on_step(&step(v, r, 0, r == 3));
             }
             t.on_round_end(&record(r, 4, 7));
         }
@@ -594,13 +593,11 @@ mod tests {
     fn phase_breakdown_sums_to_round_sum() {
         let mut b = PhaseBreakdown::new(&["a", "b"]);
         // Vertex 0: two rounds in phase a, then terminates in phase b.
-        b.on_phase(0, 1, 0);
-        b.on_phase(0, 2, 0);
-        b.on_phase(0, 3, 1);
-        b.on_terminate(0, 3);
+        b.on_step(&step(0, 1, 0, false));
+        b.on_step(&step(0, 2, 0, false));
+        b.on_step(&step(0, 3, 1, true));
         // Vertex 1: terminates immediately in phase a.
-        b.on_phase(1, 1, 0);
-        b.on_terminate(1, 1);
+        b.on_step(&step(1, 1, 0, true));
         assert_eq!(b.round_sum(0), 3);
         assert_eq!(b.round_sum(1), 1);
         assert_eq!(b.total_round_sum(), 4);
@@ -631,15 +628,5 @@ mod tests {
         assert!((h.mean() - 1025.0 / 8.0).abs() < 1e-9);
         let text = h.render("termination rounds");
         assert!(text.contains("count 8"));
-    }
-
-    #[test]
-    fn profile_collects_both_histograms() {
-        let mut p = Profile::new();
-        p.on_terminate(0, 1);
-        p.on_terminate(1, 5);
-        p.on_round_end(&record(1, 2, 100));
-        assert_eq!(p.termination_rounds.count(), 2);
-        assert_eq!(p.round_wall_us.count(), 1);
     }
 }

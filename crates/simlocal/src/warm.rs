@@ -39,7 +39,6 @@
 use crate::active::{clear_bit, full_words, ActiveSet};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
 use crate::kernel::{Kernel, Slots};
-use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry};
 use crate::observer::NoObserver;
 use crate::protocol::Protocol;
@@ -206,7 +205,6 @@ fn replay_loop<P: Protocol>(
     // whose messages/activity may yet change round-over-round.
     let mut frozen_live: Vec<VertexId> = (0..n as u32).filter(|&v| !stepping[v as usize]).collect();
 
-    let mut active_per_round: Vec<usize> = Vec::new();
     let mut stats = EngineStats::default();
 
     let mut round: u32 = 0;
@@ -218,8 +216,6 @@ fn replay_loop<P: Protocol>(
                 still_active: active.count(),
             });
         }
-        let stepped = active.count();
-        active_per_round.push(stepped);
         let kernel = Kernel {
             protocol,
             graph: g,
@@ -259,11 +255,8 @@ fn replay_loop<P: Protocol>(
             }
             term > round
         });
-        stats.steps += stepped as u64;
-        stats.publications += stepped as u64;
     }
 
-    stats.rounds = round;
     stats.wall = run_t0.elapsed();
     let mut term_cold = termination_round.clone();
     let outputs = (0..n)
@@ -278,14 +271,7 @@ fn replay_loop<P: Protocol>(
         })
         .collect();
     Ok((
-        SimOutcome {
-            outputs,
-            metrics: RoundMetrics {
-                termination_round,
-                active_per_round,
-            },
-            stats,
-        },
+        SimOutcome::derived(outputs, termination_round, stats),
         Replay {
             history,
             term: term_cold,

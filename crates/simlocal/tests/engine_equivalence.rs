@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::{
-    run_reference, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx, Transition,
+    run_reference, ActorRunner, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx,
+    StepEvent, TraceEvent, TraceLog, Transition,
 };
 
 /// Tuning that forces genuine thread fan-out on every round, regardless
@@ -208,6 +209,27 @@ impl Protocol for HeapTrail {
     }
 }
 
+/// Per-round `(active, msg_bits, max_msg_bits)` — every round-end field
+/// but the machine-dependent wall time — and the termination events, in
+/// order, that a trace recorded.
+type RoundsAndTerminations = (Vec<(usize, u64, u64)>, Vec<(VertexId, u32)>);
+fn rounds_and_terminations(log: &TraceLog) -> RoundsAndTerminations {
+    let (mut rounds, mut terminations) = (Vec::new(), Vec::new());
+    for e in &log.events {
+        match *e {
+            TraceEvent::RoundEnd {
+                active,
+                msg_bits,
+                max_msg_bits,
+                ..
+            } => rounds.push((active, msg_bits, max_msg_bits)),
+            TraceEvent::Terminate { v, round } => terminations.push((v, round)),
+            _ => {}
+        }
+    }
+    (rounds, terminations)
+}
+
 /// A graph from one of four families, chosen by `pick`.
 fn family_graph(pick: u8, n: usize, a: usize, seed: u64) -> Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -237,12 +259,12 @@ where
     // ones (hooks inline when sequential, replayed in chunk order when
     // fanned out): attaching an observer must not change a byte — wire
     // stats included — sequentially or under real fan-out.
-    let mut seq_t = simlocal::Telemetry::new();
+    let mut seq_t = TraceLog::new();
     let observed = Runner::new(p, g, &ids)
         .seed(seed)
         .run_with(&mut seq_t)
         .unwrap();
-    let mut par_t = simlocal::Telemetry::new();
+    let mut par_t = TraceLog::new();
     let observed_par = Runner::new(p, g, &ids)
         .seed(seed)
         .parallel()
@@ -259,20 +281,24 @@ where
             "{label} max bits"
         );
     }
-    assert_eq!(seq_t.terminations, par_t.terminations, "hook order");
-    assert_eq!(seq_t.msg_bits, par_t.msg_bits, "per-round bits");
+    // Per-round active / bits / max bits and the termination order.
+    assert_eq!(
+        rounds_and_terminations(&seq_t),
+        rounds_and_terminations(&par_t),
+        "per-round records and hook order"
+    );
     assert_eq!(sparse.outputs, dense.outputs, "sparse vs reference outputs");
     assert_eq!(sparse.metrics, dense.metrics, "sparse vs reference metrics");
     assert_eq!(sparse.outputs, par.outputs, "seq vs par outputs");
     assert_eq!(sparse.metrics, par.metrics, "seq vs par metrics");
     assert_eq!(sparse.stats.steps, par.stats.steps, "seq vs par work");
-    // The publications identity: exactly one publication per step, and
-    // total steps equal RoundSum — in every mode.
+    // One step — and one published message — per active vertex-round:
+    // total steps equal RoundSum in every mode.
     assert_eq!(sparse.stats.steps, sparse.metrics.round_sum());
-    assert_eq!(sparse.stats.publications, sparse.metrics.round_sum());
-    assert_eq!(par.stats.publications, sparse.metrics.round_sum());
-    // The dense engine publishes the same messages but touches n per round.
-    assert_eq!(dense.stats.publications, sparse.stats.publications);
+    assert_eq!(par.stats.steps, sparse.metrics.round_sum());
+    // The dense engine publishes the same messages (its metrics match
+    // above) but touches n per round.
+    assert_eq!(dense.stats.rounds, sparse.stats.rounds);
     assert_eq!(dense.stats.rounds as u64 * g.n() as u64, dense.stats.steps);
     // Wire accounting is part of the engine contract: total and peak
     // message bits must be identical in every execution mode.
@@ -359,16 +385,15 @@ proptest! {
         // between sequential and parallel execution.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
-        let mut seq = simlocal::Telemetry::new();
+        let mut seq = TraceLog::new();
         Runner::new(&SplitWire, &g, &ids).run_with(&mut seq).unwrap();
-        let mut par = simlocal::Telemetry::new();
+        let mut par = TraceLog::new();
         Runner::new(&SplitWire, &g, &ids)
             .parallel()
             .tuning(fan_out())
             .run_with(&mut par)
             .unwrap();
-        prop_assert_eq!(&seq.msg_bits, &par.msg_bits);
-        prop_assert_eq!(&seq.max_msg_bits, &par.max_msg_bits);
+        prop_assert_eq!(rounds_and_terminations(&seq).0, rounds_and_terminations(&par).0);
     }
 
     #[test]
@@ -382,14 +407,15 @@ proptest! {
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
         let plain = Runner::new(&SplitWire, &g, &ids).run().unwrap();
-        let mut obs = simlocal::Tee(simlocal::TraceLog::new(), simlocal::Telemetry::new());
+        let mut obs = TraceLog::new();
         let traced = Runner::new(&SplitWire, &g, &ids).run_with(&mut obs).unwrap();
         prop_assert_eq!(&plain.outputs, &traced.outputs);
         prop_assert_eq!(&plain.metrics, &traced.metrics);
         prop_assert_eq!(plain.stats.msg_bits, traced.stats.msg_bits);
         prop_assert_eq!(plain.stats.max_msg_bits, traced.stats.max_msg_bits);
-        prop_assert_eq!(obs.1.total_msg_bits(), plain.stats.msg_bits);
-        prop_assert_eq!(obs.1.peak_msg_bits(), plain.stats.max_msg_bits);
+        let (rounds, _) = rounds_and_terminations(&obs);
+        prop_assert_eq!(rounds.iter().map(|r| r.1).sum::<u64>(), plain.stats.msg_bits);
+        prop_assert_eq!(rounds.iter().map(|r| r.2).max().unwrap_or(0), plain.stats.max_msg_bits);
     }
 
     #[test]
@@ -413,20 +439,16 @@ proptest! {
             .unwrap();
         prop_assert_eq!(out_seq.outputs, out_par.outputs);
         prop_assert_eq!(&seq.round_starts, &par.round_starts);
-        prop_assert_eq!(&seq.phases, &par.phases);
+        // Step events carry vertex, round, phase, and termination flag.
         prop_assert_eq!(&seq.steps, &par.steps);
-        prop_assert_eq!(&seq.terminates, &par.terminates);
         // Round records match field-for-field except machine-dependent wall.
         prop_assert_eq!(seq.round_ends.len(), par.round_ends.len());
         for (s, p) in seq.round_ends.iter().zip(&par.round_ends) {
             prop_assert_eq!(
-                (s.round, s.active, s.publications, s.msg_bits, s.max_msg_bits),
-                (p.round, p.active, p.publications, p.msg_bits, p.max_msg_bits)
+                (s.round, s.active, s.msg_bits, s.max_msg_bits),
+                (p.round, p.active, p.msg_bits, p.max_msg_bits)
             );
         }
-        // Phase attribution accompanies every step, in lockstep.
-        let phase_vr: Vec<(VertexId, u32)> = seq.phases.iter().map(|&(v, r, _)| (v, r)).collect();
-        prop_assert_eq!(phase_vr, seq.steps.clone());
     }
 
     #[test]
@@ -436,21 +458,21 @@ proptest! {
         gseed in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        // Σ on_step == Σ publications == RoundSum, and on_terminate fires
-        // exactly once per vertex.
+        // Σ on_step == Σ round-end active == RoundSum, and a step
+        // reports termination exactly once per vertex.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
         let mut obs = Counting::default();
         let out = Runner::new(&CoinFlip, &g, &ids).seed(seed).run_with(&mut obs).unwrap();
         prop_assert_eq!(obs.steps.len() as u64, out.metrics.round_sum());
-        prop_assert_eq!(out.stats.publications, out.metrics.round_sum());
-        let pubs: u64 = obs.round_ends.iter().map(|r| r.publications as u64).sum();
-        prop_assert_eq!(pubs, out.metrics.round_sum());
-        prop_assert_eq!(obs.terminates.len(), g.n());
-        let mut vs: Vec<VertexId> = obs.terminates.iter().map(|&(v, _)| v).collect();
+        prop_assert_eq!(out.stats.steps, out.metrics.round_sum());
+        let active: u64 = obs.round_ends.iter().map(|r| r.active as u64).sum();
+        prop_assert_eq!(active, out.metrics.round_sum());
+        let mut vs: Vec<VertexId> = obs.steps.iter().filter(|e| e.terminated).map(|e| e.v).collect();
+        prop_assert_eq!(vs.len(), g.n());
         vs.sort_unstable();
         vs.dedup();
-        prop_assert_eq!(vs.len(), g.n(), "on_terminate must fire once per vertex");
+        prop_assert_eq!(vs.len(), g.n(), "termination must be reported once per vertex");
     }
 
     #[test]
@@ -464,55 +486,101 @@ proptest! {
         // byte-for-byte, and the trace totals match the engine's.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
-        let mut obs = simlocal::Tee(
-            simlocal::TraceLog::with_phases(Stagger.phase_names()),
-            simlocal::Telemetry::new(),
-        );
+        let mut obs = TraceLog::with_phases(Stagger.phase_names());
         let traced = Runner::new(&Stagger, &g, &ids).run_with(&mut obs).unwrap();
         let dense = run_reference(&Stagger, &g, &ids, 0).unwrap();
         prop_assert_eq!(&traced.outputs, &dense.outputs);
         prop_assert_eq!(&traced.metrics, &dense.metrics);
-        prop_assert_eq!(obs.0.step_events(), traced.metrics.round_sum());
-        prop_assert_eq!(obs.0.terminate_events() as usize, g.n());
-        prop_assert_eq!(obs.0.rounds(), traced.stats.rounds);
+        prop_assert_eq!(obs.step_events(), traced.metrics.round_sum());
+        prop_assert_eq!(obs.terminate_events() as usize, g.n());
+        prop_assert_eq!(obs.rounds(), traced.stats.rounds);
     }
 
     #[test]
     fn telemetry_series_match_metrics(n in 4usize..100, seed in any::<u64>()) {
         let g = gen::cycle(n.max(3));
         let ids = IdAssignment::identity(g.n());
-        let mut t = simlocal::Telemetry::new();
+        let mut t = TraceLog::new();
         let out = Runner::new(&CoinFlip, &g, &ids).seed(seed).run_with(&mut t).unwrap();
-        prop_assert_eq!(&t.active, &out.metrics.active_per_round);
-        let pubs: Vec<u64> = out.metrics.active_per_round.iter().map(|&a| a as u64).collect();
-        prop_assert_eq!(&t.publications, &pubs);
-        prop_assert_eq!(t.total_publications(), out.metrics.round_sum());
-        prop_assert_eq!(t.terminations.len(), g.n());
+        let (rounds, terminations) = rounds_and_terminations(&t);
+        let active: Vec<usize> = rounds.iter().map(|r| r.0).collect();
+        prop_assert_eq!(&active, &out.metrics.active_per_round());
+        prop_assert_eq!(active.iter().sum::<usize>() as u64, out.metrics.round_sum());
+        prop_assert_eq!(terminations.len(), g.n());
+    }
+
+    #[test]
+    fn derived_series_matches_trace_events(
+        pick in any::<u8>(),
+        n in 4usize..100,
+        gseed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        // The activity series is derived from termination rounds, not
+        // pushed per round: it must equal what the engine announced at
+        // each round start and the step events it fired in that round —
+        // sync sequential, sync fanned out, and the actor backend over
+        // channels.
+        let g = family_graph(pick, n, 2, gseed);
+        let ids = IdAssignment::identity(g.n());
+        let mut seq = TraceLog::new();
+        let out_seq = Runner::new(&Stagger, &g, &ids).seed(seed).run_with(&mut seq).unwrap();
+        let mut par = TraceLog::new();
+        let out_par = Runner::new(&Stagger, &g, &ids)
+            .seed(seed)
+            .parallel()
+            .tuning(fan_out())
+            .run_with(&mut par)
+            .unwrap();
+        let mut actor = TraceLog::new();
+        let out_actor = ActorRunner::new(&Stagger, &g, &ids)
+            .seed(seed)
+            .shards(3)
+            .run_with(&mut actor)
+            .unwrap();
+        for (label, log, out) in [
+            ("seq", &seq, &out_seq),
+            ("par", &par, &out_par),
+            ("actor", &actor, &out_actor),
+        ] {
+            let (mut starts, mut steps) = (Vec::new(), Vec::new());
+            for e in &log.events {
+                match *e {
+                    TraceEvent::RoundStart { round, active } => {
+                        prop_assert_eq!(round as usize, starts.len() + 1, "{}", label);
+                        starts.push(active);
+                        steps.push(0usize);
+                    }
+                    TraceEvent::Step { round, .. } => {
+                        prop_assert_eq!(round as usize, steps.len(), "{}", label);
+                        *steps.last_mut().unwrap() += 1;
+                    }
+                    _ => {}
+                }
+            }
+            let series = out.metrics.active_per_round();
+            prop_assert_eq!(&starts, &series, "{}: round-start active", label);
+            prop_assert_eq!(&steps, &series, "{}: step events per round", label);
+            prop_assert_eq!(out.stats.rounds as usize, series.len(), "{}: rounds", label);
+            prop_assert!(out.metrics.check_identities().is_ok(), "{}", label);
+        }
     }
 }
 
-/// Observer that counts every hook invocation.
+/// Observer that records every hook invocation.
 #[derive(Default, Clone, Debug)]
 struct Counting {
     round_starts: Vec<(u32, usize)>,
     round_ends: Vec<RoundRecord>,
-    phases: Vec<(VertexId, u32, simlocal::PhaseId)>,
-    steps: Vec<(VertexId, u32)>,
-    terminates: Vec<(VertexId, u32)>,
+    steps: Vec<StepEvent>,
 }
 
 impl Observer for Counting {
     fn on_round_start(&mut self, round: u32, active: usize) {
         self.round_starts.push((round, active));
     }
-    fn on_phase(&mut self, v: VertexId, round: u32, phase: simlocal::PhaseId) {
-        self.phases.push((v, round, phase));
-    }
-    fn on_step(&mut self, v: VertexId, round: u32) {
-        self.steps.push((v, round));
-    }
-    fn on_terminate(&mut self, v: VertexId, round: u32) {
-        self.terminates.push((v, round));
+    fn on_step(&mut self, event: &StepEvent) {
+        self.steps.push(*event);
     }
     fn on_round_end(&mut self, record: &RoundRecord) {
         self.round_ends.push(record.clone());
@@ -530,12 +598,12 @@ fn observer_hooks_fire_exactly_per_contract() {
     // Round hooks: once per round, in order, with the active-set size.
     assert_eq!(obs.round_starts.len(), rounds);
     assert_eq!(obs.round_ends.len(), rounds);
+    let series = out.metrics.active_per_round();
     for (i, &(round, active)) in obs.round_starts.iter().enumerate() {
         assert_eq!(round as usize, i + 1);
-        assert_eq!(active, out.metrics.active_per_round[i]);
+        assert_eq!(active, series[i]);
         assert_eq!(obs.round_ends[i].round as usize, i + 1);
         assert_eq!(obs.round_ends[i].active, active);
-        assert_eq!(obs.round_ends[i].publications, active);
     }
 
     // on_step: exactly once per (active vertex, round) — i.e. for every
@@ -546,18 +614,25 @@ fn observer_hooks_fire_exactly_per_contract() {
             expected_steps.push((v, r));
         }
     }
-    let mut got = obs.steps.clone();
+    let mut got: Vec<(VertexId, u32)> = obs.steps.iter().map(|e| (e.v, e.round)).collect();
     got.sort_unstable();
     expected_steps.sort_unstable();
     assert_eq!(got, expected_steps);
     assert_eq!(obs.steps.len() as u64, out.metrics.round_sum());
 
-    // on_terminate: exactly once per vertex, at its termination round.
-    assert_eq!(obs.terminates.len(), g.n());
-    for &(v, r) in &obs.terminates {
-        assert_eq!(out.metrics.termination_round[v as usize], r);
+    // Each step reports its phase — `phase_of` the state the vertex
+    // entered the round with; Stagger's is 0 until a neighbor dies.
+    assert!(obs.steps.iter().any(|e| e.phase == 1));
+    assert!(obs.steps.iter().all(|e| e.round > 1 || e.phase == 0));
+
+    // Termination: reported exactly once per vertex, at its termination
+    // round.
+    let terminates: Vec<&StepEvent> = obs.steps.iter().filter(|e| e.terminated).collect();
+    assert_eq!(terminates.len(), g.n());
+    for e in &terminates {
+        assert_eq!(out.metrics.termination_round[e.v as usize], e.round);
     }
-    let mut vs: Vec<VertexId> = obs.terminates.iter().map(|&(v, _)| v).collect();
+    let mut vs: Vec<VertexId> = terminates.iter().map(|e| e.v).collect();
     vs.sort_unstable();
     vs.dedup();
     assert_eq!(vs.len(), g.n());
@@ -568,7 +643,7 @@ fn observed_and_unobserved_runs_are_identical() {
     let g = gen::grid(5, 6);
     let ids = IdAssignment::identity(g.n());
     let plain = Runner::new(&CoinFlip, &g, &ids).seed(11).run().unwrap();
-    let mut t = simlocal::Telemetry::new();
+    let mut t = TraceLog::new();
     let observed = Runner::new(&CoinFlip, &g, &ids)
         .seed(11)
         .run_with(&mut t)

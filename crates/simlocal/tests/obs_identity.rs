@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::obs::{metric_names, Metric, Registry};
 use simlocal::{
-    ActorRunner, EngineTuning, Protocol, Runner, SimOutcome, StepCtx, Telemetry, Transition,
+    ActorRunner, EngineTuning, Protocol, Runner, SimOutcome, StepCtx, TraceLog, Transition,
 };
 
 /// Randomized geometric decay (state-free, message-free): exercises the
@@ -85,10 +85,6 @@ fn assert_runs_identical<O: PartialEq + std::fmt::Debug>(
     assert_eq!(plain.stats.rounds, observed.stats.rounds, "{label}: rounds");
     assert_eq!(plain.stats.steps, observed.stats.steps, "{label}: steps");
     assert_eq!(
-        plain.stats.publications, observed.stats.publications,
-        "{label}: publications"
-    );
-    assert_eq!(
         plain.stats.msg_bits, observed.stats.msg_bits,
         "{label}: msg_bits"
     );
@@ -121,7 +117,7 @@ where
     let reg = Registry::new(1);
     let with_obs = runner().obs(&reg);
     let observed = if observed {
-        with_obs.run_with(&mut Telemetry::new())
+        with_obs.run_with(&mut TraceLog::new())
     } else {
         with_obs.run()
     }
@@ -141,11 +137,6 @@ where
         reg.total(Metric::EngineSteps),
         observed.stats.steps,
         "{label}: EngineSteps reconciles"
-    );
-    assert_eq!(
-        reg.total(Metric::EnginePublications),
-        observed.stats.publications,
-        "{label}: EnginePublications reconciles"
     );
     assert_eq!(
         reg.total(Metric::EngineMsgBits),

@@ -55,9 +55,10 @@ fn main() {
 
     // The punchline: the average is O(1) while the worst case grows with
     // log n — run with different n to watch the gap widen.
+    let decay = out.metrics.active_per_round();
     println!(
         "active-vertex decay (Lemma 6.1): {:?}",
-        &out.metrics.active_per_round[..out.metrics.active_per_round.len().min(8)]
+        &decay[..decay.len().min(8)]
     );
 
     // Communication side of the same story: the engine accounts every

@@ -304,7 +304,7 @@ fn print_report_json(algo: &str, gg: &gen::GenGraph, opts: &RunOpts, r: &RunRepo
             s.wall.as_secs_f64() * 1e3,
             s.rounds,
             s.steps,
-            s.publications,
+            s.steps, // one publication per step
             s.msg_bits,
             s.max_msg_bits,
             s.parallel_rounds,
@@ -330,7 +330,7 @@ fn print_report_human(r: &RunReport) {
             "engine: {:.3} ms wall | {} steps | {} publications | {} msg bits (max {}/msg) | {} of {} rounds parallel",
             s.wall.as_secs_f64() * 1e3,
             s.steps,
-            s.publications,
+            s.steps, // one publication per step
             s.msg_bits,
             s.max_msg_bits,
             s.parallel_rounds,

@@ -8,7 +8,7 @@ use benchharness::forest_workload;
 use distsym::algos::mis::MisExtension;
 use distsym::algos::Partition;
 use distsym::graphcore::IdAssignment;
-use distsym::simlocal::{run_reference, EngineTuning, Runner, Telemetry};
+use distsym::simlocal::{run_reference, EngineTuning, Runner, TraceEvent, TraceLog};
 
 const N: usize = 1 << 16;
 
@@ -25,7 +25,6 @@ fn partition_work_tracks_round_sum_not_n_times_worst_case() {
     // step publishes once, and the total is exactly RoundSum.
     let round_sum = out.metrics.round_sum();
     assert_eq!(out.stats.steps, round_sum);
-    assert_eq!(out.stats.publications, round_sum);
 
     // Lemma 6.2 decay (ε = 2): RoundSum ≤ 2n + O(1), so the sparse
     // engine's work is ~n even though the run lasts worst_case rounds.
@@ -63,7 +62,6 @@ fn seq_and_par_outcomes_byte_identical_at_scale() {
     assert_eq!(seq.outputs, par.outputs);
     assert_eq!(seq.metrics, par.metrics);
     assert_eq!(seq.stats.steps, par.stats.steps);
-    assert_eq!(seq.stats.publications, par.stats.publications);
     assert_eq!(seq.stats.msg_bits, par.stats.msg_bits);
     assert_eq!(seq.stats.max_msg_bits, par.stats.max_msg_bits);
 }
@@ -75,17 +73,24 @@ fn per_round_telemetry_mirrors_active_set_decay() {
     let n = 1 << 12;
     let gg = forest_workload(n, 2, 5);
     let ids = IdAssignment::identity(n);
-    let mut t = Telemetry::new();
+    let mut t = TraceLog::new();
     let out = Runner::new(&MisExtension::new(2), &gg.graph, &ids)
         .run_with(&mut t)
         .unwrap();
-    assert_eq!(t.active, out.metrics.active_per_round);
-    assert_eq!(t.total_publications(), out.metrics.round_sum());
-    assert_eq!(t.rounds() as u32, out.stats.rounds);
-    assert_eq!(t.wall.len(), t.active.len());
+    let active: Vec<usize> = t
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::RoundEnd { active, .. } => Some(active),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(active, out.metrics.active_per_round());
+    assert_eq!(t.step_events(), out.metrics.round_sum());
+    assert_eq!(t.rounds(), out.stats.rounds);
     // The active series is the engine's actual per-round work, so the
     // whole run's work is its sum — not rounds × n.
-    let series_sum: u64 = t.active.iter().map(|&a| a as u64).sum();
+    let series_sum: u64 = active.iter().map(|&a| a as u64).sum();
     assert_eq!(series_sum, out.stats.steps);
     assert!(series_sum < out.stats.rounds as u64 * n as u64);
 }
