@@ -120,6 +120,15 @@ echo "== transport smoke: loopback-TCP round-trip pins to the sync engine"
 # break is named here rather than inside the workspace test wall.
 cargo test -q -p simlocal --test actor_backend tcp > /dev/null
 
+echo "== distsym smoke: the CLI lists and runs through the algorithm registry"
+# `distsym run` dispatches every algorithm through the registry and `list`
+# is derived from it; the binary-driving tests (list, one --json run per
+# problem and procedure, usage-error exit codes, graph export re-ingest)
+# run in isolation so a CLI/registry break is named here.
+cargo build --release -q
+./target/release/distsym list > /dev/null
+cargo test -q --test cli > /dev/null
+
 echo "== trace smoke: export + self-validate JSONL and Chrome-trace"
 # Runs a small randomized-coloring workload under the full tracing stack;
 # the binary re-reads both artifacts and exits nonzero unless they parse,

@@ -12,14 +12,15 @@
 //!
 //! Consumers resolve algorithms by name ([`find`]) or enumerate them
 //! ([`all`]), then execute through **one** entry point:
-//! [`AlgoSpec::exec`], driven by an [`ExecOptions`] value. The options
+//! [`AlgoSpec::try_exec`] (or [`AlgoSpec::exec`], which panics on an
+//! engine error), driven by an [`ExecOptions`] value. The options
 //! select the observation level ([`ObserveMode`]: `Bare` for benches,
 //! `Standard` for measurement rows, `Traced` for the full event-log
 //! stack), the execution mode (sequential / parallel), and the backend —
 //! so the spec-driven binaries (via [`crate::spec::execute`]), the
-//! `trace` binary, and the Criterion benches all go through the same
-//! construct → run → verify path. Registering a new algorithm here makes
-//! it immediately runnable, traceable, and benchable.
+//! `trace` binary, the Criterion benches and the root `distsym` CLI all
+//! go through the same construct → run → verify path. Registering a new
+//! algorithm here makes it immediately runnable, traceable, and benchable.
 
 use crate::{cfg, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
@@ -27,8 +28,8 @@ use graphcore::churn::{self, ChurnPlan};
 use graphcore::{gen::GenGraph, verify, Graph, IdAssignment, VertexId};
 use simlocal::obs::Metric as ObsMetric;
 use simlocal::{
-    ActorRunner, EngineStats, NoObserver, Observer, PhaseBreakdown, Protocol, Runner, SimOutcome,
-    TraceLog, WarmOutcome, WarmStart,
+    ActorRunner, EngineError, EngineStats, NoObserver, Observer, PhaseBreakdown, Protocol, Runner,
+    SimOutcome, TraceLog, WarmOutcome, WarmStart,
 };
 use std::sync::OnceLock;
 
@@ -358,7 +359,7 @@ impl<'a> ExecOptions<'a> {
     }
 }
 
-/// What [`AlgoSpec::exec`] produced. Which parts are populated follows
+/// What [`AlgoSpec::try_exec`] produced. Which parts are populated follows
 /// from the requested [`ObserveMode`]; engine stats are always present.
 pub struct ExecOutcome {
     /// The verified measurement row ([`None`] for [`ObserveMode::Bare`],
@@ -394,8 +395,9 @@ pub trait ErasedAlgo: Send + Sync {
     fn cap_for(&self, gg: &GenGraph, params: Params, ids: &IdAssignment) -> usize;
 
     /// The one execution path: construct, run as the options dictate,
-    /// verify (unless bare), and return whatever the mode produced.
-    fn exec(&self, opts: &ExecOptions<'_>) -> ExecOutcome;
+    /// verify (unless bare), and return whatever the mode produced — or
+    /// the engine's error when the run did not complete.
+    fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError>;
 
     /// Dynamic mode: cold-solve the workload once with a replay log
     /// recorded, then warm-start ([`simlocal::warm`]) through each batch
@@ -444,10 +446,17 @@ impl AlgoSpec {
         self.algo.cap_for(gg, params, ids)
     }
 
-    /// See [`ErasedAlgo::exec`] — the single entry point every consumer
-    /// (spec engine, trace binary, benches) goes through.
+    /// See [`ErasedAlgo::try_exec`] — the single entry point every
+    /// consumer (spec engine, trace binary, benches, `distsym` CLI) goes
+    /// through.
+    pub fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError> {
+        self.algo.try_exec(opts)
+    }
+
+    /// [`AlgoSpec::try_exec`] for workloads the caller knows terminate
+    /// (spec tables, benches): panics on an engine error.
     pub fn exec(&self, opts: &ExecOptions<'_>) -> ExecOutcome {
-        self.algo.exec(opts)
+        self.try_exec(opts).expect("protocol terminates")
     }
 
     /// See [`ErasedAlgo::exec_dynamic`] — the dynamic-mode entry point
@@ -524,7 +533,7 @@ where
         ids: &IdAssignment,
         o: &ExecOptions<'_>,
         obs: &mut Ob,
-    ) -> SimOutcome<P::Output> {
+    ) -> Result<SimOutcome<P::Output>, EngineError> {
         match o.backend {
             Backend::Sync => {
                 let mut r = Runner::new(p, &o.gg.graph, ids).config(Self::run_cfg(o));
@@ -543,7 +552,6 @@ where
                 r.run_with(obs)
             }
         }
-        .expect("protocol terminates")
     }
 
     /// Extracts and verifies a finished run's solution. Assembly failure
@@ -587,14 +595,14 @@ where
     }
 
     /// The single construct → run → observe → verify → Row path behind
-    /// every observed execution; [`ErasedAlgo::exec`] only chooses the
+    /// every observed execution; [`ErasedAlgo::try_exec`] only chooses the
     /// extra observer to tee on and what of it to keep as the trace.
     fn exec_observed<X: Observer>(
         &self,
         o: &ExecOptions<'_>,
         mk_extra: impl FnOnce(&P) -> X,
         trace: impl FnOnce(X) -> Option<TraceLog>,
-    ) -> ExecOutcome {
+    ) -> Result<ExecOutcome, EngineError> {
         let ExecOptions {
             gg, params, trial, ..
         } = *o;
@@ -611,7 +619,7 @@ where
             m.add_elapsed(ObsMetric::HarnessQueueNs, t0);
         }
         let run_t0 = mob.is_some().then(std::time::Instant::now);
-        let out = Self::run_backend(&p, &ids, o, &mut obs);
+        let out = Self::run_backend(&p, &ids, o, &mut obs)?;
         if let (Some(m), Some(t0)) = (mob, run_t0) {
             m.add_elapsed(ObsMetric::HarnessRunNs, t0);
             m.add(ObsMetric::HarnessTrials, 1);
@@ -627,12 +635,12 @@ where
             .row(o, metrics, verdict, &out.stats, cap)
             .with_trace(&out.metrics, &obs.0);
         let simlocal::Tee(breakdown, extra) = obs;
-        ExecOutcome {
+        Ok(ExecOutcome {
             row: Some(row),
             stats: out.stats,
             breakdown: Some(breakdown),
             trace: trace(extra),
-        }
+        })
     }
 }
 
@@ -726,19 +734,19 @@ where
         rows
     }
 
-    fn exec(&self, opts: &ExecOptions<'_>) -> ExecOutcome {
+    fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError> {
         match opts.observe {
             ObserveMode::Bare => {
                 let p = (self.build)(opts.gg, opts.params);
                 let ids = opts.trial.ids(opts.gg.graph.n());
-                let out = Self::run_backend(&p, &ids, opts, &mut NoObserver);
+                let out = Self::run_backend(&p, &ids, opts, &mut NoObserver)?;
                 std::hint::black_box(&out.outputs);
-                ExecOutcome {
+                Ok(ExecOutcome {
                     row: None,
                     stats: out.stats,
                     breakdown: None,
                     trace: None,
-                }
+                })
             }
             ObserveMode::Standard => self.exec_observed(opts, |_| NoObserver, |_| None),
             ObserveMode::Traced => {

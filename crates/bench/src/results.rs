@@ -198,9 +198,10 @@ impl SuiteResult {
     }
 }
 
-/// JSON string escaping, shared with the other writers in this crate
-/// (`perf`'s summary export among them).
-pub(crate) fn quote(s: &str) -> String {
+/// A JSON string literal for `s`, quotes included — shared with the
+/// other writers in this crate (`perf`'s summary export among them) and
+/// the `distsym` CLI's `--json` report.
+pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

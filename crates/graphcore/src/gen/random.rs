@@ -101,10 +101,15 @@ pub fn preferential_attachment<R: Rng>(n: usize, m0: usize, rng: &mut R) -> GenG
         }
     }
     for v in seed..n {
-        let mut targets = std::collections::HashSet::with_capacity(m0 * 2);
+        // Targets in draw order, so equal seeds build equal graphs (a
+        // `HashSet` iterates in a per-process random order); `m0` is
+        // tiny, so the linear `contains` is cheap.
+        let mut targets: Vec<VertexId> = Vec::with_capacity(m0);
         while targets.len() < m0 {
             let t = endpoints[rng.gen_range(0..endpoints.len())];
-            targets.insert(t);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         for t in targets {
             b.push(v as VertexId, t);
@@ -214,6 +219,15 @@ mod tests {
         assert!(g.graph.m() <= 2 * 2000 + 3);
         assert!(g.graph.max_degree() as f64 > 4.0 * g.graph.avg_degree());
         assert!(g.arboricity <= 6, "BA(m0=2) degeneracy should stay small");
+    }
+
+    #[test]
+    fn ba_is_deterministic_per_seed() {
+        let build = || {
+            let g = preferential_attachment(500, 3, &mut ChaCha8Rng::seed_from_u64(18)).graph;
+            g.edges().map(|(_, e)| e).collect::<Vec<_>>()
+        };
+        assert_eq!(build(), build());
     }
 
     #[test]

@@ -1,79 +1,50 @@
 //! `distsym` — command-line front end for the library.
 //!
 //! ```text
-//! distsym run   --algo <name> --family <name> --n <N> [--a <A>] [--k <K>] [--seed <S>] [--eps <E>]
-//!               [--parallel] [--json]
+//! distsym run   --algo <name> --family <name> --n <N> [--a <A>] [--k <K>] [--c <C>] [--seed <S>]
+//!               [--eps <E>] [--hub-degree <D>] [--p <P>] [--parallel] [--json]
 //! distsym list                          # available algorithms and families
 //! distsym graph --family <name> --n <N> [--a <A>] [--out <path>]   # emit an edge list
 //! ```
 //!
-//! `run` builds the workload, executes the protocol on the LOCAL-model
-//! simulator, verifies the output, and prints the vertex-averaged /
-//! worst-case metrics plus the engine's wall-time and publication
-//! telemetry — the one-command version of the benchmark harness.
-//! `--parallel` turns on the engine's threaded round execution (results
-//! are identical either way); `--json` emits one structured object on
-//! stdout instead of the human-readable lines.
+//! `run` executes the algorithm through the benchmark registry's one
+//! construct → run → verify path ([`registry::AlgoSpec::try_exec`]), so its
+//! output is judged against the algorithm's claimed palette cap as in the
+//! paper's tables, and prints the verdict, the round metrics and the
+//! engine's accounting. The [`PROCEDURES`] outside the registry run here and
+//! print the same report. `--parallel` turns on threaded rounds (results
+//! are identical); `--json` prints one object instead of the text lines.
+//! Exit codes: 0 valid output, 1 invalid output or simulation failure,
+//! 2 usage error (unknown name, malformed or out-of-range flag).
 
-use distsym::algos::{self, itlog};
-use distsym::graphcore::{gen, io, stats, verify, IdAssignment};
-use distsym::simlocal::{EngineStats, Protocol, RoundMetrics, Runner};
+use benchharness::registry::Problem::{EdgeColoring, VertexColoring};
+use benchharness::registry::{self, ExecOptions, Params};
+use benchharness::results::quote;
+use benchharness::{Row, Trial};
+use distsym::algos;
+use distsym::graphcore::{gen, io, stats, verify, Graph};
+use distsym::simlocal::{EngineError, EngineStats, RoundMetrics, RunConfig, Runner};
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Every algorithm `run` accepts: the bench registry's names verbatim
-/// (a drift test pins this list against `benchharness::registry::all`),
-/// plus the CLI-only conveniences in [`CLI_ONLY_ALGOS`].
-const ALGOS: &[&str] = &[
-    "a2logn",
-    "a2_loglog",
-    "oa_recolor",
-    "ka2",
-    "ka2_rho",
-    "ka",
-    "ka_rho",
-    "delta_plus_one",
-    "legal_coloring",
-    "one_plus_eta",
-    "rand_delta_plus_one",
-    "rand_a_loglog",
-    "arb_color_baseline",
-    "arb_linial_oneshot",
-    "arb_linial_full",
-    "global_linial",
-    "global_linial_kw",
-    "color_then_census",
-    "mis_extension",
-    "mis_luby",
-    "edge_col_extension",
-    "matching_extension",
-    "forest_parallelized",
-    "forest_baseline",
-    "partition",
-    "ring_leader",
-    "ring_3coloring",
-];
+/// The algorithms `run` accepts besides the registry's: raw Procedure
+/// Partition and the two ring protocols, none of which solves a registry
+/// [`registry::Problem`].
+const PROCEDURES: &[&str] = &["partition", "ring_leader", "ring_3coloring"];
 
-/// Algorithms only the CLI offers (raw procedure runs and the ring
-/// protocols) — everything else in [`ALGOS`] must be a registry name.
-#[cfg_attr(not(test), allow(dead_code))] // read by the registry drift test
-const CLI_ONLY_ALGOS: &[&str] = &["partition", "ring_leader", "ring_3coloring"];
+/// Every `--family` [`build_workload`] accepts, as `list` prints them.
+const FAMILIES: &str = "forest_union, random_tree, grid, toroid, cycle, path, hub_forest, \
+                        nested_shells, preferential_attachment, gnp, gnm, hypercube";
 
-const FAMILIES: &[&str] = &[
-    "forest_union",
-    "random_tree",
-    "grid",
-    "toroid",
-    "cycle",
-    "path",
-    "hub_forest",
-    "nested_shells",
-    "preferential_attachment",
-    "gnp",
-    "gnm",
-    "hypercube",
-];
+type Flags = BTreeMap<String, String>;
+
+/// Every `--algo` `run` accepts, as `list` prints them: the registry's
+/// names in registry order, then the [`PROCEDURES`].
+fn algos() -> Vec<&'static str> {
+    let registered = registry::all().iter().map(|s| s.name);
+    registered.chain(PROCEDURES.iter().copied()).collect()
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,8 +52,8 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&parse_flags(&args[1..])),
         Some("graph") => cmd_graph(&parse_flags(&args[1..])),
         Some("list") => {
-            println!("algorithms: {}", ALGOS.join(", "));
-            println!("families:   {}", FAMILIES.join(", "));
+            println!("algorithms: {}", algos().join(", "));
+            println!("families:   {FAMILIES}");
             ExitCode::SUCCESS
         }
         _ => {
@@ -94,7 +65,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
+fn parse_flags(args: &[String]) -> Flags {
     let mut m = BTreeMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -113,84 +84,90 @@ fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
     m
 }
 
-fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
+/// Reports a usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
     match flags.get(key) {
         None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --{key} needs a valid value (got {v:?})");
-            std::process::exit(2)
-        }),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("--{key} needs a valid value (got {v:?})"))),
     }
 }
 
-fn build_workload(flags: &BTreeMap<String, String>) -> gen::GenGraph {
-    let family = flags
-        .get("family")
-        .map(String::as_str)
-        .unwrap_or("forest_union");
+/// A structured family whose arboricity is known by construction.
+fn known(graph: Graph, arboricity: usize, family: &'static str) -> gen::GenGraph {
+    gen::GenGraph {
+        graph,
+        arboricity,
+        family,
+    }
+}
+
+/// Builds the `--family` workload. The generators assert their
+/// preconditions; each is checked here first, so a bad flag exits 2
+/// naming it instead of panicking.
+fn build_workload(flags: &Flags) -> gen::GenGraph {
+    let family = flags.get("family").map_or("forest_union", String::as_str);
     let n: usize = get(flags, "n", 4096);
     let a: usize = get(flags, "a", 2);
-    let seed: u64 = get(flags, "seed", 0);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(get(flags, "seed", 0));
+    let side = (n as f64).sqrt().ceil() as usize;
+    let require = |ok: bool, what: &str| {
+        if !ok {
+            usage_error(&format!("--family {family} needs {what}"))
+        }
+    };
     match family {
-        "forest_union" => gen::forest_union(n, a, &mut rng),
+        "forest_union" => {
+            require(a >= 1, "--a ≥ 1");
+            gen::forest_union(n, a, &mut rng)
+        }
         "random_tree" => gen::random_tree(n, &mut rng),
-        "grid" => {
-            let side = (n as f64).sqrt().ceil() as usize;
-            gen::GenGraph {
-                graph: gen::grid(side, side),
-                arboricity: 2,
-                family: "grid",
-            }
+        "grid" => known(gen::grid(side, side), 2, "grid"),
+        "toroid" => known(gen::toroid(side.max(3), side.max(3)), 3, "toroid"),
+        "cycle" => known(gen::cycle(n.max(3)), 2, "cycle"),
+        "path" => known(gen::path(n), 1, "path"),
+        "hub_forest" => {
+            require(a >= 1, "--a ≥ 1");
+            let hub_degree = get(flags, "hub-degree", (n as f64).sqrt() as usize);
+            // Four hubs whose leaves are disjoint among the other n − 4.
+            let fits = hub_degree.saturating_mul(4) <= n.saturating_sub(4);
+            require(fits, "4·--hub-degree ≤ --n − 4 (--n ≥ 20 by default)");
+            gen::hub_forest(n, a, 4, hub_degree, &mut rng)
         }
-        "toroid" => {
-            let side = ((n as f64).sqrt().ceil() as usize).max(3);
-            gen::GenGraph {
-                graph: gen::toroid(side, side),
-                arboricity: 3,
-                family: "toroid",
-            }
-        }
-        "cycle" => gen::GenGraph {
-            graph: gen::cycle(n.max(3)),
-            arboricity: 2,
-            family: "cycle",
-        },
-        "path" => gen::GenGraph {
-            graph: gen::path(n),
-            arboricity: 1,
-            family: "path",
-        },
-        "hub_forest" => gen::hub_forest(
-            n,
-            a,
-            4,
-            get(flags, "hub-degree", (n as f64).sqrt() as usize),
-            &mut rng,
-        ),
         "nested_shells" => {
             let levels = (n.max(4) as u64).ilog2().saturating_sub(1).max(2);
             gen::nested_shells(levels, a.max(1))
         }
-        "preferential_attachment" => gen::preferential_attachment(n, a.max(1), &mut rng),
-        "gnp" => gen::gnp(n, get(flags, "p", 2.0 * a as f64 / n as f64), &mut rng),
-        "gnm" => gen::gnm(n, a * n, &mut rng),
+        "preferential_attachment" => {
+            require(n > a.max(1), "--n > --a");
+            gen::preferential_attachment(n, a.max(1), &mut rng)
+        }
+        "gnp" => {
+            let p = get(flags, "p", 2.0 * a as f64 / n as f64);
+            let what = "an edge probability in [0, 1] (--p, default 2·--a / --n)";
+            require((0.0..=1.0).contains(&p), what);
+            gen::gnp(n, p, &mut rng)
+        }
+        "gnm" => {
+            let max_m = n.saturating_mul(n.saturating_sub(1)) / 2;
+            require(a.saturating_mul(n) <= max_m, "--n > 2·--a");
+            gen::gnm(n, a * n, &mut rng)
+        }
         "hypercube" => {
             let d = (n.max(2) as u64).ilog2();
-            gen::GenGraph {
-                graph: gen::hypercube(d),
-                arboricity: d as usize,
-                family: "hypercube",
-            }
+            known(gen::hypercube(d), d as usize, "hypercube")
         }
-        other => {
-            eprintln!("unknown family {other}; see `distsym list`");
-            std::process::exit(2)
-        }
+        other => usage_error(&format!("unknown family {other}; see `distsym list`")),
     }
 }
 
-fn cmd_graph(flags: &BTreeMap<String, String>) -> ExitCode {
+fn cmd_graph(flags: &Flags) -> ExitCode {
     let gg = build_workload(flags);
     let text = io::to_edge_list(&gg.graph);
     match flags.get("out") {
@@ -206,423 +183,196 @@ fn cmd_graph(flags: &BTreeMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Per-run options shared by every algorithm arm.
-struct RunOpts {
-    seed: u64,
-    parallel: bool,
+/// A finished, judged run — what both output formats print.
+struct Report {
+    /// Problem label of the verdict line.
+    problem: &'static str,
+    /// Whether the problem has a palette (`colors` is JSON `null` otherwise).
+    palette: bool,
+    /// Verdict, colors, claimed cap and round metrics, as in a table row.
+    row: Row,
+    stats: EngineStats,
 }
 
-/// Everything one `run` learned, ready for either output format.
-struct RunReport {
-    /// Human one-liner ("coloring: PROPER, 7 colors used …").
-    summary: String,
-    /// Distinct colors used, when the problem has a palette.
-    colors: Option<usize>,
-    /// Per-vertex round metrics (commit metrics for extension problems).
-    metrics: RoundMetrics,
-    /// Engine telemetry; `None` for algorithms driven outside the engine.
-    stats: Option<EngineStats>,
-}
-
-fn run_protocol<P: Protocol>(
-    p: &P,
-    gg: &gen::GenGraph,
-    opts: &RunOpts,
-) -> Result<distsym::simlocal::SimOutcome<P::Output>, String> {
-    let ids = IdAssignment::identity(gg.graph.n());
-    let mut runner = Runner::new(p, &gg.graph, &ids).seed(opts.seed);
-    if opts.parallel {
-        runner = runner.parallel();
-    }
-    runner.run().map_err(|e| format!("simulation failed: {e}"))
-}
-
-fn coloring_report<P: Protocol<Output = u64>>(
-    p: &P,
-    gg: &gen::GenGraph,
-    opts: &RunOpts,
-    palette_note: &str,
-) -> Result<RunReport, String> {
-    let out = run_protocol(p, gg, opts)?;
-    verify::proper_vertex_coloring(&gg.graph, &out.outputs, usize::MAX)
-        .map_err(|e| format!("coloring INVALID: {e}"))?;
-    let colors = verify::count_distinct(&out.outputs);
-    Ok(RunReport {
-        summary: format!("coloring: PROPER, {colors} colors used {palette_note}"),
-        colors: Some(colors),
-        metrics: out.metrics,
-        stats: Some(out.stats),
-    })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl Report {
+    /// `<problem>: VALID|INVALID, <colors> colors (cap <cap>)`, without
+    /// the colors for problems without a palette and without the cap for
+    /// algorithms that claim none.
+    fn verdict(&self) -> String {
+        let r = &self.row;
+        let status = if r.valid { "VALID" } else { "INVALID" };
+        let mut line = format!("{}: {status}", self.problem);
+        if self.palette {
+            line += &format!(", {} colors", r.colors);
         }
+        if r.cap != usize::MAX {
+            line += &format!(" (cap {})", r.cap);
+        }
+        line
     }
-    out
-}
 
-fn print_report_json(algo: &str, gg: &gen::GenGraph, opts: &RunOpts, r: &RunReport) {
-    let m = &r.metrics;
-    let mut obj = format!(
-        concat!(
-            "{{\"algo\":\"{}\",\"family\":\"{}\",\"n\":{},\"m\":{},\"arboricity\":{},",
-            "\"seed\":{},\"parallel\":{},\"valid\":true,\"summary\":\"{}\",\"colors\":{},",
-            "\"metrics\":{{\"vertex_averaged\":{:.6},\"median\":{},\"p95\":{},",
-            "\"worst_case\":{},\"round_sum\":{}}}"
-        ),
-        json_escape(algo),
-        json_escape(gg.family),
-        gg.graph.n(),
-        gg.graph.m(),
-        gg.arboricity,
-        opts.seed,
-        opts.parallel,
-        json_escape(&r.summary),
-        r.colors.map_or("null".into(), |c| c.to_string()),
-        m.vertex_averaged(),
-        m.median(),
-        m.percentile(95.0),
-        m.worst_case(),
-        m.round_sum(),
-    );
-    match &r.stats {
-        Some(s) => obj.push_str(&format!(
-            concat!(
-                ",\"stats\":{{\"wall_ms\":{:.6},\"rounds\":{},\"steps\":{},",
-                "\"publications\":{},\"msg_bits\":{},\"max_msg_bits\":{},",
-                "\"parallel_rounds\":{}}}}}"
-            ),
-            s.wall.as_secs_f64() * 1e3,
-            s.rounds,
-            s.steps,
-            s.steps, // one publication per step
-            s.msg_bits,
-            s.max_msg_bits,
-            s.parallel_rounds,
-        )),
-        None => obj.push_str(",\"stats\":null}"),
-    }
-    println!("{obj}");
-}
-
-fn print_report_human(r: &RunReport) {
-    println!("{}", r.summary);
-    let m = &r.metrics;
-    println!(
-        "rounds: vertex-averaged {:.3} | median {} | p95 {} | worst case {} | RoundSum {}",
-        m.vertex_averaged(),
-        m.median(),
-        m.percentile(95.0),
-        m.worst_case(),
-        m.round_sum()
-    );
-    if let Some(s) = &r.stats {
+    /// Prints the report as one JSON object or as text lines.
+    fn print(&self, algo: &str, m: usize, parallel: bool, json: bool) {
+        let (r, s) = (&self.row, &self.stats);
+        let (n, a, seed, valid) = (r.n, r.a, r.seed, r.valid);
+        let (va, median, p95, wc) = (r.va, r.median, r.p95, r.wc);
+        let (rounds, steps, msg_bits) = (s.rounds, s.steps, s.msg_bits);
+        let (max_msg_bits, parallel_rounds) = (s.max_msg_bits, s.parallel_rounds);
+        let wall_ms = s.wall.as_secs_f64() * 1e3;
+        // `va` is `RoundSum / n`, so the product rounds back to it exactly.
+        let round_sum = (va * n as f64).round() as u64;
+        let verdict = self.verdict();
+        if !json {
+            println!("{verdict}");
+            println!(
+                "rounds: vertex-averaged {va:.3} | median {median} | p95 {p95} | \
+                 worst case {wc} | RoundSum {round_sum}"
+            );
+            // One publication per step.
+            println!(
+                "engine: {wall_ms:.3} ms wall | {steps} steps | {steps} publications | \
+                 {msg_bits} msg bits (max {max_msg_bits}/msg) | \
+                 {parallel_rounds} of {rounds} rounds parallel"
+            );
+            return;
+        }
+        let colors = if self.palette {
+            r.colors.to_string()
+        } else {
+            "null".into()
+        };
+        let (algo, family, verdict) = (quote(algo), quote(&r.family), quote(&verdict));
         println!(
-            "engine: {:.3} ms wall | {} steps | {} publications | {} msg bits (max {}/msg) | {} of {} rounds parallel",
-            s.wall.as_secs_f64() * 1e3,
-            s.steps,
-            s.steps, // one publication per step
-            s.msg_bits,
-            s.max_msg_bits,
-            s.parallel_rounds,
-            s.rounds,
+            "{{\"algo\":{algo},\"family\":{family},\"n\":{n},\"m\":{m},\"arboricity\":{a},\
+             \"seed\":{seed},\"parallel\":{parallel},\"valid\":{valid},\"summary\":{verdict},\
+             \"colors\":{colors},\"metrics\":{{\"vertex_averaged\":{va:.6},\"median\":{median},\
+             \"p95\":{p95},\"worst_case\":{wc},\"round_sum\":{round_sum}}},\
+             \"stats\":{{\"wall_ms\":{wall_ms:.6},\"rounds\":{rounds},\"steps\":{steps},\
+             \"publications\":{steps},\"msg_bits\":{msg_bits},\"max_msg_bits\":{max_msg_bits},\
+             \"parallel_rounds\":{parallel_rounds}}}}}"
         );
     }
 }
 
-fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
-    let gg = build_workload(flags);
-    let n = gg.graph.n();
-    let a = gg.arboricity;
-    let k: u32 = get(flags, "k", 2);
-    let opts = RunOpts {
-        seed: get(flags, "seed", 0),
-        parallel: flags.contains_key("parallel"),
+fn cmd_run(flags: &Flags) -> ExitCode {
+    let algo = flags.get("algo").map_or("a2logn", String::as_str);
+    let spec = registry::find(algo);
+    if spec.is_none() && !PROCEDURES.contains(&algo) {
+        usage_error(&format!("unknown algorithm {algo}; see `distsym list`"));
+    }
+    // The segmentation schemes need k ≥ 2, One-Plus-Eta C ≥ 2.
+    let params = Params {
+        k: get(flags, "k", 2),
+        c: get(flags, "c", 4),
     };
-    let json = flags.contains_key("json");
-    let algo = flags.get("algo").map(String::as_str).unwrap_or("a2logn");
+    for (flag, value) in [("k", params.k as usize), ("c", params.c)] {
+        if value < 2 {
+            usage_error(&format!("--{flag} must be at least 2"));
+        }
+    }
+    let gg = build_workload(flags);
+    let trial = Trial::identity(get(flags, "seed", 0));
+    let (parallel, json) = (flags.contains_key("parallel"), flags.contains_key("json"));
     if !json {
         println!("workload: {} | {}", gg.family, stats::summary(&gg.graph));
-        println!(
-            "algorithm: {algo} (a={a}, seed={}{})",
-            opts.seed,
-            if opts.parallel { ", parallel" } else { "" }
-        );
+        let mode = if parallel { ", parallel" } else { "" };
+        let (a, seed) = (gg.arboricity, trial.seed);
+        println!("algorithm: {algo} (a={a}, seed={seed}{mode})");
     }
-
-    let report: Result<RunReport, String> = match algo {
-        "partition" => {
-            let (h, m) = algos::partition::run_partition(&gg.graph, a, get(flags, "eps", 2.0));
-            let cap = algos::partition::degree_cap(a, get(flags, "eps", 2.0));
-            verify::h_partition(&gg.graph, &h, cap)
-                .map_err(|e| format!("H-partition INVALID: {e}"))
-                .map(|()| RunReport {
-                    summary: format!(
-                        "H-partition: VALID, {} sets, threshold A={cap}",
-                        h.iter().max().copied().unwrap_or(0)
-                    ),
-                    colors: None,
-                    metrics: m,
-                    stats: None,
-                })
-        }
-        "forest_parallelized" => {
-            let p = algos::forests::ParallelizedForestDecomposition::new(a);
-            run_protocol(&p, &gg, &opts).and_then(|out| {
-                let (labels, heads) = algos::forests::assemble(&gg.graph, &out.outputs)
-                    .map_err(|e| format!("assembly failed: {e}"))?;
-                verify::forest_decomposition(&gg.graph, &labels, &heads, p.cap())
-                    .map_err(|e| format!("forest decomposition INVALID: {e}"))?;
-                Ok(RunReport {
-                    summary: format!("forest decomposition: VALID, ≤ {} forests", p.cap()),
-                    colors: None,
-                    metrics: out.metrics,
-                    stats: Some(out.stats),
-                })
+    let report = match spec {
+        Some(spec) => {
+            let opts = ExecOptions::new("cli", &gg, &trial)
+                .params(params)
+                .parallel(parallel);
+            let palette = matches!(spec.problem, VertexColoring | EdgeColoring);
+            spec.try_exec(&opts).map(|out| Report {
+                problem: spec.problem.label(),
+                palette,
+                stats: out.stats.clone(),
+                row: out.into_row(),
             })
         }
-        "a2logn" => coloring_report(
-            &algos::coloring::a2logn::ColoringA2LogN::new(a),
-            &gg,
-            &opts,
-            "(O(a² log n))",
-        ),
-        "a2_loglog" => coloring_report(
-            &algos::coloring::a2_loglog::ColoringA2LogLog::new(a),
-            &gg,
-            &opts,
-            "(O(a²))",
-        ),
-        "oa_recolor" => coloring_report(
-            &algos::coloring::oa_recolor::ColoringOaRecolor::new(a),
-            &gg,
-            &opts,
-            "(O(a))",
-        ),
-        "ka" => coloring_report(
-            &algos::coloring::ka::ColoringKa::new(a, k),
-            &gg,
-            &opts,
-            "(O(ka))",
-        ),
-        "ka2" => coloring_report(
-            &algos::coloring::ka2::ColoringKa2::new(a, k),
-            &gg,
-            &opts,
-            "(O(ka²))",
-        ),
-        "ka_rho" => coloring_report(
-            &algos::coloring::ka::ColoringKa::rho_instance(a, n as u64),
-            &gg,
-            &opts,
-            "(O(a log* n))",
-        ),
-        "ka2_rho" => coloring_report(
-            &algos::coloring::ka2::ColoringKa2::rho_instance(a, n as u64),
-            &gg,
-            &opts,
-            "(O(a² log* n))",
-        ),
-        "delta_plus_one" => coloring_report(
-            &algos::coloring::delta_plus_one::DeltaPlusOneColoring::new(a),
-            &gg,
-            &opts,
-            "(Δ+1)",
-        ),
-        "one_plus_eta" => coloring_report(
-            &algos::one_plus_eta::OnePlusEtaArbCol::new(a, get(flags, "c", 4)),
-            &gg,
-            &opts,
-            "(O(a^{1+η}))",
-        ),
-        "rand_delta_plus_one" => coloring_report(
-            &algos::rand_coloring::delta_plus_one::RandDeltaPlusOne::new(),
-            &gg,
-            &opts,
-            "(Δ+1, randomized)",
-        ),
-        "rand_a_loglog" => coloring_report(
-            &algos::rand_coloring::a_loglog::RandALogLog::new(a),
-            &gg,
-            &opts,
-            "(O(a log log n), randomized)",
-        ),
-        "arb_color_baseline" => coloring_report(
-            &algos::arb_color::ArbColor::new(a),
-            &gg,
-            &opts,
-            "(O(a), worst-case baseline)",
-        ),
-        "arb_linial_oneshot" => coloring_report(
-            &algos::baselines::ArbLinialOneShot::new(a),
-            &gg,
-            &opts,
-            "(baseline)",
-        ),
-        "arb_linial_full" => coloring_report(
-            &algos::baselines::ArbLinialFull::new(a),
-            &gg,
-            &opts,
-            "(baseline)",
-        ),
-        "global_linial" => coloring_report(
-            &algos::baselines::GlobalLinial::new(),
-            &gg,
-            &opts,
-            "(O(Δ²), baseline)",
-        ),
-        "global_linial_kw" => coloring_report(
-            &algos::baselines::GlobalLinialKw::new(),
-            &gg,
-            &opts,
-            "(Δ+1, baseline)",
-        ),
-        "mis_extension" => {
-            run_protocol(&algos::mis::MisExtension::new(a), &gg, &opts).and_then(|out| {
-                verify::maximal_independent_set(&gg.graph, &out.outputs)
-                    .map_err(|e| format!("MIS INVALID: {e}"))?;
-                Ok(RunReport {
-                    summary: format!(
-                        "MIS: VALID, {} members",
-                        out.outputs.iter().filter(|&&b| b).count()
-                    ),
-                    colors: None,
-                    metrics: out.metrics,
-                    stats: Some(out.stats),
-                })
-            })
-        }
-        "mis_luby" => run_protocol(&algos::mis::LubyMis, &gg, &opts).and_then(|out| {
-            verify::maximal_independent_set(&gg.graph, &out.outputs)
-                .map_err(|e| format!("MIS INVALID: {e}"))?;
-            Ok(RunReport {
-                summary: format!(
-                    "MIS (Luby): VALID, {} members",
-                    out.outputs.iter().filter(|&&b| b).count()
-                ),
-                colors: None,
-                metrics: out.metrics,
-                stats: Some(out.stats),
-            })
-        }),
-        "matching_extension" => {
-            run_protocol(&algos::matching::MatchingExtension::new(a), &gg, &opts).and_then(|out| {
-                let (mm, commit) = algos::matching::assemble(&gg.graph, &out)
-                    .map_err(|e| format!("assembly failed: {e}"))?;
-                verify::maximal_matching(&gg.graph, &mm)
-                    .map_err(|e| format!("matching INVALID: {e}"))?;
-                Ok(RunReport {
-                    summary: format!(
-                        "matching: VALID, {} edges (commit metrics below)",
-                        mm.iter().filter(|&&b| b).count()
-                    ),
-                    colors: None,
-                    metrics: commit,
-                    stats: Some(out.stats),
-                })
-            })
-        }
-        "edge_col_extension" => {
-            let p = algos::edge_coloring::EdgeColoringExtension::new(a);
-            run_protocol(&p, &gg, &opts).and_then(|out| {
-                let (colors, commit) = algos::edge_coloring::assemble(&gg.graph, &out)
-                    .map_err(|e| format!("assembly failed: {e}"))?;
-                let budget = algos::edge_coloring::EdgeColoringExtension::palette(&gg.graph);
-                verify::proper_edge_coloring(&gg.graph, &colors, budget as usize)
-                    .map_err(|e| format!("edge coloring INVALID: {e}"))?;
-                let used = verify::count_distinct(&colors);
-                Ok(RunReport {
-                    summary: format!(
-                        "edge coloring: PROPER, {used} colors (budget 2Δ−1 = {budget}; commit metrics below)"
-                    ),
-                    colors: Some(used),
-                    metrics: commit,
-                    stats: Some(out.stats),
-                })
-            })
-        }
-        "legal_coloring" => coloring_report(
-            &algos::legal_coloring::LegalColoring::new(a.max(1), 6),
-            &gg,
-            &opts,
-            "([5]-style legal coloring)",
-        ),
-        "color_then_census" => {
-            let p = algos::pipeline::ColorThenCensus::new(a, 4);
-            run_protocol(&p, &gg, &opts).and_then(|out| {
-                let colors: Vec<u64> = out.outputs.iter().map(|o| o.color).collect();
-                verify::proper_vertex_coloring(&gg.graph, &colors, usize::MAX)
-                    .map_err(|e| format!("pipeline coloring INVALID: {e}"))?;
-                let used = verify::count_distinct(&colors);
-                Ok(RunReport {
-                    summary: format!("color-then-census pipeline: PROPER, {used} colors"),
-                    colors: Some(used),
-                    metrics: out.metrics,
-                    stats: Some(out.stats),
-                })
-            })
-        }
-        "forest_baseline" => {
-            let p = algos::forests::ForestDecompositionBaseline::new(a);
-            run_protocol(&p, &gg, &opts).and_then(|out| {
-                algos::forests::assemble(&gg.graph, &out.outputs)
-                    .map_err(|e| format!("assembly failed: {e}"))?;
-                Ok(RunReport {
-                    summary: "forest decomposition (baseline): assembled".to_string(),
-                    colors: None,
-                    metrics: out.metrics,
-                    stats: Some(out.stats),
-                })
-            })
-        }
-        "ring_leader" => run_protocol(&algos::rings::LeaderElection, &gg, &opts).map(|out| {
-            let leaders = out.outputs.iter().filter(|o| o.is_leader).count();
-            let commits: Vec<u32> = out.outputs.iter().map(|o| o.commit_round).collect();
-            RunReport {
-                summary: format!("leader election: {leaders} leader(s)"),
-                colors: None,
-                metrics: algos::extension::metrics_from_commits(&commits),
-                stats: Some(out.stats),
-            }
-        }),
-        "ring_3coloring" => coloring_report(
-            &algos::rings::RingThreeColoring,
-            &gg,
-            &opts,
-            "(3 colors, rings)",
-        ),
-        other => {
-            eprintln!(
-                "unknown algorithm {other}; see `distsym list` (log* n here = {})",
-                itlog::log_star(n as u64)
-            );
-            return ExitCode::from(2);
-        }
+        None => run_procedure(algo, flags, &gg, &trial, parallel),
     };
-
     match report {
         Ok(r) => {
-            if json {
-                print_report_json(algo, &gg, &opts, &r);
+            r.print(algo, gg.graph.m(), parallel, json);
+            if r.row.valid {
+                ExitCode::SUCCESS
             } else {
-                print_report_human(&r);
+                ExitCode::FAILURE
             }
-            ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("simulation failed: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Runs and judges one of the [`PROCEDURES`] on the sync engine.
+fn run_procedure(
+    algo: &str,
+    flags: &Flags,
+    gg: &gen::GenGraph,
+    trial: &Trial,
+    parallel: bool,
+) -> Result<Report, EngineError> {
+    if algo.starts_with("ring_") && gg.family != "cycle" {
+        usage_error(&format!("{algo} runs on rings only: pass --family cycle"));
+    }
+    let g = &gg.graph;
+    let ids = trial.ids(g.n());
+    let mut cfg = RunConfig::seeded(trial.seed);
+    cfg.parallel = parallel;
+    let row = |metrics: &RoundMetrics, colors: usize, valid: bool| {
+        let a = gg.arboricity;
+        Row::from_metrics("cli", algo, gg.family, g.n(), a, metrics, colors, valid)
+            .with_trial(trial)
+    };
+    Ok(match algo {
+        "partition" => {
+            let eps: f64 = get(flags, "eps", 2.0);
+            if !(eps > 0.0 && eps <= 2.0) {
+                usage_error("--eps must lie in (0, 2]");
+            }
+            let p = algos::partition::Partition::with_epsilon(gg.arboricity, eps);
+            let out = Runner::new(&p, g, &ids).config(cfg).run()?;
+            let valid = verify::h_partition(g, &out.outputs, p.cap()).is_ok();
+            Report {
+                problem: "h-partition",
+                palette: false,
+                row: row(&out.metrics, 0, valid).with_cap(p.cap()),
+                stats: out.stats,
+            }
+        }
+        "ring_leader" => {
+            let le = algos::rings::LeaderElection;
+            let out = Runner::new(&le, g, &ids).config(cfg).run()?;
+            let leaders = out.outputs.iter().filter(|o| o.is_leader).count();
+            let commits: Vec<u32> = out.outputs.iter().map(|o| o.commit_round).collect();
+            let metrics = algos::extension::metrics_from_commits(&commits);
+            Report {
+                problem: "leader-election",
+                palette: false,
+                row: row(&metrics, 0, leaders == 1),
+                stats: out.stats,
+            }
+        }
+        "ring_3coloring" => {
+            let cv = algos::rings::RingThreeColoring;
+            let out = Runner::new(&cv, g, &ids).config(cfg).run()?;
+            let valid = verify::proper_vertex_coloring(g, &out.outputs, 3).is_ok();
+            let colors = verify::count_distinct(&out.outputs);
+            Report {
+                problem: VertexColoring.label(),
+                palette: true,
+                row: row(&out.metrics, colors, valid).with_cap(3),
+                stats: out.stats,
+            }
+        }
+        other => unreachable!("{other} is not one of the PROCEDURES"),
+    })
 }
 
 #[cfg(test)]
@@ -676,33 +426,32 @@ mod tests {
     #[test]
     fn algos_list_matches_bench_registry() {
         // `distsym list` must never disagree with the suite binaries'
-        // `--list`: ALGOS is exactly the registry names (in registry
-        // order) followed by the CLI-only extras.
-        let registry: Vec<&str> = benchharness::registry::all()
-            .iter()
-            .map(|s| s.name)
-            .collect();
-        let expected: Vec<&str> = registry
-            .iter()
-            .copied()
-            .chain(CLI_ONLY_ALGOS.iter().copied())
-            .collect();
-        assert_eq!(
-            ALGOS,
-            &expected[..],
-            "src/main.rs ALGOS drifted from bench::registry + CLI_ONLY_ALGOS"
-        );
+        // `--list`: it is exactly the registry names (in registry order)
+        // followed by the PROCEDURES, and `run` resolves each of them.
+        let registry: Vec<&str> = registry::all().iter().map(|s| s.name).collect();
+        let algos = algos();
+        assert_eq!(&algos[..registry.len()], &registry[..]);
+        assert_eq!(&algos[registry.len()..], PROCEDURES);
+        for name in &algos {
+            let resolved = registry::find(name).is_some() || PROCEDURES.contains(name);
+            assert!(resolved, "`list` names {name}, which `run` rejects");
+        }
+        for name in PROCEDURES {
+            assert!(registry::find(name).is_none(), "{name} is also registered");
+        }
     }
 
     #[test]
     fn algo_and_family_lists_are_distinct() {
-        let mut a = ALGOS.to_vec();
+        let algos = algos();
+        let mut a = algos.clone();
         a.sort_unstable();
         a.dedup();
-        assert_eq!(a.len(), ALGOS.len());
-        let mut f = FAMILIES.to_vec();
+        assert_eq!(a.len(), algos.len());
+        let families: Vec<&str> = FAMILIES.split(", ").collect();
+        let mut f = families.clone();
         f.sort_unstable();
         f.dedup();
-        assert_eq!(f.len(), FAMILIES.len());
+        assert_eq!(f.len(), families.len());
     }
 }
