@@ -419,7 +419,62 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
     entries.push(harness_table2_quick(reps));
     // File-source ingestion throughput (Matrix Market parse + normalize).
     entries.push(ingest_parse_n20(n, reps));
+    // Churn update throughput (edit splice + warm-start re-solve).
+    entries.push(warm_update_n15(reps));
     entries
+}
+
+/// Measures the cost of absorbing edge churn: 50 batches of one insert
+/// and one delete on the 2^15-vertex `forest_union(a = 2)`, each applied
+/// with [`graphcore::churn::apply`] and re-solved with Luby's MIS warm-
+/// started from the previous batch's replay (`Runner::run_warm`). For
+/// this entry `vr_per_sec` is **batches per second**; `rounds` is the
+/// batch count, `n` the vertex count, and `vertex_rounds` the total warm
+/// re-steps, so the work-drift check pins the stepping set. The graph,
+/// the recorded cold solve, and the churn plan are built outside the
+/// timed region.
+fn warm_update_n15(reps: usize) -> PerfEntry {
+    use algos::mis::LubyMis;
+    use graphcore::churn::{self, ChurnPlan};
+    const N: usize = 1 << 15;
+    const BATCHES: usize = 50;
+    let base = crate::forest_workload(N, 2, 1).graph;
+    let ids = crate::Trial::identity(1).ids(N);
+    let cfg = crate::cfg(1);
+    let (cold, cold_replay) = Runner::new(&LubyMis, &base, &ids)
+        .config(cfg)
+        .run_recorded()
+        .expect("Luby's MIS terminates");
+    let plan = ChurnPlan {
+        seed: 1,
+        batches: BATCHES,
+        inserts_per_batch: 1,
+        deletes_per_batch: 1,
+    };
+    let batches = churn::churn_sequence(&base, &plan);
+    let id = "warm_update_n15";
+    let (resteps, best_wall_ns) = best_of(id, reps, || {
+        let (mut g, mut outputs) = (base.clone(), cold.outputs.clone());
+        let mut replay = cold_replay.clone();
+        let mut resteps = 0u64;
+        let t0 = Instant::now();
+        for batch in &batches {
+            let next = churn::apply(&g, batch);
+            let warm = Runner::new(&LubyMis, &next, &ids)
+                .config(cfg)
+                .run_warm(simlocal::WarmStart {
+                    replay: &replay,
+                    outputs: &outputs,
+                    old_graph: &g,
+                    touched: &batch.endpoints(),
+                })
+                .expect("Luby's MIS terminates");
+            resteps += warm.outcome.stats.steps;
+            (g, outputs, replay) = (next, warm.outcome.outputs, warm.replay);
+        }
+        (resteps, t0.elapsed())
+    });
+    entry(id, N, BATCHES as u32, resteps, best_wall_ns, BATCHES as u64)
 }
 
 /// Measures [`graphcore::io`] ingestion throughput: parsing a Matrix
@@ -494,6 +549,7 @@ pub fn suite_ids() -> Vec<&'static str> {
         "decay_actor_n20",
         "harness_table2_quick",
         "ingest_parse_n20",
+        "warm_update_n15",
     ]
 }
 

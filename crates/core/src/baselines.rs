@@ -127,6 +127,11 @@ impl Protocol for GlobalLinialKw {
     }
 
     fn step(&self, ctx: StepCtx<'_, u64>) -> Transition<u64, u64> {
+        // Δ = 0: one color is a proper Δ+1 coloring. The schedule clamps
+        // Δ to 1 (KW needs a degree cap), which would end in two colors.
+        if ctx.graph.max_degree() == 0 {
+            return Transition::Terminate(*ctx.state, 0);
+        }
         let sched = self.schedule(ctx.graph, ctx.ids);
         let i = ctx.round - 1;
         if i >= sched.rounds() {
@@ -415,6 +420,17 @@ mod tests {
             .run()
             .unwrap();
         verify::assert_ok(verify::proper_vertex_coloring(&g, &out.outputs, 3));
+    }
+
+    #[test]
+    fn global_linial_kw_uses_one_color_without_edges() {
+        let g = graphcore::GraphBuilder::new(64).build();
+        let ids = IdAssignment::identity(64);
+        let out = simlocal::Runner::new(&GlobalLinialKw::new(), &g, &ids)
+            .run()
+            .unwrap();
+        verify::assert_ok(verify::proper_vertex_coloring(&g, &out.outputs, 1));
+        assert!(out.metrics.termination_round.iter().all(|&t| t == 1));
     }
 
     #[test]

@@ -68,64 +68,51 @@ impl GraphBuilder {
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let n = self.n;
-        let edges = self.edges;
-
-        // Count degrees.
-        let mut degree = vec![0u32; n];
-        for &(u, v) in &edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-
-        // Prefix sums -> offsets.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for d in &degree {
-            acc = acc.checked_add(*d).expect("half-edge count overflows u32");
-            offsets.push(acc);
-        }
-
-        // Fill adjacency; edges are sorted by (u, v) so each vertex's
-        // neighbor list ends up sorted (fill position walks forward).
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut neighbors = vec![0 as VertexId; acc as usize];
-        let mut edge_ids = vec![0 as EdgeId; acc as usize];
-        // First pass in sorted order places the higher endpoint's list
-        // entries also in sorted order because for fixed v the partners u
-        // appear in increasing order.
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            let e = e as EdgeId;
-            let cu = cursor[u as usize] as usize;
-            neighbors[cu] = v;
-            edge_ids[cu] = e;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            neighbors[cv] = u;
-            edge_ids[cv] = e;
-            cursor[v as usize] += 1;
-        }
-        // The pass above does NOT leave each list sorted in general
-        // (a vertex interleaves roles as lower/higher endpoint), so sort
-        // each list by neighbor id, carrying edge ids along.
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let mut pairs: Vec<(VertexId, EdgeId)> = neighbors[lo..hi]
-                .iter()
-                .copied()
-                .zip(edge_ids[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (i, (nb, ei)) in pairs.into_iter().enumerate() {
-                neighbors[lo + i] = nb;
-                edge_ids[lo + i] = ei;
-            }
-        }
-
-        Graph::from_parts(offsets, neighbors, edge_ids, edges)
+        from_sorted_edges(self.n, self.edges)
     }
+}
+
+/// The CSR graph on `n` vertices with exactly `edges`, which must be
+/// strictly ascending `(u, v)` pairs with `u < v < n`; edge `i` gets id
+/// `i`.
+///
+/// One pass over the sorted list leaves every neighbor list sorted, with
+/// no per-vertex sort: a vertex `x`'s pairs `(u, x)` with a lower `u`
+/// all sort before its pairs `(x, v)` with a higher `v`, and each group
+/// arrives in ascending order of the other endpoint.
+pub(crate) fn from_sorted_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Graph {
+    let mut degree = vec![0u32; n];
+    for &(u, v) in &edges {
+        degree[u as usize] += 1;
+        degree[v as usize] += 1;
+    }
+    let max_degree = degree.iter().copied().max().unwrap_or(0) as usize;
+
+    // Prefix sums -> offsets; each degree slot becomes its vertex's fill
+    // cursor, starting at the vertex's offset.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut acc = 0u32;
+    offsets.push(0);
+    for d in &mut degree {
+        let start = acc;
+        acc = acc.checked_add(*d).expect("half-edge count overflows u32");
+        offsets.push(acc);
+        *d = start;
+    }
+    let mut cursor = degree;
+
+    let mut neighbors = vec![0 as VertexId; acc as usize];
+    let mut edge_ids = vec![0 as EdgeId; acc as usize];
+    for (e, &(u, v)) in edges.iter().enumerate() {
+        for (at, nb) in [(u, v), (v, u)] {
+            let c = cursor[at as usize] as usize;
+            neighbors[c] = nb;
+            edge_ids[c] = e as EdgeId;
+            cursor[at as usize] += 1;
+        }
+    }
+
+    Graph::from_parts(offsets, neighbors, edge_ids, edges, max_degree)
 }
 
 #[cfg(test)]
@@ -161,6 +148,49 @@ mod tests {
             .build();
         assert_eq!(g.neighbors(2), &[0, 1, 3, 4]);
         assert!(g.check_invariants());
+    }
+
+    /// The fill the sorted single pass replaced: edges in id order, then
+    /// each vertex's list sorted by neighbor with its edge ids carried
+    /// along.
+    fn per_vertex_sorted(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
+        let mut edges: Vec<_> = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut lists: Vec<Vec<(VertexId, EdgeId)>> = vec![Vec::new(); n];
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            lists[u as usize].push((v, e as EdgeId));
+            lists[v as usize].push((u, e as EdgeId));
+        }
+        let (mut offsets, mut neighbors, mut edge_ids) = (vec![0u32], Vec::new(), Vec::new());
+        for list in &mut lists {
+            list.sort_unstable();
+            neighbors.extend(list.iter().map(|&(u, _)| u));
+            edge_ids.extend(list.iter().map(|&(_, e)| e));
+            offsets.push(neighbors.len() as u32);
+        }
+        let max_degree = lists.iter().map(Vec::len).max().unwrap_or(0);
+        Graph::from_parts(offsets, neighbors, edge_ids, edges, max_degree)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sorted_fill_equals_per_vertex_sort(
+            n in 2usize..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..160),
+        ) {
+            // Endpoints folded into range, loops dropped; repeats and both
+            // orientations of an edge stay in.
+            let edges: Vec<_> = raw
+                .iter()
+                .map(|&(u, v)| (u % n as u32, v % n as u32))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            let built = GraphBuilder::new(n).edges(edges.iter().copied()).build();
+            proptest::prop_assert_eq!(built, per_vertex_sorted(n, &edges));
+        }
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! (edge inserts and deletes) over a base graph: [`churn_sequence`]
 //! materializes the batches with a ChaCha-seeded RNG, validating each
 //! delete against the evolving edge set and each insert against
-//! non-adjacency, and [`apply`] rebuilds the CSR graph after a batch.
+//! non-adjacency, and [`apply`] splices a batch into the graph's sorted
+//! edge list and refills the CSR from it.
 //! The vertex set never changes, so a prior run's per-vertex outputs
 //! stay index-aligned across batches — the invariant the engine's
 //! warm-start seam (`simlocal`) relies on.
 
-use crate::builder::GraphBuilder;
+use crate::builder::from_sorted_edges;
 use crate::csr::{Graph, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,8 +42,13 @@ pub struct EditBatch {
 }
 
 impl EditBatch {
-    /// Every vertex incident to an edit — the seeds of the engine's
-    /// reactivation BFS.
+    /// Every vertex incident to an edit, sorted and deduplicated — the
+    /// seeds of the engine's reactivation BFS. A warm start's `touched`
+    /// set must hold *both* endpoints of every edit: the freeze rule
+    /// relies on it (a frozen vertex is never an edit endpoint, so its
+    /// incident edges are unchanged), and so does the one-BFS lemma (an
+    /// edit joining two distance-0 vertices lies on no shortest path, so
+    /// distances from the set agree in the old and the new graph).
     pub fn endpoints(&self) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = self
             .inserts
@@ -123,18 +129,53 @@ pub fn churn_sequence(base: &Graph, plan: &ChurnPlan) -> Vec<EditBatch> {
 /// Applies one batch to `g`, returning the edited graph (same vertex
 /// set). Panics if a delete is absent or an insert already present —
 /// batches are only valid against the graph they were drawn for.
+///
+/// The sorted edits are spliced into `g`'s already-sorted edge list in
+/// one merge pass, then the CSR is refilled from it: `O(n + m)` with no
+/// hashing and no re-sort. An edge deleted and re-inserted in the same
+/// batch keeps its place.
 pub fn apply(g: &Graph, batch: &EditBatch) -> Graph {
-    let mut present: HashSet<(VertexId, VertexId)> = g.edges().map(|(_, e)| e).collect();
-    for &e in &batch.deletes {
-        assert!(present.remove(&e), "delete {e:?}: edge not present");
+    let mut deletes = batch.deletes.clone();
+    deletes.sort_unstable();
+    let mut inserts: Vec<(VertexId, VertexId)> = batch
+        .inserts
+        .iter()
+        .map(|&e| {
+            assert!(e.0 != e.1, "insert {e:?}: self-loop");
+            let (u, v) = (e.0.min(e.1), e.0.max(e.1));
+            assert!((v as usize) < g.n(), "insert {e:?}: out of range");
+            (u, v)
+        })
+        .collect();
+    inserts.sort_unstable();
+    if let Some(w) = inserts.windows(2).find(|w| w[0] == w[1]) {
+        panic!("insert {:?}: edge already present", w[0]);
     }
-    for &e in &batch.inserts {
-        assert!(e.0 != e.1, "insert {e:?}: self-loop");
-        assert!(present.insert(e), "insert {e:?}: edge already present");
+
+    let mut edges = Vec::with_capacity(g.m() + inserts.len());
+    let (mut d, mut i) = (0, 0);
+    for (_, e) in g.edges() {
+        if deletes.get(d) == Some(&e) {
+            d += 1;
+            continue;
+        }
+        while let Some(&x) = inserts.get(i).filter(|&&x| x < e) {
+            edges.push(x);
+            i += 1;
+        }
+        assert!(
+            inserts.get(i) != Some(&e),
+            "insert {e:?}: edge already present"
+        );
+        edges.push(e);
     }
-    let mut sorted: Vec<(VertexId, VertexId)> = present.into_iter().collect();
-    sorted.sort_unstable();
-    GraphBuilder::new(g.n()).edges(sorted).build()
+    // Deletes are sorted, so the first unmatched one stops every later
+    // match and is still pending here.
+    if let Some(e) = deletes.get(d) {
+        panic!("delete {e:?}: edge not present");
+    }
+    edges.extend_from_slice(&inserts[i..]);
+    from_sorted_edges(g.n(), edges)
 }
 
 #[cfg(test)]
@@ -175,6 +216,57 @@ mod tests {
         }
         // Net edge drift: +3 −2 per batch.
         assert_eq!(g.m(), base.m() + 4);
+    }
+
+    /// The reference `apply`: the edge set through a `HashSet`, then a
+    /// fresh sort-and-build.
+    fn rebuild(g: &Graph, batch: &EditBatch) -> Graph {
+        let mut present: HashSet<(VertexId, VertexId)> = g.edges().map(|(_, e)| e).collect();
+        for &e in &batch.deletes {
+            assert!(present.remove(&e), "delete {e:?}: edge not present");
+        }
+        for &e in &batch.inserts {
+            assert!(e.0 != e.1, "insert {e:?}: self-loop");
+            assert!(present.insert(e), "insert {e:?}: edge already present");
+        }
+        crate::GraphBuilder::new(g.n()).edges(present).build()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn apply_equals_rebuild(
+            n in 2usize..60,
+            p_millis in 0u64..150,
+            gseed in 0u64..1000,
+            cseed in 0u64..1000,
+            batches in 1usize..5,
+            inserts in 0usize..6,
+            deletes in 0usize..6,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = ChaCha8Rng::seed_from_u64(gseed);
+            let base = gen::gnp(n, p_millis as f64 / 1000.0, &mut rng).graph;
+            let plan = ChurnPlan {
+                seed: cseed,
+                batches,
+                inserts_per_batch: inserts,
+                deletes_per_batch: deletes,
+            };
+            let mut g = base.clone();
+            for batch in churn_sequence(&base, &plan) {
+                // The same batch re-inserting one of its deletes.
+                if let Some(&e) = batch.deletes.first().filter(|e| !batch.inserts.contains(e)) {
+                    let mut again = batch.clone();
+                    again.inserts.push(e);
+                    proptest::prop_assert_eq!(apply(&g, &again), rebuild(&g, &again));
+                }
+                let next = apply(&g, &batch);
+                proptest::prop_assert_eq!(&next, &rebuild(&g, &batch));
+                g = next;
+            }
+        }
     }
 
     #[test]

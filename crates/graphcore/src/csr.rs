@@ -18,7 +18,8 @@ pub type EdgeId = u32;
 ///
 /// Construct via [`crate::builder::GraphBuilder`] or a generator in
 /// [`crate::gen`]. Invariants (checked in debug builds and by the builder):
-/// no self-loops, no parallel edges, neighbor lists sorted by vertex id.
+/// no self-loops, no parallel edges, neighbor lists sorted by vertex id,
+/// edge ids in ascending `(u, v)` order.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` is the slice of `v`'s incident half-edges.
@@ -29,6 +30,8 @@ pub struct Graph {
     edge_ids: Vec<EdgeId>,
     /// Endpoints `(u, v)` with `u < v` for each undirected edge id.
     edges: Vec<(VertexId, VertexId)>,
+    /// Maximum degree Δ, counted once at construction.
+    max_degree: usize,
 }
 
 impl Graph {
@@ -39,6 +42,7 @@ impl Graph {
         neighbors: Vec<VertexId>,
         edge_ids: Vec<EdgeId>,
         edges: Vec<(VertexId, VertexId)>,
+        max_degree: usize,
     ) -> Self {
         debug_assert_eq!(neighbors.len(), edge_ids.len());
         debug_assert_eq!(neighbors.len(), 2 * edges.len());
@@ -51,6 +55,7 @@ impl Graph {
             neighbors,
             edge_ids,
             edges,
+            max_degree,
         };
         debug_assert!(g.check_invariants());
         g
@@ -80,9 +85,11 @@ impl Graph {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
-    /// Maximum degree Δ of the graph (0 for the empty graph).
+    /// Maximum degree Δ of the graph (0 for the empty graph). `O(1)`:
+    /// stored when the graph is built.
+    #[inline]
     pub fn max_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
+        self.max_degree
     }
 
     /// The raw CSR offset array: `n + 1` entries, where
@@ -179,6 +186,9 @@ impl Graph {
         if self.offsets.windows(2).any(|w| w[0] > w[1]) {
             return false;
         }
+        if self.vertices().map(|v| self.degree(v)).max().unwrap_or(0) != self.max_degree {
+            return false;
+        }
         for v in self.vertices() {
             let nbrs = self.neighbors(v);
             // sorted strictly (no duplicates), in range, no self-loop
@@ -195,7 +205,8 @@ impl Graph {
                 }
             }
         }
-        self.edges.iter().all(|&(a, b)| a < b && b < n)
+        self.edges.windows(2).all(|w| w[0] < w[1])
+            && self.edges.iter().all(|&(a, b)| a < b && b < n)
     }
 }
 

@@ -419,6 +419,52 @@ mod tests {
     }
 
     #[test]
+    fn stored_max_degree_matches_scan() {
+        use crate::churn::{apply, churn_sequence, ChurnPlan};
+        let scan = |g: &Graph| g.vertices().map(|v| g.degree(v)).max().unwrap_or(0);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let graphs = [
+            path(0),
+            path(1),
+            path(30),
+            cycle(30),
+            star(30),
+            clique(9),
+            complete_bipartite(3, 7),
+            grid(5, 6),
+            toroid(5, 6),
+            binary_tree(31),
+            caterpillar(5, 3),
+            hypercube(4),
+            random_tree(100, &mut rng).graph,
+            forest_union(200, 3, &mut rng).graph,
+            nested_shells(6, 3).graph,
+            hub_forest(400, 2, 3, 40, &mut rng).graph,
+            gnm(100, 300, &mut rng).graph,
+            gnp(100, 0.05, &mut rng).graph,
+            preferential_attachment(100, 3, &mut rng).graph,
+            random_geometric(100, 0.15, &mut rng).graph,
+        ];
+        for g in &graphs {
+            assert_eq!(g.max_degree(), scan(g), "{g:?}");
+            if g.n() < 2 {
+                continue;
+            }
+            let plan = ChurnPlan {
+                seed: 9,
+                batches: 3,
+                inserts_per_batch: 4,
+                deletes_per_batch: 4,
+            };
+            let mut h = g.clone();
+            for batch in churn_sequence(g, &plan) {
+                h = apply(&h, &batch);
+                assert_eq!(h.max_degree(), scan(&h), "{g:?} after churn");
+            }
+        }
+    }
+
+    #[test]
     fn deterministic_under_seed() {
         let a = forest_union(100, 3, &mut ChaCha8Rng::seed_from_u64(42));
         let b = forest_union(100, 3, &mut ChaCha8Rng::seed_from_u64(42));

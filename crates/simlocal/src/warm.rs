@@ -9,19 +9,32 @@
 //! Editing edge `{a, b}` only changes the incident-edge sets of `a` and
 //! `b`, so a vertex `u` whose cold run terminated in round `T_u` is
 //! untouched by the edit whenever every edit endpoint is farther than
-//! `T_u` from `u` — in the pre-edit *and* post-edit graph (either
-//! suffices; checking both is defensively conservative). Such a vertex
-//! is **frozen**: its entire message trajectory, termination round, and
-//! output are byte-identical between the old cold run and a fresh cold
-//! run on the edited graph.
+//! `T_u` from `u`. Such a vertex is **frozen**: its entire message
+//! trajectory, termination round, and output are byte-identical between
+//! the old cold run and a fresh cold run on the edited graph.
+//!
+//! One BFS from the edit endpoints decides the rule, and it does not
+//! matter in which graph it runs. Both endpoints of every edit are
+//! sources, at distance 0, while every vertex after the first on a
+//! shortest path from the sources sits at distance ≥ 1 — so no edited
+//! edge lies on a shortest path, the paths use only edges common to
+//! both graphs, and the pre-edit and post-edit distances are equal.
+//! (This is why `touched` must hold both endpoints of every edit; debug
+//! builds re-check the equality with a second BFS.)
 //!
 //! The warm engine therefore re-steps only the vertices within the
 //! dependence ball of an edit, serving every frozen vertex's per-round
 //! messages and activity schedule from a [`Replay`] log recorded by the
-//! prior run. By induction over rounds the stepping vertices see exactly
-//! the slabs a cold run on the edited graph would show them, so warm
-//! outputs are **byte-identical** to a cold full re-solve — the property
-//! the proptests in this module pin.
+//! prior run. A step reads only its own and its neighbors' slots, so the
+//! recorded schedule is advanced only on the **boundary** — the frozen
+//! neighbors of stepping vertices — and every other frozen slot is left
+//! as it started. Each slot starts from `publish(init)`, which for a
+//! frozen vertex is its logged first publish: it is never an edit
+//! endpoint, so `init` sees the same incident edges. By induction over
+//! rounds the stepping vertices see exactly the slabs a cold run on the
+//! edited graph would show them, so warm outputs are **byte-identical**
+//! to a cold full re-solve — the property the proptests in this module
+//! pin.
 //!
 //! Protocols opt in by overriding
 //! [`Protocol::dependence_radius`](crate::Protocol::dependence_radius):
@@ -35,6 +48,11 @@
 //! report termination round 0 and the activity series counts stepping
 //! vertices only, so `RoundMetrics::vertex_averaged` is the
 //! vertex-averaged update cost of the batch.
+//!
+//! The chained [`Replay`] costs the frontier too: a frozen vertex's
+//! history is shared with the prior log by reference count, and only
+//! the stepped vertices' histories are new — published into one
+//! round-major log during the run and gathered per vertex at the end.
 
 use crate::active::{clear_bit, full_words, ActiveSet};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
@@ -44,6 +62,7 @@ use crate::observer::NoObserver;
 use crate::protocol::Protocol;
 use graphcore::{Graph, IdAssignment, VertexId};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The message log of a completed run: everything a later warm start
@@ -52,10 +71,12 @@ use std::time::Instant;
 /// `history[v][t]` is the message `v` had published entering round
 /// `t + 1` (`history[v][0]` is its initial publish). A vertex stops
 /// publishing when it terminates, so `history[v].len() == term[v] + 1`
-/// and the final entry is its terminal broadcast.
+/// and the final entry is its terminal broadcast. Histories are frozen
+/// once written and shared by reference count, so a warm run's log
+/// reuses every frozen vertex's history from the prior log.
 #[derive(Clone, Debug)]
 pub struct Replay<M> {
-    history: Vec<Vec<M>>,
+    history: Vec<Arc<[M]>>,
     term: Vec<u32>,
 }
 
@@ -91,7 +112,9 @@ pub struct WarmStart<'a, M, O> {
     pub outputs: &'a [O],
     /// The pre-edit graph the prior run executed on.
     pub old_graph: &'a Graph,
-    /// Vertices incident to an inserted or deleted edge.
+    /// Vertices incident to an inserted or deleted edge: it must hold
+    /// *both* endpoints of every edit, because the freeze rule and the
+    /// one-BFS lemma (see the module docs) both depend on it.
     pub touched: &'a [VertexId],
 }
 
@@ -150,9 +173,9 @@ fn multi_bfs(g: &Graph, sources: &[VertexId]) -> Vec<u32> {
 }
 
 /// The warm loop: steps the vertices `stepping` marks with the round
-/// kernel, against a message slab whose frozen slots replay the prior
-/// run's log on the cold schedule, and records every stepped message.
-/// Frozen vertices carry the prior run's outputs, log, and cold
+/// kernel, against a message slab whose frozen boundary slots replay the
+/// prior run's log on the cold schedule, and records every stepped
+/// message. Frozen vertices carry the prior run's outputs, log, and cold
 /// termination round forward unchanged; the outcome's termination
 /// rounds stay 0 for them (update cost). With every vertex stepping (and
 /// no prior) it is a recorded cold run.
@@ -174,23 +197,12 @@ fn replay_loop<P: Protocol>(
     };
     let (prior, prior_outputs) = prior.map_or((&empty, &[][..]), |w| (w.replay, w.outputs));
 
-    // Slabs. Every slot holds a state (`init` is pure), but only
-    // stepping vertices are ever stepped; frozen message slots serve
-    // the replay log.
+    // Slabs. Every slot holds a state (`init` is pure) and its initial
+    // publish — for a frozen vertex, the first entry of its log — but
+    // only stepping vertices are ever stepped.
     let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
-    let mut msgs: Vec<P::Msg> = (0..n)
-        .map(|v| match stepping[v] {
-            true => protocol.publish(&states[v]),
-            false => prior.history[v][0].clone(),
-        })
-        .collect();
+    let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
     let mut msgs_next = msgs.clone();
-    let mut history: Vec<Vec<P::Msg>> = (0..n)
-        .map(|v| match stepping[v] {
-            true => vec![msgs[v].clone()],
-            false => Vec::new(), // the prior log carries it forward
-        })
-        .collect();
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
 
@@ -201,9 +213,23 @@ fn replay_loop<P: Protocol>(
     let mut visible = full_words(n);
     let mut active = ActiveSet::full(n);
     active.retire(|v| !stepping[v as usize]);
-    // Frozen vertices whose cold schedule is still unfolding, i.e.
-    // whose messages/activity may yet change round-over-round.
-    let mut frozen_live: Vec<VertexId> = (0..n as u32).filter(|&v| !stepping[v as usize]).collect();
+    // The frozen neighbors of stepping vertices: the only frozen slots a
+    // step reads, so the only ones whose recorded schedule is advanced.
+    let mut boundary: Vec<VertexId> = active
+        .iter()
+        .flat_map(|v| g.neighbors(v))
+        .copied()
+        .filter(|&u| !stepping[u as usize])
+        .collect();
+    boundary.sort_unstable();
+    boundary.dedup();
+
+    // Stepped vertices' publishes, round-major: `log[starts[t]..starts[t
+    // + 1]]` holds, in vertex order, the message each stepping vertex
+    // still active in round `t` published in it (round 0: the initial
+    // publishes).
+    let mut log: Vec<P::Msg> = active.iter().map(|v| msgs[v as usize].clone()).collect();
+    let mut starts = vec![0];
 
     let mut stats = EngineStats::default();
 
@@ -230,9 +256,10 @@ fn replay_loop<P: Protocol>(
         kernel.step_words(live, words, &mut slots, &mut msgs_next, &mut NoObserver);
         stats.msg_bits += slots.bits;
         stats.max_msg_bits = stats.max_msg_bits.max(slots.max_bits);
+        starts.push(log.len());
         active.retire(|v| {
             let vu = v as usize;
-            history[vu].push(msgs_next[vu].clone());
+            log.push(msgs_next[vu].clone());
             std::mem::swap(&mut msgs[vu], &mut msgs_next[vu]);
             let done = termination_round[vu] == round;
             if done {
@@ -240,10 +267,10 @@ fn replay_loop<P: Protocol>(
             }
             done
         });
-        // Advance the frozen vertices' recorded schedule: refresh the
-        // message slots of those that stepped in this cold round, hide
-        // those that terminated in it.
-        frozen_live.retain(|&u| {
+        // Advance the boundary's recorded schedule: refresh the message
+        // slots of those that stepped in this cold round, hide those
+        // that terminated in it.
+        boundary.retain(|&u| {
             let uu = u as usize;
             let term = prior.term[uu];
             if term >= round {
@@ -258,14 +285,29 @@ fn replay_loop<P: Protocol>(
     }
 
     stats.wall = run_t0.elapsed();
+    // Gather each stepped vertex's history from the log: visiting them
+    // in vertex order, each one's round-`t` message is the next unread
+    // entry of round `t`.
+    let mut cursor = starts;
+    let mut history = Vec::with_capacity(n);
     let mut term_cold = termination_round.clone();
     let outputs = (0..n)
-        .map(|v| match outputs[v].take() {
-            Some(o) => o,
-            None => {
-                debug_assert!(!stepping[v], "stepped vertex without an output");
+        .map(|v| {
+            if stepping[v] {
+                let rounds = 0..=termination_round[v] as usize;
+                history.push(
+                    rounds
+                        .map(|t| {
+                            let i = cursor[t];
+                            cursor[t] += 1;
+                            log[i].clone()
+                        })
+                        .collect(),
+                );
+                outputs[v].take().expect("stepped vertex without an output")
+            } else {
                 term_cold[v] = prior.term[v];
-                history[v] = prior.history[v].clone();
+                history.push(Arc::clone(&prior.history[v]));
                 prior_outputs[v].clone()
             }
         })
@@ -335,14 +377,17 @@ pub(crate) fn run_warm<P: Protocol>(
     };
 
     // Freeze rule: re-step exactly the vertices with an edit endpoint
-    // inside their dependence ball, in either the old or new topology.
-    let dist_old = multi_bfs(prior.old_graph, prior.touched);
-    let dist_new = multi_bfs(g, prior.touched);
+    // inside their dependence ball. Distances from the edit endpoints
+    // agree in the old and the new topology (module docs), so one BFS
+    // decides it.
+    let dist = multi_bfs(g, prior.touched);
+    debug_assert!(
+        dist == multi_bfs(prior.old_graph, prior.touched),
+        "edit-endpoint distances differ between the old and new graph: \
+         `touched` must hold both endpoints of every edit"
+    );
     let stepping: Vec<bool> = (0..n)
-        .map(|v| {
-            let cap = prior.replay.term[v].min(radius);
-            dist_old[v].min(dist_new[v]) <= cap
-        })
+        .map(|v| dist[v] <= prior.replay.term[v].min(radius))
         .collect();
     let reactivated = stepping.iter().filter(|&&b| b).count();
     if let Some(o) = ob {
@@ -637,6 +682,92 @@ mod tests {
             .count();
         assert_eq!(zeros, 400 - warm.stats.reactivated);
         warm.outcome.metrics.check_identities().unwrap();
+    }
+
+    #[test]
+    fn shortcut_edit_reactivates_the_min_distance_ball() {
+        // (0, 200) is a shortcut across a 400-path: inserting it, then
+        // deleting it again, must re-step exactly the vertices within
+        // their termination round of an endpoint under the smaller of
+        // the pre- and post-edit distances — which the single BFS gives.
+        let g = gen::path(400);
+        let idv = ids(400);
+        let cfg = RunConfig::seeded(4);
+        let p = MaxIdFlood { horizon: 3 };
+        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let insert = graphcore::churn::EditBatch {
+            inserts: vec![(0, 200)],
+            deletes: vec![],
+        };
+        let delete = graphcore::churn::EditBatch {
+            inserts: vec![],
+            deletes: vec![(0, 200)],
+        };
+        let (mut old, mut outputs, mut replay) = (g, cold.outputs, replay);
+        for batch in [insert, delete] {
+            let new = apply(&old, &batch);
+            let touched = batch.endpoints();
+            let warm = run_warm(
+                &p,
+                &new,
+                &idv,
+                cfg,
+                None,
+                WarmStart {
+                    replay: &replay,
+                    outputs: &outputs,
+                    old_graph: &old,
+                    touched: &touched,
+                },
+            )
+            .unwrap();
+            let (dist_old, dist_new) = (multi_bfs(&old, &touched), multi_bfs(&new, &touched));
+            let expected: Vec<bool> = (0..400)
+                .map(|v| dist_old[v].min(dist_new[v]) <= replay.term[v])
+                .collect();
+            let stepped: Vec<bool> = warm
+                .outcome
+                .metrics
+                .termination_round
+                .iter()
+                .map(|&t| t > 0)
+                .collect();
+            assert_eq!(stepped, expected);
+            assert_eq!(warm.stats.reactivated, 4 + 7, "{{0..=3}} and {{197..=203}}");
+            let cold = Runner::new(&p, &new, &idv).config(cfg).run().unwrap();
+            assert_eq!(warm.outcome.outputs, cold.outputs);
+            (old, outputs, replay) = (new, warm.outcome.outputs, warm.replay);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the lemma check is debug-only")]
+    #[should_panic(expected = "must hold both endpoints")]
+    fn touched_without_both_endpoints_trips_the_lemma_check() {
+        // Only 0 named for the shortcut (0, 200): from {0}, vertex 200
+        // is 200 hops away before the edit and 1 after it.
+        let g = gen::path(400);
+        let idv = ids(400);
+        let cfg = RunConfig::seeded(4);
+        let p = MaxIdFlood { horizon: 3 };
+        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let batch = graphcore::churn::EditBatch {
+            inserts: vec![(0, 200)],
+            deletes: vec![],
+        };
+        let _ = run_warm(
+            &p,
+            &apply(&g, &batch),
+            &idv,
+            cfg,
+            None,
+            WarmStart {
+                replay: &replay,
+                outputs: &cold.outputs,
+                old_graph: &g,
+                touched: &[0],
+            },
+        );
     }
 
     #[test]

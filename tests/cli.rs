@@ -1,7 +1,8 @@
 //! Drives the `distsym` binary end to end: `list` is the registry plus the
 //! three CLI procedures, every registry problem and procedure runs valid
-//! under `--json` with the report's full key set, bad input exits 2 naming
-//! the flag, and a `graph --out` file ingests back to the same graph size.
+//! under `--json` with the report's full key set, an edgeless graph meets
+//! `global_linial_kw`'s Δ+1 = 1 color claim, bad input exits 2 naming the
+//! flag, and a `graph --out` file ingests back to the same graph size.
 
 use benchharness::registry::{self, Problem};
 use benchharness::results::Json;
@@ -127,6 +128,24 @@ fn run_json_is_valid_for_every_problem_and_procedure() {
         let summary = j.get("summary").unwrap().as_str().unwrap().to_string();
         assert!(summary.contains(": VALID"), "{algo}: {summary}");
     }
+}
+
+#[test]
+fn global_linial_kw_colors_an_edgeless_graph_with_one_color() {
+    // Δ = 0, so the registry's Δ+1 claim is a single color.
+    let j = run_json(&[
+        "--algo",
+        "global_linial_kw",
+        "--family",
+        "gnp",
+        "--a",
+        "0",
+        "--n",
+        "64",
+    ]);
+    assert_eq!(j.get_u64("m"), Ok(0));
+    assert_eq!(j.get("valid").unwrap().as_bool(), Ok(true));
+    assert_eq!(j.get_u64("colors"), Ok(1));
 }
 
 #[test]
