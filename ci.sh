@@ -66,14 +66,15 @@ echo "== ingestion smoke: table2 T2.1f runs a file graph source end-to-end"
 # parser/normalizer break fail by name rather than inside the diff.
 ./target/release/table2 --quick --seeds 1 T2.1f > /dev/null
 
-echo "== dynamic-mode smoke: scenarios D.1 D.2 warm-start churn + locality bounds"
-# Each churn batch warm-starts from the recorded cold run, reactivating
-# only the vertices inside the protocol's dependence radius; the binary
-# enforces the UpdateLocality bounds (worst reactivated fraction per
-# batch) and exits nonzero if the engine fell back to a full re-solve.
+echo "== dynamic-mode smoke: scenarios D.1 D.1x D.2 warm-start churn + locality bounds"
+# Each churn batch warm-starts from the recorded cold run, re-stepping
+# only the vertices whose inputs the edit changed; the binary enforces
+# the UpdateLocality bounds (worst reactivated fraction per batch) and
+# exits nonzero if the engine fell back to a full re-solve. An id
+# filter selects itself and its dotted children, so D.1x is named too.
 # The warm ≡ cold identity itself is proptest-pinned in the test suite
 # (crates/bench/tests/dynamic_identity.rs) run by the workspace wall.
-./target/release/scenarios --quick --seeds 2 --ids identity,random D.1 D.2 > /dev/null
+./target/release/scenarios --quick --seeds 2 --ids identity,random D.1 D.1x D.2 > /dev/null
 
 echo "== actor-backend smoke: table2 --quick --backend actor vs the same baseline"
 # The actor backend is pinned byte-identical to the sync engine, so its

@@ -74,8 +74,8 @@ pub enum Bound {
     /// at most `max_frac` of the vertices (per-batch maximum over the
     /// group's trials). A full re-solve fallback reports fraction 1.0 and
     /// therefore fails any `max_frac < 1`, so this bound doubles as a
-    /// witness that the warm-start engine actually exploited the declared
-    /// dependence radius. A matching summary with *no* reactivation
+    /// witness that the warm-start engine actually exploited the
+    /// protocol's declared locality. A matching summary with *no* reactivation
     /// statistics (a cold run mislabeled as dynamic) is itself a
     /// violation — the bound must never pass vacuously on the wrong rows.
     UpdateLocality {

@@ -430,9 +430,12 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
 /// started from the previous batch's replay (`Runner::run_warm`). For
 /// this entry `vr_per_sec` is **batches per second**; `rounds` is the
 /// batch count, `n` the vertex count, and `vertex_rounds` the total warm
-/// re-steps, so the work-drift check pins the stepping set. The graph,
-/// the recorded cold solve, and the churn plan are built outside the
-/// timed region.
+/// re-steps, catch-up included. Those are a few dozen per batch, so the
+/// work-drift check pins the propagation rule's dirty sets, while the
+/// time goes mostly to the `O(n + m)` copies around them: the edited
+/// CSR, the view slabs and the replay's chunk list. The graph, the
+/// recorded cold solve, and the churn plan are built outside the timed
+/// region.
 fn warm_update_n15(reps: usize) -> PerfEntry {
     use algos::mis::LubyMis;
     use graphcore::churn::{self, ChurnPlan};

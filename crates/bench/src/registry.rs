@@ -403,10 +403,14 @@ pub trait ErasedAlgo: Send + Sync {
     /// recorded, then warm-start ([`simlocal::warm`]) through each batch
     /// of the seeded churn plan, returning one verified update-cost
     /// [`Row`] per batch. A row's round metrics count only *recomputed*
-    /// work (frozen vertices terminate at round 0) and its `reactivated`
-    /// field is the reactivated-vertex fraction (1.0 when the protocol
-    /// declares no [`Protocol::dependence_radius`] and the engine falls
-    /// back to a full re-solve). `check_cold` additionally cold-solves
+    /// work: the engine re-steps only the vertices whose inputs the edit
+    /// changed, and every other vertex terminates at round 0. Its
+    /// `reactivated` field is the fraction of vertices re-stepped (1.0
+    /// when the protocol does not declare [`Protocol::is_local`] and the
+    /// engine falls back to a full re-solve). The warm engine compares
+    /// re-stepped messages with the prior log, which is why every
+    /// registered protocol's `Msg` is `PartialEq`: this method is generic
+    /// over all of them. `check_cold` additionally cold-solves
     /// every edited graph and asserts the warm solution is identical —
     /// the equivalence oracle the tests and the CI smoke run through.
     /// Always executes on the sync engine (the warm path lives there);
@@ -680,7 +684,7 @@ where
                 // The generators' structural guarantee does not survive
                 // editing, but the algorithms' `a` parameter must stay
                 // fixed across batches (a protocol keyed on a freshly
-                // recomputed `a` would violate the freeze rule anyway).
+                // recomputed `a` would not be local anyway).
                 arboricity: gg.arboricity,
                 family: gg.family,
             };

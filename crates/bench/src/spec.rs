@@ -303,7 +303,7 @@ pub enum SpecKind {
     /// replay a seeded [`graphcore::churn::ChurnPlan`] through the
     /// warm-start engine ([`crate::registry::AlgoSpec::exec_dynamic`]),
     /// producing one update-cost row per edit batch. The rows' va/wc/
-    /// median/p95/p99 measure rounds *recomputed* per batch (frozen
+    /// median/p95/p99 measure rounds *recomputed* per batch (clean
     /// vertices cost 0), and each row carries the reactivated-vertex
     /// fraction, which [`Bound::UpdateLocality`] gates.
     Dynamic {

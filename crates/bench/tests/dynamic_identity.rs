@@ -1,7 +1,7 @@
 //! Registry-level pin of the dynamic mode: `exec_dynamic` with
 //! `check_cold = true` makes every batch assert that the warm-started
 //! solution equals a cold re-solve on the edited graph, so these tests
-//! fail loudly if the freeze rule ever diverges for a *real* registered
+//! fail loudly if the propagation rule ever diverges for a *real* registered
 //! protocol (the engine-level pin on synthetic protocols lives in
 //! `simlocal::warm`). On top of the oracle, the rows themselves must
 //! verify and carry the reactivated fraction the dynamic suite reports.

@@ -22,7 +22,7 @@ use simlocal::{Protocol, StepCtx, Transition, WireSize};
 use std::sync::OnceLock;
 
 /// Per-vertex state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
 /// Linial/KW color value, `local` a final in-set color, `rec` a
 /// recolored palette entry.

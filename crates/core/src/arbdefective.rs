@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 /// Linial/KW color value, `local` a final in-set color, `g` the chosen
 /// group.
 #[allow(missing_docs)]
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SArbDef {
     /// Running Procedure Partition.
     Active,

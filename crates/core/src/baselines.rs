@@ -256,7 +256,7 @@ pub struct ArbLinialFull {
 }
 
 /// State: partition mark plus the running color during the Linial phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
 /// Linial/KW color value, `local` a final in-set color, `rec` a
 /// recolored palette entry.

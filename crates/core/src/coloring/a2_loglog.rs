@@ -29,7 +29,7 @@ use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
 /// Per-vertex state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
 /// Linial/KW color value, `local` a final in-set color, `rec` a
 /// recolored palette entry.

@@ -48,7 +48,7 @@ pub enum SDp1 {
 /// and H-index are private while it holds for its greedy slot, and a
 /// finished vertex only shows its color — neighbors never need the
 /// H-index of a decided vertex.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // mirrors the `SDp1` conventions above
 pub enum Dp1Msg {
     Active,

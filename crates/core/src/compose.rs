@@ -35,7 +35,7 @@ pub enum SubStep<S, O> {
 pub trait HSetAlgo: Sync {
     /// Per-vertex sub-state, published to same-set neighbors (it travels
     /// inside [`ComposeMsg::Running`], so it must size itself).
-    type Sub: Clone + Send + Sync + WireSize;
+    type Sub: Clone + PartialEq + Send + Sync + WireSize;
     /// Per-vertex output.
     type Output: Clone + Send + Sync;
 
@@ -75,7 +75,7 @@ pub enum ComposeState<S> {
 /// sub-state. The `local` round counter of
 /// [`ComposeState::Running`] is private bookkeeping — peers synchronize
 /// through the global iteration windows, so it never travels.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // mirrors the `ComposeState` conventions above
 pub enum ComposeMsg<S> {
     /// Still in Procedure Partition.

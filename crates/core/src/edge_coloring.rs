@@ -61,7 +61,7 @@ impl EcCore {
 /// The neighbor-visible slice of [`EcCore`]: the `assigned` output share
 /// and the commit round are private — neighbors consult only the
 /// incident-color `table` (and the labels/coloring that schedule it).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // field meanings mirror `EcCore`
 pub struct EcWire {
     pub h: u32,
@@ -80,7 +80,7 @@ impl EcWire {
 }
 
 /// Wire message for [`EdgeColoringExtension`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // mirrors the `SEc` conventions below
 pub enum EcMsg {
     Active,

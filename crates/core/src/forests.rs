@@ -27,7 +27,7 @@ use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
 /// Per-vertex state during forest decomposition — entirely
 /// neighbor-visible, so it doubles as the wire message.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
 /// Linial/KW color value, `local` a final in-set color, `rec` a
 /// recolored palette entry.

@@ -51,7 +51,7 @@ impl MmCore {}
 /// The neighbor-visible slice of [`MmCore`]: the commit *round* is
 /// private output bookkeeping — neighbors only ever ask *whether* a
 /// vertex has committed, so a single bit travels in its place.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // field meanings mirror `MmCore`
 pub struct MmWire {
     pub h: u32,
@@ -71,7 +71,7 @@ impl MmWire {
 }
 
 /// Wire message for [`MatchingExtension`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // mirrors the `SMm` conventions below
 pub enum MmMsg {
     Active,

@@ -43,7 +43,7 @@ pub enum SMis {
 /// are private (it is just holding until its decision round), and a
 /// finished vertex's H-index never travels either — so both variants trim
 /// to (near-)empty.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // mirrors the `SMis` conventions above
 pub enum MisMsg {
     Active,
@@ -112,10 +112,10 @@ impl Protocol for MisExtension {
     // ID space and the partition cap (fixed across edge edits — churn
     // never changes n), and `step` reads only the neighbor view, the
     // round counter, and the vertex's own ID. A vertex's trajectory is
-    // therefore a function of its round-radius ball, so warm starts may
-    // freeze anything outside the edited region.
-    fn dependence_radius(&self, _: &Graph) -> Option<u32> {
-        Some(u32::MAX)
+    // therefore a function of its inputs, so warm starts may re-step only
+    // the vertices whose inputs an edit changed.
+    fn is_local(&self) -> bool {
+        true
     }
 
     fn publish(&self, state: &SMis) -> MisMsg {
@@ -249,7 +249,7 @@ impl MisExtension {
 pub struct LubyMis;
 
 /// Luby per-vertex state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
 /// Linial/KW color value, `local` a final in-set color, `rec` a
 /// recolored palette entry.
@@ -284,9 +284,9 @@ impl Protocol for LubyMis {
     // LOCAL-safe: priorities come from the per-(seed, vertex, round)
     // stream, resolution reads only active neighbors, and `max_rounds`
     // depends only on n (which edge churn never changes). No global
-    // topology reads, so the warm-start freeze rule applies.
-    fn dependence_radius(&self, _: &Graph) -> Option<u32> {
-        Some(u32::MAX)
+    // topology reads, so the warm-start propagation rule applies.
+    fn is_local(&self) -> bool {
+        true
     }
 
     fn publish(&self, state: &SLuby) -> SLuby {

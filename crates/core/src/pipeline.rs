@@ -54,7 +54,7 @@ pub enum SPipe {
 /// 𝒜-completion round `at` are private bookkeeping: publishing `seen`
 /// would put an `O(Δ log n)`-bit vector on the wire every gossip round
 /// for data no neighbor reads.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // mirrors the `SPipe` conventions above
 pub enum PipeMsg {
     Active,

@@ -27,7 +27,7 @@ use rand::Rng;
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
 /// Per-vertex state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
 /// Linial/KW color value, `local` a final in-set color, `rec` a
 /// recolored palette entry.

@@ -22,7 +22,7 @@ use rand::Rng;
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
 /// Per-vertex state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SRand {
     /// No live proposal this phase.
     Idle,

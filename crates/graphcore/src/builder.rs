@@ -80,7 +80,7 @@ impl GraphBuilder {
 /// no per-vertex sort: a vertex `x`'s pairs `(u, x)` with a lower `u`
 /// all sort before its pairs `(x, v)` with a higher `v`, and each group
 /// arrives in ascending order of the other endpoint.
-pub(crate) fn from_sorted_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Graph {
+fn from_sorted_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Graph {
     let mut degree = vec![0u32; n];
     for &(u, v) in &edges {
         degree[u as usize] += 1;

@@ -61,6 +61,18 @@ impl Graph {
         g
     }
 
+    /// Every vertex's neighbors and the aligned edge ids, concatenated in
+    /// vertex order and indexed by [`Self::neighbor_offsets`] — for
+    /// in-crate rewrites that copy most of a graph.
+    pub(crate) fn half_edges(&self) -> (&[VertexId], &[EdgeId]) {
+        (&self.neighbors, &self.edge_ids)
+    }
+
+    /// The edge list, sorted: edge `e`'s endpoints are entry `e`.
+    pub(crate) fn edge_list(&self) -> &[(VertexId, VertexId)] {
+        &self.edges
+    }
+
     /// Number of vertices `n`.
     #[inline]
     pub fn n(&self) -> usize {

@@ -383,7 +383,7 @@ impl<'a, P: Protocol> Runner<'a, P> {
     /// Incremental re-solve after a batch of edge edits, warm-started
     /// from a prior run's replay log. Outputs are byte-identical to a
     /// cold re-solve on the edited graph; the outcome's metrics measure
-    /// the update cost (see [`crate::warm`] for the freeze rule).
+    /// the update cost (see [`crate::warm`] for the propagation rule).
     pub fn run_warm(
         self,
         prior: crate::warm::WarmStart<'_, P::Msg, P::Output>,

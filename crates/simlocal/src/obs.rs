@@ -122,9 +122,9 @@ metric_table! {
     (EngineWarmRuns, "simlocal_engine_warm_runs_total", Counter, false,
      "Warm-start (incremental re-solve) runs executed."),
     (EngineWarmFullResolves, "simlocal_engine_warm_full_resolves_total", Counter, false,
-     "Warm-start requests that fell back to a full cold re-solve (no dependence radius declared)."),
+     "Warm-start requests that fell back to a full cold re-solve (protocol not declared local)."),
     (EngineReactivated, "simlocal_engine_reactivated_total", Counter, false,
-     "Vertices re-stepped by warm-start runs (inside the dependence ball of an edit)."),
+     "Vertices re-stepped by warm-start runs (those whose inputs an edit changed)."),
     (EngineActiveLast, "simlocal_engine_active_last", Gauge, false,
      "Active vertices after the most recent retire sweep (the Lemma 6.1 decay signal)."),
     (EngineRoundWallNs, "simlocal_engine_round_wall_ns", Histogram, false,

@@ -37,8 +37,10 @@ pub enum Transition<S, O> {
 pub trait Protocol: Sync {
     /// Per-vertex private state (never visible to neighbors).
     type State: Clone + Send + Sync;
-    /// The message broadcast to neighbors each round.
-    type Msg: Clone + Send + Sync + WireSize;
+    /// The message broadcast to neighbors each round. `PartialEq` lets the
+    /// warm engine ([`crate::warm`]) tell whether a re-stepped vertex
+    /// shows its neighbors anything new.
+    type Msg: Clone + PartialEq + Send + Sync + WireSize;
     /// Per-vertex final output.
     type Output: Clone + Send + Sync;
 
@@ -66,21 +68,20 @@ pub trait Protocol: Sync {
         64 * n.ilog2() * n.ilog2() + 1024
     }
 
-    /// Locality declaration for the incremental re-solve engine
-    /// ([`crate::warm`]): `Some(r)` asserts that a vertex's whole
-    /// trajectory (states, messages, termination round, output) is a
-    /// function of the edges incident to its `min(own rounds, r) + 1`
-    /// ball — the `+ 1` covers [`Protocol::init`] reading the vertex's
-    /// own incident edges. Any protocol whose `init` and `step` respect
-    /// LOCAL locality (no global topology reads beyond `n`/`Δ`-style
-    /// constants fixed across edits) can declare `Some(u32::MAX)`;
-    /// protocols whose init scans global structure that churn can move
-    /// (e.g. a freshly computed `Δ` or arboricity) must keep the
-    /// default. `None` makes warm starts fall back to a full re-solve,
+    /// Locality flag for the incremental re-solve engine
+    /// ([`crate::warm`]): `true` asserts that the step of `v` in round `t`
+    /// reads only `v`'s state, the messages and activity bits its
+    /// neighbors show entering round `t`, the round, the run seed, the
+    /// IDs, and `v`'s own incident edges — and that [`Protocol::init`]
+    /// reads only `v`'s own incident edges and the IDs. Any protocol
+    /// whose `init` and `step` respect LOCAL locality (no global topology
+    /// reads beyond `n`/`Δ`-style constants fixed across edits) can
+    /// declare it; protocols whose init scans global structure that churn
+    /// can move (e.g. a freshly computed `Δ` or arboricity) must keep the
+    /// default. `false` makes warm starts fall back to a full re-solve,
     /// which is always sound.
-    fn dependence_radius(&self, g: &Graph) -> Option<u32> {
-        let _ = g;
-        None
+    fn is_local(&self) -> bool {
+        false
     }
 
     /// Names of the protocol's phases (subroutines of a composition), in

@@ -1,82 +1,106 @@
 //! Incremental re-solve: warm-starting a run from a prior outcome after
 //! a batch of edge edits.
 //!
-//! # The freeze rule
+//! # What a step reads
 //!
-//! In the LOCAL model, a vertex's trajectory through round `t` is a
-//! function of the edges incident to its radius-`t` ball (plus one hop,
-//! because `init` may read the vertex's own incident edges — its degree).
-//! Editing edge `{a, b}` only changes the incident-edge sets of `a` and
-//! `b`, so a vertex `u` whose cold run terminated in round `T_u` is
-//! untouched by the edit whenever every edit endpoint is farther than
-//! `T_u` from `u`. Such a vertex is **frozen**: its entire message
-//! trajectory, termination round, and output are byte-identical between
-//! the old cold run and a fresh cold run on the edited graph.
+//! The step of vertex `v` in round `t` reads only `v`'s state, the
+//! messages and activity bits that `v`'s neighbors show entering round
+//! `t`, the round, the run seed, the IDs, and `v`'s own incident edges;
+//! `init` reads only `v`'s incident edges and the IDs. Protocols declare
+//! this with [`Protocol::is_local`](crate::Protocol::is_local); for any
+//! other protocol [`run_warm`] falls back to a full cold re-solve, which
+//! is always correct.
 //!
-//! One BFS from the edit endpoints decides the rule, and it does not
-//! matter in which graph it runs. Both endpoints of every edit are
-//! sources, at distance 0, while every vertex after the first on a
-//! shortest path from the sources sits at distance ≥ 1 — so no edited
-//! edge lies on a shortest path, the paths use only edges common to
-//! both graphs, and the pre-edit and post-edit distances are equal.
-//! (This is why `touched` must hold both endpoints of every edit; debug
-//! builds re-check the equality with a second BFS.)
+//! # The propagation rule
 //!
-//! The warm engine therefore re-steps only the vertices within the
-//! dependence ball of an edit, serving every frozen vertex's per-round
-//! messages and activity schedule from a [`Replay`] log recorded by the
-//! prior run. A step reads only its own and its neighbors' slots, so the
-//! recorded schedule is advanced only on the **boundary** — the frozen
-//! neighbors of stepping vertices — and every other frozen slot is left
-//! as it started. Each slot starts from `publish(init)`, which for a
-//! frozen vertex is its logged first publish: it is never an edit
-//! endpoint, so `init` sees the same incident edges. By induction over
-//! rounds the stepping vertices see exactly the slabs a cold run on the
-//! edited graph would show them, so warm outputs are **byte-identical**
-//! to a cold full re-solve — the property the proptests in this module
-//! pin.
+//! Editing edge `{a, b}` changes only the incident edges of `a` and `b`,
+//! so most vertices see exactly what they saw in the prior run. The warm
+//! engine compares the run on the edited graph with the prior run's
+//! [`Replay`] log and re-steps only the **dirty** vertices, those whose
+//! inputs differ from the logged ones:
 //!
-//! Protocols opt in by overriding
-//! [`Protocol::dependence_radius`](crate::Protocol::dependence_radius):
-//! `Some(r)` declares that a vertex's trajectory depends on at most its
-//! `min(own rounds, r) + 1`-ball (any protocol whose `init`/`step` obey
-//! LOCAL locality can declare `Some(u32::MAX)`); `None` (the default)
-//! makes [`run_warm`] fall back to a full cold re-solve, which is always
-//! correct.
+//! * Edit endpoints are dirty from round 1. If an endpoint's
+//!   `publish(init)` differs from its logged first entry, its neighbors
+//!   are dirty from round 1 too.
+//! * Each dirty vertex is compared with the log at every round it steps,
+//!   including the round it terminates in. If the message or the
+//!   activity it shows entering round `t + 1` differs from the log,
+//!   every clean neighbor that the log still shows active in round
+//!   `t + 1` turns dirty from round `t + 1`.
+//! * Every other vertex stays **clean**: it keeps its logged messages,
+//!   termination round and output, and is never stepped.
 //!
-//! The warm outcome's metrics are the **update cost**: frozen vertices
-//! report termination round 0 and the activity series counts stepping
-//! vertices only, so `RoundMetrics::vertex_averaged` is the
-//! vertex-averaged update cost of the batch.
+//! The rule is exact, by induction over rounds. Suppose that entering
+//! round `t` every dirty vertex holds the state a cold run on the edited
+//! graph would give it, and every vertex shows its neighbors what that
+//! cold run would. A clean vertex `u` still active in round `t` is no
+//! edit endpoint, and none of its neighbors showed it anything new in
+//! rounds `1..=t` — that would have dirtied it — so every step it took
+//! read its logged inputs, and it shows its logged message and activity
+//! entering round `t + 1` exactly as the cold run does. A dirty vertex
+//! steps against the live slots of its dirty neighbors and the logged
+//! slots of its clean ones, which by the hypothesis are the cold run's,
+//! so it reaches the cold run's next state. A dirty vertex that has
+//! terminated shows its final message from then on, and the log shows a
+//! constant message too once its own vertex has terminated: any later
+//! difference therefore already shows in the round after the dirty
+//! vertex terminated, which its last comparison covered. So warm outputs
+//! and the chained replay are **byte-identical** to a cold full
+//! re-solve, and the stepped set is exactly the set of vertices whose
+//! inputs differ — the two properties the proptests in this module pin.
 //!
-//! The chained [`Replay`] costs the frontier too: a frozen vertex's
-//! history is shared with the prior log by reference count, and only
-//! the stepped vertices' histories are new — published into one
-//! round-major log during the run and gathered per vertex at the end.
+//! # Catch-up
+//!
+//! The log holds messages, not states, so a vertex that turns dirty at
+//! round `t > 1` has no state to resume from. It rebuilds it by
+//! re-stepping rounds `1..t` from `init` against the logged messages and
+//! activity of its neighbors: its inputs in those rounds are the logged
+//! ones (otherwise it would have turned dirty sooner), so it republishes
+//! its logged messages — debug builds assert it — and needs no state log
+//! and no protocol hook. It then steps with the other dirty vertices
+//! until it terminates. The catch-up reads a view slab of its own,
+//! because the live slots of dirty neighbors already hold round-`t`
+//! messages.
+//!
+//! # Cost accounting and the chained replay
+//!
+//! The warm outcome's metrics are the **update cost**: clean vertices
+//! report termination round 0 and each dirty vertex its full termination
+//! round, catch-up included, so `EngineStats::steps` counts every step
+//! taken and `RoundMetrics::vertex_averaged` is the vertex-averaged
+//! update cost of the batch.
+//!
+//! The chained [`Replay`] costs the frontier too. Its histories sit in
+//! copy-on-write chunks of 64 vertices: a warm run clones the chunk list
+//! (one reference count per chunk) and copies only the chunks that hold
+//! a dirty vertex before it writes that vertex's new history.
 
-use crate::active::{clear_bit, full_words, ActiveSet};
+use crate::active::{clear_bit, ActiveSet};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
 use crate::kernel::{Kernel, Slots};
 use crate::obs::{Metric, Registry};
 use crate::observer::NoObserver;
 use crate::protocol::Protocol;
 use graphcore::{Graph, IdAssignment, VertexId};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Vertices per copy-on-write history chunk of a [`Replay`].
+const CHUNK: usize = 64;
 
 /// The message log of a completed run: everything a later warm start
 /// needs to replay the run's visible behavior without re-stepping it.
 ///
-/// `history[v][t]` is the message `v` had published entering round
-/// `t + 1` (`history[v][0]` is its initial publish). A vertex stops
-/// publishing when it terminates, so `history[v].len() == term[v] + 1`
-/// and the final entry is its terminal broadcast. Histories are frozen
-/// once written and shared by reference count, so a warm run's log
-/// reuses every frozen vertex's history from the prior log.
+/// Vertex `v`'s history holds at index `t` the message `v` had published
+/// entering round `t + 1` (index 0 is its initial publish). A vertex
+/// stops publishing when it terminates, so its history has `term[v] + 1`
+/// entries and the last one is its terminal broadcast. Histories are
+/// frozen once written and stored in copy-on-write chunks of [`CHUNK`]
+/// vertices, so a warm run's log shares every chunk without a dirty
+/// vertex with the prior log.
 #[derive(Clone, Debug)]
 pub struct Replay<M> {
-    history: Vec<Arc<[M]>>,
+    history: Vec<Arc<[Arc<[M]>]>>,
     term: Vec<u32>,
 }
 
@@ -88,16 +112,27 @@ impl<M: Clone> Replay<M> {
 
     /// Cold-equivalent termination round of each vertex — for a warm
     /// run's replay this is the round a fresh cold run would report,
-    /// not the (zeroed-for-frozen) update-cost metric.
+    /// not the (zeroed-for-clean) update-cost metric.
     pub fn term(&self) -> &[u32] {
         &self.term
+    }
+
+    /// The history of vertex `v`.
+    fn history(&self, v: usize) -> &[M] {
+        &self.history[v / CHUNK][v % CHUNK]
     }
 
     /// The message of `v` visible to its neighbors entering `round`
     /// (1-based); after `v` terminates this stays its final broadcast.
     fn msg_entering(&self, v: usize, round: u32) -> &M {
-        let h = &self.history[v];
+        let h = self.history(v);
         &h[(round as usize - 1).min(h.len() - 1)]
+    }
+
+    /// Whether `v` is still active in `round` (has not terminated before
+    /// it).
+    fn active_in(&self, v: usize, round: u32) -> bool {
+        self.term[v] >= round
     }
 }
 
@@ -110,25 +145,31 @@ pub struct WarmStart<'a, M, O> {
     pub replay: &'a Replay<M>,
     /// Per-vertex outputs of the prior run.
     pub outputs: &'a [O],
-    /// The pre-edit graph the prior run executed on.
+    /// The pre-edit graph the prior run executed on. The warm run only
+    /// checks it: it must have the current graph's vertex count, and
+    /// debug builds check that `touched` holds every vertex whose
+    /// adjacency differs between it and the current graph.
     pub old_graph: &'a Graph,
-    /// Vertices incident to an inserted or deleted edge: it must hold
-    /// *both* endpoints of every edit, because the freeze rule and the
-    /// one-BFS lemma (see the module docs) both depend on it.
+    /// Vertices incident to an inserted or deleted edge. It must hold
+    /// *both* endpoints of every edit: the propagation rule re-steps
+    /// them from round 1 and trusts every other vertex's incident edges
+    /// to be unchanged (see the module docs).
     pub touched: &'a [VertexId],
 }
 
 /// What the warm engine decided and did, beyond the outcome itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Vertices re-stepped (inside the dependence ball of an edit).
+    /// Dirty vertices: the edit endpoints and every vertex whose step
+    /// inputs differ from the prior run's log (see the module docs).
+    /// Each was re-stepped from round 1; `n` on a full re-solve.
     pub reactivated: usize,
     /// Whether the run fell back to a full cold re-solve because the
-    /// protocol declared no dependence radius.
+    /// protocol does not declare [`Protocol::is_local`].
     pub full_resolve: bool,
 }
 
-/// A completed warm run: the update-cost outcome (frozen vertices have
+/// A completed warm run: the update-cost outcome (clean vertices have
 /// termination round 0), the chained replay log for the next batch, and
 /// the reactivation accounting.
 pub struct WarmOutcome<M, O> {
@@ -148,91 +189,33 @@ pub type Recorded<P> = (
     Replay<<P as Protocol>::Msg>,
 );
 
-/// Multi-source BFS distances from `sources` (u32::MAX = unreachable).
-fn multi_bfs(g: &Graph, sources: &[VertexId]) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut queue = VecDeque::with_capacity(sources.len());
-    for &s in sources {
-        let su = s as usize;
-        assert!(su < g.n(), "edit endpoint {s} out of range");
-        if dist[su] != 0 {
-            dist[su] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &w in g.neighbors(u) {
-            if dist[w as usize] == u32::MAX {
-                dist[w as usize] = du + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// The warm loop: steps the vertices `stepping` marks with the round
-/// kernel, against a message slab whose frozen boundary slots replay the
-/// prior run's log on the cold schedule, and records every stepped
-/// message. Frozen vertices carry the prior run's outputs, log, and cold
-/// termination round forward unchanged; the outcome's termination
-/// rounds stay 0 for them (update cost). With every vertex stepping (and
-/// no prior) it is a recorded cold run.
-fn replay_loop<P: Protocol>(
+/// Cold run that also records the [`Replay`] log. Sequential;
+/// byte-identical outputs to [`Runner::run`](crate::Runner::run).
+pub(crate) fn run_recorded<P: Protocol>(
     protocol: &P,
     g: &Graph,
     ids: &IdAssignment,
     cfg: RunConfig,
-    stepping: &[bool],
-    prior: Option<&WarmStart<'_, P::Msg, P::Output>>,
 ) -> Result<Recorded<P>, EngineError> {
+    assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
     let n = g.n();
     let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
     let run_t0 = Instant::now();
-    // With every vertex stepping no frozen slot ever reads the log.
-    let empty = Replay {
-        history: Vec::new(),
-        term: Vec::new(),
-    };
-    let (prior, prior_outputs) = prior.map_or((&empty, &[][..]), |w| (w.replay, w.outputs));
 
-    // Slabs. Every slot holds a state (`init` is pure) and its initial
-    // publish — for a frozen vertex, the first entry of its log — but
-    // only stepping vertices are ever stepped.
     let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
     let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
     let mut msgs_next = msgs.clone();
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
-
-    // Two activity structures: `active` drives iteration (stepping
-    // vertices only); `visible` is the snapshot NeighborView serves and
-    // follows the *cold* schedule — frozen vertices stay visible-active
-    // until their recorded termination round.
-    let mut visible = full_words(n);
     let mut active = ActiveSet::full(n);
-    active.retire(|v| !stepping[v as usize]);
-    // The frozen neighbors of stepping vertices: the only frozen slots a
-    // step reads, so the only ones whose recorded schedule is advanced.
-    let mut boundary: Vec<VertexId> = active
-        .iter()
-        .flat_map(|v| g.neighbors(v))
-        .copied()
-        .filter(|&u| !stepping[u as usize])
-        .collect();
-    boundary.sort_unstable();
-    boundary.dedup();
 
-    // Stepped vertices' publishes, round-major: `log[starts[t]..starts[t
-    // + 1]]` holds, in vertex order, the message each stepping vertex
-    // still active in round `t` published in it (round 0: the initial
-    // publishes).
-    let mut log: Vec<P::Msg> = active.iter().map(|v| msgs[v as usize].clone()).collect();
+    // Every publish, round-major: `log[starts[t]..starts[t + 1]]` holds,
+    // in vertex order, the message each vertex still active in round `t`
+    // published in it (round 0: the initial publishes).
+    let mut log = msgs.clone();
     let mut starts = vec![0];
 
     let mut stats = EngineStats::default();
-
     let mut round: u32 = 0;
     while !active.is_empty() {
         round += 1;
@@ -247,7 +230,7 @@ fn replay_loop<P: Protocol>(
             graph: g,
             ids,
             msgs: &msgs,
-            active_words: &visible,
+            active_words: active.words(),
             round,
             seed: cfg.seed,
         };
@@ -261,82 +244,244 @@ fn replay_loop<P: Protocol>(
             let vu = v as usize;
             log.push(msgs_next[vu].clone());
             std::mem::swap(&mut msgs[vu], &mut msgs_next[vu]);
-            let done = termination_round[vu] == round;
-            if done {
-                clear_bit(&mut visible, v);
-            }
-            done
-        });
-        // Advance the boundary's recorded schedule: refresh the message
-        // slots of those that stepped in this cold round, hide those
-        // that terminated in it.
-        boundary.retain(|&u| {
-            let uu = u as usize;
-            let term = prior.term[uu];
-            if term >= round {
-                // The message the cold run would show entering round + 1.
-                msgs[uu] = prior.msg_entering(uu, round + 1).clone();
-            }
-            if term == round {
-                clear_bit(&mut visible, u);
-            }
-            term > round
+            termination_round[vu] == round
         });
     }
 
     stats.wall = run_t0.elapsed();
-    // Gather each stepped vertex's history from the log: visiting them
-    // in vertex order, each one's round-`t` message is the next unread
-    // entry of round `t`.
+    // Gather the histories chunk by chunk: visiting the vertices in
+    // order, each one's round-`t` message is the next unread entry of
+    // round `t`.
     let mut cursor = starts;
-    let mut history = Vec::with_capacity(n);
-    let mut term_cold = termination_round.clone();
-    let outputs = (0..n)
-        .map(|v| {
-            if stepping[v] {
-                let rounds = 0..=termination_round[v] as usize;
-                history.push(
-                    rounds
+    let history = (0..n)
+        .step_by(CHUNK)
+        .map(|lo| {
+            (lo..n.min(lo + CHUNK))
+                .map(|v| {
+                    (0..=termination_round[v] as usize)
                         .map(|t| {
-                            let i = cursor[t];
                             cursor[t] += 1;
-                            log[i].clone()
+                            log[cursor[t] - 1].clone()
                         })
-                        .collect(),
-                );
-                outputs[v].take().expect("stepped vertex without an output")
-            } else {
-                term_cold[v] = prior.term[v];
-                history.push(Arc::clone(&prior.history[v]));
-                prior_outputs[v].clone()
-            }
+                        .collect()
+                })
+                .collect()
         })
         .collect();
+    let outputs = outputs
+        .into_iter()
+        .map(|o| o.expect("terminated vertex without an output"))
+        .collect();
     Ok((
-        SimOutcome::derived(outputs, termination_round, stats),
+        SimOutcome::derived(outputs, termination_round.clone(), stats),
         Replay {
             history,
-            term: term_cold,
+            term: termination_round,
         },
     ))
 }
 
-/// Cold run that also records the [`Replay`] log: the warm loop with
-/// every vertex stepping and nothing frozen. Sequential; byte-identical
-/// outputs to [`Runner::run`](crate::Runner::run).
-pub(crate) fn run_recorded<P: Protocol>(
-    protocol: &P,
-    g: &Graph,
-    ids: &IdAssignment,
-    cfg: RunConfig,
-) -> Result<Recorded<P>, EngineError> {
-    assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
-    replay_loop(protocol, g, ids, cfg, &vec![true; g.n()], None)
+/// Sets (`on`) or clears vertex `v`'s bit in `words`.
+#[inline]
+fn set_bit(words: &mut [u64], v: VertexId, on: bool) {
+    let (wi, bit) = ((v as usize) >> 6, v as usize & 63);
+    words[wi] = (words[wi] & !(1 << bit)) | (u64::from(on) << bit);
+}
+
+/// Writes the message and activity `log` shows for `u` entering `round`
+/// into the view `msgs`/`words`.
+#[inline]
+fn show_logged<M: Clone>(
+    log: &Replay<M>,
+    msgs: &mut [M],
+    words: &mut [u64],
+    u: VertexId,
+    round: u32,
+) {
+    let uu = u as usize;
+    msgs[uu].clone_from(log.msg_entering(uu, round));
+    set_bit(words, u, log.active_in(uu, round));
+}
+
+/// The first vertex outside `touched` whose neighbors differ between
+/// `old` and `new` — the edit endpoint a caller forgot, if any.
+fn uncovered_edit(old: &Graph, new: &Graph, touched: &[VertexId]) -> Option<VertexId> {
+    let mut covered = vec![false; new.n()];
+    for &v in touched {
+        covered[v as usize] = true;
+    }
+    new.vertices()
+        .find(|&v| !covered[v as usize] && old.neighbors(v) != new.neighbors(v))
+}
+
+/// Dirty-slot marker of a clean vertex.
+const CLEAN: u32 = u32::MAX;
+
+/// One warm run's working set: the dirty vertices in compact slots, and
+/// two full-size view slabs (indexed by vertex, as `NeighborView` reads
+/// them) — one for the stepping rounds, one for catch-ups.
+struct Warm<'a, P: Protocol> {
+    protocol: &'a P,
+    g: &'a Graph,
+    ids: &'a IdAssignment,
+    seed: u64,
+    log: &'a Replay<P::Msg>,
+    /// Each vertex's dirty slot, or [`CLEAN`].
+    slot: Vec<u32>,
+    /// Per dirty slot: its vertex, state, output, termination round (0
+    /// while active) and new history.
+    dirty: Vec<VertexId>,
+    states: Vec<P::State>,
+    outputs: Vec<Option<P::Output>>,
+    term: Vec<u32>,
+    history: Vec<Vec<P::Msg>>,
+    /// The stepping rounds' view: live slots for dirty vertices; a clean
+    /// vertex's slot is refreshed from the log before each step that
+    /// reads it.
+    msgs: Vec<P::Msg>,
+    words: Vec<u64>,
+    /// The catch-up's view, refreshed from the log before each step.
+    catch_msgs: Vec<P::Msg>,
+    catch_words: Vec<u64>,
+    stats: EngineStats,
+}
+
+impl<'a, P: Protocol> Warm<'a, P> {
+    /// Steps dirty slot `k` in `round` against the catch-up view or the
+    /// stepping view; returns the message it publishes.
+    fn step(&mut self, k: usize, round: u32, catch_up: bool) -> P::Msg {
+        let v = self.dirty[k];
+        let (msgs, active_words) = if catch_up {
+            (&self.catch_msgs, &self.catch_words)
+        } else {
+            (&self.msgs, &self.words)
+        };
+        let kernel = Kernel {
+            protocol: self.protocol,
+            graph: self.g,
+            ids: self.ids,
+            msgs,
+            active_words,
+            round,
+            seed: self.seed,
+        };
+        let mut slots = Slots::new(
+            v as usize,
+            &mut self.states[k..=k],
+            &mut self.outputs[k..=k],
+            &mut self.term[k..=k],
+        );
+        let m = kernel.step(v, &mut slots, &mut NoObserver);
+        self.stats.msg_bits += slots.bits;
+        self.stats.max_msg_bits = self.stats.max_msg_bits.max(slots.max_bits);
+        m
+    }
+
+    /// Makes clean vertex `u` dirty from `round`: initializes it, catches
+    /// it up through round `round - 1` against the log, and shows its
+    /// live message and activity. Returns its dirty slot.
+    fn enter(&mut self, u: VertexId, round: u32) -> u32 {
+        let k = self.dirty.len();
+        self.slot[u as usize] = k as u32;
+        self.dirty.push(u);
+        let state = self.protocol.init(self.g, self.ids, u);
+        self.history.push(vec![self.protocol.publish(&state)]);
+        self.states.push(state);
+        self.outputs.push(None);
+        self.term.push(0);
+        let (g, log) = (self.g, self.log);
+        for s in 1..round {
+            for &w in g.neighbors(u).iter().chain([&u]) {
+                show_logged(log, &mut self.catch_msgs, &mut self.catch_words, w, s);
+            }
+            let m = self.step(k, s, true);
+            debug_assert!(
+                self.term[k] == 0 && m == *log.msg_entering(u as usize, s + 1),
+                "catch-up step of vertex {u} in round {s} diverged from the log"
+            );
+            self.history[k].push(m);
+        }
+        let shown = self.history[k].last().expect("history starts at init");
+        self.msgs[u as usize].clone_from(shown);
+        set_bit(&mut self.words, u, true);
+        k as u32
+    }
+
+    /// Runs the propagation rule from the edit endpoints `touched` until
+    /// every dirty vertex has terminated.
+    fn run(&mut self, touched: &[VertexId], max_rounds: u32) -> Result<(), EngineError> {
+        let (g, log) = (self.g, self.log);
+        let mut live = Vec::new();
+        for &e in touched {
+            assert!((e as usize) < g.n(), "edit endpoint {e} out of range");
+            if self.slot[e as usize] == CLEAN {
+                live.push(self.enter(e, 1));
+            }
+        }
+        // An endpoint whose initial publish changed dirties its
+        // neighbors from round 1 (every vertex is active in round 1).
+        for i in 0..live.len() {
+            let (k, e) = (live[i] as usize, self.dirty[live[i] as usize]);
+            if self.history[k][0] != *log.msg_entering(e as usize, 1) {
+                for &w in g.neighbors(e) {
+                    if self.slot[w as usize] == CLEAN {
+                        live.push(self.enter(w, 1));
+                    }
+                }
+            }
+        }
+
+        let (mut next, mut published) = (Vec::new(), Vec::new());
+        let mut round: u32 = 0;
+        while !live.is_empty() {
+            round += 1;
+            if round > max_rounds {
+                return Err(EngineError::RoundLimitExceeded {
+                    max_rounds,
+                    still_active: live.len(),
+                });
+            }
+            for &k in &live {
+                for &w in g.neighbors(self.dirty[k as usize]) {
+                    if self.slot[w as usize] == CLEAN {
+                        show_logged(log, &mut self.msgs, &mut self.words, w, round);
+                    }
+                }
+                published.push(self.step(k as usize, round, false));
+            }
+            // Publish, and compare what each stepped vertex shows entering
+            // the next round with the log.
+            for (&k, m) in live.iter().zip(published.drain(..)) {
+                let (ku, v) = (k as usize, self.dirty[k as usize]);
+                let done = self.term[ku] == round;
+                let vu = v as usize;
+                let differs =
+                    done == log.active_in(vu, round + 1) || m != *log.msg_entering(vu, round + 1);
+                self.msgs[vu].clone_from(&m);
+                self.history[ku].push(m);
+                if done {
+                    clear_bit(&mut self.words, v);
+                } else {
+                    next.push(k);
+                }
+                if differs {
+                    for &w in g.neighbors(v) {
+                        if self.slot[w as usize] == CLEAN && log.active_in(w as usize, round + 1) {
+                            next.push(self.enter(w, round + 1));
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut live, &mut next);
+            next.clear();
+        }
+        Ok(())
+    }
 }
 
 /// Incremental re-solve of `g` (the post-edit graph) warm-started from
-/// `prior`. See the module docs for the freeze rule; outputs and the
-/// returned replay are byte-identical to a cold re-solve, while the
+/// `prior`. See the module docs for the propagation rule; outputs and
+/// the returned replay are byte-identical to a cold re-solve, while the
 /// outcome's metrics measure the update cost only.
 pub(crate) fn run_warm<P: Protocol>(
     protocol: &P,
@@ -355,9 +500,15 @@ pub(crate) fn run_warm<P: Protocol>(
         n,
         "prior outputs must cover all vertices"
     );
+    debug_assert!(
+        uncovered_edit(prior.old_graph, g, prior.touched).is_none(),
+        "vertex {:?} changed neighbors but is not in `touched`: \
+         `touched` must hold both endpoints of every edit",
+        uncovered_edit(prior.old_graph, g, prior.touched)
+    );
     let ob = obs.map(|r| r.handle(0));
 
-    let Some(radius) = protocol.dependence_radius(g) else {
+    if !protocol.is_local() {
         // No locality declaration: the only sound move is a full cold
         // re-solve (which also refreshes the replay log).
         let (outcome, replay) = run_recorded(protocol, g, ids, cfg)?;
@@ -374,31 +525,69 @@ pub(crate) fn run_warm<P: Protocol>(
                 full_resolve: true,
             },
         });
-    };
+    }
 
-    // Freeze rule: re-step exactly the vertices with an edit endpoint
-    // inside their dependence ball. Distances from the edit endpoints
-    // agree in the old and the new topology (module docs), so one BFS
-    // decides it.
-    let dist = multi_bfs(g, prior.touched);
-    debug_assert!(
-        dist == multi_bfs(prior.old_graph, prior.touched),
-        "edit-endpoint distances differ between the old and new graph: \
-         `touched` must hold both endpoints of every edit"
-    );
-    let stepping: Vec<bool> = (0..n)
-        .map(|v| dist[v] <= prior.replay.term[v].min(radius))
-        .collect();
-    let reactivated = stepping.iter().filter(|&&b| b).count();
+    let run_t0 = Instant::now();
+    let log = prior.replay;
+    // Every slot of the view slabs is written before it is read; the
+    // filler only sizes them.
+    let filler = prior
+        .touched
+        .first()
+        .map(|&e| log.msg_entering(e as usize, 1));
+    let slab = |len| filler.map_or_else(Vec::new, |m| vec![m.clone(); len]);
+    let mut warm = Warm {
+        protocol,
+        g,
+        ids,
+        seed: cfg.seed,
+        log,
+        slot: vec![CLEAN; n],
+        dirty: Vec::new(),
+        states: Vec::new(),
+        outputs: Vec::new(),
+        term: Vec::new(),
+        history: Vec::new(),
+        msgs: slab(n),
+        words: vec![0; n.div_ceil(64)],
+        catch_msgs: slab(n),
+        catch_words: vec![0; n.div_ceil(64)],
+        stats: EngineStats::default(),
+    };
+    let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
+    warm.run(prior.touched, max_rounds)?;
+    let reactivated = warm.dirty.len();
     if let Some(o) = ob {
         o.add(Metric::EngineWarmRuns, 1);
         o.add(Metric::EngineReactivated, reactivated as u64);
     }
 
-    let (outcome, replay) = replay_loop(protocol, g, ids, cfg, &stepping, Some(&prior))?;
+    // Clean vertices carry the prior run forward; dirty ones overwrite
+    // their output, termination round and (copy-on-write) history.
+    let Warm {
+        dirty,
+        outputs: dirty_outputs,
+        term: dirty_term,
+        history: dirty_history,
+        mut stats,
+        ..
+    } = warm;
+    let mut outputs = prior.outputs.to_vec();
+    let mut termination_round = vec![0u32; n];
+    let mut term = log.term.clone();
+    let mut history = log.history.clone();
+    let dirty = dirty.into_iter().zip(dirty_outputs).zip(dirty_term);
+    for (((v, out), t), h) in dirty.zip(dirty_history) {
+        let vu = v as usize;
+        outputs[vu] = out.expect("dirty vertex without an output");
+        termination_round[vu] = t;
+        term[vu] = t;
+        Arc::make_mut(&mut history[vu / CHUNK])[vu % CHUNK] = h.into();
+    }
+    stats.wall = run_t0.elapsed();
     Ok(WarmOutcome {
-        outcome,
-        replay,
+        outcome: SimOutcome::derived(outputs, termination_round, stats),
+        replay: Replay { history, term },
         stats: WarmStats {
             reactivated,
             full_resolve: false,
@@ -450,15 +639,15 @@ mod tests {
             }
         }
 
-        fn dependence_radius(&self, _: &Graph) -> Option<u32> {
-            Some(u32::MAX)
+        fn is_local(&self) -> bool {
+            true
         }
     }
 
     /// Randomized decay-style protocol: each round a vertex flips a
     /// seeded coin biased by its count of still-active neighbors and the
     /// coins it saw last round; termination rounds vary per vertex, so
-    /// warm runs get a rich frozen/stepping mix.
+    /// warm runs get a rich clean/dirty mix.
     struct CoinDecay;
 
     impl Protocol for CoinDecay {
@@ -497,12 +686,42 @@ mod tests {
             }
         }
 
-        fn dependence_radius(&self, _: &Graph) -> Option<u32> {
-            Some(u32::MAX)
+        fn is_local(&self) -> bool {
+            true
         }
     }
 
-    /// CoinDecay without the locality declaration — forces the fallback.
+    /// CoinDecay publishing only its coin's low bit: a vertex whose state
+    /// or activity changed often still shows the same message, so inputs
+    /// that differ in activity alone are common.
+    struct CoarseDecay;
+
+    impl Protocol for CoarseDecay {
+        type State = (u64, u32);
+        type Msg = u64;
+        type Output = (u64, u32);
+
+        fn init(&self, g: &Graph, ids: &IdAssignment, v: VertexId) -> Self::State {
+            CoinDecay.init(g, ids, v)
+        }
+
+        fn publish(&self, s: &Self::State) -> u64 {
+            s.0 & 1
+        }
+
+        fn step(
+            &self,
+            ctx: StepCtx<'_, Self::State, u64>,
+        ) -> Transition<Self::State, Self::Output> {
+            CoinDecay.step(ctx)
+        }
+
+        fn is_local(&self) -> bool {
+            true
+        }
+    }
+
+    /// CoinDecay without the locality flag — forces the fallback.
     struct OpaqueDecay;
 
     impl Protocol for OpaqueDecay {
@@ -589,6 +808,82 @@ mod tests {
         }
     }
 
+    /// The vertices whose step inputs differ between the `old` log and
+    /// `new`, a recorded cold run of the edited graph `g`: the edit
+    /// endpoints, plus every vertex with a neighbor that shows it a
+    /// different message or activity in some round up to its old
+    /// termination round.
+    fn input_difference_set<M: Clone + PartialEq>(
+        g: &Graph,
+        touched: &[VertexId],
+        old: &Replay<M>,
+        new: &Replay<M>,
+    ) -> Vec<bool> {
+        let differs = |u: usize, t: u32| {
+            old.msg_entering(u, t) != new.msg_entering(u, t)
+                || old.active_in(u, t) != new.active_in(u, t)
+        };
+        g.vertices()
+            .map(|v| {
+                touched.contains(&v)
+                    || g.neighbors(v)
+                        .iter()
+                        .any(|&u| (1..=old.term[v as usize]).any(|t| differs(u as usize, t)))
+            })
+            .collect()
+    }
+
+    /// Cold run + warm chain over every churn batch, asserting that each
+    /// warm run steps exactly the input difference set of its batch and
+    /// ends where a recorded cold re-solve does.
+    fn assert_steps_input_difference_set<P>(protocol: &P, base: &Graph, plan: &ChurnPlan, seed: u64)
+    where
+        P: Protocol,
+        P::Output: PartialEq + std::fmt::Debug,
+    {
+        let idv = ids(base.n());
+        let cfg = RunConfig::seeded(seed);
+        let (cold0, mut replay) = run_recorded(protocol, base, &idv, cfg).unwrap();
+        let mut outputs = cold0.outputs;
+        let mut g = base.clone();
+        for (bi, batch) in churn_sequence(base, plan).iter().enumerate() {
+            let next = apply(&g, batch);
+            let touched = batch.endpoints();
+            let warm = run_warm(
+                protocol,
+                &next,
+                &idv,
+                cfg,
+                None,
+                WarmStart {
+                    replay: &replay,
+                    outputs: &outputs,
+                    old_graph: &g,
+                    touched: &touched,
+                },
+            )
+            .unwrap();
+            let (cold, cold_replay) = run_recorded(protocol, &next, &idv, cfg).unwrap();
+            assert_eq!(warm.outcome.outputs, cold.outputs, "batch {bi}: outputs");
+            assert!(
+                warm.replay.history == cold_replay.history,
+                "batch {bi}: log"
+            );
+            let expected = input_difference_set(&next, &touched, &replay, &cold_replay);
+            let stepped: Vec<bool> = warm
+                .outcome
+                .metrics
+                .termination_round
+                .iter()
+                .map(|&t| t > 0)
+                .collect();
+            assert_eq!(stepped, expected, "batch {bi}: stepped set");
+            let dirty = expected.iter().filter(|&&d| d).count();
+            assert_eq!(warm.stats.reactivated, dirty, "batch {bi}: reactivated");
+            (g, outputs, replay) = (next, warm.outcome.outputs, warm.replay);
+        }
+    }
+
     #[test]
     fn recorded_run_matches_plain_run() {
         let g = rg(120, 0.05, 9);
@@ -604,10 +899,10 @@ mod tests {
         assert_eq!(rec.stats.steps, plain.stats.steps);
         assert_eq!(replay.term(), plain.metrics.termination_round.as_slice());
         for v in 0..g.n() {
-            assert_eq!(replay.history[v].len() as u32, replay.term[v] + 1);
+            assert_eq!(replay.history(v).len() as u32, replay.term[v] + 1);
             assert_eq!(
                 *replay.msg_entering(v, replay.term[v] + 5),
-                *replay.history[v].last().unwrap(),
+                *replay.history(v).last().unwrap(),
                 "terminal broadcast is sticky"
             );
         }
@@ -637,8 +932,8 @@ mod tests {
 
     #[test]
     fn single_edit_on_a_long_path_freezes_the_far_side() {
-        // Editing one end of a 400-path reactivates only the dependence
-        // ball of the endpoints — the far side stays frozen.
+        // Editing one end of a 400-path reactivates only vertices near
+        // the endpoints — the far side stays clean.
         let g = gen::path(400);
         let idv = ids(400);
         let cfg = RunConfig::seeded(1);
@@ -665,14 +960,14 @@ mod tests {
         .unwrap();
         let cold2 = Runner::new(&p, &g2, &idv).config(cfg).run().unwrap();
         assert_eq!(warm.outcome.outputs, cold2.outputs);
-        // Ball radius is term + 1 = 4 around vertices {0, 2}: a handful
-        // of vertices, not the whole path.
+        // A new max ID travels at most term = 3 hops from {0, 2}: a
+        // handful of vertices, not the whole path.
         assert!(
             warm.stats.reactivated <= 8,
             "reactivated {} of 400",
             warm.stats.reactivated
         );
-        // Frozen vertices report zero update cost.
+        // Clean vertices report zero update cost.
         let zeros = warm
             .outcome
             .metrics
@@ -685,11 +980,13 @@ mod tests {
     }
 
     #[test]
-    fn shortcut_edit_reactivates_the_min_distance_ball() {
+    fn shortcut_edit_reactivates_the_input_difference_set() {
         // (0, 200) is a shortcut across a 400-path: inserting it, then
-        // deleting it again, must re-step exactly the vertices within
-        // their termination round of an endpoint under the smaller of
-        // the pre- and post-edit distances — which the single BFS gives.
+        // deleting it again, must re-step exactly the vertices whose
+        // inputs differ from the prior log. Neither endpoint's initial
+        // publish changes (it is its ID); 0's max-ID view changes at once
+        // and travels two hops before the 3-round horizon ends, while
+        // 200's never changes what it publishes.
         let g = gen::path(400);
         let idv = ids(400);
         let cfg = RunConfig::seeded(4);
@@ -721,10 +1018,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let (dist_old, dist_new) = (multi_bfs(&old, &touched), multi_bfs(&new, &touched));
-            let expected: Vec<bool> = (0..400)
-                .map(|v| dist_old[v].min(dist_new[v]) <= replay.term[v])
-                .collect();
+            let (_, cold_replay) = run_recorded(&p, &new, &idv, cfg).unwrap();
+            let expected = input_difference_set(&new, &touched, &replay, &cold_replay);
             let stepped: Vec<bool> = warm
                 .outcome
                 .metrics
@@ -733,7 +1028,9 @@ mod tests {
                 .map(|&t| t > 0)
                 .collect();
             assert_eq!(stepped, expected);
-            assert_eq!(warm.stats.reactivated, 4 + 7, "{{0..=3}} and {{197..=203}}");
+            let dirty: Vec<usize> = (0..400).filter(|&v| stepped[v]).collect();
+            assert_eq!(dirty, [0, 1, 2, 200]);
+            assert_eq!(warm.stats.reactivated, 4);
             let cold = Runner::new(&p, &new, &idv).config(cfg).run().unwrap();
             assert_eq!(warm.outcome.outputs, cold.outputs);
             (old, outputs, replay) = (new, warm.outcome.outputs, warm.replay);
@@ -741,11 +1038,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "the lemma check is debug-only")]
+    #[cfg_attr(not(debug_assertions), ignore = "the adjacency check is debug-only")]
     #[should_panic(expected = "must hold both endpoints")]
-    fn touched_without_both_endpoints_trips_the_lemma_check() {
-        // Only 0 named for the shortcut (0, 200): from {0}, vertex 200
-        // is 200 hops away before the edit and 1 after it.
+    fn touched_without_both_endpoints_trips_the_adjacency_check() {
+        // Only 0 named for the shortcut (0, 200): vertex 200 gains a
+        // neighbor but would never be re-stepped.
         let g = gen::path(400);
         let idv = ids(400);
         let cfg = RunConfig::seeded(4);
@@ -867,6 +1164,38 @@ mod tests {
                     &plan,
                     run_seed,
                 );
+            }
+
+            // The stepped set is exactly the vertices whose step inputs
+            // differ from the prior log: nothing clean is re-stepped.
+            #[test]
+            fn stepped_set_is_the_input_difference_set(
+                n in 20usize..80,
+                p_millis in 20u64..90,
+                gseed in 0u64..1000,
+                cseed in 0u64..1000,
+                run_seed in 0u64..1000,
+                batches in 1usize..4,
+                inserts in 0usize..5,
+                deletes in 0usize..5,
+            ) {
+                let g = rg(n, p_millis as f64 / 1000.0, gseed);
+                let plan = ChurnPlan {
+                    seed: cseed,
+                    batches,
+                    inserts_per_batch: inserts,
+                    deletes_per_batch: deletes,
+                };
+                assert_steps_input_difference_set(&CoinDecay, &g, &plan, run_seed);
+                assert_steps_input_difference_set(&CoarseDecay, &g, &plan, run_seed);
+                for horizon in [3, 6] {
+                    assert_steps_input_difference_set(
+                        &MaxIdFlood { horizon },
+                        &g,
+                        &plan,
+                        run_seed,
+                    );
+                }
             }
         }
     }

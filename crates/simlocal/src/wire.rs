@@ -213,7 +213,11 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
     fn decode(buf: &mut &[u8]) -> Option<Vec<T>> {
         let len = u32::decode(buf)? as usize;
-        let mut v = Vec::with_capacity(len.min(buf.len()));
+        // Reserve only what the remaining bytes could fill in memory, so
+        // a hostile length prefix cannot make a frame allocate several
+        // times its own size before the decode fails.
+        let fits = buf.len() / std::mem::size_of::<T>().max(1);
+        let mut v = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             v.push(T::decode(buf)?);
         }

@@ -114,7 +114,7 @@ struct SplitState {
     scratch: Vec<u64>, // private: grows every round, must never be charged
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum SplitMsg {
     Probe { level: u32 },
     Done { level: u32, path: Vec<u32> },
