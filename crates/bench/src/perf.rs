@@ -421,7 +421,28 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
     entries.push(ingest_parse_n20(n, reps));
     // Churn update throughput (edit splice + warm-start re-solve).
     entries.push(warm_update_n15(reps));
+    // Linial color-reduction throughput (one cover-free step per vertex).
+    entries.push(a2logn_seq_n20(n, reps));
     entries
+}
+
+/// Measures the Linial color-reduction kernel: `ColoringA2LogN` (a = 2,
+/// identity IDs) on the `n`-vertex `forest_union(a = 2)` (seed 1) on the
+/// sequential sync engine. Outside the partition, the protocol's only
+/// per-vertex work is one [`algos::coverfree::CoverFree::reduce`] when
+/// its H-set forms, so this entry moves with the kernel. The graph is
+/// built outside the timed region.
+fn a2logn_seq_n20(n: usize, reps: usize) -> PerfEntry {
+    use algos::coloring::a2logn::ColoringA2LogN;
+    let g = crate::forest_workload(n, 2, 1).graph;
+    let ids = IdAssignment::identity(n);
+    let p = ColoringA2LogN::new(2);
+    measure("a2logn_seq_n20", n, reps, || {
+        Runner::new(&p, &g, &ids)
+            .run()
+            .expect("a2logn terminates on a forest union")
+            .stats
+    })
 }
 
 /// Measures the cost of absorbing edge churn: 50 batches of one insert
@@ -553,6 +574,7 @@ pub fn suite_ids() -> Vec<&'static str> {
         "harness_table2_quick",
         "ingest_parse_n20",
         "warm_update_n15",
+        "a2logn_seq_n20",
     ]
 }
 

@@ -55,7 +55,7 @@ impl ColoringA2LogN {
             .get_or_init(|| CoverFree::for_palette(ids.id_space().max(2), self.cap() as u64))
     }
 
-    /// Number of colors this instance can use use (palette size).
+    /// Number of colors this instance can use (palette size).
     pub fn palette(&self, ids: &IdAssignment) -> u64 {
         self.family(ids).ground_size()
     }

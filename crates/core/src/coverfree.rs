@@ -16,6 +16,17 @@
 //! `q²` elements — `O(A² log² p / log² A)`, within a `log p / log A` factor
 //! of Linial's probabilistic bound, with identical fixpoint behaviour:
 //! iterating the reduction reaches `O(A²)` colors in `O(log* p)` steps.
+//!
+//! [`CoverFree::reduce`] never builds a set. An element `i·q + f_x(i)` of
+//! `F_x` has first coordinate `i` and second coordinate `f_x(i) < q`, so it
+//! lies in `F_y` iff `f_y(i) = f_x(i)`. The step therefore scans the points
+//! `i = 0, 1, …` and returns `i·q + f_x(i)` at the first `i` where no parent's
+//! polynomial agrees with `x`'s — the same element a walk of `F_x` against
+//! the materialized union would return. Each parent agrees with `x` on ≤ `d`
+//! points, so the scan stops by point `|parents|·d`: at most
+//! `|parents|·d + 1` points, each costing `O((|parents| + 1)·d)` field
+//! operations, and no allocation. In a typical step point 0 is already
+//! free.
 
 /// Smallest prime ≥ `x` (trial division; fine for the ≤ 10⁷ range used).
 pub fn next_prime(x: u64) -> u64 {
@@ -113,10 +124,33 @@ impl CoverFree {
         v
     }
 
+    /// `f_x(i)`: the polynomial whose coefficients are the `d + 1` lowest
+    /// base-`q` digits of `x` (lowest first, truncated as in
+    /// [`CoverFree::set_of`]), evaluated at `i` in `F_q`. Summing
+    /// `c_k·i^k` low digit first gives the same residue as Horner's rule;
+    /// `q² < 2^63` for our sizes, so no product overflows.
+    fn eval(&self, x: u64, i: u64) -> u64 {
+        let (mut rest, mut acc, mut pow) = (x, 0u64, 1u64);
+        for _ in 0..=self.d {
+            acc = (acc + rest % self.q * pow) % self.q;
+            pow = pow * i % self.q;
+            rest /= self.q;
+        }
+        debug_assert_eq!(rest, 0, "color exceeds q^(d+1); family too small");
+        acc
+    }
+
     /// The Linial step: returns an element of `F_mine` not contained in
     /// any `F_y` for `y ∈ others`. Panics if `others` exceeds the union
     /// bound (caller violated the out-degree invariant) or if the colors
     /// collide with `mine` (caller's current coloring was improper).
+    ///
+    /// First-free-point search: returns `i·q + f_mine(i)` for the first
+    /// point `i` at which `f_y(i) ≠ f_mine(i)` for every parent `y`, which
+    /// is exactly the first element of [`CoverFree::set_of`]`(mine)`
+    /// outside the union of the parents' sets (see the module docs). The
+    /// scan visits at most `|others|·d + 1` points, each in
+    /// `O((|others| + 1)·d)` field operations, and allocates nothing.
     pub fn reduce(&self, mine: u64, others: &[u64]) -> u64 {
         assert!(
             others.len() as u64 <= self.a_bound,
@@ -124,14 +158,17 @@ impl CoverFree {
             others.len(),
             self.a_bound
         );
-        let mut blocked: Vec<u64> = Vec::with_capacity(others.len() * self.q as usize);
         for &y in others {
             debug_assert_ne!(y, mine, "parent shares current color {mine}");
-            blocked.extend(self.set_of(y));
         }
-        blocked.sort_unstable();
-        self.set_of(mine)
-            .find(|e| blocked.binary_search(e).is_err())
+        (0..self.q)
+            .find_map(|i| {
+                let fi = self.eval(mine, i);
+                others
+                    .iter()
+                    .all(|&y| self.eval(y, i) != fi)
+                    .then_some(i * self.q + fi)
+            })
             .expect("cover-free property guarantees an uncovered element")
     }
 }
@@ -198,6 +235,92 @@ pub fn fixpoint_palette(p0: u64, a_bound: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The set definition of the Linial step, kept as the oracle for
+    /// [`CoverFree::reduce`]: the first element of `F_mine`, in
+    /// [`CoverFree::set_of`] order, outside the sorted union of the
+    /// parents' sets.
+    fn reduce_by_union(f: &CoverFree, mine: u64, others: &[u64]) -> u64 {
+        let mut blocked: Vec<u64> = others.iter().flat_map(|&y| f.set_of(y)).collect();
+        blocked.sort_unstable();
+        f.set_of(mine)
+            .find(|e| blocked.binary_search(e).is_err())
+            .expect("cover-free property guarantees an uncovered element")
+    }
+
+    // `reduce` returns the oracle's element on random families and
+    // parents. About half the parents are forced to agree with `mine` at
+    // point 0 (same lowest base-`q` digit), so many cases scan past the
+    // first point.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn reduce_matches_union_definition(
+            (p, a, mine, draws) in (2u64..=1 << 40, 1u64..=20).prop_flat_map(|(p, a)| {
+                let parents = proptest::collection::vec((0..p, any::<bool>()), 0..a as usize + 1);
+                (Just(p), Just(a), 0..p, parents)
+            })
+        ) {
+            let f = CoverFree::for_palette(p, a);
+            let parents: Vec<u64> = draws
+                .iter()
+                .map(|&(y, share)| if share { y - y % f.q + mine % f.q } else { y })
+                .filter(|&y| y != mine)
+                .collect();
+            prop_assert_eq!(
+                f.reduce(mine, &parents),
+                reduce_by_union(&f, mine, &parents),
+                "p={} a={} mine={} parents={:?}", p, a, mine, parents
+            );
+        }
+    }
+
+    /// The scan's worst case: `a_bound` parents whose polynomials each
+    /// agree with `mine`'s on `d` distinct points, together covering
+    /// points `0..a_bound·d`, so the first free point is `a_bound·d`.
+    /// Parent `j`'s polynomial is `f_mine + ∏(x − r)` over
+    /// `r ∈ j·d..(j+1)·d`: the added monic product vanishes exactly there.
+    #[test]
+    fn reduce_worst_case_reaches_point_a_times_d() {
+        // Families (q, d) = (37, 3), (17, 2), (23, 6) and (29, 2).
+        for (p, a) in [(1u64 << 20, 8u64), (1369, 8), (1 << 30, 3), (10_000, 12)] {
+            let f = CoverFree::for_palette(p, a);
+            let (q, d) = (f.q, f.d);
+            let mine = p - 1;
+            let mut rest = mine;
+            let mine_digits: Vec<u64> = (0..=d)
+                .map(|_| {
+                    let c = rest % q;
+                    rest /= q;
+                    c
+                })
+                .collect();
+            let parents: Vec<u64> = (0..a)
+                .map(|j| {
+                    // Coefficients of ∏(x − r), lowest first; r < a·d < q.
+                    let mut g = vec![1u64];
+                    for r in j * d..(j + 1) * d {
+                        let mut next = vec![0u64; g.len() + 1];
+                        for (k, &c) in g.iter().enumerate() {
+                            next[k + 1] = (next[k + 1] + c) % q;
+                            next[k] = (next[k] + (q - r) * c) % q;
+                        }
+                        g = next;
+                    }
+                    mine_digits
+                        .iter()
+                        .zip(&g)
+                        .rev()
+                        .fold(0, |y, (&m, &c)| y * q + (m + c) % q)
+                })
+                .collect();
+            let c = f.reduce(mine, &parents);
+            assert_eq!(c / q, a * d, "p={p} a={a} (q={q}, d={d})");
+            assert_eq!(c, reduce_by_union(&f, mine, &parents));
+        }
+    }
 
     #[test]
     fn primes() {

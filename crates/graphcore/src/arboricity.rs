@@ -90,7 +90,11 @@ pub fn degeneracy(g: &Graph) -> usize {
 /// Nash–Williams lower bound `a ≥ ⌈m(H)/(n(H)−1)⌉` maximized over the
 /// suffixes of the degeneracy peeling order (the densest-core witnesses).
 pub fn nash_williams_lower_bound(g: &Graph) -> usize {
-    let (_, order) = degeneracy_ordering(g);
+    nash_williams_on_order(g, &degeneracy_ordering(g).1)
+}
+
+/// The Nash–Williams bound over the suffixes of a given peeling `order`.
+fn nash_williams_on_order(g: &Graph, order: &[VertexId]) -> usize {
     let n = g.n();
     if n < 2 {
         return 0;
@@ -115,11 +119,12 @@ pub fn nash_williams_lower_bound(g: &Graph) -> usize {
     best
 }
 
-/// Full bracket estimate.
+/// Full bracket estimate, from a single degeneracy peel.
 pub fn estimate(g: &Graph) -> ArboricityEstimate {
+    let (d, order) = degeneracy_ordering(g);
     ArboricityEstimate {
-        lower: nash_williams_lower_bound(g),
-        upper: degeneracy(g).max(1),
+        lower: nash_williams_on_order(g, &order),
+        upper: d.max(1),
     }
 }
 
@@ -184,6 +189,41 @@ mod tests {
             assert!(later <= d, "vertex {v} has {later} later neighbors, d={d}");
         }
         assert_eq!(d, 2); // grids are 2-degenerate
+    }
+
+    #[test]
+    fn estimate_matches_separate_bounds() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let graphs = [
+            gen::path(0),
+            gen::path(1),
+            gen::path(30),
+            gen::cycle(30),
+            gen::star(30),
+            gen::clique(9),
+            gen::complete_bipartite(3, 7),
+            gen::grid(5, 6),
+            gen::toroid(5, 6),
+            gen::binary_tree(31),
+            gen::caterpillar(5, 3),
+            gen::hypercube(4),
+            gen::random_tree(100, &mut rng).graph,
+            gen::forest_union(200, 3, &mut rng).graph,
+            gen::nested_shells(6, 3).graph,
+            gen::hub_forest(400, 2, 3, 40, &mut rng).graph,
+            gen::gnm(100, 300, &mut rng).graph,
+            gen::gnp(100, 0.05, &mut rng).graph,
+            gen::preferential_attachment(100, 3, &mut rng).graph,
+            gen::random_geometric(100, 0.15, &mut rng).graph,
+        ];
+        for g in &graphs {
+            let expected = ArboricityEstimate {
+                lower: nash_williams_lower_bound(g),
+                upper: degeneracy(g).max(1),
+            };
+            assert_eq!(estimate(g), expected, "{g:?}");
+        }
     }
 
     #[test]

@@ -135,35 +135,46 @@ impl Orientation {
     /// Whether the oriented part of the graph is acyclic (ignores
     /// unoriented edges). Kahn's algorithm on the directed subgraph.
     pub fn is_acyclic(&self, g: &Graph) -> bool {
-        self.topo_depths(g).is_some()
+        self.kahn(g, |_, _| {})
     }
 
     /// Length of the orientation: number of edges on the longest directed
     /// path (§5). Returns `None` if the oriented subgraph has a cycle.
     pub fn length(&self, g: &Graph) -> Option<usize> {
-        self.topo_depths(g)
-            .map(|d| d.into_iter().max().unwrap_or(0))
+        // Longest directed path ending at each vertex.
+        let mut depth = vec![0usize; g.n()];
+        self.kahn(g, |v, u| {
+            depth[u as usize] = depth[u as usize].max(depth[v as usize] + 1)
+        })
+        .then(|| depth.into_iter().max().unwrap_or(0))
     }
 
-    /// Longest-directed-path-ending-at-v table via Kahn's algorithm;
-    /// `None` on a directed cycle.
-    fn topo_depths(&self, g: &Graph) -> Option<Vec<usize>> {
+    /// Kahn's algorithm over the oriented edges: calls `arc(v, u)` for
+    /// every arc `v -> u` once `v` is popped, so every arc into `v` has
+    /// been seen by then. `false` on a directed cycle.
+    fn kahn(&self, g: &Graph, mut arc: impl FnMut(VertexId, VertexId)) -> bool {
         let n = g.n();
-        let mut indeg = vec![0usize; n];
-        for (e, _) in g.edges() {
-            if let Some(h) = self.head(g, e) {
-                indeg[h as usize] += 1;
+        let mut indeg = vec![0u32; n];
+        for (e, (u, v)) in g.edges() {
+            match self.dirs[e as usize] {
+                Dir::LowToHigh => indeg[v as usize] += 1,
+                Dir::HighToLow => indeg[u as usize] += 1,
+                Dir::None => {}
             }
         }
         let mut queue: Vec<VertexId> = g.vertices().filter(|&v| indeg[v as usize] == 0).collect();
-        let mut depth = vec![0usize; n];
         let mut processed = 0usize;
         while let Some(v) = queue.pop() {
             processed += 1;
             for (u, e) in g.incidences(v) {
-                if self.tail(g, e) == Some(v) {
-                    // v -> u
-                    depth[u as usize] = depth[u as usize].max(depth[v as usize] + 1);
+                // `Dir` is relative to the edge's lower endpoint.
+                let out = match self.dirs[e as usize] {
+                    Dir::LowToHigh => v < u,
+                    Dir::HighToLow => v > u,
+                    Dir::None => false,
+                };
+                if out {
+                    arc(v, u);
                     indeg[u as usize] -= 1;
                     if indeg[u as usize] == 0 {
                         queue.push(u);
@@ -171,7 +182,7 @@ impl Orientation {
                 }
             }
         }
-        (processed == n).then_some(depth)
+        processed == n
     }
 }
 

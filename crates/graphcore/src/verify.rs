@@ -216,9 +216,15 @@ pub fn forest_decomposition(
     if labels.len() != g.m() || heads.len() != g.m() {
         return Err("label/head vectors must have one entry per edge".into());
     }
-    for (e, _) in g.edges() {
-        if heads[e as usize].is_none() {
-            return Err(format!("edge {e} is unoriented"));
+    for (e, (u, v)) in g.edges() {
+        match heads[e as usize] {
+            None => return Err(format!("edge {e} is unoriented")),
+            Some(h) if h != u && h != v => {
+                return Err(format!(
+                    "edge {e} = ({u},{v}) has head {h}, not an endpoint"
+                ))
+            }
+            Some(_) => {}
         }
         if labels[e as usize] as usize >= num_forests {
             return Err(format!(
@@ -228,16 +234,20 @@ pub fn forest_decomposition(
         }
     }
     // Out-degree within each label: each vertex has at most one outgoing
-    // edge per label (edges out of v with label ℓ).
-    let mut out_label: std::collections::HashSet<(VertexId, u32)> =
-        std::collections::HashSet::new();
-    for (e, (u, v)) in g.edges() {
-        let head = heads[e as usize].unwrap();
-        let tail = if head == u { v } else { u };
-        if !out_label.insert((tail, labels[e as usize])) {
+    // edge per label, i.e. the labels of its out-edges are distinct.
+    let mut out_labels: Vec<u32> = Vec::new();
+    for v in g.vertices() {
+        out_labels.clear();
+        out_labels.extend(
+            g.incidences(v)
+                .filter(|&(u, e)| heads[e as usize] == Some(u))
+                .map(|(_, e)| labels[e as usize]),
+        );
+        out_labels.sort_unstable();
+        if let Some(w) = out_labels.windows(2).find(|w| w[0] == w[1]) {
             return Err(format!(
-                "vertex {tail} has two outgoing edges labeled {}",
-                labels[e as usize]
+                "vertex {v} has two outgoing edges labeled {}",
+                w[0]
             ));
         }
     }
@@ -377,6 +387,65 @@ mod tests {
         // Distinct labels per out-edge make it valid.
         let labels: Vec<u32> = (0..g.m() as u32).collect();
         assert!(forest_decomposition(&g, &labels, &heads, g.m()).is_ok());
+    }
+
+    #[test]
+    fn forest_decomposition_rejects_split_repeated_label() {
+        // Vertex 1's out-edges (1,0) and (1,3) share label 2 but are not
+        // consecutive in edge order: (1,2) sits between them.
+        let g = GraphBuilder::new(4).edges([(0, 1), (1, 2), (1, 3)]).build();
+        let heads: Vec<Option<VertexId>> = g
+            .edges()
+            .map(|(_, (u, v))| Some(if u == 1 { v } else { u }))
+            .collect();
+        let label = |a, b| g.edge_between(a, b).unwrap() as usize;
+        let mut labels = vec![0u32; g.m()];
+        labels[label(0, 1)] = 2;
+        labels[label(1, 2)] = 1;
+        labels[label(1, 3)] = 2;
+        let err = forest_decomposition(&g, &labels, &heads, 3).unwrap_err();
+        assert!(err.contains("vertex 1"), "{err}");
+        labels[label(1, 3)] = 0;
+        assert!(forest_decomposition(&g, &labels, &heads, 3).is_ok());
+    }
+
+    #[test]
+    fn forest_decomposition_many_forests() {
+        // A 101-vertex star oriented away from its center: distinct labels
+        // 0..99 are valid, and one repeated label ≥ 64 is caught.
+        let g = gen::star(101);
+        let heads: Vec<Option<VertexId>> = g
+            .edges()
+            .map(|(_, (u, v))| Some(if u == 0 { v } else { u }))
+            .collect();
+        let mut labels: Vec<u32> = (0..g.m() as u32).collect();
+        assert!(forest_decomposition(&g, &labels, &heads, 100).is_ok());
+        labels[3] = 97;
+        labels[80] = 97;
+        let err = forest_decomposition(&g, &labels, &heads, 100).unwrap_err();
+        assert!(err.contains("labeled 97"), "{err}");
+    }
+
+    #[test]
+    fn forest_decomposition_rejects_foreign_head() {
+        let g = gen::path(3);
+        let heads = vec![Some(2), Some(2)];
+        let err = forest_decomposition(&g, &[0, 1], &heads, 2).unwrap_err();
+        assert!(err.contains("not an endpoint"), "{err}");
+    }
+
+    #[test]
+    fn forest_decomposition_rejects_directed_cycle() {
+        // 0 → 1 → 2 → 0 with distinct labels: every out-degree is 1, but
+        // the orientation is cyclic.
+        let g = GraphBuilder::new(3).edges([(0, 1), (1, 2), (0, 2)]).build();
+        let mut heads = vec![None; g.m()];
+        heads[g.edge_between(0, 1).unwrap() as usize] = Some(1);
+        heads[g.edge_between(1, 2).unwrap() as usize] = Some(2);
+        heads[g.edge_between(0, 2).unwrap() as usize] = Some(0);
+        let labels: Vec<u32> = (0..g.m() as u32).collect();
+        let err = forest_decomposition(&g, &labels, &heads, 3).unwrap_err();
+        assert!(err.contains("directed cycle"), "{err}");
     }
 
     #[test]
