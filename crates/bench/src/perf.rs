@@ -423,6 +423,8 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
     entries.push(warm_update_n15(reps));
     // Linial color-reduction throughput (one cover-free step per vertex).
     entries.push(a2logn_seq_n20(n, reps));
+    // Edge-window throughput (mostly idle rounds of long windows).
+    entries.push(edge_col_seq_n12(reps));
     entries
 }
 
@@ -441,6 +443,27 @@ fn a2logn_seq_n20(n: usize, reps: usize) -> PerfEntry {
         Runner::new(&p, &g, &ids)
             .run()
             .expect("a2logn terminates on a forest union")
+            .stats
+    })
+}
+
+/// Measures the edge-window protocols: `EdgeColoringExtension` (a = 3,
+/// identity IDs) on the 2^12-vertex `forest_union(a = 3)` (seed 54,
+/// Table 2's T2.2 seed and its largest quick size) on the sequential sync
+/// engine. A vertex waits out long fixed-budget windows and changes what
+/// its neighbours see in only a few of those rounds, so this entry moves
+/// with the cost of an idle round. The graph is built outside the timed
+/// region.
+fn edge_col_seq_n12(reps: usize) -> PerfEntry {
+    use algos::edge_coloring::EdgeColoringExtension;
+    const N: usize = 1 << 12;
+    let g = crate::forest_workload(N, 3, 54).graph;
+    let ids = IdAssignment::identity(N);
+    let p = EdgeColoringExtension::new(3);
+    measure("edge_col_seq_n12", N, reps, || {
+        Runner::new(&p, &g, &ids)
+            .run()
+            .expect("edge coloring terminates on a forest union")
             .stats
     })
 }
@@ -575,6 +598,7 @@ pub fn suite_ids() -> Vec<&'static str> {
         "ingest_parse_n20",
         "warm_update_n15",
         "a2logn_seq_n20",
+        "edge_col_seq_n12",
     ]
 }
 

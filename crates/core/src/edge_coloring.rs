@@ -23,50 +23,44 @@
 //! *commits* its output at the end of its window; it then keeps relaying
 //! its table (adopting colors that later neighbors give its remaining
 //! cross edges) until all incident edges are colored, and terminates.
+//!
+//! A vertex's state and message share one [`EcWire`] record through an
+//! `Arc`: publishing is a reference-count increment, and a step copies the
+//! record ([`Arc::make_mut`]) only in a round that changes a field, so an
+//! idle window round copies nothing. The head of every oriented edge
+//! colors it (the parent in 𝒜, the later endpoint in ℬ), so only
+//! out-neighbors publish colors for a vertex's edges and adoption walks
+//! the out-edges alone; the edges a vertex colors are its in-edges, so
+//! [`EcOut::assigned`] is its table without the out-neighbors.
 
-use crate::extension::{metrics_from_commits, IterationSchedule};
+use crate::extension::{metrics_from_commits, EdgeSlot, EdgeWindow};
 use crate::forests::decide_out_edges;
-use crate::inset::DeltaPlusOneSchedule;
-use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
 use graphcore::{EdgeId, Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, RoundMetrics, SimOutcome, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Working data carried by a vertex from H-set membership to termination.
 #[derive(Clone, Debug)]
 pub struct EcCore {
-    /// H-set index.
-    pub h: u32,
-    /// My out-edges `(neighbor, forest label)`, fixed one round after
-    /// joining.
-    pub out_labels: Vec<(VertexId, u32)>,
-    /// Current in-set coloring value (ID until the window's coloring part
-    /// completes, then the final slot color).
-    pub c: u64,
-    /// Colors of incident edges this vertex knows, `(neighbor, color)`.
-    pub table: Vec<(VertexId, u64)>,
-    /// Entries of `table` this vertex assigned itself (its output share).
-    pub assigned: Vec<(VertexId, u64)>,
+    /// What neighbors see; the published [`EcMsg::Run`] shares it.
+    pub wire: Arc<EcWire>,
     /// Round in which the output was committed (end of the window).
     pub committed: Option<u32>,
 }
 
-impl EcCore {
-    fn knows(&self, u: VertexId) -> bool {
-        self.table.iter().any(|&(w, _)| w == u)
-    }
-}
-
-/// The neighbor-visible slice of [`EcCore`]: the `assigned` output share
-/// and the commit round are private — neighbors consult only the
-/// incident-color `table` (and the labels/coloring that schedule it).
+/// The neighbor-visible record of a labeled vertex: the commit round is
+/// private — neighbors consult only the incident-color `table` (and the
+/// labels/coloring that schedule it).
 #[derive(Clone, Debug, PartialEq)]
-#[allow(missing_docs)] // field meanings mirror `EcCore`
 pub struct EcWire {
+    /// H-set index.
     pub h: u32,
+    /// My out-edges `(neighbor, forest label)`, fixed once labeled.
     pub out_labels: Vec<(VertexId, u32)>,
+    /// In-set color: the ID until the window's coloring completes.
     pub c: u64,
+    /// Colors of incident edges this vertex knows, `(neighbor, color)`.
     pub table: Vec<(VertexId, u64)>,
 }
 
@@ -77,6 +71,10 @@ impl EcWire {
             .find(|&&(w, _)| w == u)
             .map(|&(_, l)| l)
     }
+
+    fn color_of(&self, u: VertexId) -> Option<u64> {
+        self.table.iter().find(|&&(w, _)| w == u).map(|&(_, c)| c)
+    }
 }
 
 /// Wire message for [`EdgeColoringExtension`].
@@ -85,7 +83,7 @@ impl EcWire {
 pub enum EcMsg {
     Active,
     Joined { h: u32 },
-    Run(EcWire),
+    Run(Arc<EcWire>),
 }
 
 impl WireSize for EcMsg {
@@ -106,10 +104,7 @@ impl WireSize for EcMsg {
 
 /// Per-vertex state.
 #[derive(Clone, Debug)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
+#[allow(missing_docs)] // `h` is the 1-based H-set index
 pub enum SEc {
     /// Running Procedure Partition.
     Active,
@@ -135,7 +130,7 @@ pub struct EdgeColoringExtension {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<(DeltaPlusOneSchedule, IterationSchedule)>,
+    window: OnceLock<EdgeWindow>,
 }
 
 impl EdgeColoringExtension {
@@ -144,7 +139,7 @@ impl EdgeColoringExtension {
         EdgeColoringExtension {
             arboricity,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            window: OnceLock::new(),
         }
     }
 
@@ -156,17 +151,6 @@ impl EdgeColoringExtension {
     /// Edge palette `2Δ − 1`.
     pub fn palette(g: &Graph) -> u64 {
         (2 * g.max_degree()).saturating_sub(1).max(1) as u64
-    }
-
-    fn schedules(&self, ids: &IdAssignment) -> &(DeltaPlusOneSchedule, IterationSchedule) {
-        self.sched.get_or_init(|| {
-            let inset = DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64);
-            let cap = self.cap() as u32;
-            // d coloring rounds + 2 rounds per in-set sub-slot (label ×
-            // color) + 2 per ℬ sub-slot (label).
-            let dur = inset.rounds() + 2 * cap * (cap + 1) + 2 * cap;
-            (inset, IterationSchedule::new(dur))
-        })
     }
 }
 
@@ -183,12 +167,7 @@ impl Protocol for EdgeColoringExtension {
         match state {
             SEc::Active => EcMsg::Active,
             SEc::Joined { h } => EcMsg::Joined { h: *h },
-            SEc::Run(core) => EcMsg::Run(EcWire {
-                h: core.h,
-                out_labels: core.out_labels.clone(),
-                c: core.c,
-                table: core.table.clone(),
-            }),
+            SEc::Run(core) => EcMsg::Run(Arc::clone(&core.wire)),
         }
     }
 
@@ -213,80 +192,61 @@ impl Protocol for EdgeColoringExtension {
                     EcMsg::Run(core) => Some(core.h),
                 });
                 Transition::Continue(SEc::Run(EcCore {
-                    h,
-                    out_labels,
-                    c: ctx.my_id(),
-                    table: Vec::new(),
-                    assigned: Vec::new(),
+                    wire: Arc::new(EcWire {
+                        h,
+                        out_labels,
+                        c: ctx.my_id(),
+                        table: Vec::new(),
+                    }),
                     committed: None,
                 }))
             }
             SEc::Run(mut core) => {
                 // Always adopt colors that neighbors assigned to my edges.
-                self.adopt(&ctx, &mut core);
+                adopt(&ctx, &mut core.wire);
                 if core.committed.is_some() {
-                    return self.relay_or_finish(&ctx, core);
+                    return relay_or_finish(&ctx, core);
                 }
-                let (inset, iters) = self.schedules(ctx.ids);
-                let d = inset.rounds();
-                let cap = self.cap() as u32;
-                let Some(local) = iters.local_round(core.h, ctx.round) else {
-                    return Transition::Continue(SEc::Run(core));
-                };
-                if local < d {
-                    // In-set vertex coloring.
-                    let h = core.h;
-                    let peers: Vec<u64> = ctx
-                        .view
-                        .neighbors()
-                        .filter_map(|(u, s)| match s {
-                            EcMsg::Run(c2) if c2.h == h => Some(c2.c),
+                let window = self
+                    .window
+                    .get_or_init(|| EdgeWindow::new(ctx.ids.id_space(), self.cap()));
+                let (h, me) = (core.wire.h, ctx.v);
+                match window.slot(h, ctx.round) {
+                    EdgeSlot::Color(i) => {
+                        let c = window.recolor(&ctx, i, core.wire.c, |(u, s)| match s {
+                            EcMsg::Run(o) if o.h == h => Some(o.c),
                             EcMsg::Joined { h: j } if *j == h => Some(ctx.ids.id(u)),
                             _ => None,
-                        })
-                        .collect();
-                    core.c = inset.step(local, core.c, &peers);
-                    if local + 1 == d {
-                        core.c = inset.finish(core.c);
-                    }
-                    return Transition::Continue(SEc::Run(core));
-                }
-                if d == 0 && local == 0 {
-                    // Degenerate tiny instance: ID already < A+1.
-                    core.c = inset.finish(core.c);
-                }
-                let t = local - d;
-                let sa = 2 * cap * (cap + 1);
-                if t < sa {
-                    if t % 2 == 0 {
-                        let sub = t / 2;
-                        let (f, chat) = (sub / (cap + 1), (sub % (cap + 1)) as u64);
-                        if core.c == chat {
-                            self.assign_in_set_children(&ctx, &mut core, f);
+                        });
+                        if c != core.wire.c {
+                            Arc::make_mut(&mut core.wire).c = c;
                         }
                     }
-                    return Transition::Continue(SEc::Run(core));
-                }
-                let t = t - sa;
-                if t < 2 * cap {
-                    if t.is_multiple_of(2) {
-                        self.assign_cross_from_earlier(&ctx, &mut core, t / 2);
+                    // Color my in-set forest-`f` children's edges.
+                    EdgeSlot::InSet { f, chat } if core.wire.c == chat => {
+                        assign(&ctx, &mut core.wire, |o| {
+                            o.h == h && o.label_to(me) == Some(f)
+                        })
                     }
-                    return Transition::Continue(SEc::Run(core));
+                    // Color the cross edges labeled `j` by their earlier end.
+                    EdgeSlot::Cross(j) => assign(&ctx, &mut core.wire, |o| {
+                        o.h < h && o.label_to(me) == Some(j)
+                    }),
+                    // Window over: commit, then relay until complete.
+                    EdgeSlot::Commit => {
+                        core.committed = Some(ctx.round);
+                        return relay_or_finish(&ctx, core);
+                    }
+                    EdgeSlot::Wait | EdgeSlot::InSet { .. } | EdgeSlot::Relay => {}
                 }
-                // Window over: commit, then relay until complete.
-                core.committed = Some(ctx.round);
-                self.relay_or_finish(&ctx, core)
+                Transition::Continue(SEc::Run(core))
             }
         }
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
         let n = g.n() as u64;
-        let inset = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64);
-        let cap = self.cap() as u32;
-        let dur = inset.rounds() + 2 * cap * (cap + 1) + 2 * cap;
-        IterationSchedule::new(dur).window_end(itlog::partition_round_bound(n, self.epsilon)) + 16
+        EdgeWindow::new(n, self.cap()).max_rounds(n, self.epsilon)
     }
 
     fn phase_names(&self) -> &'static [&'static str] {
@@ -302,77 +262,62 @@ impl Protocol for EdgeColoringExtension {
     }
 }
 
-impl EdgeColoringExtension {
-    /// Adopts colors neighbors assigned to edges incident on me.
-    fn adopt(&self, ctx: &StepCtx<'_, SEc, EcMsg>, core: &mut EcCore) {
-        let me = ctx.v;
-        for (u, s) in ctx.view.neighbors() {
-            if core.knows(u) {
-                continue;
-            }
-            if let EcMsg::Run(other) = s {
-                if let Some(&(_, color)) = other.table.iter().find(|&&(w, _)| w == me) {
-                    core.table.push((u, color));
-                }
+/// Adopts the colors my out-neighbors — the heads that color my
+/// out-edges — assigned to my edges.
+fn adopt(ctx: &StepCtx<'_, SEc, EcMsg>, wire: &mut Arc<EcWire>) {
+    let me = ctx.v;
+    let shown = |s: &EcMsg| match s {
+        EcMsg::Run(o) => o.color_of(me),
+        _ => None,
+    };
+    for i in 0..wire.out_labels.len() {
+        let u = wire.out_labels[i].0;
+        if wire.color_of(u).is_none() {
+            if let Some(color) = shown(ctx.view.msg_of(u)) {
+                Arc::make_mut(wire).table.push((u, color));
             }
         }
     }
+    debug_assert!(
+        ctx.view
+            .neighbors()
+            .all(|(u, s)| wire.color_of(u).is_some() || shown(s).is_none()),
+        "vertex {me}: a neighbor outside its out-edges colored one of its edges"
+    );
+}
 
-    /// Sub-slot (f, ĉ): assign distinct free colors to my forest-`f`
-    /// child edges (in-set neighbors whose label-`f` out-edge names me).
-    fn assign_in_set_children(&self, ctx: &StepCtx<'_, SEc, EcMsg>, core: &mut EcCore, f: u32) {
-        let me = ctx.v;
-        let palette = Self::palette(ctx.graph);
-        for (u, s) in ctx.view.neighbors() {
-            let EcMsg::Run(child) = s else { continue };
-            if child.h != core.h || child.label_to(me) != Some(f) || core.knows(u) {
-                continue;
-            }
-            let mut blocked: Vec<u64> = core.table.iter().map(|&(_, c)| c).collect();
-            blocked.extend(child.table.iter().map(|&(_, c)| c));
-            let color = (0..palette)
-                .find(|c| !blocked.contains(c))
-                .expect("2Δ−1 palette vs ≤ 2Δ−2 blocked colors");
-            core.table.push((u, color));
-            core.assigned.push((u, color));
+/// Gives each edge to a neighbor that `serves` selects, and that I do not
+/// know yet, the first color free at both endpoints.
+fn assign(ctx: &StepCtx<'_, SEc, EcMsg>, wire: &mut Arc<EcWire>, serves: impl Fn(&EcWire) -> bool) {
+    let palette = EdgeColoringExtension::palette(ctx.graph);
+    for (u, s) in ctx.view.neighbors() {
+        let EcMsg::Run(other) = s else { continue };
+        if !serves(other) || wire.color_of(u).is_some() {
+            continue;
         }
+        let mut blocked: Vec<u64> = wire.table.iter().map(|&(_, c)| c).collect();
+        blocked.extend(other.table.iter().map(|&(_, c)| c));
+        let color = (0..palette)
+            .find(|c| !blocked.contains(c))
+            .expect("2Δ−1 palette vs ≤ 2Δ−2 blocked colors");
+        Arc::make_mut(wire).table.push((u, color));
     }
+}
 
-    /// ℬ sub-slot `j`: color cross edges from earlier sets whose earlier
-    /// endpoint labeled them `j`.
-    fn assign_cross_from_earlier(&self, ctx: &StepCtx<'_, SEc, EcMsg>, core: &mut EcCore, j: u32) {
-        let me = ctx.v;
-        let palette = Self::palette(ctx.graph);
-        for (u, s) in ctx.view.neighbors() {
-            let EcMsg::Run(earlier) = s else { continue };
-            if earlier.h >= core.h || earlier.label_to(me) != Some(j) || core.knows(u) {
-                continue;
-            }
-            let mut blocked: Vec<u64> = core.table.iter().map(|&(_, c)| c).collect();
-            blocked.extend(earlier.table.iter().map(|&(_, c)| c));
-            let color = (0..palette)
-                .find(|c| !blocked.contains(c))
-                .expect("2Δ−1 palette vs ≤ 2Δ−2 blocked colors");
-            core.table.push((u, color));
-            core.assigned.push((u, color));
-        }
-    }
-
-    /// After committing: relay until every incident edge is colored.
-    fn relay_or_finish(
-        &self,
-        ctx: &StepCtx<'_, SEc, EcMsg>,
-        core: EcCore,
-    ) -> Transition<SEc, EcOut> {
-        if core.table.len() == ctx.degree() {
-            let out = EcOut {
-                commit_round: core.committed.expect("committed before finishing"),
-                assigned: core.assigned.clone(),
-            };
-            Transition::Terminate(SEc::Run(core), out)
-        } else {
-            Transition::Continue(SEc::Run(core))
-        }
+/// After committing: relay until every incident edge is colored. The
+/// edges I colored are my in-edges, so my output share is the table
+/// without my out-neighbors.
+fn relay_or_finish(ctx: &StepCtx<'_, SEc, EcMsg>, core: EcCore) -> Transition<SEc, EcOut> {
+    if core.wire.table.len() == ctx.degree() {
+        let wire = &core.wire;
+        let mine = wire.table.iter().filter(|e| wire.label_to(e.0).is_none());
+        let out = EcOut {
+            commit_round: core.committed.expect("committed before finishing"),
+            assigned: mine.copied().collect(),
+        };
+        Transition::Terminate(SEc::Run(core), out)
+    } else {
+        Transition::Continue(SEc::Run(core))
     }
 }
 

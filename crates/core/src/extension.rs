@@ -17,7 +17,8 @@
 //!   (Corollary 8.3);
 //! * [`crate::mis`] — maximal independent set (Corollary 8.4);
 //! * [`crate::edge_coloring`] — `(2Δ−1)`-edge-coloring (Corollary 8.6);
-//! * [`crate::matching`] — maximal matching (Corollary 8.8).
+//! * [`crate::matching`] — maximal matching (Corollary 8.8), which shares
+//!   the edge-window slots of [`EdgeWindow`] with edge coloring.
 //!
 //! ## Timetable
 //!
@@ -45,7 +46,10 @@
 //! [`metrics_from_commits`] rebuilds the round metrics under that
 //! definition. EXPERIMENTS.md reports both numbers.
 
-use simlocal::RoundMetrics;
+use crate::inset::DeltaPlusOneSchedule;
+use crate::itlog;
+use graphcore::VertexId;
+use simlocal::{RoundMetrics, StepCtx};
 
 /// The fixed-budget iteration timetable of Theorem 8.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +81,91 @@ impl IterationSchedule {
     /// iteration `h`'s window, or `None` if the window hasn't opened.
     pub fn local_round(&self, h: u32, round: u32) -> Option<u32> {
         (round >= self.window_start(h)).then(|| round - self.window_start(h))
+    }
+}
+
+/// The edge-labelled work window: `d` in-set `(A+1)`-coloring rounds, then
+/// 𝒜's `A·(A+1)` sub-slots (forest label × color) and ℬ's `A` (label),
+/// each a work round and a relay round, then the commit. With `d = 0` the
+/// IDs already fit the palette and `finish` is the identity.
+#[derive(Clone, Debug)]
+pub struct EdgeWindow {
+    inset: DeltaPlusOneSchedule,
+    iters: IterationSchedule,
+    cap: u32,
+}
+
+/// A round of `H_h`'s [`EdgeWindow`]: wait, in-set coloring round `i`, 𝒜
+/// sub-slot `(f, ĉ)` (vertices colored `chat` serve their forest-`f`
+/// children), ℬ sub-slot `j` (serve the cross edges labelled `j` by their
+/// earlier endpoint), relay, or commit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs)] // variants are described above
+pub enum EdgeSlot {
+    Wait,
+    Color(u32),
+    InSet { f: u32, chat: u64 },
+    Cross(u32),
+    Relay,
+    Commit,
+}
+
+impl EdgeWindow {
+    /// The timetable for IDs in `0..id_space` and degree threshold `cap`.
+    pub fn new(id_space: u64, cap: usize) -> Self {
+        let inset = DeltaPlusOneSchedule::new(id_space.max(2), cap as u64);
+        let cap = cap as u32;
+        let iters = IterationSchedule::new(inset.rounds() + 2 * cap * (cap + 1) + 2 * cap);
+        EdgeWindow { inset, iters, cap }
+    }
+
+    /// Round cap for `n` vertices: the last window's end plus a relay margin.
+    pub fn max_rounds(&self, n: u64, epsilon: f64) -> u32 {
+        let last = itlog::partition_round_bound(n, epsilon);
+        self.iters.window_end(last) + 16
+    }
+
+    /// The slot of global round `round` in `H_h`'s window.
+    pub fn slot(&self, h: u32, round: u32) -> EdgeSlot {
+        let Some(local) = self.iters.local_round(h, round) else {
+            return EdgeSlot::Wait;
+        };
+        let Some(t) = local.checked_sub(self.inset.rounds()) else {
+            return EdgeSlot::Color(local);
+        };
+        let (sub, k) = (t / 2, self.cap + 1);
+        let in_set = self.cap * k;
+        if sub >= in_set + self.cap {
+            EdgeSlot::Commit
+        } else if t % 2 == 1 {
+            EdgeSlot::Relay
+        } else if sub < in_set {
+            EdgeSlot::InSet {
+                f: sub / k,
+                chat: (sub % k) as u64,
+            }
+        } else {
+            EdgeSlot::Cross(sub - in_set)
+        }
+    }
+
+    /// In-set coloring round `i` of a vertex colored `my`, against the
+    /// colors `peer` reads off its same-set neighbors' messages; finished
+    /// into `0..A+1` on the last round.
+    pub fn recolor<S, M>(
+        &self,
+        ctx: &StepCtx<'_, S, M>,
+        i: u32,
+        my: u64,
+        peer: impl Fn((VertexId, &M)) -> Option<u64>,
+    ) -> u64 {
+        let peers: Vec<u64> = ctx.view.neighbors().filter_map(peer).collect();
+        let c = self.inset.step(i, my, &peers);
+        if i + 1 == self.inset.rounds() {
+            self.inset.finish(c)
+        } else {
+            c
+        }
     }
 }
 

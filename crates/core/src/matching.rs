@@ -21,19 +21,36 @@
 //! terminates once it is matched or every neighbor has committed (no
 //! further claims are possible). Its published matched-flag is then
 //! frozen-correct, which is all later claimants consult.
+//!
+//! A vertex's state and message share one [`MmWire`] record through an
+//! `Arc`: publishing is a reference-count increment, and a step copies the
+//! record ([`Arc::make_mut`]) only in a round that changes a field, so an
+//! idle window round copies nothing. The head of every oriented edge
+//! claims it (the parent in 𝒜, the later endpoint in ℬ), so only
+//! out-neighbors can publish a claim on a vertex and adoption walks the
+//! out-edges alone.
 
-use crate::extension::{metrics_from_commits, IterationSchedule};
+use crate::extension::{metrics_from_commits, EdgeSlot, EdgeWindow};
 use crate::forests::decide_out_edges;
-use crate::inset::DeltaPlusOneSchedule;
-use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, RoundMetrics, SimOutcome, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Working data of a joined vertex.
 #[derive(Clone, Debug)]
 pub struct MmCore {
+    /// What neighbors see; the published [`MmMsg::Run`] shares it.
+    pub wire: Arc<MmWire>,
+    /// Commit round (end of my window); `wire.committed` is set with it.
+    pub committed: Option<u32>,
+}
+
+/// The neighbor-visible record of a labeled vertex: the commit *round* is
+/// private output bookkeeping — neighbors only ever ask *whether* a
+/// vertex has committed, so a single bit travels in its place.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MmWire {
     /// H-set index.
     pub h: u32,
     /// My out-edges `(neighbor, forest label)`.
@@ -42,22 +59,7 @@ pub struct MmCore {
     pub c: u64,
     /// My matching partner, if any.
     pub matched: Option<VertexId>,
-    /// Commit round (end of my window).
-    pub committed: Option<u32>,
-}
-
-impl MmCore {}
-
-/// The neighbor-visible slice of [`MmCore`]: the commit *round* is
-/// private output bookkeeping — neighbors only ever ask *whether* a
-/// vertex has committed, so a single bit travels in its place.
-#[derive(Clone, Debug, PartialEq)]
-#[allow(missing_docs)] // field meanings mirror `MmCore`
-pub struct MmWire {
-    pub h: u32,
-    pub out_labels: Vec<(VertexId, u32)>,
-    pub c: u64,
-    pub matched: Option<VertexId>,
+    /// Whether I have committed.
     pub committed: bool,
 }
 
@@ -76,7 +78,7 @@ impl MmWire {
 pub enum MmMsg {
     Active,
     Joined { h: u32 },
-    Run(MmWire),
+    Run(Arc<MmWire>),
 }
 
 impl WireSize for MmMsg {
@@ -98,10 +100,7 @@ impl WireSize for MmMsg {
 
 /// Per-vertex state.
 #[derive(Clone, Debug)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
+#[allow(missing_docs)] // `h` is the 1-based H-set index
 pub enum SMm {
     /// Running Procedure Partition.
     Active,
@@ -127,7 +126,7 @@ pub struct MatchingExtension {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<(DeltaPlusOneSchedule, IterationSchedule)>,
+    window: OnceLock<EdgeWindow>,
 }
 
 impl MatchingExtension {
@@ -136,22 +135,13 @@ impl MatchingExtension {
         MatchingExtension {
             arboricity,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            window: OnceLock::new(),
         }
     }
 
     /// Degree threshold `A`.
     pub fn cap(&self) -> usize {
         degree_cap(self.arboricity, self.epsilon)
-    }
-
-    fn schedules(&self, ids: &IdAssignment) -> &(DeltaPlusOneSchedule, IterationSchedule) {
-        self.sched.get_or_init(|| {
-            let inset = DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64);
-            let cap = self.cap() as u32;
-            let dur = inset.rounds() + 2 * cap * (cap + 1) + 2 * cap;
-            (inset, IterationSchedule::new(dur))
-        })
     }
 }
 
@@ -168,13 +158,7 @@ impl Protocol for MatchingExtension {
         match state {
             SMm::Active => MmMsg::Active,
             SMm::Joined { h } => MmMsg::Joined { h: *h },
-            SMm::Run(core) => MmMsg::Run(MmWire {
-                h: core.h,
-                out_labels: core.out_labels.clone(),
-                c: core.c,
-                matched: core.matched,
-                committed: core.committed.is_some(),
-            }),
+            SMm::Run(core) => MmMsg::Run(Arc::clone(&core.wire)),
         }
     }
 
@@ -199,86 +183,62 @@ impl Protocol for MatchingExtension {
                     MmMsg::Run(core) => Some(core.h),
                 });
                 Transition::Continue(SMm::Run(MmCore {
-                    h,
-                    out_labels,
-                    c: ctx.my_id(),
-                    matched: None,
+                    wire: Arc::new(MmWire {
+                        h,
+                        out_labels,
+                        c: ctx.my_id(),
+                        matched: None,
+                        committed: false,
+                    }),
                     committed: None,
                 }))
             }
             SMm::Run(mut core) => {
-                // Adopt claims on me (someone published "matched to me").
-                if core.matched.is_none() {
-                    let me = ctx.v;
-                    for (u, s) in ctx.view.neighbors() {
-                        if let MmMsg::Run(other) = s {
-                            if other.matched == Some(me) {
-                                core.matched = Some(u);
-                                break;
-                            }
-                        }
-                    }
-                }
+                // Adopt a claim on me (someone published "matched to me").
+                adopt(&ctx, &mut core.wire);
                 if core.committed.is_some() {
-                    return self.park_or_finish(&ctx, core);
+                    return park_or_finish(&ctx, core);
                 }
-                let (inset, iters) = self.schedules(ctx.ids);
-                let d = inset.rounds();
-                let cap = self.cap() as u32;
-                let Some(local) = iters.local_round(core.h, ctx.round) else {
-                    return Transition::Continue(SMm::Run(core));
-                };
-                if local < d {
-                    let h = core.h;
-                    let peers: Vec<u64> = ctx
-                        .view
-                        .neighbors()
-                        .filter_map(|(u, s)| match s {
-                            MmMsg::Run(c2) if c2.h == h => Some(c2.c),
+                let window = self
+                    .window
+                    .get_or_init(|| EdgeWindow::new(ctx.ids.id_space(), self.cap()));
+                let (h, me) = (core.wire.h, ctx.v);
+                match window.slot(h, ctx.round) {
+                    EdgeSlot::Color(i) => {
+                        let c = window.recolor(&ctx, i, core.wire.c, |(u, s)| match s {
+                            MmMsg::Run(o) if o.h == h => Some(o.c),
                             MmMsg::Joined { h: j } if *j == h => Some(ctx.ids.id(u)),
                             _ => None,
-                        })
-                        .collect();
-                    core.c = inset.step(local, core.c, &peers);
-                    if local + 1 == d {
-                        core.c = inset.finish(core.c);
-                    }
-                    return Transition::Continue(SMm::Run(core));
-                }
-                if d == 0 && local == 0 {
-                    core.c = inset.finish(core.c);
-                }
-                let t = local - d;
-                let sa = 2 * cap * (cap + 1);
-                if t < sa {
-                    if t % 2 == 0 && core.matched.is_none() {
-                        let sub = t / 2;
-                        let (f, chat) = (sub / (cap + 1), (sub % (cap + 1)) as u64);
-                        if core.c == chat {
-                            self.pick_in_set_child(&ctx, &mut core, f);
+                        });
+                        if c != core.wire.c {
+                            Arc::make_mut(&mut core.wire).c = c;
                         }
                     }
-                    return Transition::Continue(SMm::Run(core));
-                }
-                let t = t - sa;
-                if t < 2 * cap {
-                    if t.is_multiple_of(2) && core.matched.is_none() {
-                        self.claim_earlier(&ctx, &mut core, t / 2);
+                    // Match one unmatched forest-`f` child.
+                    EdgeSlot::InSet { f, chat } if core.wire.c == chat => {
+                        claim(&ctx, &mut core.wire, |o| {
+                            o.h == h && o.label_to(me) == Some(f)
+                        })
                     }
-                    return Transition::Continue(SMm::Run(core));
+                    // Claim one unmatched earlier neighbor whose label-`j` edge names me.
+                    EdgeSlot::Cross(j) => claim(&ctx, &mut core.wire, |o| {
+                        o.h < h && o.label_to(me) == Some(j)
+                    }),
+                    EdgeSlot::Commit => {
+                        core.committed = Some(ctx.round);
+                        Arc::make_mut(&mut core.wire).committed = true;
+                        return park_or_finish(&ctx, core);
+                    }
+                    EdgeSlot::Wait | EdgeSlot::InSet { .. } | EdgeSlot::Relay => {}
                 }
-                core.committed = Some(ctx.round);
-                self.park_or_finish(&ctx, core)
+                Transition::Continue(SMm::Run(core))
             }
         }
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
         let n = g.n() as u64;
-        let inset = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64);
-        let cap = self.cap() as u32;
-        let dur = inset.rounds() + 2 * cap * (cap + 1) + 2 * cap;
-        IterationSchedule::new(dur).window_end(itlog::partition_round_bound(n, self.epsilon)) + 16
+        EdgeWindow::new(n, self.cap()).max_rounds(n, self.epsilon)
     }
 
     fn phase_names(&self) -> &'static [&'static str] {
@@ -294,52 +254,57 @@ impl Protocol for MatchingExtension {
     }
 }
 
-impl MatchingExtension {
-    /// Sub-slot (f, ĉ): match one unmatched forest-`f` child.
-    fn pick_in_set_child(&self, ctx: &StepCtx<'_, SMm, MmMsg>, core: &mut MmCore, f: u32) {
-        let me = ctx.v;
-        for (u, s) in ctx.view.neighbors() {
-            let MmMsg::Run(child) = s else { continue };
-            if child.h == core.h && child.label_to(me) == Some(f) && child.matched.is_none() {
-                core.matched = Some(u);
-                return;
-            }
+/// Adopts the first claim on me among my out-neighbors — the heads that
+/// claim my out-edges.
+fn adopt(ctx: &StepCtx<'_, SMm, MmMsg>, wire: &mut Arc<MmWire>) {
+    let me = ctx.v;
+    let claims_me = |s: &MmMsg| matches!(s, MmMsg::Run(o) if o.matched == Some(me));
+    if wire.matched.is_none() {
+        let heads = &wire.out_labels;
+        if let Some(&(u, _)) = heads.iter().find(|&&(u, _)| claims_me(ctx.view.msg_of(u))) {
+            Arc::make_mut(wire).matched = Some(u);
         }
     }
+    debug_assert!(
+        ctx.view
+            .neighbors()
+            .all(|(u, s)| !claims_me(s) || wire.matched == Some(u)),
+        "vertex {me}: a neighbor other than its partner claimed it"
+    );
+}
 
-    /// ℬ sub-slot `j`: claim the edge to one unmatched earlier neighbor
-    /// whose label-`j` out-edge names me.
-    fn claim_earlier(&self, ctx: &StepCtx<'_, SMm, MmMsg>, core: &mut MmCore, j: u32) {
-        let me = ctx.v;
-        for (u, s) in ctx.view.neighbors() {
-            let MmMsg::Run(earlier) = s else { continue };
-            if earlier.h < core.h && earlier.label_to(me) == Some(j) && earlier.matched.is_none() {
-                core.matched = Some(u);
-                return;
-            }
-        }
+/// Unless matched already, matches me to the first unmatched neighbor
+/// that `serves` selects.
+fn claim(ctx: &StepCtx<'_, SMm, MmMsg>, wire: &mut Arc<MmWire>, serves: impl Fn(&MmWire) -> bool) {
+    if wire.matched.is_some() {
+        return;
     }
+    let partner = ctx
+        .view
+        .neighbors()
+        .find(|(_, s)| matches!(s, MmMsg::Run(o) if serves(o) && o.matched.is_none()))
+        .map(|(u, _)| u);
+    if partner.is_some() {
+        Arc::make_mut(wire).matched = partner;
+    }
+}
 
-    /// After committing: terminate once matched (flag frozen-correct) or
-    /// once every neighbor has committed (no further claims possible).
-    fn park_or_finish(
-        &self,
-        ctx: &StepCtx<'_, SMm, MmMsg>,
-        core: MmCore,
-    ) -> Transition<SMm, MmOut> {
-        let done = core.matched.is_some()
-            || ctx.view.neighbors().all(|(u, s)| {
-                ctx.view.is_terminated(u) || matches!(s, MmMsg::Run(o) if o.committed)
-            });
-        if done {
-            let out = MmOut {
-                commit_round: core.committed.expect("committed before finishing"),
-                matched: core.matched,
-            };
-            Transition::Terminate(SMm::Run(core), out)
-        } else {
-            Transition::Continue(SMm::Run(core))
-        }
+/// After committing: terminate once matched (flag frozen-correct) or
+/// once every neighbor has committed (no further claims possible).
+fn park_or_finish(ctx: &StepCtx<'_, SMm, MmMsg>, core: MmCore) -> Transition<SMm, MmOut> {
+    let done = core.wire.matched.is_some()
+        || ctx
+            .view
+            .neighbors()
+            .all(|(u, s)| ctx.view.is_terminated(u) || matches!(s, MmMsg::Run(o) if o.committed));
+    if done {
+        let out = MmOut {
+            commit_round: core.committed.expect("committed before finishing"),
+            matched: core.wire.matched,
+        };
+        Transition::Terminate(SMm::Run(core), out)
+    } else {
+        Transition::Continue(SMm::Run(core))
     }
 }
 

@@ -18,21 +18,28 @@ use rand::Rng;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
+    /// Largest ID plus one (0 when empty), fixed at construction.
+    space: u64,
 }
 
 impl IdAssignment {
+    /// The one constructor: stores the ID space so [`Self::id_space`] is
+    /// O(1) however often a protocol asks for it.
+    fn with_ids(ids: Vec<u64>) -> Self {
+        let space = ids.iter().copied().max().map_or(0, |m| m + 1);
+        IdAssignment { ids, space }
+    }
+
     /// The identity assignment: vertex `v` has ID `v`.
     pub fn identity(n: usize) -> Self {
-        IdAssignment {
-            ids: (0..n as u64).collect(),
-        }
+        Self::with_ids((0..n as u64).collect())
     }
 
     /// A uniformly random permutation of `0..n` as IDs.
     pub fn random_permutation<R: Rng>(n: usize, rng: &mut R) -> Self {
         let mut ids: Vec<u64> = (0..n as u64).collect();
         ids.shuffle(rng);
-        IdAssignment { ids }
+        Self::with_ids(ids)
     }
 
     /// The adversarial assignment: vertex `v` has ID `n − 1 − v`.
@@ -48,9 +55,7 @@ impl IdAssignment {
     /// [`IdAssignment::identity`], so reduction schedules are comparable
     /// across modes.
     pub fn adversarial(n: usize) -> Self {
-        IdAssignment {
-            ids: (0..n as u64).rev().collect(),
-        }
+        Self::with_ids((0..n as u64).rev().collect())
     }
 
     /// Random distinct IDs from `[0, span)`, `span ≥ n` (sparse ID space,
@@ -68,7 +73,7 @@ impl IdAssignment {
         }
         let mut ids: Vec<u64> = chosen.into_iter().collect();
         ids.shuffle(rng);
-        IdAssignment { ids }
+        Self::with_ids(ids)
     }
 
     /// Builds from an explicit vector; panics if IDs are not distinct.
@@ -79,7 +84,7 @@ impl IdAssignment {
             sorted.windows(2).all(|w| w[0] != w[1]),
             "IDs must be distinct"
         );
-        IdAssignment { ids }
+        Self::with_ids(ids)
     }
 
     /// The ID of vertex `v`.
@@ -100,7 +105,7 @@ impl IdAssignment {
 
     /// Largest ID value plus one (the "ID space" size the algorithms see).
     pub fn id_space(&self) -> u64 {
-        self.ids.iter().copied().max().map_or(0, |m| m + 1)
+        self.space
     }
 }
 
@@ -144,6 +149,24 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 50);
+    }
+
+    #[test]
+    fn id_space_is_max_plus_one_for_every_constructor() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let cases = [
+            IdAssignment::identity(6),
+            IdAssignment::random_permutation(6, &mut rng),
+            IdAssignment::adversarial(6),
+            IdAssignment::random_sparse(6, 1_000, &mut rng),
+            IdAssignment::from_vec(vec![9, 2, 40, 7]),
+            IdAssignment::identity(0),
+            IdAssignment::from_vec(Vec::new()),
+        ];
+        for a in cases {
+            let max = (0..a.len() as VertexId).map(|v| a.id(v)).max();
+            assert_eq!(a.id_space(), max.map_or(0, |m| m + 1), "{a:?}");
+        }
     }
 
     #[test]
