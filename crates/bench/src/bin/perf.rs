@@ -7,12 +7,9 @@
 //! decay workloads, best-of-reps vertex-rounds/sec), prints a human table,
 //! and — with `--json` — writes the schema-versioned summary that
 //! `ci.sh` compares against the committed `results/BENCH_engine.json`.
-//! `--list` prints the suite's entry ids plus the crate-wide bench-id
-//! index and exits.
+//! `--list` prints the suite's entry ids and exits.
 
-use benchharness::perf::{
-    fmt_throughput, print_bench_index, run_suite, suite_ids, PerfSummary, PERF_N, PERF_REPS,
-};
+use benchharness::perf::{fmt_throughput, run_suite, suite_ids, PerfSummary, PERF_N, PERF_REPS};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -68,12 +65,11 @@ fn main() {
             println!("  {id}");
         }
         benchharness::print_backends();
-        print_bench_index();
         return;
     }
 
     println!(
-        "perf: engine suite, n = {PERF_N}, best of {} reps (sequential)",
+        "perf: engine suite, n = {PERF_N}, best of {} reps",
         args.reps
     );
     let entries = run_suite(PERF_N, args.reps);

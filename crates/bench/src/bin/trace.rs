@@ -123,7 +123,6 @@ fn main() {
             );
         }
         benchharness::print_backends();
-        benchharness::perf::print_bench_index();
         return;
     }
     let spec = match registry::find(&args.algo) {
@@ -183,8 +182,7 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         opts = opts.metrics(r);
     }
     let out = spec.exec(&opts);
-    let (row, stats) = (out.row.unwrap(), out.stats);
-    let breakdown = out.breakdown.unwrap();
+    let (row, stats, breakdown) = (out.row, out.stats, out.breakdown);
     let log = out.trace.unwrap();
     let n = gg.graph.n();
 

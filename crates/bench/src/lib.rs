@@ -3,8 +3,8 @@
 //! # benchharness — regenerating the paper's tables and figures
 //!
 //! Shared machinery for the harness binaries (`table1`, `table2`,
-//! `figures`, `scenarios`, `ablations`, `bench-diff`, `trace`) and the
-//! Criterion benches, organized as a two-level declarative layer:
+//! `figures`, `scenarios`, `ablations`, `bench-diff`, `trace`, `perf`),
+//! organized as a two-level declarative layer:
 //!
 //! * [`registry`] — every algorithm as one [`registry::AlgoSpec`]
 //!   declaration (name, problem, constructor, palette-cap function,

@@ -14,6 +14,13 @@
 //! gate — they are the cue to refresh the baseline so the trajectory
 //! ratchets forward (see EXPERIMENTS.md for the refresh procedure).
 //!
+//! The suite is the repository's only micro-benchmark instrument, so it
+//! also holds the engine's two cost comparisons as paired entries:
+//! `decay_dense_n20` runs the dense `run_reference` oracle on
+//! `decay_seq_n20`'s workload (sparse vs dense rounds), and
+//! `flood_par_n20` runs `flood_seq_n20`'s workload on the parallel sync
+//! engine with 2 workers (sequential vs parallel).
+//!
 //! Wall-clock is machine-dependent, which is exactly why the correctness
 //! gate ignores it; the perf gate is the opposite trade, so the baseline
 //! records the hardware it was measured on (`host` note) and must be
@@ -21,7 +28,7 @@
 
 use crate::results::{fnum, quote, Json};
 use graphcore::{gen, Graph, IdAssignment, VertexId};
-use simlocal::{ActorRunner, EngineStats, Protocol, Runner, StepCtx, Transition};
+use simlocal::{ActorRunner, EngineStats, EngineTuning, Protocol, Runner, StepCtx, Transition};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -365,67 +372,131 @@ impl Protocol for FloodDecay {
     }
 }
 
-/// The standard perf suite on `n` vertices: the cycle graph (deterministic,
-/// O(n) to build, degree 2) under the decay protocols, sequential mode.
-/// The machine gating the committed baseline has a single core, so the
-/// parallel path is exercised by the correctness tests and the Criterion
-/// bench, not the perf gate.
-pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
-    let g = gen::cycle(n);
-    let ids = IdAssignment::identity(n);
-    let mut entries = vec![
-        measure("decay_seq_n20", n, reps, || {
-            Runner::new(&PureDecay, &g, &ids).run().unwrap().stats
-        }),
-        measure("flood_seq_n20", n, reps, || {
-            Runner::new(&FloodDecay, &g, &ids).run().unwrap().stats
-        }),
-        // The actor backend on the same decay workload, at a fixed shard
-        // count so the measured work layout is machine-independent. Its
-        // steps/rounds equal the sync entries' (byte-identical backends),
-        // so the determinism cross-check in `measure` holds here too.
-        measure("decay_actor_n20", n, reps, || {
-            ActorRunner::new(&PureDecay, &g, &ids)
-                .shards(4)
+/// What every suite entry measures on: the vertex count, the rep count,
+/// and the `n`-vertex cycle (deterministic, O(n) to build, degree 2) with
+/// identity IDs that the engine entries run their decay protocols on.
+struct SuiteInput {
+    n: usize,
+    reps: usize,
+    g: Graph,
+    ids: IdAssignment,
+}
+
+/// A suite entry: measures its workload under the id it is given.
+type EntryFn = fn(&str, &SuiteInput) -> PerfEntry;
+
+/// The perf suite, in run order: the one list of `(id, measurement)`
+/// pairs that [`run_suite`] runs and [`suite_ids`] names.
+const SUITE: [(&str, EntryFn); 10] = [
+    ("decay_seq_n20", |id, s| {
+        measure(id, s.n, s.reps, || {
+            Runner::new(&PureDecay, &s.g, &s.ids)
                 .run()
-                .unwrap()
+                .expect("decay workload terminates")
                 .stats
-        }),
-    ];
-
-    // One extra, *untimed* obs-enabled run for the actor entry. The
-    // timed reps above stay metrics-free so the gated wall numbers carry
-    // zero instrumentation overhead; the ratio rides along in the summary
-    // as context (diff_perf never compares it).
-    {
-        use simlocal::obs::{Metric, Registry};
-        let reg = Registry::new(4);
-        ActorRunner::new(&PureDecay, &g, &ids)
-            .shards(4)
-            .obs(&reg)
-            .run()
-            .expect("decay workload runs on the actor backend");
-        let wait = reg.total(Metric::ActorBarrierWaitNs);
-        let busy = wait + reg.total(Metric::ActorComputeNs);
-        if let Some(e) = entries.iter_mut().find(|e| e.id == "decay_actor_n20") {
-            e.barrier_wait_frac = (busy > 0).then(|| wait as f64 / busy as f64);
-        }
-    }
-
+        })
+    }),
+    ("flood_seq_n20", |id, s| {
+        measure(id, s.n, s.reps, || {
+            Runner::new(&FloodDecay, &s.g, &s.ids)
+                .run()
+                .expect("flood workload terminates")
+                .stats
+        })
+    }),
+    // The parallel sync engine on `flood_seq_n20`'s workload, on a fixed
+    // 2 workers so the measured work layout is machine-independent: the
+    // sequential-vs-parallel comparison. Byte-identical engines, so its
+    // steps/rounds equal the sequential entry's.
+    ("flood_par_n20", |id, s| {
+        measure(id, s.n, s.reps, || {
+            Runner::new(&FloodDecay, &s.g, &s.ids)
+                .parallel()
+                .tuning(EngineTuning::default().workers(2))
+                .run()
+                .expect("flood workload terminates")
+                .stats
+        })
+    }),
+    ("decay_actor_n20", decay_actor_n20),
     // Harness trial throughput: the engine entries above gate the
     // per-step cost, this one gates the whole pipeline around the engine
     // (plan → cache → schedule → sink, including seeded graph
     // generation, ID assignment, and verification).
-    entries.push(harness_table2_quick(reps));
+    ("harness_table2_quick", |id, s| {
+        harness_table2_quick(id, s.reps)
+    }),
     // File-source ingestion throughput (Matrix Market parse + normalize).
-    entries.push(ingest_parse_n20(n, reps));
+    ("ingest_parse_n20", |id, s| {
+        ingest_parse_n20(id, s.n, s.reps)
+    }),
     // Churn update throughput (edit splice + warm-start re-solve).
-    entries.push(warm_update_n15(reps));
+    ("warm_update_n15", |id, s| warm_update_n15(id, s.reps)),
     // Linial color-reduction throughput (one cover-free step per vertex).
-    entries.push(a2logn_seq_n20(n, reps));
+    ("a2logn_seq_n20", |id, s| a2logn_seq_n20(id, s.n, s.reps)),
     // Edge-window throughput (mostly idle rounds of long windows).
-    entries.push(edge_col_seq_n12(reps));
-    entries
+    ("edge_col_seq_n12", |id, s| edge_col_seq_n12(id, s.reps)),
+    // The dense oracle on `decay_seq_n20`'s workload: every round touches
+    // all n vertices, so against the sparse entry this is the gap the
+    // sparse-round engine exists for (work ∝ RoundSum vs n × rounds).
+    // `vertex_rounds` is the simulated RoundSum, as for the sparse entry,
+    // so the two throughputs compare directly. It runs last because its
+    // full-slab clones leave the allocator in a state that slowed the
+    // entry after it (`flood_seq_n20` read about 30% lower throughput
+    // there on a 2-vCPU host).
+    ("decay_dense_n20", |id, s| {
+        measure(id, s.n, s.reps, || {
+            let out = simlocal::run_reference(&PureDecay, &s.g, &s.ids, 0)
+                .expect("decay workload terminates");
+            EngineStats {
+                steps: out.metrics.round_sum(),
+                ..out.stats
+            }
+        })
+    }),
+];
+
+/// Runs every suite entry on `n` vertices, best of `reps` each.
+pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
+    let input = SuiteInput {
+        n,
+        reps,
+        g: gen::cycle(n),
+        ids: IdAssignment::identity(n),
+    };
+    SUITE.iter().map(|(id, run)| run(id, &input)).collect()
+}
+
+/// Ids of the suite entries, in run order, for `--list` output.
+pub fn suite_ids() -> Vec<&'static str> {
+    SUITE.iter().map(|(id, _)| *id).collect()
+}
+
+/// The actor backend on the decay workload, at a fixed 4 shards so the
+/// measured work layout is machine-independent. Its steps/rounds equal
+/// the sync entries' (byte-identical backends). One extra, *untimed*
+/// obs-enabled run follows the timed reps, which stay metrics-free so the
+/// gated wall numbers carry no instrumentation overhead; its barrier-wait
+/// ratio rides along as context (`diff_perf` never compares it).
+fn decay_actor_n20(id: &str, s: &SuiteInput) -> PerfEntry {
+    use simlocal::obs::{Metric, Registry};
+    let mut e = measure(id, s.n, s.reps, || {
+        ActorRunner::new(&PureDecay, &s.g, &s.ids)
+            .shards(4)
+            .run()
+            .expect("decay workload runs on the actor backend")
+            .stats
+    });
+    let reg = Registry::new(4);
+    ActorRunner::new(&PureDecay, &s.g, &s.ids)
+        .shards(4)
+        .obs(&reg)
+        .run()
+        .expect("decay workload runs on the actor backend");
+    let wait = reg.total(Metric::ActorBarrierWaitNs);
+    let busy = wait + reg.total(Metric::ActorComputeNs);
+    e.barrier_wait_frac = (busy > 0).then(|| wait as f64 / busy as f64);
+    e
 }
 
 /// Measures the Linial color-reduction kernel: `ColoringA2LogN` (a = 2,
@@ -434,12 +505,12 @@ pub fn run_suite(n: usize, reps: usize) -> Vec<PerfEntry> {
 /// per-vertex work is one [`algos::coverfree::CoverFree::reduce`] when
 /// its H-set forms, so this entry moves with the kernel. The graph is
 /// built outside the timed region.
-fn a2logn_seq_n20(n: usize, reps: usize) -> PerfEntry {
+fn a2logn_seq_n20(id: &str, n: usize, reps: usize) -> PerfEntry {
     use algos::coloring::a2logn::ColoringA2LogN;
     let g = crate::forest_workload(n, 2, 1).graph;
     let ids = IdAssignment::identity(n);
     let p = ColoringA2LogN::new(2);
-    measure("a2logn_seq_n20", n, reps, || {
+    measure(id, n, reps, || {
         Runner::new(&p, &g, &ids)
             .run()
             .expect("a2logn terminates on a forest union")
@@ -454,13 +525,13 @@ fn a2logn_seq_n20(n: usize, reps: usize) -> PerfEntry {
 /// its neighbours see in only a few of those rounds, so this entry moves
 /// with the cost of an idle round. The graph is built outside the timed
 /// region.
-fn edge_col_seq_n12(reps: usize) -> PerfEntry {
+fn edge_col_seq_n12(id: &str, reps: usize) -> PerfEntry {
     use algos::edge_coloring::EdgeColoringExtension;
     const N: usize = 1 << 12;
     let g = crate::forest_workload(N, 3, 54).graph;
     let ids = IdAssignment::identity(N);
     let p = EdgeColoringExtension::new(3);
-    measure("edge_col_seq_n12", N, reps, || {
+    measure(id, N, reps, || {
         Runner::new(&p, &g, &ids)
             .run()
             .expect("edge coloring terminates on a forest union")
@@ -480,7 +551,7 @@ fn edge_col_seq_n12(reps: usize) -> PerfEntry {
 /// CSR, the view slabs and the replay's chunk list. The graph, the
 /// recorded cold solve, and the churn plan are built outside the timed
 /// region.
-fn warm_update_n15(reps: usize) -> PerfEntry {
+fn warm_update_n15(id: &str, reps: usize) -> PerfEntry {
     use algos::mis::LubyMis;
     use graphcore::churn::{self, ChurnPlan};
     const N: usize = 1 << 15;
@@ -499,7 +570,6 @@ fn warm_update_n15(reps: usize) -> PerfEntry {
         deletes_per_batch: 1,
     };
     let batches = churn::churn_sequence(&base, &plan);
-    let id = "warm_update_n15";
     let (resteps, best_wall_ns) = best_of(id, reps, || {
         let (mut g, mut outputs) = (base.clone(), cold.outputs.clone());
         let mut replay = cold_replay.clone();
@@ -532,10 +602,9 @@ fn warm_update_n15(reps: usize) -> PerfEntry {
 /// `vertex_rounds` the raw edge count, so the work-drift check still
 /// pins the measured document. The document is built outside the timed
 /// region — the gate covers ingestion, not formatting.
-fn ingest_parse_n20(n: usize, reps: usize) -> PerfEntry {
+fn ingest_parse_n20(id: &str, n: usize, reps: usize) -> PerfEntry {
     use graphcore::io::{normalize, parse_raw, FileFormat, NormalizeOptions};
     let text = graphcore::io::to_matrix_market(&gen::cycle(n));
-    let id = "ingest_parse_n20";
     let ((vertices, m_raw), best_wall_ns) = best_of(id, reps, || {
         let t0 = Instant::now();
         let raw = parse_raw(&text, FileFormat::MatrixMarket).expect("generated document parses");
@@ -552,12 +621,11 @@ fn ingest_parse_n20(n: usize, reps: usize) -> PerfEntry {
 /// count, `n` the total vertices across trials, and `vertex_rounds` the
 /// summed `RoundSum`, so the perf gate's work-drift check still pins the
 /// measured workload to the suite declarations.
-fn harness_table2_quick(reps: usize) -> PerfEntry {
+fn harness_table2_quick(id: &str, reps: usize) -> PerfEntry {
     use crate::pipeline::{plan_rows, run_plan, CollectSink, WorkloadCache};
     use crate::spec::SpecKind;
     let cli = crate::Cli::parse_from(["--quick".to_string()]).expect("static flags parse");
     let specs = crate::suites::table2();
-    let id = "harness_table2_quick";
     let ((trials, total_n, pubs), best_wall_ns) = best_of(id, reps, || {
         let cache = WorkloadCache::new();
         let mut next_id = 0u64;
@@ -586,78 +654,6 @@ fn harness_table2_quick(reps: usize) -> PerfEntry {
         best_wall_ns,
         trials,
     )
-}
-
-/// Ids measured by [`run_suite`], for `--list` output.
-pub fn suite_ids() -> Vec<&'static str> {
-    vec![
-        "decay_seq_n20",
-        "flood_seq_n20",
-        "decay_actor_n20",
-        "harness_table2_quick",
-        "ingest_parse_n20",
-        "warm_update_n15",
-        "a2logn_seq_n20",
-        "edge_col_seq_n12",
-    ]
-}
-
-/// The Criterion bench ids of every bench target in this crate, grouped by
-/// bench binary — printed by each suite binary's `--list` alongside the
-/// experiment table, so the benchable surface is discoverable without
-/// opening the bench sources. Registry-derived ids stay in lockstep with
-/// the registry automatically.
-pub fn bench_index() -> Vec<(&'static str, Vec<String>)> {
-    use crate::registry::{self, Problem};
-    let t1: Vec<String> = registry::all()
-        .iter()
-        .filter(|s| s.problem == Problem::VertexColoring)
-        .map(|s| format!("t1_{}", s.name))
-        .chain(["t1_one_plus_eta_a16".into(), "t1_delta_plus_one_hub".into()])
-        .collect();
-    let t2: Vec<String> = registry::all()
-        .iter()
-        .filter(|s| s.problem != Problem::VertexColoring)
-        .map(|s| format!("t2_{}", s.name))
-        .collect();
-    vec![
-        ("coloring", t1),
-        ("mis_mm_edge", t2),
-        (
-            "engine",
-            vec![
-                "engine_seq_vs_par/{seq,par}/{4096,32768}".into(),
-                "engine_partition_64k".into(),
-                "engine_sparse_vs_dense/{partition,geom_decay}_{sparse,dense}/n".into(),
-            ],
-        ),
-        (
-            "partition",
-            vec![
-                "partition/procedure_partition/n".into(),
-                "forest_decomposition/{parallelized,baseline}/n".into(),
-            ],
-        ),
-        (
-            "scenarios",
-            vec!["simulation_efficiency/{sparse,dense}/n".into()],
-        ),
-        (
-            "perf (binary)",
-            suite_ids().iter().map(|s| s.to_string()).collect(),
-        ),
-    ]
-}
-
-/// Prints the bench-id index (the `--list` tail shared by every binary).
-pub fn print_bench_index() {
-    println!("\ncriterion bench ids (cargo bench -p benchharness --bench NAME):");
-    for (bench, ids) in bench_index() {
-        println!("  {bench}:");
-        for id in ids {
-            println!("    {id}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -763,9 +759,13 @@ mod tests {
     }
 
     #[test]
-    fn suite_ids_match_bench_index() {
-        let idx = bench_index();
-        let perf = &idx.iter().find(|(b, _)| *b == "perf (binary)").unwrap().1;
-        assert_eq!(perf.len(), suite_ids().len());
+    fn suite_ids_are_unique() {
+        let ids = suite_ids();
+        let unique: std::collections::BTreeSet<_> = ids.iter().collect();
+        assert_eq!(
+            unique.len(),
+            ids.len(),
+            "duplicate perf entry id in {ids:?}"
+        );
     }
 }

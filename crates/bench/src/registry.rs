@@ -14,13 +14,13 @@
 //! ([`all`]), then execute through **one** entry point:
 //! [`AlgoSpec::try_exec`] (or [`AlgoSpec::exec`], which panics on an
 //! engine error), driven by an [`ExecOptions`] value. The options
-//! select the observation level ([`ObserveMode`]: `Bare` for benches,
-//! `Standard` for measurement rows, `Traced` for the full event-log
-//! stack), the execution mode (sequential / parallel), and the backend —
-//! so the spec-driven binaries (via [`crate::spec::execute`]), the
-//! `trace` binary, the Criterion benches and the root `distsym` CLI all
-//! go through the same construct → run → verify path. Registering a new
-//! algorithm here makes it immediately runnable, traceable, and benchable.
+//! select the observation level ([`ObserveMode`]: `Standard` for
+//! measurement rows, `Traced` for the full event-log stack), the
+//! execution mode (sequential / parallel), and the backend — so the
+//! spec-driven binaries (via [`crate::spec::execute`]), the `trace`
+//! binary, the root `distsym` CLI and the end-to-end benchmark all go
+//! through the same construct → run → verify path. Registering a new
+//! algorithm here makes it immediately runnable and traceable.
 
 use crate::{cfg, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
@@ -271,13 +271,10 @@ pub struct DecayClaim {
     pub grace: usize,
 }
 
-/// How much observation an execution attaches — the axis that used to be
-/// spread over three separate entry points.
+/// How much observation an execution attaches. Every execution is
+/// verified and yields a [`Row`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ObserveMode {
-    /// No observers, no verification, no row: the benching path (timing
-    /// includes protocol construction, as Criterion measures it).
-    Bare,
     /// The standard observer ([`PhaseBreakdown`]), output verification,
     /// and a [`Row`].
     #[default]
@@ -359,31 +356,30 @@ impl<'a> ExecOptions<'a> {
     }
 }
 
-/// What [`AlgoSpec::try_exec`] produced. Which parts are populated follows
-/// from the requested [`ObserveMode`]; engine stats are always present.
+/// What [`AlgoSpec::try_exec`] produced: the verified row, the engine
+/// stats and the phase breakdown always; the event log when the
+/// requested [`ObserveMode`] is `Traced`.
 pub struct ExecOutcome {
-    /// The verified measurement row ([`None`] for [`ObserveMode::Bare`],
-    /// which skips verification entirely).
-    pub row: Option<Row>,
+    /// The verified measurement row.
+    pub row: Row,
     /// Engine work/wall accounting.
     pub stats: EngineStats,
-    /// Per-phase RoundSum / termination accounting ([`None`] for `Bare`).
-    pub breakdown: Option<PhaseBreakdown>,
+    /// Per-phase RoundSum / termination accounting.
+    pub breakdown: PhaseBreakdown,
     /// The exportable event log ([`Some`] only for
     /// [`ObserveMode::Traced`]).
     pub trace: Option<TraceLog>,
 }
 
 impl ExecOutcome {
-    /// The row of an observed execution; panics for a `Bare` one (the
-    /// caller asked for no verification, so there is no row to have).
+    /// The verified row, for callers that need nothing else.
     pub fn into_row(self) -> Row {
-        self.row.expect("bare executions produce no row")
+        self.row
     }
 }
 
-/// A dyn-erased algorithm: the one run path behind every table row,
-/// trace, and bench. Implemented once, generically, by the adapter that
+/// A dyn-erased algorithm: the one run path behind every table row and
+/// trace. Implemented once, generically, by the adapter that
 /// [`AlgoSpec`] constructors build — never by hand.
 pub trait ErasedAlgo: Send + Sync {
     /// Row label for a run with `params` (k-parameterized algorithms
@@ -395,8 +391,8 @@ pub trait ErasedAlgo: Send + Sync {
     fn cap_for(&self, gg: &GenGraph, params: Params, ids: &IdAssignment) -> usize;
 
     /// The one execution path: construct, run as the options dictate,
-    /// verify (unless bare), and return whatever the mode produced — or
-    /// the engine's error when the run did not complete.
+    /// verify, and return whatever the mode produced — or the engine's
+    /// error when the run did not complete.
     fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError>;
 
     /// Dynamic mode: cold-solve the workload once with a replay log
@@ -451,14 +447,14 @@ impl AlgoSpec {
     }
 
     /// See [`ErasedAlgo::try_exec`] — the single entry point every
-    /// consumer (spec engine, trace binary, benches, `distsym` CLI) goes
-    /// through.
+    /// consumer (spec engine, trace binary, `distsym` CLI, end-to-end
+    /// benchmark) goes through.
     pub fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError> {
         self.algo.try_exec(opts)
     }
 
     /// [`AlgoSpec::try_exec`] for workloads the caller knows terminate
-    /// (spec tables, benches): panics on an engine error.
+    /// (spec tables, tests): panics on an engine error.
     pub fn exec(&self, opts: &ExecOptions<'_>) -> ExecOutcome {
         self.try_exec(opts).expect("protocol terminates")
     }
@@ -640,9 +636,9 @@ where
             .with_trace(&out.metrics, &obs.0);
         let simlocal::Tee(breakdown, extra) = obs;
         Ok(ExecOutcome {
-            row: Some(row),
+            row,
             stats: out.stats,
-            breakdown: Some(breakdown),
+            breakdown,
             trace: trace(extra),
         })
     }
@@ -740,18 +736,6 @@ where
 
     fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError> {
         match opts.observe {
-            ObserveMode::Bare => {
-                let p = (self.build)(opts.gg, opts.params);
-                let ids = opts.trial.ids(opts.gg.graph.n());
-                let out = Self::run_backend(&p, &ids, opts, &mut NoObserver)?;
-                std::hint::black_box(&out.outputs);
-                Ok(ExecOutcome {
-                    row: None,
-                    stats: out.stats,
-                    breakdown: None,
-                    trace: None,
-                })
-            }
             ObserveMode::Standard => self.exec_observed(opts, |_| NoObserver, |_| None),
             ObserveMode::Traced => {
                 self.exec_observed(opts, |p| TraceLog::with_phases(p.phase_names()), Some)

@@ -498,7 +498,6 @@ fn print_list(suite: &str, specs: &[ExperimentSpec]) {
          0 = NCPU); results are byte-identical for every N"
     );
     crate::print_backends();
-    crate::perf::print_bench_index();
 }
 
 /// One-line description of a churn plan for listings and the index.

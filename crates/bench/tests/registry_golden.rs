@@ -203,26 +203,19 @@ fn erased_run_matches_inline_wiring_for_mis() {
 
 /// Each observation level populates exactly what it promises: `Traced`
 /// carries the standard row plus an event log covering every step,
-/// `Bare` carries engine stats and nothing else.
+/// `Standard` carries no event log.
 #[test]
 fn observe_modes_populate_what_they_promise() {
     let gg = forest_workload(240, 2, 11);
     let trial = Trial::identity(1);
     let spec = registry::get("a2logn");
 
-    let standard = spec.exec(&ExecOptions::new("EQ", &gg, &trial)).into_row();
+    let standard = spec.exec(&ExecOptions::new("EQ", &gg, &trial));
     let traced = spec.exec(&ExecOptions::new("EQ", &gg, &trial).observe(ObserveMode::Traced));
+    assert!(standard.trace.is_none());
     let log = traced.trace.expect("traced execution carries a trace");
-    assert_rows_equivalent(
-        &standard,
-        &traced.row.expect("traced execution carries a row"),
-    );
+    assert_rows_equivalent(&standard.row, &traced.row);
     assert_eq!(log.step_events(), traced.stats.steps);
     assert_eq!(log.terminate_events() as usize, gg.graph.n());
-
-    let bare = spec.exec(&ExecOptions::new("bench", &gg, &trial).observe(ObserveMode::Bare));
-    assert!(bare.row.is_none());
-    assert!(bare.breakdown.is_none());
-    assert!(bare.trace.is_none());
-    assert_eq!(bare.stats.steps, traced.stats.steps);
+    assert_eq!(standard.stats.steps, traced.stats.steps);
 }

@@ -17,9 +17,9 @@
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,7 +58,7 @@ pub struct ArbColor {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<DeltaPlusOneSchedule>,
+    sched: ScheduleCell<DeltaPlusOneSchedule>,
 }
 
 impl ArbColor {
@@ -67,7 +67,7 @@ impl ArbColor {
         ArbColor {
             arboricity,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -82,8 +82,10 @@ impl ArbColor {
     }
 
     fn schedule(&self, ids: &IdAssignment) -> &DeltaPlusOneSchedule {
-        self.sched
-            .get_or_init(|| DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            DeltaPlusOneSchedule::new(space, self.cap() as u64)
+        })
     }
 
     fn full_rounds(&self, n: u64) -> u32 {

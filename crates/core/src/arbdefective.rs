@@ -21,9 +21,9 @@
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 /// Field conventions: `h` is the 1-based H-set index, `c` a current
@@ -64,7 +64,7 @@ pub struct ArbdefectiveColoring {
     pub k: u32,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<DeltaPlusOneSchedule>,
+    sched: ScheduleCell<DeltaPlusOneSchedule>,
 }
 
 impl ArbdefectiveColoring {
@@ -75,7 +75,7 @@ impl ArbdefectiveColoring {
             arboricity,
             k,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -90,8 +90,10 @@ impl ArbdefectiveColoring {
     }
 
     fn schedule(&self, ids: &IdAssignment) -> &DeltaPlusOneSchedule {
-        self.sched
-            .get_or_init(|| DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            DeltaPlusOneSchedule::new(space, self.cap() as u64)
+        })
     }
 }
 

@@ -27,28 +27,28 @@ use crate::forests::FState;
 use crate::inset::{DeltaPlusOneSchedule, LinialSchedule};
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Linial's `O(Δ²)`-coloring of the whole graph in `O(log* n)` rounds.
 #[derive(Debug, Default)]
 pub struct GlobalLinial {
-    sched: OnceLock<LinialSchedule>,
+    sched: ScheduleCell<LinialSchedule>,
 }
 
 impl GlobalLinial {
     /// Fresh instance.
     pub fn new() -> Self {
         GlobalLinial {
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
     fn schedule(&self, g: &Graph, ids: &IdAssignment) -> &LinialSchedule {
-        self.sched.get_or_init(|| {
-            LinialSchedule::new(ids.id_space().max(2), g.max_degree().max(1) as u64)
-        })
+        let (space, delta) = (ids.id_space().max(2), g.max_degree().max(1) as u64);
+        let key = ScheduleKey::ids(space).max_degree(delta);
+        self.sched.get(key, || LinialSchedule::new(space, delta))
     }
 
     /// Final palette (`O(Δ²)`).
@@ -95,21 +95,22 @@ impl Protocol for GlobalLinial {
 /// deterministic schedule.
 #[derive(Debug, Default)]
 pub struct GlobalLinialKw {
-    sched: OnceLock<DeltaPlusOneSchedule>,
+    sched: ScheduleCell<DeltaPlusOneSchedule>,
 }
 
 impl GlobalLinialKw {
     /// Fresh instance.
     pub fn new() -> Self {
         GlobalLinialKw {
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
     fn schedule(&self, g: &Graph, ids: &IdAssignment) -> &DeltaPlusOneSchedule {
-        self.sched.get_or_init(|| {
-            DeltaPlusOneSchedule::new(ids.id_space().max(2), g.max_degree().max(1) as u64)
-        })
+        let (space, delta) = (ids.id_space().max(2), g.max_degree().max(1) as u64);
+        let key = ScheduleKey::ids(space).max_degree(delta);
+        self.sched
+            .get(key, || DeltaPlusOneSchedule::new(space, delta))
     }
 }
 
@@ -160,7 +161,7 @@ pub struct ArbLinialOneShot {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    fam: OnceLock<CoverFree>,
+    fam: ScheduleCell<CoverFree>,
 }
 
 impl ArbLinialOneShot {
@@ -169,7 +170,7 @@ impl ArbLinialOneShot {
         ArbLinialOneShot {
             arboricity,
             epsilon: 2.0,
-            fam: OnceLock::new(),
+            fam: ScheduleCell::new(),
         }
     }
 
@@ -180,9 +181,10 @@ impl ArbLinialOneShot {
 
     /// The cover-free family (palette = its ground set).
     pub fn family(&self, ids: &IdAssignment) -> CoverFree {
-        *self
-            .fam
-            .get_or_init(|| CoverFree::for_palette(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        *self.fam.get(ScheduleKey::ids(space), || {
+            CoverFree::for_palette(space, self.cap() as u64)
+        })
     }
 }
 
@@ -252,7 +254,7 @@ pub struct ArbLinialFull {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<LinialSchedule>,
+    sched: ScheduleCell<LinialSchedule>,
 }
 
 /// State: partition mark plus the running color during the Linial phase.
@@ -283,7 +285,7 @@ impl ArbLinialFull {
         ArbLinialFull {
             arboricity,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -294,8 +296,10 @@ impl ArbLinialFull {
 
     /// Shared Linial schedule.
     pub fn schedule(&self, ids: &IdAssignment) -> &LinialSchedule {
-        self.sched
-            .get_or_init(|| LinialSchedule::new(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            LinialSchedule::new(space, self.cap() as u64)
+        })
     }
 }
 

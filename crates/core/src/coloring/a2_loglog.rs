@@ -25,6 +25,7 @@
 use crate::inset::LinialSchedule;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
@@ -63,7 +64,7 @@ pub struct ColoringA2LogLog {
     pub epsilon: f64,
     /// Lazily computed Linial schedule (a pure function of the globally
     /// known ID space and `A`; cached so steps don't recompute it).
-    sched: std::sync::OnceLock<LinialSchedule>,
+    sched: ScheduleCell<LinialSchedule>,
 }
 
 impl ColoringA2LogLog {
@@ -72,7 +73,7 @@ impl ColoringA2LogLog {
         ColoringA2LogLog {
             arboricity,
             epsilon: 2.0,
-            sched: std::sync::OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -96,8 +97,10 @@ impl ColoringA2LogLog {
 
     /// Shared Linial schedule (function of global knowledge only).
     pub fn schedule(&self, ids: &IdAssignment) -> &LinialSchedule {
-        self.sched
-            .get_or_init(|| LinialSchedule::new(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            LinialSchedule::new(space, self.cap() as u64)
+        })
     }
 
     /// Palette bound: two phase copies of the Linial fixpoint.

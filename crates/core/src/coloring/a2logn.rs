@@ -19,6 +19,7 @@ use crate::coverfree::CoverFree;
 use crate::forests::FState;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition};
 
@@ -30,7 +31,7 @@ pub struct ColoringA2LogN {
     /// ε ∈ (0, 2].
     pub epsilon: f64,
     /// Cached cover-free family (pure function of global knowledge).
-    fam: std::sync::OnceLock<CoverFree>,
+    fam: ScheduleCell<CoverFree>,
 }
 
 impl ColoringA2LogN {
@@ -39,7 +40,7 @@ impl ColoringA2LogN {
         ColoringA2LogN {
             arboricity,
             epsilon: 2.0,
-            fam: std::sync::OnceLock::new(),
+            fam: ScheduleCell::new(),
         }
     }
 
@@ -50,9 +51,10 @@ impl ColoringA2LogN {
 
     /// The cover-free family every vertex derives from global knowledge.
     pub fn family(&self, ids: &IdAssignment) -> CoverFree {
-        *self
-            .fam
-            .get_or_init(|| CoverFree::for_palette(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        *self.fam.get(ScheduleKey::ids(space), || {
+            CoverFree::for_palette(space, self.cap() as u64)
+        })
     }
 
     /// Number of colors this instance can use (palette size).

@@ -15,10 +15,10 @@
 
 use crate::inset::DeltaPlusOneSchedule;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use crate::segmentation::SegmentSchedule;
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,7 +59,7 @@ pub struct ColoringKa {
     pub k: u32,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<(SegmentSchedule, DeltaPlusOneSchedule)>,
+    sched: ScheduleCell<(SegmentSchedule, DeltaPlusOneSchedule)>,
 }
 
 impl ColoringKa {
@@ -69,7 +69,7 @@ impl ColoringKa {
             arboricity,
             k,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -84,10 +84,11 @@ impl ColoringKa {
     }
 
     fn schedules(&self, n: u64, ids: &IdAssignment) -> &(SegmentSchedule, DeltaPlusOneSchedule) {
-        self.sched.get_or_init(|| {
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space).n(n), || {
             (
                 SegmentSchedule::new(n, self.k, self.epsilon),
-                DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64),
+                DeltaPlusOneSchedule::new(space, self.cap() as u64),
             )
         })
     }

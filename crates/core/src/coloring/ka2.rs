@@ -17,10 +17,10 @@
 
 use crate::inset::LinialSchedule;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use crate::segmentation::SegmentSchedule;
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,7 +57,7 @@ pub struct ColoringKa2 {
     pub k: u32,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<(SegmentSchedule, LinialSchedule)>,
+    sched: ScheduleCell<(SegmentSchedule, LinialSchedule)>,
 }
 
 impl ColoringKa2 {
@@ -67,7 +67,7 @@ impl ColoringKa2 {
             arboricity,
             k,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -82,10 +82,11 @@ impl ColoringKa2 {
     }
 
     fn schedules(&self, n: u64, ids: &IdAssignment) -> &(SegmentSchedule, LinialSchedule) {
-        self.sched.get_or_init(|| {
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space).n(n), || {
             (
                 SegmentSchedule::new(n, self.k, self.epsilon),
-                LinialSchedule::new(ids.id_space().max(2), self.cap() as u64),
+                LinialSchedule::new(space, self.cap() as u64),
             )
         })
     }

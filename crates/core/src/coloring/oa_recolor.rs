@@ -23,9 +23,9 @@
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,7 +65,7 @@ pub struct ColoringOaRecolor {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<DeltaPlusOneSchedule>,
+    sched: ScheduleCell<DeltaPlusOneSchedule>,
 }
 
 impl ColoringOaRecolor {
@@ -74,7 +74,7 @@ impl ColoringOaRecolor {
         ColoringOaRecolor {
             arboricity,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -95,8 +95,10 @@ impl ColoringOaRecolor {
 
     /// In-set coloring schedule (global knowledge only).
     pub fn schedule(&self, ids: &IdAssignment) -> &DeltaPlusOneSchedule {
-        self.sched
-            .get_or_init(|| DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            DeltaPlusOneSchedule::new(space, self.cap() as u64)
+        })
     }
 
     /// Total palette: two phase copies of `A + 1` colors.

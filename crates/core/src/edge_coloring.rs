@@ -36,9 +36,10 @@
 use crate::extension::{metrics_from_commits, EdgeSlot, EdgeWindow};
 use crate::forests::decide_out_edges;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{EdgeId, Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, RoundMetrics, SimOutcome, StepCtx, Transition, WireSize};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Working data carried by a vertex from H-set membership to termination.
 #[derive(Clone, Debug)]
@@ -130,7 +131,7 @@ pub struct EdgeColoringExtension {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    window: OnceLock<EdgeWindow>,
+    window: ScheduleCell<EdgeWindow>,
 }
 
 impl EdgeColoringExtension {
@@ -139,7 +140,7 @@ impl EdgeColoringExtension {
         EdgeColoringExtension {
             arboricity,
             epsilon: 2.0,
-            window: OnceLock::new(),
+            window: ScheduleCell::new(),
         }
     }
 
@@ -207,9 +208,10 @@ impl Protocol for EdgeColoringExtension {
                 if core.committed.is_some() {
                     return relay_or_finish(&ctx, core);
                 }
-                let window = self
-                    .window
-                    .get_or_init(|| EdgeWindow::new(ctx.ids.id_space(), self.cap()));
+                let space = ctx.ids.id_space();
+                let window = self.window.get(ScheduleKey::ids(space), || {
+                    EdgeWindow::new(space, self.cap())
+                });
                 let (h, me) = (core.wire.h, ctx.v);
                 match window.slot(h, ctx.round) {
                     EdgeSlot::Color(i) => {

@@ -25,9 +25,9 @@
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// What a vertex is doing (published with its prefix).
 /// Field conventions: `h` is the 1-based H-set index within the current
@@ -115,7 +115,7 @@ pub struct LegalColoring {
     pub p: u32,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<LcSchedule>,
+    sched: ScheduleCell<LcSchedule>,
 }
 
 impl LegalColoring {
@@ -126,13 +126,13 @@ impl LegalColoring {
             arboricity,
             p,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
     fn schedule(&self, n: u64, ids: &IdAssignment) -> &LcSchedule {
-        self.sched.get_or_init(|| {
-            let ids_space = ids.id_space().max(2);
+        let ids_space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(ids_space).n(n), || {
             let full = itlog::partition_round_bound(n, self.epsilon);
             let mut levels = Vec::new();
             let mut insets = Vec::new();

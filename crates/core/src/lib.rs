@@ -48,6 +48,7 @@ pub mod partition;
 pub mod pipeline;
 pub mod rand_coloring;
 pub mod rings;
+mod schedule_cell;
 pub mod segmentation;
 
 pub use partition::Partition;

@@ -33,9 +33,10 @@
 use crate::extension::{metrics_from_commits, EdgeSlot, EdgeWindow};
 use crate::forests::decide_out_edges;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, RoundMetrics, SimOutcome, StepCtx, Transition, WireSize};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Working data of a joined vertex.
 #[derive(Clone, Debug)]
@@ -126,7 +127,7 @@ pub struct MatchingExtension {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    window: OnceLock<EdgeWindow>,
+    window: ScheduleCell<EdgeWindow>,
 }
 
 impl MatchingExtension {
@@ -135,7 +136,7 @@ impl MatchingExtension {
         MatchingExtension {
             arboricity,
             epsilon: 2.0,
-            window: OnceLock::new(),
+            window: ScheduleCell::new(),
         }
     }
 
@@ -199,9 +200,10 @@ impl Protocol for MatchingExtension {
                 if core.committed.is_some() {
                     return park_or_finish(&ctx, core);
                 }
-                let window = self
-                    .window
-                    .get_or_init(|| EdgeWindow::new(ctx.ids.id_space(), self.cap()));
+                let space = ctx.ids.id_space();
+                let window = self.window.get(ScheduleKey::ids(space), || {
+                    EdgeWindow::new(space, self.cap())
+                });
                 let (h, me) = (core.wire.h, ctx.v);
                 match window.slot(h, ctx.round) {
                     EdgeSlot::Color(i) => {

@@ -13,10 +13,10 @@ use crate::extension::IterationSchedule;
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use rand::Rng;
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 #[derive(Clone, Debug)]
@@ -72,7 +72,7 @@ pub struct MisExtension {
     pub arboricity: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<(DeltaPlusOneSchedule, IterationSchedule)>,
+    sched: ScheduleCell<(DeltaPlusOneSchedule, IterationSchedule)>,
 }
 
 impl MisExtension {
@@ -81,7 +81,7 @@ impl MisExtension {
         MisExtension {
             arboricity,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -91,8 +91,9 @@ impl MisExtension {
     }
 
     fn schedules(&self, ids: &IdAssignment) -> &(DeltaPlusOneSchedule, IterationSchedule) {
-        self.sched.get_or_init(|| {
-            let inset = DeltaPlusOneSchedule::new(ids.id_space().max(2), self.cap() as u64);
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            let inset = DeltaPlusOneSchedule::new(space, self.cap() as u64);
             let dur = inset.rounds() + self.cap() as u32 + 1;
             (inset, IterationSchedule::new(dur))
         })

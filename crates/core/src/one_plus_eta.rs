@@ -31,9 +31,9 @@
 use crate::inset::{DeltaPlusOneSchedule, LinialSchedule};
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// What a vertex is currently doing (published alongside its prefix).
 #[derive(Clone, Debug, PartialEq)]
@@ -125,7 +125,7 @@ pub struct OnePlusEtaArbCol {
     pub c_const: usize,
     /// ε ∈ (0, 2].
     pub epsilon: f64,
-    sched: OnceLock<OpeSchedule>,
+    sched: ScheduleCell<OpeSchedule>,
 }
 
 impl OnePlusEtaArbCol {
@@ -136,7 +136,7 @@ impl OnePlusEtaArbCol {
             arboricity,
             c_const,
             epsilon: 2.0,
-            sched: OnceLock::new(),
+            sched: ScheduleCell::new(),
         }
     }
 
@@ -147,9 +147,9 @@ impl OnePlusEtaArbCol {
     }
 
     fn schedule(&self, n: u64, ids: &IdAssignment) -> &OpeSchedule {
-        self.sched.get_or_init(|| {
+        let ids_space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(ids_space).n(n), || {
             let r = (2 * itlog::iterated_log(n.max(4), 2) as u32).max(2);
-            let ids_space = ids.id_space().max(2);
             let mut levels = Vec::new();
             let mut level_inset = Vec::new();
             let mut a = self.arboricity.max(1);

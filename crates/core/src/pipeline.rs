@@ -22,9 +22,9 @@
 use crate::coverfree::CoverFree;
 use crate::itlog;
 use crate::partition::{degree_cap, partition_step};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
-use std::sync::OnceLock;
 
 /// Per-vertex state.
 /// Field conventions: `h` is the H-set index, `color` the 𝒜 output,
@@ -94,7 +94,7 @@ pub struct ColorThenCensus {
     pub epsilon: f64,
     /// Length of subtask ℬ.
     pub b_rounds: u32,
-    fam: OnceLock<CoverFree>,
+    fam: ScheduleCell<CoverFree>,
 }
 
 impl ColorThenCensus {
@@ -104,7 +104,7 @@ impl ColorThenCensus {
             arboricity,
             epsilon: 2.0,
             b_rounds: b_rounds.max(1),
-            fam: OnceLock::new(),
+            fam: ScheduleCell::new(),
         }
     }
 
@@ -113,9 +113,10 @@ impl ColorThenCensus {
     }
 
     fn family(&self, ids: &IdAssignment) -> CoverFree {
-        *self
-            .fam
-            .get_or_init(|| CoverFree::for_palette(ids.id_space().max(2), self.cap() as u64))
+        let space = ids.id_space().max(2);
+        *self.fam.get(ScheduleKey::ids(space), || {
+            CoverFree::for_palette(space, self.cap() as u64)
+        })
     }
 }
 

@@ -153,6 +153,13 @@ impl<M> RoundBarrier<M> {
         self.live.iter().filter(|&&l| l).count()
     }
 
+    /// Which shards are live, indexed by shard id (never this one). Read
+    /// at the start of round `r`, these are exactly the peers whose last
+    /// round is ≥ `r` — the ones this shard's round-`r` batch goes to.
+    pub fn live(&self) -> &[bool] {
+        &self.live
+    }
+
     /// Receives until every live shard's round-`round` batch has been
     /// handed to `apply`, buffering one-round-ahead arrivals and marking
     /// retiring shards dead for subsequent rounds.
@@ -339,12 +346,15 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
     if active.is_empty() {
         // Nothing to own (more shards than vertices): deregister from the
         // barrier immediately — peers consume this at their round 1.
-        transport.broadcast(Batch {
-            from: sid,
-            round: 1,
-            retiring: true,
-            entries: Vec::new(),
-        });
+        transport.broadcast(
+            Batch {
+                from: sid,
+                round: 1,
+                retiring: true,
+                entries: Vec::new(),
+            },
+            barrier.live(),
+        );
         if let Some(o) = &ob {
             o.add(Metric::ActorRetire, 1);
             publish_transport(o, &mut seen, transport.stats());
@@ -413,12 +423,15 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         }
         active.retain(|&v| result.term[(v - lo) as usize] != round);
         let retiring = active.is_empty();
-        transport.broadcast(Batch {
-            from: sid,
-            round,
-            retiring,
-            entries,
-        });
+        transport.broadcast(
+            Batch {
+                from: sid,
+                round,
+                retiring,
+                entries,
+            },
+            barrier.live(),
+        );
         if let (Some(o), Some(t0)) = (&ob, compute_t0) {
             let ns = t0.elapsed().as_nanos() as u64;
             o.add(Metric::ActorComputeNs, ns);
@@ -963,6 +976,57 @@ mod tests {
         assert_eq!(out.metrics.termination_round, vec![1, 2, 3]);
     }
 
+    /// The transport tallies a run must report, derived from its
+    /// termination rounds: shard `s` sends its round-`r` batch (its
+    /// vertices still active in round `r`) to every peer whose last round
+    /// is ≥ `r`. A shard's last round is its vertices' latest termination
+    /// round (1 for a shard that owns nothing: it sends one empty round-1
+    /// batch).
+    fn expected_sends(term: &[u32], shards: usize) -> (u64, u64) {
+        let ranges = shard_ranges(term.len(), shards);
+        let own = |s: usize| &term[ranges[s].0 as usize..ranges[s].1 as usize];
+        let last: Vec<u32> = (0..shards)
+            .map(|s| own(s).iter().copied().max().unwrap_or(1))
+            .collect();
+        let (mut batches, mut entries) = (0, 0);
+        for s in 0..shards {
+            for r in 1..=last[s] {
+                let peers = (0..shards).filter(|&p| p != s && last[p] >= r).count() as u64;
+                batches += peers;
+                entries += peers * own(s).iter().filter(|&&t| t >= r).count() as u64;
+            }
+        }
+        (batches, entries)
+    }
+
+    #[test]
+    fn transport_counts_follow_from_termination_rounds() {
+        // Staircase shards retire one after another, so every round's
+        // live set differs; a shard's last batch races its peers' exits.
+        // The counts must not depend on that race, on either transport.
+        // The runner caps the shard count at n, hence `(3, 5)` runs 3.
+        for (n, shards) in [(13, 1), (13, 3), (13, 4), (3, 5)] {
+            let (g, ids) = (gen::path(n), ids(n));
+            for tcp in [false, true] {
+                for _ in 0..3 {
+                    let reg = Registry::new(shards);
+                    let runner = ActorRunner::new(&Staircase, &g, &ids)
+                        .shards(shards)
+                        .obs(&reg);
+                    let out = if tcp { runner.run_tcp() } else { runner.run() }.unwrap();
+                    assert_eq!(
+                        (
+                            reg.total(Metric::TransportBatchesOut),
+                            reg.total(Metric::TransportEntriesOut)
+                        ),
+                        expected_sends(&out.metrics.termination_round, shards.min(n)),
+                        "n={n} shards={shards} tcp={tcp}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_graph_runs() {
         let g = graphcore::GraphBuilder::new(0).build();
@@ -1058,7 +1122,7 @@ mod tests {
             queue: std::collections::VecDeque<Recv<u64>>,
         }
         impl Transport<u64> for Scripted {
-            fn broadcast(&mut self, _: Batch<u64>) {}
+            fn broadcast(&mut self, _: Batch<u64>, _: &[bool]) {}
             fn recv(&mut self) -> Recv<u64> {
                 self.queue.pop_front().expect("script exhausted")
             }
@@ -1079,12 +1143,16 @@ mod tests {
             .into(),
         };
         let mut barrier = RoundBarrier::<u64>::new(3, 0);
+        assert_eq!(barrier.live(), [false, true, true]);
         let mut seen = Vec::new();
         barrier
             .drain(&mut tr, 1, |b| seen.push((b.from, b.round)))
             .unwrap();
         assert_eq!(seen, vec![(1, 1), (2, 1)]);
         assert_eq!(barrier.live_peers(), 1, "shard 2 retired at round 1");
+        // Shard 1's retiring round-2 batch is only buffered: it is still
+        // owed this shard's round-2 batch.
+        assert_eq!(barrier.live(), [false, true, false]);
         barrier
             .drain(&mut tr, 2, |b| seen.push((b.from, b.round)))
             .unwrap();
@@ -1106,7 +1174,7 @@ mod tests {
             queue: std::collections::VecDeque<Recv<u64>>,
         }
         impl Transport<u64> for Scripted {
-            fn broadcast(&mut self, _: Batch<u64>) {}
+            fn broadcast(&mut self, _: Batch<u64>, _: &[bool]) {}
             fn recv(&mut self) -> Recv<u64> {
                 self.queue.pop_front().expect("script exhausted")
             }

@@ -150,15 +150,15 @@ metric_table! {
      "Per-round compute-time distribution for this shard, nanoseconds."),
     // Transport links (one endpoint per shard).
     (TransportBatchesOut, "simlocal_transport_batches_out_total", Counter, true,
-     "Batches this shard delivered to peers."),
+     "Batches this shard sent to peers live at round start."),
     (TransportBatchesIn, "simlocal_transport_batches_in_total", Counter, true,
      "Batches this shard received from peers."),
     (TransportEntriesOut, "simlocal_transport_entries_out_total", Counter, true,
-     "Vertex updates this shard delivered to peers."),
+     "Vertex updates this shard sent to peers live at round start."),
     (TransportEntriesIn, "simlocal_transport_entries_in_total", Counter, true,
      "Vertex updates this shard received from peers."),
     (TransportBytesOut, "simlocal_transport_bytes_out_total", Counter, true,
-     "Encoded frame bytes this shard wrote to its links (0 for the in-process channel transport)."),
+     "Encoded frame bytes this shard sent to peers live at round start (0 for the in-process channel transport)."),
     (TransportBytesIn, "simlocal_transport_bytes_in_total", Counter, true,
      "Encoded frame bytes this shard's reader threads received (0 for the in-process channel transport)."),
     (TransportFramesIn, "simlocal_transport_frames_in_total", Counter, true,

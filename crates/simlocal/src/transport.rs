@@ -7,7 +7,7 @@
 //! This module is the pluggable wire underneath that protocol:
 //!
 //! * [`Transport`] — the trait the engine drives: `broadcast` one batch to
-//!   every peer, `recv` the next incoming event;
+//!   every peer the barrier holds live, `recv` the next incoming event;
 //! * [`ChannelTransport`] — in-process bounded mpsc channels
 //!   ([`channel_mesh`]), moving `Msg` values directly (no serialization);
 //! * [`TcpTransport`] — length-prefixed frames over TCP sockets
@@ -100,13 +100,19 @@ pub enum Recv<M> {
 /// (batches delivered to this shard's inbox but not yet received).
 /// Byte and frame counts are zero for transports that move values
 /// without serializing (the in-process channel mesh).
+///
+/// The outgoing counts are per send attempted to a peer live at round
+/// start, delivered or not. Which peers are live at the start of round
+/// `r` (those whose last round is ≥ `r`) is a function of the run alone,
+/// so the counts repeat exactly from run to run; whether a send reaches
+/// a peer that has just finished its last round is a race.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Batches delivered to peers.
+    /// Batches sent to peers.
     pub batches_out: u64,
-    /// Vertex updates delivered to peers (entries across all batches).
+    /// Vertex updates sent to peers (entries across all batches).
     pub entries_out: u64,
-    /// Encoded frame bytes written to the wire.
+    /// Encoded frame bytes sent to peers.
     pub bytes_out: u64,
     /// Batches received from peers.
     pub batches_in: u64,
@@ -125,10 +131,12 @@ pub struct TransportStats {
 /// Implementations deliver batches from any single peer in send order
 /// (per-peer FIFO); cross-peer interleaving is arbitrary. `broadcast` to
 /// an already-departed peer must be a no-op, not an error — retirement
-/// notices race with the final batches of other shards by design.
+/// notices race with the final batches of other shards by design — and
+/// still counts as sent (see [`TransportStats`]).
 pub trait Transport<M>: Send {
-    /// Sends `batch` to every other shard in the mesh.
-    fn broadcast(&mut self, batch: Batch<M>);
+    /// Sends `batch` to every peer `p` with `live[p]` set: the peers the
+    /// round barrier holds live at round start (indexed by shard id).
+    fn broadcast(&mut self, batch: Batch<M>, live: &[bool]);
     /// Blocks for the next incoming event.
     fn recv(&mut self) -> Recv<M>;
     /// Gracefully leaves the mesh after the shard's final broadcast.
@@ -208,19 +216,23 @@ pub fn channel_mesh<M: Send>(shards: usize) -> Vec<ChannelTransport<M>> {
 }
 
 impl<M: Clone + Send> Transport<M> for ChannelTransport<M> {
-    fn broadcast(&mut self, batch: Batch<M>) {
+    fn broadcast(&mut self, batch: Batch<M>, live: &[bool]) {
         // A send error means the peer exited (retired and dropped its
         // receiver) — by the trait contract that is a no-op. The depth
         // bump happens before the send so the receiver's decrement can
         // never observe it missing.
-        for (tx, depth) in self.txs.iter().flatten() {
+        for (tx, depth) in self
+            .txs
+            .iter()
+            .zip(live)
+            .filter_map(|(tx, &l)| tx.as_ref().filter(|_| l))
+        {
             depth.fetch_add(1, Relaxed);
-            if tx.send(batch.clone()).is_ok() {
-                self.stats.batches_out += 1;
-                self.stats.entries_out += batch.entries.len() as u64;
-            } else {
+            if tx.send(batch.clone()).is_err() {
                 depth.fetch_sub(1, Relaxed);
             }
+            self.stats.batches_out += 1;
+            self.stats.entries_out += batch.entries.len() as u64;
         }
     }
 
@@ -446,16 +458,15 @@ fn read_frames<M: WireCodec>(
 }
 
 impl<M: WireCodec + Send> Transport<M> for TcpTransport<M> {
-    fn broadcast(&mut self, batch: Batch<M>) {
+    fn broadcast(&mut self, batch: Batch<M>, live: &[bool]) {
         let frame = encode_frame(&batch);
         // A write error means the peer exited and closed its socket — by
         // the trait contract that is a no-op.
-        for (_, stream) in &mut self.streams {
-            if stream.write_all(&frame).is_ok() {
-                self.stats.batches_out += 1;
-                self.stats.entries_out += batch.entries.len() as u64;
-                self.stats.bytes_out += frame.len() as u64;
-            }
+        for (_, stream) in self.streams.iter_mut().filter(|(p, _)| live[*p]) {
+            let _ = stream.write_all(&frame);
+            self.stats.batches_out += 1;
+            self.stats.entries_out += batch.entries.len() as u64;
+            self.stats.bytes_out += frame.len() as u64;
         }
     }
 
@@ -545,6 +556,11 @@ mod tests {
         }
     }
 
+    /// Every shard of a `shards`-way mesh but `me`: the live set at round 1.
+    fn peers(shards: usize, me: usize) -> Vec<bool> {
+        (0..shards).map(|p| p != me).collect()
+    }
+
     #[test]
     fn frame_round_trips() {
         let b = batch(2, 3);
@@ -570,7 +586,7 @@ mod tests {
         let mut t2 = mesh.pop().unwrap();
         let mut t1 = mesh.pop().unwrap();
         let mut t0 = mesh.pop().unwrap();
-        t0.broadcast(batch(0, 1));
+        t0.broadcast(batch(0, 1), &peers(3, 0));
         for t in [&mut t1, &mut t2] {
             match t.recv() {
                 Recv::Batch(b) => assert_eq!(b, batch(0, 1)),
@@ -596,8 +612,8 @@ mod tests {
         let mut mesh = channel_mesh::<u64>(2);
         let mut t1 = mesh.pop().unwrap();
         let mut t0 = mesh.pop().unwrap();
-        t0.broadcast(batch(0, 1));
-        t0.broadcast(batch(0, 2));
+        t0.broadcast(batch(0, 1), &peers(2, 0));
+        t0.broadcast(batch(0, 2), &peers(2, 0));
         assert_eq!(t0.stats().batches_out, 2);
         assert_eq!(t0.stats().entries_out, 4);
         assert_eq!(t0.stats().bytes_out, 0, "channels do not serialize");
@@ -614,7 +630,7 @@ mod tests {
         let mut t1 = mesh.pop().unwrap();
         let mut t0 = mesh.pop().unwrap();
         let frame_len = encode_frame(&batch(0, 1)).len() as u64;
-        t0.broadcast(batch(0, 1));
+        t0.broadcast(batch(0, 1), &peers(2, 0));
         assert_eq!(t0.stats().bytes_out, frame_len);
         assert_eq!(t0.stats().batches_out, 1);
         assert!(matches!(t1.recv(), Recv::Batch(_)));
@@ -640,7 +656,38 @@ mod tests {
         let t1 = mesh.pop().unwrap();
         let mut t0 = mesh.pop().unwrap();
         drop(t1);
-        t0.broadcast(batch(0, 1)); // must not panic
+        t0.broadcast(batch(0, 1), &peers(2, 0)); // must not panic
+                                                 // Counted all the same: the peer was live at round start.
+        assert_eq!(t0.stats().batches_out, 1);
+        assert_eq!(t0.stats().entries_out, 2);
+        assert_eq!(t0.stats().inbox_depth, 0);
+    }
+
+    #[test]
+    fn broadcast_skips_peers_outside_the_live_set() {
+        let mut mesh = channel_mesh::<u64>(3);
+        let mut t2 = mesh.pop().unwrap();
+        let mut t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        t1.set_stall_timeout(Duration::from_millis(10));
+        t0.broadcast(batch(0, 1), &[false, false, true]);
+        assert!(matches!(t2.recv(), Recv::Batch(_)));
+        assert!(matches!(t1.recv(), Recv::Stalled), "shard 1 was not live");
+        assert_eq!(t0.stats().batches_out, 1);
+
+        let mut mesh = tcp_loopback_mesh::<u64>(3).unwrap();
+        let mut t2 = mesh.pop().unwrap();
+        let mut t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        t1.set_stall_timeout(Duration::from_millis(10));
+        t0.broadcast(batch(0, 1), &[false, false, true]);
+        assert!(matches!(t2.recv(), Recv::Batch(_)));
+        assert!(matches!(t1.recv(), Recv::Stalled), "shard 1 was not live");
+        let frame_len = encode_frame(&batch(0, 1)).len() as u64;
+        assert_eq!(
+            (t0.stats().batches_out, t0.stats().bytes_out),
+            (1, frame_len)
+        );
     }
 
     /// Writes `bytes` into a loopback socket whose far end runs a frame
@@ -701,7 +748,7 @@ mod tests {
         let mut t2 = mesh.pop().unwrap();
         let mut t1 = mesh.pop().unwrap();
         let mut t0 = mesh.pop().unwrap();
-        t0.broadcast(batch(0, 5));
+        t0.broadcast(batch(0, 5), &peers(3, 0));
         for t in [&mut t1, &mut t2] {
             match t.recv() {
                 Recv::Batch(b) => assert_eq!(b, batch(0, 5)),
@@ -709,7 +756,7 @@ mod tests {
             }
         }
         // Bidirectional: a reply crosses the same stream pair.
-        t1.broadcast(batch(1, 5));
+        t1.broadcast(batch(1, 5), &peers(3, 1));
         match t0.recv() {
             Recv::Batch(b) => assert_eq!(b.from, 1),
             other => panic!("expected batch, got {other:?}"),
