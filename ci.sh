@@ -130,16 +130,20 @@ cargo build --release -q
 ./target/release/distsym list > /dev/null
 cargo test -q --test cli > /dev/null
 
-echo "== trace smoke: export + self-validate JSONL and Chrome-trace"
+echo "== trace smoke: export + self-validate JSONL, Chrome-trace and metrics"
 # Runs a small randomized-coloring workload under the full tracing stack;
 # the binary re-reads both artifacts and exits nonzero unless they parse,
 # Chrome-trace timestamps are monotone, event counts match the engine's
 # statistics, per-phase RoundSums total the run's RoundSum, and the
-# active-set series passes the Lemma 6.1 geometric-decay check.
+# active-set series passes the Lemma 6.1 geometric-decay check. The
+# attached --metrics export (also merged into the Chrome trace as
+# counter events) then validates itself like the suite exports above.
 ./target/release/trace --algo rand_delta_plus_one --n 4096 --a 2 --seed 1 \
-    --out target/ci-trace > /dev/null
+    --out target/ci-trace --metrics target/ci-trace/obs.prom > /dev/null
 test -s target/ci-trace/trace.jsonl
 test -s target/ci-trace/trace.chrome.json
+./target/release/bench-diff --metrics-check \
+    target/ci-trace/obs.prom target/ci-trace/obs.prom.jsonl
 
 echo "== congest audit: per-algorithm message-width claims"
 # Runs every registry algorithm once and checks each declared CONGEST

@@ -27,14 +27,20 @@
 //! the CONGEST budget `c·log₂ n` bits, enforcing the registry's
 //! `AlgoSpec::congest` claims (exit nonzero on a violated claim).
 //!
+//! `--metrics PATH` also attaches an obs registry and writes its
+//! Prometheus exposition to `PATH` and a snapshot to `PATH.jsonl`, and
+//! merges its counters into the Chrome-trace export.
+//!
 //! Usage: `trace [--algo NAME] [--n N] [--a A] [--seed S] [--out DIR]
-//! [--parallel] [--list] [--congest-audit]` with NAME any registry name
-//! (default `rand_delta_plus_one`); `--list` prints the registry and exits.
+//! [--parallel] [--backend sync|actor[:K]] [--metrics PATH] [--list]
+//! [--congest-audit]` with NAME any registry name (default
+//! `rand_delta_plus_one`); `--list` prints the registry and exits.
 
 use benchharness::bounds::geometric_decay_violations;
 use benchharness::pipeline::{WorkloadCache, WorkloadKey};
 use benchharness::registry::{self, Backend, ExecOptions, ObserveMode, Params};
 use benchharness::results::Json;
+use benchharness::spec::MetricsExport;
 use benchharness::Trial;
 use simlocal::{EngineStats, Histogram, TraceEvent, TraceLog};
 use std::fs;
@@ -151,19 +157,19 @@ fn main() {
 /// messages (empty = pass).
 fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     let trial = Trial::identity(args.seed);
-    // `--metrics PATH`: attach an obs registry sized for the backend's
-    // shard count; its counters are merged into the Chrome export and
-    // written as a Prometheus exposition + JSONL snapshot at the end.
-    let reg = args.metrics.as_ref().map(|_| {
-        let shards = match args.backend {
-            Backend::Sync => 1,
-            Backend::Actor { shards: 0 } => std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1),
-            Backend::Actor { shards } => shards,
-        };
-        simlocal::obs::Registry::new(shards)
-    });
+    // `--metrics PATH`: attach an obs registry sized for the backend;
+    // its counters are merged into the Chrome export and written as a
+    // Prometheus exposition + JSONL snapshot at the end.
+    let export = match args
+        .metrics
+        .as_ref()
+        .map(|p| MetricsExport::create(p, args.backend))
+        .transpose()
+    {
+        Ok(x) => x,
+        Err(e) => return vec![e],
+    };
+    let reg = export.as_ref().map(|x| &x.registry);
     // The workload comes through the pipeline's cache layer, so a trace
     // run exercises (and, with `--metrics`, records) the same generation
     // path the suites use.
@@ -173,12 +179,12 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         a: args.a,
         seed: args.seed,
     };
-    let gg = cache.get(key, reg.as_ref());
+    let gg = cache.get(key, reg);
     let mut opts = ExecOptions::new("trace", &gg, &trial)
         .parallel(args.parallel)
         .backend(args.backend)
         .observe(ObserveMode::Traced);
-    if let Some(r) = &reg {
+    if let Some(r) = reg {
         opts = opts.metrics(r);
     }
     let out = spec.exec(&opts);
@@ -281,10 +287,7 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     }
     // Obs counters (when attached) become Chrome counter events at the
     // trace tail, so Perfetto shows the run totals next to the slices.
-    let counters = reg
-        .as_ref()
-        .map(|r| r.chrome_counters())
-        .unwrap_or_default();
+    let counters = reg.map(|r| r.chrome_counters()).unwrap_or_default();
     match fs::File::create(&chrome_path)
         .map_err(|e| e.to_string())
         .and_then(|f| {
@@ -296,54 +299,8 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     }
     failures.extend(validate_jsonl(&jsonl_path, &stats, n));
     failures.extend(validate_chrome(&chrome_path, &stats));
-    if let (Some(r), Some(path)) = (&reg, &args.metrics) {
-        match fs::write(path, r.prometheus_text()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => failures.push(format!("write {}: {e}", path.display())),
-        }
-        let snap = benchharness::spec::metrics_jsonl_path(path);
-        match fs::File::create(&snap)
-            .map_err(|e| e.to_string())
-            .and_then(|f| {
-                let mut w = io_buf(f);
-                r.write_jsonl_snapshot(&mut w, "trace")
-                    .map_err(|e| e.to_string())
-            }) {
-            Ok(()) => println!("wrote {}", snap.display()),
-            Err(e) => failures.push(format!("write {}: {e}", snap.display())),
-        }
-        use simlocal::obs::Metric;
-        println!(
-            "#obs trials={} engine_rounds={} actor_rounds={} steps={} msg_bits={} \
-             barrier_wait_ns={} transport_bytes_out={} prom={} jsonl={}",
-            r.total(Metric::HarnessTrials),
-            r.total(Metric::EngineRounds),
-            r.total(Metric::ActorRounds),
-            r.total(Metric::EngineSteps) + r.total(Metric::ActorSteps),
-            r.total(Metric::EngineMsgBits) + r.total(Metric::ActorMsgBits),
-            r.total(Metric::ActorBarrierWaitNs),
-            r.total(Metric::TransportBytesOut),
-            path.display(),
-            snap.display(),
-        );
-        // The engine's own counters must agree with its `EngineStats` —
-        // the same reconciliation the obs_identity proptests pin.
-        let (obs_steps, obs_bits) = match args.backend {
-            Backend::Sync => (r.total(Metric::EngineSteps), r.total(Metric::EngineMsgBits)),
-            Backend::Actor { .. } => (r.total(Metric::ActorSteps), r.total(Metric::ActorMsgBits)),
-        };
-        if obs_steps != stats.steps {
-            failures.push(format!(
-                "obs counted {obs_steps} steps but the engine reported {}",
-                stats.steps
-            ));
-        }
-        if obs_bits != stats.msg_bits {
-            failures.push(format!(
-                "obs counted {obs_bits} msg bits but the engine reported {}",
-                stats.msg_bits
-            ));
-        }
+    if let Some(x) = export {
+        failures.extend(x.finish("trace").err());
     }
     failures
 }

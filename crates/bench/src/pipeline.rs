@@ -16,12 +16,10 @@
 //!   mirrored into [`simlocal::obs`].
 //! * **Scheduler** — [`run_plan`] executes a plan either sequentially
 //!   (`workers == 1`, the oracle path) or on a pool of worker threads
-//!   pulling jobs from a shared queue, and instruments queue depth,
-//!   jobs in flight, and a per-trial wall histogram.
-//! * **Sink** — [`RowSink`] receives completed [`Row`]s incrementally:
-//!   [`CollectSink`] feeds today's in-memory `SuiteResult` aggregation,
-//!   [`JsonlRowSink`] streams rows as JSON lines (the seam a future
-//!   HTTP service attaches to).
+//!   pulling jobs from a shared queue, and observes a per-trial wall
+//!   histogram.
+//! * **Sink** — [`CollectSink`] collects the completed [`Row`]s for the
+//!   in-memory `SuiteResult` aggregation.
 //!
 //! **Determinism.** Job ids are assigned at plan time, before any
 //! execution. A job's row depends only on its own `(workload key,
@@ -29,10 +27,10 @@
 //! seeded, and nothing reads cross-job state — so every interleaving
 //! produces the same per-job rows. The scheduler buffers out-of-order
 //! completions and releases rows to the sink strictly in job-id order
-//! (the completed prefix), so the sink observes a byte-identical stream
-//! for *every* worker count. `tests/pipeline_determinism.rs` pins this
-//! property; ci.sh additionally diffs a `--jobs 4` table2 run against
-//! the committed sequential baseline at `--tol 0`.
+//! (the completed prefix), so the sink holds the same rows in the same
+//! order for *every* worker count. `tests/pipeline_determinism.rs` pins
+//! this property; ci.sh additionally diffs a `--jobs 4` table2 run
+//! against the committed sequential baseline at `--tol 0`.
 
 use crate::registry::{self, AlgoSpec, Backend, Params};
 use crate::spec::{RunSpec, WorkloadSpec};
@@ -314,85 +312,12 @@ fn approx_graph_bytes(gg: &GenGraph) -> u64 {
     4 * (n + 1) + 24 * m
 }
 
-/// A consumer of completed rows, fed strictly in job-id order. The seam
-/// between the scheduler and whatever aggregates or ships the results.
-pub trait RowSink {
-    /// Receives the row job `job` produced. Called in ascending `job.id`
-    /// order regardless of execution interleaving.
-    fn accept(&mut self, job: &TrialJob, row: Row);
-}
-
-/// The in-memory sink behind today's `SuiteResult` path: collects rows
-/// in emission (= plan) order.
+/// The sink behind the `SuiteResult` path: collects rows in emission
+/// (= plan) order.
 #[derive(Default)]
 pub struct CollectSink {
     /// The collected rows, in job-id order.
     pub rows: Vec<Row>,
-}
-
-impl RowSink for CollectSink {
-    fn accept(&mut self, _job: &TrialJob, row: Row) {
-        self.rows.push(row);
-    }
-}
-
-/// A streaming sink: one compact JSON object per completed row, written
-/// as it becomes emittable. Wall time is deliberately omitted — it is
-/// the only machine-dependent row field, so the stream is byte-identical
-/// across runs, worker counts, and backends.
-pub struct JsonlRowSink<W: std::io::Write> {
-    w: W,
-}
-
-impl<W: std::io::Write> JsonlRowSink<W> {
-    /// Streams rows into `w`.
-    pub fn new(w: W) -> JsonlRowSink<W> {
-        JsonlRowSink { w }
-    }
-
-    /// Recovers the writer (for buffer-backed streams in tests).
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: std::io::Write> RowSink for JsonlRowSink<W> {
-    fn accept(&mut self, job: &TrialJob, row: Row) {
-        use crate::results::{fnum, quote};
-        let cap = if row.cap == usize::MAX {
-            "null".to_string()
-        } else {
-            row.cap.to_string()
-        };
-        writeln!(
-            self.w,
-            "{{\"job\": {}, \"exp\": {}, \"algo\": {}, \"family\": {}, \"n\": {}, \"a\": {}, \
-             \"va\": {}, \"wc\": {}, \"median\": {}, \"p95\": {}, \"p99\": {}, \"colors\": {}, \
-             \"valid\": {}, \"pubs\": {}, \"msg_bits\": {}, \"avg_msg_bits\": {}, \
-             \"max_msg_bits\": {}, \"cap\": {}, \"seed\": {}, \"ids\": {}}}",
-            job.id,
-            quote(&row.exp),
-            quote(&row.algo),
-            quote(&row.family),
-            row.n,
-            row.a,
-            fnum(row.va),
-            row.wc,
-            row.median,
-            row.p95,
-            row.p99,
-            row.colors,
-            row.valid,
-            row.pubs,
-            row.msg_bits,
-            fnum(row.avg_msg_bits),
-            row.max_msg_bits,
-            cap,
-            row.seed,
-            quote(row.ids),
-        )
-        .expect("write row JSONL");
-    }
 }
 
 /// Executes one job against its (cached) graph, observing the per-trial
@@ -418,23 +343,18 @@ fn run_job(job: &TrialJob, gg: &GenGraph, metrics: Option<&ObsRegistry>) -> Row 
 
 /// Out-of-order completions parked until their id-ordered turn.
 struct Emit<'s> {
-    sink: &'s mut (dyn RowSink + Send),
+    sink: &'s mut CollectSink,
     slots: Vec<Option<Row>>,
     next: usize,
 }
 
 impl Emit<'_> {
     /// Parks job `i`'s row and releases the completed prefix to the sink.
-    fn complete(&mut self, jobs: &[TrialJob], i: usize, row: Row) {
+    fn complete(&mut self, i: usize, row: Row) {
         self.slots[i] = Some(row);
-        while let Some(slot) = self.slots.get_mut(self.next) {
-            match slot.take() {
-                Some(row) => {
-                    self.sink.accept(&jobs[self.next], row);
-                    self.next += 1;
-                }
-                None => break,
-            }
+        while let Some(row) = self.slots.get_mut(self.next).and_then(Option::take) {
+            self.sink.rows.push(row);
+            self.next += 1;
         }
     }
 }
@@ -445,35 +365,26 @@ impl Emit<'_> {
 /// `workers == 1` is the sequential oracle — a plain in-order loop, the
 /// exact behavior of the pre-pipeline engine. `workers > 1` spawns that
 /// many scoped threads pulling job indices from a shared atomic queue;
-/// completions are buffered so the sink still observes the id-ordered
-/// stream (see the module docs for the determinism argument). Workload
-/// graphs come from `cache`; queue depth, jobs in flight, cache traffic,
-/// and per-trial wall times are recorded into `metrics` when attached.
+/// completions are buffered so the sink still receives the rows in id
+/// order (see the module docs for the determinism argument). Workload
+/// graphs come from `cache`; cache traffic and per-trial wall times are
+/// recorded into `metrics` when attached.
 pub fn run_plan(
     plan: &JobPlan,
     workers: usize,
     cache: &WorkloadCache,
     metrics: Option<&ObsRegistry>,
-    sink: &mut (dyn RowSink + Send),
+    sink: &mut CollectSink,
 ) {
     let jobs = &plan.jobs;
     if workers <= 1 {
-        for (i, job) in jobs.iter().enumerate() {
-            if let Some(m) = metrics {
-                m.set(Metric::HarnessQueueDepth, 0, (jobs.len() - i - 1) as u64);
-                m.set(Metric::HarnessJobsInFlight, 0, 1);
-            }
+        for job in jobs {
             let gg = cache.get(job.workload, metrics);
-            let row = run_job(job, &gg, metrics);
-            sink.accept(job, row);
-        }
-        if let Some(m) = metrics {
-            m.set(Metric::HarnessJobsInFlight, 0, 0);
+            sink.rows.push(run_job(job, &gg, metrics));
         }
         return;
     }
     let next_job = AtomicUsize::new(0);
-    let in_flight = AtomicUsize::new(0);
     let emit = Mutex::new(Emit {
         sink,
         slots: vec![None; jobs.len()],
@@ -486,27 +397,10 @@ pub fn run_plan(
                 if i >= jobs.len() {
                     break;
                 }
-                if let Some(m) = metrics {
-                    m.set(Metric::HarnessQueueDepth, 0, (jobs.len() - i - 1) as u64);
-                    m.set(
-                        Metric::HarnessJobsInFlight,
-                        0,
-                        (in_flight.fetch_add(1, Relaxed) + 1) as u64,
-                    );
-                }
                 let job = &jobs[i];
                 let gg = cache.get(job.workload, metrics);
                 let row = run_job(job, &gg, metrics);
-                if let Some(m) = metrics {
-                    m.set(
-                        Metric::HarnessJobsInFlight,
-                        0,
-                        (in_flight.fetch_sub(1, Relaxed) - 1) as u64,
-                    );
-                }
-                emit.lock()
-                    .expect("emit state poisoned")
-                    .complete(jobs, i, row);
+                emit.lock().expect("emit state poisoned").complete(i, row);
             });
         }
     });
@@ -516,10 +410,6 @@ pub fn run_plan(
         jobs.len(),
         "scheduler must emit every planned job"
     );
-    if let Some(m) = metrics {
-        m.set(Metric::HarnessQueueDepth, 0, 0);
-        m.set(Metric::HarnessJobsInFlight, 0, 0);
-    }
 }
 
 #[cfg(test)]
@@ -600,29 +490,21 @@ mod tests {
     fn parallel_matches_sequential_rows() {
         let (w, r) = small_tables();
         let c = cli(&["--quick", "--seeds", "2", "--ids", "identity,random"]);
-        let run = |workers: usize, cache: &WorkloadCache| {
+        // Every row field but the machine-dependent wall time, as text.
+        let run = |workers: usize, cache: &WorkloadCache| -> Vec<String> {
             let mut id = 0;
             let plan = plan_rows(&c, &w, &r, &mut id);
             let mut sink = CollectSink::default();
             run_plan(&plan, workers, cache, None, &mut sink);
-            let mut jsonl = JsonlRowSink::new(Vec::new());
-            let mut id = 0;
-            let plan = plan_rows(&c, &w, &r, &mut id);
-            run_plan(&plan, workers, cache, None, &mut jsonl);
-            (sink.rows, jsonl.into_inner())
+            for row in &mut sink.rows {
+                row.wall_ms = 0.0;
+            }
+            sink.rows.iter().map(|row| format!("{row:?}")).collect()
         };
         let cache = WorkloadCache::new();
-        let (seq, seq_jsonl) = run(1, &cache);
-        let (par, par_jsonl) = run(3, &cache);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            // Everything except the machine-dependent wall must agree.
-            assert_eq!(
-                (&a.exp, &a.algo, a.n, a.seed, a.ids, a.va.to_bits(), a.pubs),
-                (&b.exp, &b.algo, b.n, b.seed, b.ids, b.va.to_bits(), b.pubs)
-            );
-        }
-        assert_eq!(seq_jsonl, par_jsonl, "JSONL streams must be byte-identical");
+        let seq = run(1, &cache);
+        assert_eq!(seq.len(), 8);
+        assert_eq!(seq, run(3, &cache), "rows must agree field for field");
         assert!(cache.hits() > 0, "a multi-trial plan must hit the cache");
     }
 }

@@ -85,6 +85,20 @@ impl Backend {
         }
     }
 
+    /// A metrics registry sized for this backend's runs: the global
+    /// slots alone for the sync engine, one per-shard slot per actor
+    /// shard (the machine's available parallelism for auto).
+    pub fn metrics_registry(&self) -> simlocal::obs::Registry {
+        let shards = match *self {
+            Backend::Sync => 1,
+            Backend::Actor { shards: 0 } => std::thread::available_parallelism()
+                .map(|w| w.get())
+                .unwrap_or(1),
+            Backend::Actor { shards } => shards,
+        };
+        simlocal::obs::Registry::new(shards)
+    }
+
     /// The `--list` enumeration every harness binary prints: each
     /// selectable backend with its one-line description.
     pub fn describe_all() -> Vec<(&'static str, &'static str)> {
@@ -303,10 +317,13 @@ pub struct ExecOptions<'a> {
     pub observe: ObserveMode,
     /// Execution backend (sync engine or actor shards).
     pub backend: Backend,
-    /// Metrics registry handed to the runner (engine/actor/transport
-    /// series) and fed the harness-level trial timings. `None` (the
-    /// default) keeps every run on the zero-cost path. For the actor
-    /// backend the registry must be sized for the resolved shard count.
+    /// Metrics registry handed to the runner and fed the harness-level
+    /// trial timings: each completed run adds its engine, actor and
+    /// transport counts once from its outcome, while phase laps and
+    /// barrier waits are timed as it goes. `None` (the default) keeps
+    /// every run on the zero-cost path. For the actor backend the
+    /// registry must be sized for the resolved shard count
+    /// ([`Backend::metrics_registry`]).
     pub metrics: Option<&'a simlocal::obs::Registry>,
 }
 

@@ -16,6 +16,7 @@ use crate::{
     TrialSummary,
 };
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Hub degree for the `a ≪ Δ` hub workloads, as a function of `n` and the
 /// problem under test.
@@ -509,10 +510,70 @@ fn churn_label(plan: &graphcore::churn::ChurnPlan) -> String {
 }
 
 /// The metrics-JSONL sibling of a `--metrics PATH`: `PATH.jsonl`.
-pub fn metrics_jsonl_path(prom: &std::path::Path) -> std::path::PathBuf {
+fn metrics_jsonl_path(prom: &Path) -> PathBuf {
     let mut os = prom.as_os_str().to_owned();
     os.push(".jsonl");
-    std::path::PathBuf::from(os)
+    PathBuf::from(os)
+}
+
+/// A `--metrics PATH` export, shared by the suite binaries and `trace`:
+/// one registry, sized for the backend, that every run of the
+/// invocation records into, and the `PATH.jsonl` stream of cumulative
+/// snapshots.
+pub struct MetricsExport {
+    /// The registry the runs record into.
+    pub registry: simlocal::obs::Registry,
+    prom: PathBuf,
+    jsonl: std::fs::File,
+}
+
+impl MetricsExport {
+    /// Sizes the registry for `backend` and creates `PATH.jsonl`
+    /// (creating parent directories).
+    pub fn create(prom: &Path, backend: registry::Backend) -> Result<MetricsExport, String> {
+        if let Some(dir) = prom.parent() {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        }
+        let path = metrics_jsonl_path(prom);
+        let jsonl = std::fs::File::create(&path)
+            .map_err(|e| format!("create metrics JSONL {}: {e}", path.display()))?;
+        Ok(MetricsExport {
+            registry: backend.metrics_registry(),
+            prom: prom.to_path_buf(),
+            jsonl,
+        })
+    }
+
+    /// Appends one snapshot line tagged `tag`.
+    pub fn snapshot(&self, tag: &str) -> Result<(), String> {
+        self.registry
+            .write_jsonl_snapshot(&mut &self.jsonl, tag)
+            .map_err(|e| format!("write metrics snapshot: {e}"))
+    }
+
+    /// Ends the export: a last snapshot tagged `tag`, the Prometheus
+    /// exposition at `PATH`, and the one-line `#obs` summary.
+    pub fn finish(self, tag: &str) -> Result<(), String> {
+        use simlocal::obs::Metric;
+        self.snapshot(tag)?;
+        let r = &self.registry;
+        std::fs::write(&self.prom, r.prometheus_text())
+            .map_err(|e| format!("write metrics exposition {}: {e}", self.prom.display()))?;
+        println!(
+            "#obs trials={} engine_rounds={} actor_rounds={} steps={} msg_bits={} \
+             barrier_wait_ns={} transport_bytes_out={} prom={} jsonl={}",
+            r.total(Metric::HarnessTrials),
+            r.total(Metric::EngineRounds),
+            r.total(Metric::ActorRounds),
+            r.total(Metric::EngineSteps) + r.total(Metric::ActorSteps),
+            r.total(Metric::EngineMsgBits) + r.total(Metric::ActorMsgBits),
+            r.total(Metric::ActorBarrierWaitNs),
+            r.total(Metric::TransportBytesOut),
+            self.prom.display(),
+            metrics_jsonl_path(&self.prom).display(),
+        );
+        Ok(())
+    }
 }
 
 /// Produces all rows for one `Rows`-kind spec, honoring per-run filters —
@@ -578,8 +639,8 @@ fn dynamic_rows(
 /// The shared suite engine: a thin shim over the pipeline layers. Every
 /// selected `Rows` experiment is planned ([`pipeline::plan_rows`]),
 /// scheduled across `--jobs` workers over one invocation-wide
-/// [`WorkloadCache`] ([`pipeline::run_plan`]), and collected through a
-/// [`pipeline::RowSink`](pipeline::RowSink); this function only owns the
+/// [`WorkloadCache`] ([`pipeline::run_plan`]), and collected in a
+/// [`pipeline::CollectSink`]; this function only owns the
 /// printing, JSON emission, and tail bound enforcement (exiting nonzero
 /// on violation). `--list` prints the table instead and exits 0.
 pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> SuiteResult {
@@ -587,25 +648,14 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
         print_list(suite, specs);
         std::process::exit(0);
     }
-    // `--metrics PATH`: one registry spans the whole invocation, sized
-    // for the backend's shard count (sync runs use only the global
-    // slots). A JSONL snapshot is appended after every experiment (tag =
-    // experiment id) and the final Prometheus exposition goes to PATH.
-    let metrics_reg = cli.metrics.as_ref().map(|_| {
-        let shards = match cli.backend {
-            registry::Backend::Sync => 1,
-            registry::Backend::Actor { shards: 0 } => std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1),
-            registry::Backend::Actor { shards } => shards,
-        };
-        simlocal::obs::Registry::new(shards)
-    });
-    let mut snapshots = cli.metrics.as_ref().map(|p| {
-        let path = metrics_jsonl_path(p);
-        std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("create metrics JSONL {}: {e}", path.display()))
-    });
+    // `--metrics PATH`: one registry spans the whole invocation. A JSONL
+    // snapshot is appended after every experiment (tag = experiment id)
+    // and the final Prometheus exposition goes to PATH.
+    let export = cli
+        .metrics
+        .as_ref()
+        .map(|p| MetricsExport::create(p, cli.backend).unwrap_or_else(|e| panic!("{e}")));
+    let metrics_reg = export.as_ref().map(|x| &x.registry);
     // One workload cache and one job-id space span the invocation, so
     // graphs are shared across specs and every job of a suite run has a
     // globally unique, stable id.
@@ -622,20 +672,12 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
                 bounds,
                 post,
             } => {
-                let rows = rows_for(
-                    cli,
-                    metrics_reg.as_ref(),
-                    workloads,
-                    runs,
-                    &cache,
-                    &mut next_job_id,
-                );
+                let rows = rows_for(cli, metrics_reg, workloads, runs, &cache, &mut next_job_id);
                 if rows.is_empty() {
                     continue;
                 }
-                if let (Some(reg), Some(f)) = (&metrics_reg, &mut snapshots) {
-                    reg.write_jsonl_snapshot(f, spec.id)
-                        .expect("write metrics snapshot");
+                if let Some(x) = &export {
+                    x.snapshot(spec.id).unwrap_or_else(|e| panic!("{e}"));
                 }
                 print_rows(spec.title, &rows);
                 if let Some(post) = post {
@@ -668,7 +710,7 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
                 plan,
                 bounds,
             } => {
-                let rows = dynamic_rows(cli, metrics_reg.as_ref(), workloads, runs, plan, &cache);
+                let rows = dynamic_rows(cli, metrics_reg, workloads, runs, plan, &cache);
                 if rows.is_empty() {
                     continue;
                 }
@@ -701,27 +743,8 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
         result.write(path).expect("write results JSON");
         println!("results written to {}", path.display());
     }
-    if let (Some(reg), Some(path)) = (&metrics_reg, &cli.metrics) {
-        use simlocal::obs::Metric;
-        if let Some(f) = &mut snapshots {
-            reg.write_jsonl_snapshot(f, "final")
-                .expect("write final metrics snapshot");
-        }
-        std::fs::write(path, reg.prometheus_text())
-            .unwrap_or_else(|e| panic!("write metrics exposition {}: {e}", path.display()));
-        println!(
-            "#obs trials={} engine_rounds={} actor_rounds={} steps={} msg_bits={} \
-             barrier_wait_ns={} transport_bytes_out={} prom={} jsonl={}",
-            reg.total(Metric::HarnessTrials),
-            reg.total(Metric::EngineRounds),
-            reg.total(Metric::ActorRounds),
-            reg.total(Metric::EngineSteps) + reg.total(Metric::ActorSteps),
-            reg.total(Metric::EngineMsgBits) + reg.total(Metric::ActorMsgBits),
-            reg.total(Metric::ActorBarrierWaitNs),
-            reg.total(Metric::TransportBytesOut),
-            path.display(),
-            metrics_jsonl_path(path).display(),
-        );
+    if let Some(x) = export {
+        x.finish("final").unwrap_or_else(|e| panic!("{e}"));
     }
     if !inline.is_empty() {
         eprintln!("\n[{suite}] INLINE BOUND VIOLATIONS:");

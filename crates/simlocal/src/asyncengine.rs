@@ -72,7 +72,7 @@
 use crate::active::{clear_bit, full_words};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
 use crate::kernel::{Kernel, Record, Slots};
-use crate::obs::{Metric, Registry, ShardObs};
+use crate::obs::{Metric, Registry};
 use crate::observer::{NoObserver, Observer, RoundRecord, StepEvent};
 use crate::protocol::Protocol;
 use crate::transport::{
@@ -278,6 +278,11 @@ struct ShardResult<P: Protocol> {
     stalled: Option<BarrierStall>,
     /// Last round this shard fully completed (broadcast and drained).
     last_round: u32,
+    /// The transport's tallies, read at retirement (before lingering).
+    transport: TransportStats,
+    /// Peer retirements the barrier had registered when this shard
+    /// retired.
+    deregistered: u64,
     /// Step events in `(round, vertex)` order (observed runs only).
     events: Vec<StepEvent>,
     /// Per-round `(stepped, msg_bits, max_msg_bits, wall)` (observed
@@ -285,24 +290,34 @@ struct ShardResult<P: Protocol> {
     round_stats: Vec<(usize, u64, u64, Duration)>,
 }
 
-/// Adds a transport's I/O since the last call (`seen`) to the registry's
-/// per-shard counters — a transport's tallies start from zero with every
-/// run, while a registry's counters stay cumulative across the runs it
-/// outlives — and stores the inbox-depth level.
-fn publish_transport(o: &ShardObs<'_>, seen: &mut TransportStats, s: TransportStats) {
-    for (m, now, was) in [
-        (Metric::TransportBatchesOut, s.batches_out, seen.batches_out),
-        (Metric::TransportBatchesIn, s.batches_in, seen.batches_in),
-        (Metric::TransportEntriesOut, s.entries_out, seen.entries_out),
-        (Metric::TransportEntriesIn, s.entries_in, seen.entries_in),
-        (Metric::TransportBytesOut, s.bytes_out, seen.bytes_out),
-        (Metric::TransportBytesIn, s.bytes_in, seen.bytes_in),
-        (Metric::TransportFramesIn, s.frames_in, seen.frames_in),
-    ] {
-        o.add(m, now - was);
+impl<P: Protocol> ShardResult<P> {
+    /// Records the retired shard `sid`'s counts into its registry slots,
+    /// once per completed run: its rounds, its steps (the sum of its
+    /// vertices' termination rounds), its wire bits, its retirement and
+    /// deregistrations, and its transport's tallies.
+    fn record(&self, reg: &Registry, sid: usize) {
+        let t = &self.transport;
+        for (m, v) in [
+            (Metric::ActorRounds, self.last_round as u64),
+            (
+                Metric::ActorSteps,
+                self.term.iter().map(|&r| r as u64).sum(),
+            ),
+            (Metric::ActorMsgBits, self.msg_bits),
+            (Metric::ActorRetire, 1),
+            (Metric::ActorDeregister, self.deregistered),
+            (Metric::TransportBatchesOut, t.batches_out),
+            (Metric::TransportBatchesIn, t.batches_in),
+            (Metric::TransportEntriesOut, t.entries_out),
+            (Metric::TransportEntriesIn, t.entries_in),
+            (Metric::TransportBytesOut, t.bytes_out),
+            (Metric::TransportBytesIn, t.bytes_in),
+            (Metric::TransportFramesIn, t.frames_in),
+        ] {
+            reg.add(m, sid, v);
+        }
+        reg.set(Metric::TransportInboxDepth, sid, t.inbox_depth);
     }
-    o.set(Metric::TransportInboxDepth, s.inbox_depth);
-    *seen = s;
 }
 
 /// The per-shard worker: owns `lo..hi`, mirrors the rest.
@@ -337,11 +352,17 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         still_active: None,
         stalled: None,
         last_round: 0,
+        transport: TransportStats::default(),
+        deregistered: 0,
         events: Vec::new(),
         round_stats: Vec::new(),
     };
     let mut barrier = RoundBarrier::new(shards, sid);
-    let mut seen = TransportStats::default();
+    // A retiring shard's final tallies, taken before it lingers.
+    let retire = |result: &mut ShardResult<P>, barrier: &RoundBarrier<P::Msg>, t: &T| {
+        result.transport = t.stats();
+        result.deregistered = (shards - 1 - barrier.live_peers()) as u64;
+    };
 
     if active.is_empty() {
         // Nothing to own (more shards than vertices): deregister from the
@@ -355,10 +376,7 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             },
             barrier.live(),
         );
-        if let Some(o) = &ob {
-            o.add(Metric::ActorRetire, 1);
-            publish_transport(o, &mut seen, transport.stats());
-        }
+        retire(&mut result, &barrier, &transport);
         transport.linger();
         return result;
     }
@@ -375,7 +393,6 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         }
         let round_t0 = Ob::ENABLED.then(Instant::now);
         let compute_t0 = ob.is_some().then(Instant::now);
-        let stepped = active.len() as u64;
         // Step phase: the round kernel steps owned active vertices
         // against the mirror snapshot, writing owned slots only.
         let kernel = Kernel {
@@ -436,26 +453,19 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             let ns = t0.elapsed().as_nanos() as u64;
             o.add(Metric::ActorComputeNs, ns);
             o.observe(Metric::ActorComputeHistNs, ns);
-            o.add(Metric::ActorSteps, stepped);
-            o.add(Metric::ActorMsgBits, round_bits);
         }
         if retiring {
             // Deregistered: peers stop expecting batches from this shard,
             // and whatever they publish from here on is irrelevant to it
             // — but leave gracefully so nothing in flight is lost.
             result.last_round = round;
-            if let Some(o) = &ob {
-                o.add(Metric::ActorRounds, 1);
-                o.add(Metric::ActorRetire, 1);
-                publish_transport(o, &mut seen, transport.stats());
-            }
+            retire(&mut result, &barrier, &transport);
             transport.linger();
             return result;
         }
         // Retire phase, remote half: the barrier hands over every live
         // peer's round-`round` batch before round `round + 1` may begin.
         let wait_t0 = ob.is_some().then(Instant::now);
-        let live_before = barrier.live_peers();
         let drained = barrier.drain(&mut transport, round, |batch| {
             for e in batch.entries {
                 msgs[e.v as usize] = e.msg;
@@ -468,11 +478,6 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             let ns = t0.elapsed().as_nanos() as u64;
             o.add(Metric::ActorBarrierWaitNs, ns);
             o.observe(Metric::ActorBarrierWaitHistNs, ns);
-            o.add(
-                Metric::ActorDeregister,
-                (live_before - barrier.live_peers()) as u64,
-            );
-            publish_transport(o, &mut seen, transport.stats());
         }
         if let Err(stall) = drained {
             // Watchdog: hand the partial state back instead of hanging —
@@ -481,9 +486,6 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             return result;
         }
         result.last_round = round;
-        if let Some(o) = &ob {
-            o.add(Metric::ActorRounds, 1);
-        }
     }
 }
 
@@ -664,6 +666,11 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             still_active,
         });
     }
+    if let Some(reg) = obs {
+        for (sid, res) in results.iter().enumerate() {
+            res.record(reg, sid);
+        }
+    }
 
     let mut stats = EngineStats::default();
     let mut outputs: Vec<P::Output> = Vec::with_capacity(g.n());
@@ -749,10 +756,11 @@ impl<'a, P: Protocol> ActorRunner<'a, P> {
     }
 
     /// Attaches a metrics registry ([`crate::obs`]): shard threads
-    /// record rounds, steps, compute vs barrier-wait time, and
-    /// transport I/O into per-shard slots. The registry must be sized
-    /// for at least the resolved shard count. Outcomes are
-    /// byte-identical with or without a registry (proptest-pinned).
+    /// time compute vs barrier wait per round, and a completed run
+    /// copies each shard's rounds, steps, wire bits and transport I/O
+    /// into its per-shard slots once. The registry must be sized for at
+    /// least the resolved shard count. Outcomes are byte-identical with
+    /// or without a registry (proptest-pinned).
     pub fn obs(mut self, registry: &'a Registry) -> Self {
         self.obs = Some(registry);
         self

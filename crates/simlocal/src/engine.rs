@@ -361,8 +361,10 @@ impl<'a, P: Protocol> Runner<'a, P> {
     }
 
     /// Attaches a metrics registry (see [`crate::obs`]). Engine-level
-    /// series land in the registry's global slots; all recording is
-    /// per-round, so the per-vertex hot loop is untouched.
+    /// series land in the registry's global slots: phase laps and the
+    /// round-wall histogram per round, the counts once from the
+    /// completed run's [`EngineStats`]. The per-vertex hot loop is
+    /// untouched.
     pub fn obs(mut self, registry: &'a crate::obs::Registry) -> Self {
         self.obs = Some(registry);
         self
@@ -530,8 +532,9 @@ fn execute<P: Protocol, Ob: Observer>(
     let (par_threshold, workers) = cfg.tuning.resolve(g);
     let workers = if cfg.parallel { workers } else { 1 };
     // Metrics handle — engine series are global (shard-agnostic), so the
-    // slot-0 handle serves. Every `ob` touch below runs a handful of
-    // times per round, never per vertex.
+    // slot-0 handle serves. Every `ob` touch in the loop below times a
+    // phase, a handful of times per round and never per vertex; the
+    // counts are copied from the outcome once the run completes.
     let ob = obs.map(|r| r.handle(0));
     let obs_on = ob.is_some();
 
@@ -611,14 +614,6 @@ fn execute<P: Protocol, Ob: Observer>(
         stats.msg_bits += round_bits;
         stats.max_msg_bits = stats.max_msg_bits.max(round_max_bits);
         if let Some(o) = ob {
-            o.add(Metric::EngineRounds, 1);
-            o.add(Metric::EngineFastRounds, 1);
-            if fan_out {
-                o.add(Metric::EngineParallelRounds, 1);
-            }
-            o.add(Metric::EngineSteps, stepped as u64);
-            o.add(Metric::EngineMsgBits, round_bits);
-            o.set(Metric::EngineActiveLast, active.count() as u64);
             o.observe(
                 Metric::EngineRoundWallNs,
                 obs_round_t0
@@ -643,7 +638,20 @@ fn execute<P: Protocol, Ob: Observer>(
         .into_iter()
         .map(|o| o.expect("terminated vertex must have an output"))
         .collect();
-    Ok(SimOutcome::derived(outputs, termination_round, stats))
+    let out = SimOutcome::derived(outputs, termination_round, stats);
+    if let Some(o) = ob {
+        let s = &out.stats;
+        for (m, v) in [
+            (Metric::EngineRounds, s.rounds as u64),
+            (Metric::EngineFastRounds, s.rounds as u64),
+            (Metric::EngineParallelRounds, s.parallel_rounds as u64),
+            (Metric::EngineSteps, s.steps),
+            (Metric::EngineMsgBits, s.msg_bits),
+        ] {
+            o.add(m, v);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

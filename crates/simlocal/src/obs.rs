@@ -21,6 +21,17 @@
 //! established, and the byte-identity tests pin that an attached
 //! registry changes no output, metric, or wire statistic.
 //!
+//! ## Counts and timings
+//!
+//! A count (rounds, steps, message bits, transport traffic, warm-start
+//! re-steps) is written once per completed run, copied from the values
+//! the run returns — its `EngineStats`, or each actor shard's result —
+//! so it agrees with the run's own record by construction. Only what a
+//! run cannot return is recorded as it goes: phase laps, barrier waits
+//! and the per-round wall-time histograms. A run that returns an error
+//! records its timings but no counts, just as `EngineStats` exists only
+//! for completed runs.
+//!
 //! ## Naming scheme
 //!
 //! Metric names follow Prometheus conventions:
@@ -125,8 +136,6 @@ metric_table! {
      "Warm-start requests that fell back to a full cold re-solve (protocol not declared local)."),
     (EngineReactivated, "simlocal_engine_reactivated_total", Counter, false,
      "Vertices re-stepped by warm-start runs (those whose inputs an edit changed)."),
-    (EngineActiveLast, "simlocal_engine_active_last", Gauge, false,
-     "Active vertices after the most recent retire sweep (the Lemma 6.1 decay signal)."),
     (EngineRoundWallNs, "simlocal_engine_round_wall_ns", Histogram, false,
      "Distribution of whole-round wall times, nanoseconds."),
     // Actor backend shard threads.
@@ -175,10 +184,6 @@ metric_table! {
     (HarnessVerifyNs, "simlocal_harness_verify_ns_total", Counter, false,
      "Nanoseconds verifying outputs after each run."),
     // Trial pipeline (planner → cache → scheduler → sink; global).
-    (HarnessQueueDepth, "simlocal_harness_queue_depth", Gauge, false,
-     "Planned trial jobs not yet claimed by a scheduler worker."),
-    (HarnessJobsInFlight, "simlocal_harness_jobs_in_flight", Gauge, false,
-     "Trial jobs currently executing on scheduler workers."),
     (HarnessCacheHits, "simlocal_harness_cache_hits_total", Counter, false,
      "Workload-cache lookups served by an already-generated graph."),
     (HarnessCacheMisses, "simlocal_harness_cache_misses_total", Counter, false,
@@ -325,8 +330,7 @@ impl Registry {
         self.scalar_slot(m, shard).fetch_add(delta, Relaxed);
     }
 
-    /// Stores an absolute value into a gauge (or cumulative counter
-    /// mirrored from an external tally) slot.
+    /// Stores an absolute value into a gauge slot.
     pub fn set(&self, m: Metric, shard: usize, value: u64) {
         self.scalar_slot(m, shard).store(value, Relaxed);
     }
@@ -575,11 +579,6 @@ impl ShardObs<'_> {
     /// Adds `delta` to a counter.
     pub fn add(&self, m: Metric, delta: u64) {
         self.reg.add(m, self.shard, delta);
-    }
-
-    /// Stores an absolute value into a gauge/cumulative slot.
-    pub fn set(&self, m: Metric, value: u64) {
-        self.reg.set(m, self.shard, value);
     }
 
     /// Records one histogram observation.

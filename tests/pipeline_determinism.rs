@@ -1,14 +1,13 @@
 //! Property tests for the trial pipeline's scheduler determinism: for
 //! any small plan, any worker count, and either cache mode, the rows the
-//! sink observes are identical — field-for-field in memory, and
-//! byte-for-byte in both serialized forms (the streaming JSONL sink and
-//! the suite-level `SuiteResult` JSON). This is the repo-level guarantee
-//! behind `--jobs N`: parallelism may only change wall time, never the
-//! results; ci.sh additionally pins it end-to-end by diffing a
-//! `--jobs 4` table2 run against the committed sequential baseline at
-//! `--tol 0`.
+//! sink collects are identical — every field but the wall time, and
+//! byte-for-byte in the suite-level `SuiteResult` JSON. This is the
+//! repo-level guarantee behind `--jobs N`: parallelism may only change
+//! wall time, never the results; ci.sh additionally pins it end-to-end
+//! by diffing a `--jobs 4` table2 run against the committed sequential
+//! baseline at `--tol 0`.
 
-use benchharness::pipeline::{plan_rows, run_plan, CollectSink, JsonlRowSink, WorkloadCache};
+use benchharness::pipeline::{plan_rows, run_plan, CollectSink, WorkloadCache};
 use benchharness::spec::{RunSpec, WorkloadSpec};
 use benchharness::{summarize, Cli, SuiteResult};
 use proptest::prelude::*;
@@ -36,8 +35,8 @@ fn tables(n: usize, a: usize, seed: u64) -> (Vec<WorkloadSpec>, Vec<RunSpec>) {
     (workloads, runs)
 }
 
-/// Runs the plan with `workers` threads against `cache` and returns the
-/// collected rows, the JSONL byte stream, and the suite JSON with the
+/// Runs the plan with `workers` threads against `cache` and returns each
+/// collected row's `Debug` text and the suite JSON, with the
 /// machine-dependent wall times zeroed.
 fn run(
     c: &Cli,
@@ -45,16 +44,11 @@ fn run(
     r: &[RunSpec],
     workers: usize,
     cache: &WorkloadCache,
-) -> (Vec<benchharness::Row>, Vec<u8>, String) {
+) -> (Vec<String>, String) {
     let mut id = 0;
     let plan = plan_rows(c, w, r, &mut id);
     let mut sink = CollectSink::default();
     run_plan(&plan, workers, cache, None, &mut sink);
-
-    let mut id = 0;
-    let plan = plan_rows(c, w, r, &mut id);
-    let mut jsonl = JsonlRowSink::new(Vec::new());
-    run_plan(&plan, workers, cache, None, &mut jsonl);
 
     let mut rows = sink.rows;
     for row in &mut rows {
@@ -68,7 +62,7 @@ fn run(
         summarize(&rows),
     )
     .to_json();
-    (rows, jsonl.into_inner(), json)
+    (rows.iter().map(|row| format!("{row:?}")).collect(), json)
 }
 
 fn ncpu() -> usize {
@@ -93,19 +87,10 @@ proptest! {
         let (w, r) = tables(n, a, seed);
         let c = cli(&["--seeds".to_string(), seeds.to_string()]);
         let cache = WorkloadCache::new();
-        let (seq_rows, seq_jsonl, seq_json) = run(&c, &w, &r, 1, &cache);
+        let (seq_rows, seq_json) = run(&c, &w, &r, 1, &cache);
         for workers in [workers, ncpu()] {
-            let (par_rows, par_jsonl, par_json) = run(&c, &w, &r, workers, &cache);
-            prop_assert_eq!(seq_rows.len(), par_rows.len());
-            for (a, b) in seq_rows.iter().zip(&par_rows) {
-                prop_assert_eq!(
-                    (&a.exp, &a.algo, a.n, a.seed, a.ids, a.va.to_bits(), a.wc,
-                     a.colors, a.pubs, a.msg_bits, a.max_msg_bits, a.valid),
-                    (&b.exp, &b.algo, b.n, b.seed, b.ids, b.va.to_bits(), b.wc,
-                     b.colors, b.pubs, b.msg_bits, b.max_msg_bits, b.valid)
-                );
-            }
-            prop_assert_eq!(&seq_jsonl, &par_jsonl, "JSONL streams diverged");
+            let (par_rows, par_json) = run(&c, &w, &r, workers, &cache);
+            prop_assert_eq!(&seq_rows, &par_rows, "rows diverged");
             prop_assert_eq!(&seq_json, &par_json, "suite JSON diverged");
         }
         // Reusing one graph across trials, runs, and reruns must hit.
@@ -124,9 +109,9 @@ proptest! {
         let c = cli(&["--seeds".to_string(), "2".to_string()]);
         let on = WorkloadCache::new();
         let off = WorkloadCache::disabled();
-        let (_, jsonl_on, json_on) = run(&c, &w, &r, 2, &on);
-        let (_, jsonl_off, json_off) = run(&c, &w, &r, 2, &off);
-        prop_assert_eq!(jsonl_on, jsonl_off);
+        let (rows_on, json_on) = run(&c, &w, &r, 2, &on);
+        let (rows_off, json_off) = run(&c, &w, &r, 2, &off);
+        prop_assert_eq!(rows_on, rows_off);
         prop_assert_eq!(json_on, json_off);
         prop_assert!(on.hits() > 0);
         prop_assert_eq!(off.hits(), 0);
