@@ -131,11 +131,11 @@ cargo build --release -q
 cargo test -q --test cli > /dev/null
 
 echo "== trace smoke: export + self-validate JSONL, Chrome-trace and metrics"
-# Runs a small randomized-coloring workload under the full tracing stack;
+# Runs a small randomized-coloring workload and exports its round log;
 # the binary re-reads both artifacts and exits nonzero unless they parse,
-# Chrome-trace timestamps are monotone, event counts match the engine's
-# statistics, per-phase RoundSums total the run's RoundSum, and the
-# active-set series passes the Lemma 6.1 geometric-decay check. The
+# Chrome-trace timestamps are monotone, the recorded rounds, steps,
+# per-phase steps and terminations match the engine's statistics, and
+# the active-set series passes the Lemma 6.1 geometric-decay check. The
 # attached --metrics export (also merged into the Chrome trace as
 # counter events) then validates itself like the suite exports above.
 ./target/release/trace --algo rand_delta_plus_one --n 4096 --a 2 --seed 1 \
@@ -144,6 +144,21 @@ test -s target/ci-trace/trace.jsonl
 test -s target/ci-trace/trace.chrome.json
 ./target/release/bench-diff --metrics-check \
     target/ci-trace/obs.prom target/ci-trace/obs.prom.jsonl
+
+echo "== actor trace smoke: the actor merge's round records equal the sync engine's"
+# The same run on two actor shards, whose coordinator sums the shards'
+# per-round records: with the machine-dependent wall time stripped, its
+# JSONL must be byte-identical to the sync run's above.
+./target/release/trace --algo rand_delta_plus_one --n 4096 --a 2 --seed 1 \
+    --backend actor:2 --out target/ci-trace-actor \
+    --metrics target/ci-trace-actor/obs.prom > /dev/null
+./target/release/bench-diff --metrics-check \
+    target/ci-trace-actor/obs.prom target/ci-trace-actor/obs.prom.jsonl
+for dir in target/ci-trace target/ci-trace-actor; do
+    sed 's/,"wall_us":[0-9]*//' "$dir/trace.jsonl" > "$dir/trace.counts.jsonl"
+done
+test -s target/ci-trace/trace.counts.jsonl
+cmp target/ci-trace/trace.counts.jsonl target/ci-trace-actor/trace.counts.jsonl
 
 echo "== congest audit: per-algorithm message-width claims"
 # Runs every registry algorithm once and checks each declared CONGEST

@@ -1,23 +1,22 @@
-//! `trace` — run one registered algorithm under the full tracing observer
-//! stack and export its event stream.
+//! `trace` — run one registered algorithm and export its round log.
 //!
 //! The algorithm is resolved by name from `benchharness::registry`, so
-//! every registered algorithm is traceable with no wiring here. The run
-//! attaches `PhaseBreakdown` and `TraceLog` (composed with `Tee` inside
-//! the registry's single run path), then:
+//! every registered algorithm is traceable with no wiring here. Every
+//! registry run records a `TraceLog` — one record per round, split by
+//! phase — and derives its `PhaseBreakdown` from it; this binary then:
 //!
 //! * prints the per-phase `RoundSum` breakdown and the termination-round /
-//!   round-wall histograms it builds from the trace's events,
+//!   round-wall histograms it builds from the recorded rounds,
 //! * asserts the trace-level accounting identities (per-phase `RoundSum`s
-//!   total the engine's step count; trace event counts match
-//!   [`EngineStats`]; terminations == `n`),
+//!   total the engine's step count; the recorded rounds, steps and
+//!   terminations match [`EngineStats`] and `n`),
 //! * checks the Lemma 6.1 geometric active-set decay where the registry
 //!   entry claims it,
-//! * writes `<out>/trace.jsonl` (one event object per line) and
+//! * writes `<out>/trace.jsonl` (one object per round) and
 //!   `<out>/trace.chrome.json` (Chrome trace event format — open in
 //!   `chrome://tracing` or the Perfetto UI), and
 //! * re-reads both files, validating that they parse, that Chrome-trace
-//!   timestamps are monotone, and that event counts match the engine.
+//!   timestamps are monotone, and that their counts match the engine.
 //!
 //! Exits nonzero if any check fails, so CI can use a small run as a smoke
 //! test of the whole observability layer.
@@ -38,11 +37,11 @@
 
 use benchharness::bounds::geometric_decay_violations;
 use benchharness::pipeline::{WorkloadCache, WorkloadKey};
-use benchharness::registry::{self, Backend, ExecOptions, ObserveMode, Params};
+use benchharness::registry::{self, Backend, ExecOptions, Params};
 use benchharness::results::Json;
 use benchharness::spec::MetricsExport;
 use benchharness::Trial;
-use simlocal::{EngineStats, Histogram, TraceEvent, TraceLog};
+use simlocal::{EngineStats, Histogram, TraceLog};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -152,9 +151,8 @@ fn main() {
     println!("\n[trace] all checks passed");
 }
 
-/// Runs the registered algorithm under the full observer stack, prints the
-/// report, writes and validates both export files. Returns failure
-/// messages (empty = pass).
+/// Runs the registered algorithm, prints the report, writes and validates
+/// both export files. Returns failure messages (empty = pass).
 fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     let trial = Trial::identity(args.seed);
     // `--metrics PATH`: attach an obs registry sized for the backend;
@@ -182,14 +180,12 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     let gg = cache.get(key, reg);
     let mut opts = ExecOptions::new("trace", &gg, &trial)
         .parallel(args.parallel)
-        .backend(args.backend)
-        .observe(ObserveMode::Traced);
+        .backend(args.backend);
     if let Some(r) = reg {
         opts = opts.metrics(r);
     }
     let out = spec.exec(&opts);
-    let (row, stats, breakdown) = (out.row, out.stats, out.breakdown);
-    let log = out.trace.unwrap();
+    let (row, stats, breakdown, log) = (out.row, out.stats, out.breakdown, out.trace);
     let n = gg.graph.n();
 
     println!(
@@ -227,7 +223,7 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
 
     let mut failures = Vec::new();
 
-    // Accounting identities between the observers and the engine.
+    // Accounting identities between the round log and the engine.
     if breakdown.total_round_sum() != stats.steps {
         failures.push(format!(
             "per-phase RoundSums total {} but the engine counted {} steps",
@@ -235,17 +231,17 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
             stats.steps
         ));
     }
-    if log.step_events() != stats.steps {
+    if log.steps() != stats.steps {
         failures.push(format!(
-            "trace recorded {} step events but the engine counted {} steps",
-            log.step_events(),
+            "trace recorded {} steps but the engine counted {}",
+            log.steps(),
             stats.steps
         ));
     }
-    if log.terminate_events() != n as u64 {
+    if log.terminations() != n as u64 {
         failures.push(format!(
             "trace recorded {} terminations for {} vertices",
-            log.terminate_events(),
+            log.terminations(),
             n
         ));
     }
@@ -305,16 +301,16 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     failures
 }
 
-/// Log₂ histograms of the per-vertex termination rounds `r(v)` and of
-/// the per-round wall times in µs, from a trace's events.
+/// Log₂ histograms of the per-vertex termination rounds `r(v)` (each
+/// round counted once per vertex that terminated in it) and of the
+/// per-round wall times in µs, from a trace's records.
 fn histograms(log: &TraceLog) -> (Histogram, Histogram) {
     let (mut rounds, mut walls) = (Histogram::new(), Histogram::new());
-    for e in &log.events {
-        match *e {
-            TraceEvent::Terminate { round, .. } => rounds.record(round as u64),
-            TraceEvent::RoundEnd { wall_us, .. } => walls.record(wall_us),
-            _ => {}
+    for r in log.records() {
+        for _ in 0..r.terminations() {
+            rounds.record(r.round as u64);
         }
+        walls.record(r.wall.as_micros() as u64);
     }
     (rounds, walls)
 }
@@ -396,34 +392,45 @@ fn congest_audit(args: &Args) -> Vec<String> {
     failures
 }
 
-/// Re-reads the JSONL export: every line parses, and the per-kind event
-/// counts match the engine's statistics.
+/// Re-reads the JSONL export: every line parses as a round, and the
+/// rounds, their active and per-phase step totals and their
+/// terminations match the engine's statistics.
 fn validate_jsonl(path: &Path, stats: &EngineStats, n: usize) -> Vec<String> {
     let mut failures = Vec::new();
     let text = match fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => return vec![format!("read {}: {e}", path.display())],
     };
-    let (mut steps, mut terms, mut rounds) = (0u64, 0u64, 0u32);
+    let (mut rounds, mut active, mut terms, mut phase_steps) = (0u64, 0u64, 0u64, 0u64);
     for (i, line) in text.lines().enumerate() {
-        let ev = match Json::parse(line).and_then(|v| Ok(v.get("ev")?.as_str()?.to_string())) {
-            Ok(ev) => ev,
-            Err(e) => {
-                failures.push(format!("{} line {}: {e}", path.display(), i + 1));
-                continue;
+        let parsed = Json::parse(line).and_then(|v| {
+            if v.get("ev")?.as_str()? != "round" {
+                return Err("not a round line".to_string());
             }
-        };
-        match ev.as_str() {
-            "step" => steps += 1,
-            "terminate" => terms += 1,
-            "round_end" => rounds += 1,
-            _ => {}
+            let Json::Obj(phases) = v.get("phases")? else {
+                return Err("`phases` is not an object".to_string());
+            };
+            let mut steps = 0;
+            for (_, t) in phases {
+                steps += t.get_u64("steps")?;
+            }
+            Ok((v.get_u64("active")?, v.get_u64("terminated")?, steps))
+        });
+        match parsed {
+            Ok((a, t, s)) => {
+                rounds += 1;
+                active += a;
+                terms += t;
+                phase_steps += s;
+            }
+            Err(e) => failures.push(format!("{} line {}: {e}", path.display(), i + 1)),
         }
     }
     for (what, got, want) in [
-        ("step events", steps, stats.steps),
-        ("terminate events", terms, n as u64),
-        ("round_end events", rounds as u64, stats.rounds as u64),
+        ("rounds", rounds, stats.rounds as u64),
+        ("summed active", active, stats.steps),
+        ("summed phase steps", phase_steps, stats.steps),
+        ("terminations", terms, n as u64),
     ] {
         if got != want {
             failures.push(format!("{}: {what} {got} != engine {want}", path.display()));

@@ -194,7 +194,7 @@ impl Row {
         self
     }
 
-    /// Attaches what every observed harness run adds to its row: the
+    /// Attaches what every registry run adds to its row: the
     /// engine's own active-set series (from the run's [`RoundMetrics`],
     /// even when the row's headline metrics are commit-based) and the
     /// per-phase `RoundSum` breakdown.

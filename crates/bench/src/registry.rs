@@ -7,20 +7,20 @@
 //! now declares its name, its [`Problem`], its constructor over
 //! `(GenGraph, Params)`, its claimed palette-cap function, and its paper
 //! bound tag — and **exactly one** code path constructs the protocol,
-//! runs it under the standard observer ([`PhaseBreakdown`]), verifies the
-//! output through [`Problem::verify_output`], and assembles the [`Row`].
+//! runs it recording its rounds ([`TraceLog`]), verifies the output
+//! through [`Problem::verify_output`], and assembles the [`Row`] with
+//! the run's [`PhaseBreakdown`].
 //!
 //! Consumers resolve algorithms by name ([`find`]) or enumerate them
 //! ([`all`]), then execute through **one** entry point:
 //! [`AlgoSpec::try_exec`] (or [`AlgoSpec::exec`], which panics on an
 //! engine error), driven by an [`ExecOptions`] value. The options
-//! select the observation level ([`ObserveMode`]: `Standard` for
-//! measurement rows, `Traced` for the full event-log stack), the
-//! execution mode (sequential / parallel), and the backend — so the
-//! spec-driven binaries (via [`crate::spec::execute`]), the `trace`
-//! binary, the root `distsym` CLI and the end-to-end benchmark all go
-//! through the same construct → run → verify path. Registering a new
-//! algorithm here makes it immediately runnable and traceable.
+//! select the execution mode (sequential / parallel) and the backend —
+//! so the spec-driven binaries (via [`crate::spec::execute`]), the
+//! `trace` binary, the root `distsym` CLI and the end-to-end benchmark
+//! all go through the same construct → run → verify path, and every
+//! run returns its round log. Registering a new algorithm here makes it
+//! immediately runnable and traceable.
 
 use crate::{cfg, Row, Trial};
 use algos::{baselines, coloring, edge_coloring, forests, matching, mis, pipeline, rand_coloring};
@@ -28,8 +28,8 @@ use graphcore::churn::{self, ChurnPlan};
 use graphcore::{gen::GenGraph, verify, Graph, IdAssignment, VertexId};
 use simlocal::obs::Metric as ObsMetric;
 use simlocal::{
-    ActorRunner, EngineError, EngineStats, NoObserver, Observer, PhaseBreakdown, Protocol, Runner,
-    SimOutcome, TraceLog, WarmOutcome, WarmStart,
+    ActorRunner, EngineError, EngineStats, PhaseBreakdown, Protocol, Runner, SimOutcome, TraceLog,
+    WarmOutcome, WarmStart,
 };
 use std::sync::OnceLock;
 
@@ -285,22 +285,10 @@ pub struct DecayClaim {
     pub grace: usize,
 }
 
-/// How much observation an execution attaches. Every execution is
-/// verified and yields a [`Row`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ObserveMode {
-    /// The standard observer ([`PhaseBreakdown`]), output verification,
-    /// and a [`Row`].
-    #[default]
-    Standard,
-    /// `Standard` plus the full event log ([`TraceLog`]) teed on.
-    Traced,
-}
-
 /// Options for one erased execution: what to run it on, and how.
 ///
-/// Construct with [`ExecOptions::new`] (sequential, [`ObserveMode::
-/// Standard`], sync backend) and override per call site.
+/// Construct with [`ExecOptions::new`] (sequential, sync backend) and
+/// override per call site.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions<'a> {
     /// Experiment tag recorded in [`Row::exp`].
@@ -313,8 +301,6 @@ pub struct ExecOptions<'a> {
     pub trial: &'a Trial,
     /// Run on the parallel engine.
     pub parallel: bool,
-    /// Observation level.
-    pub observe: ObserveMode,
     /// Execution backend (sync engine or actor shards).
     pub backend: Backend,
     /// Metrics registry handed to the runner and fed the harness-level
@@ -328,7 +314,7 @@ pub struct ExecOptions<'a> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Sequential, standard-observed execution on the sync backend.
+    /// Sequential execution on the sync backend.
     pub fn new(exp: &'a str, gg: &'a GenGraph, trial: &'a Trial) -> ExecOptions<'a> {
         ExecOptions {
             exp,
@@ -336,7 +322,6 @@ impl<'a> ExecOptions<'a> {
             params: Params::default(),
             trial,
             parallel: false,
-            observe: ObserveMode::default(),
             backend: Backend::default(),
             metrics: None,
         }
@@ -354,12 +339,6 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Sets the observation level.
-    pub fn observe(mut self, observe: ObserveMode) -> Self {
-        self.observe = observe;
-        self
-    }
-
     /// Selects the execution backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -374,8 +353,7 @@ impl<'a> ExecOptions<'a> {
 }
 
 /// What [`AlgoSpec::try_exec`] produced: the verified row, the engine
-/// stats and the phase breakdown always; the event log when the
-/// requested [`ObserveMode`] is `Traced`.
+/// stats, the run's round log and the phase breakdown derived from it.
 pub struct ExecOutcome {
     /// The verified measurement row.
     pub row: Row,
@@ -383,9 +361,8 @@ pub struct ExecOutcome {
     pub stats: EngineStats,
     /// Per-phase RoundSum / termination accounting.
     pub breakdown: PhaseBreakdown,
-    /// The exportable event log ([`Some`] only for
-    /// [`ObserveMode::Traced`]).
-    pub trace: Option<TraceLog>,
+    /// The exportable round log: one record per round, split by phase.
+    pub trace: TraceLog,
 }
 
 impl ExecOutcome {
@@ -407,9 +384,10 @@ pub trait ErasedAlgo: Send + Sync {
     /// against and recorded in [`Row::cap`] (`usize::MAX` = no claim).
     fn cap_for(&self, gg: &GenGraph, params: Params, ids: &IdAssignment) -> usize;
 
-    /// The one execution path: construct, run as the options dictate,
-    /// verify, and return whatever the mode produced — or the engine's
-    /// error when the run did not complete.
+    /// The one execution path: construct, run as the options dictate
+    /// with the rounds recorded, verify, and return the row, the stats
+    /// and the round log — or the engine's error when the run did not
+    /// complete.
     fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError>;
 
     /// Dynamic mode: cold-solve the workload once with a replay log
@@ -543,13 +521,14 @@ where
         }
     }
 
-    /// Runs `p` under the backend the options select. The two backends
-    /// are byte-identical, so callers never need to know which ran.
-    fn run_backend<Ob: Observer>(
+    /// Runs `p` under the backend the options select, recording its
+    /// rounds into `log`. The two backends are byte-identical, so callers
+    /// never need to know which ran.
+    fn run_backend(
         p: &P,
         ids: &IdAssignment,
         o: &ExecOptions<'_>,
-        obs: &mut Ob,
+        log: &mut TraceLog,
     ) -> Result<SimOutcome<P::Output>, EngineError> {
         match o.backend {
             Backend::Sync => {
@@ -557,7 +536,7 @@ where
                 if let Some(m) = o.metrics {
                     r = r.obs(m);
                 }
-                r.run_with(obs)
+                r.run_with(log)
             }
             Backend::Actor { shards } => {
                 let mut r = ActorRunner::new(p, &o.gg.graph, ids)
@@ -566,7 +545,7 @@ where
                 if let Some(m) = o.metrics {
                     r = r.obs(m);
                 }
-                r.run_with(obs)
+                r.run_with(log)
             }
         }
     }
@@ -609,55 +588,6 @@ where
         .with_stats(stats)
         .with_trial(o.trial)
         .with_cap(cap)
-    }
-
-    /// The single construct → run → observe → verify → Row path behind
-    /// every observed execution; [`ErasedAlgo::try_exec`] only chooses the
-    /// extra observer to tee on and what of it to keep as the trace.
-    fn exec_observed<X: Observer>(
-        &self,
-        o: &ExecOptions<'_>,
-        mk_extra: impl FnOnce(&P) -> X,
-        trace: impl FnOnce(X) -> Option<TraceLog>,
-    ) -> Result<ExecOutcome, EngineError> {
-        let ExecOptions {
-            gg, params, trial, ..
-        } = *o;
-        // Harness-level trial timings (queue = setup before the engine
-        // starts, run = engine wall, verify = extract + judge). Global
-        // series, so any shard handle works.
-        let mob = o.metrics.map(|r| r.handle(0));
-        let queue_t0 = mob.is_some().then(std::time::Instant::now);
-        let p = (self.build)(gg, params);
-        let ids = trial.ids(gg.graph.n());
-        let cap = (self.cap)(&p, gg, &ids);
-        let mut obs = simlocal::Tee(PhaseBreakdown::new(p.phase_names()), mk_extra(&p));
-        if let (Some(m), Some(t0)) = (mob, queue_t0) {
-            m.add_elapsed(ObsMetric::HarnessQueueNs, t0);
-        }
-        let run_t0 = mob.is_some().then(std::time::Instant::now);
-        let out = Self::run_backend(&p, &ids, o, &mut obs)?;
-        if let (Some(m), Some(t0)) = (mob, run_t0) {
-            m.add_elapsed(ObsMetric::HarnessRunNs, t0);
-            m.add(ObsMetric::HarnessTrials, 1);
-        }
-        let verify_t0 = mob.is_some().then(std::time::Instant::now);
-        let (verdict, extracted) = self.judge(&p, &gg.graph, &out, cap);
-        let commit = extracted.and_then(|e| e.commit);
-        if let (Some(m), Some(t0)) = (mob, verify_t0) {
-            m.add_elapsed(ObsMetric::HarnessVerifyNs, t0);
-        }
-        let metrics = commit.as_ref().unwrap_or(&out.metrics);
-        let row = self
-            .row(o, metrics, verdict, &out.stats, cap)
-            .with_trace(&out.metrics, &obs.0);
-        let simlocal::Tee(breakdown, extra) = obs;
-        Ok(ExecOutcome {
-            row,
-            stats: out.stats,
-            breakdown,
-            trace: trace(extra),
-        })
     }
 }
 
@@ -751,13 +681,45 @@ where
         rows
     }
 
-    fn try_exec(&self, opts: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError> {
-        match opts.observe {
-            ObserveMode::Standard => self.exec_observed(opts, |_| NoObserver, |_| None),
-            ObserveMode::Traced => {
-                self.exec_observed(opts, |p| TraceLog::with_phases(p.phase_names()), Some)
-            }
+    fn try_exec(&self, o: &ExecOptions<'_>) -> Result<ExecOutcome, EngineError> {
+        let ExecOptions {
+            gg, params, trial, ..
+        } = *o;
+        // Harness-level trial timings (queue = setup before the engine
+        // starts, run = engine wall, verify = extract + judge). Global
+        // series, so any shard handle works.
+        let mob = o.metrics.map(|r| r.handle(0));
+        let queue_t0 = mob.is_some().then(std::time::Instant::now);
+        let p = (self.build)(gg, params);
+        let ids = trial.ids(gg.graph.n());
+        let cap = (self.cap)(&p, gg, &ids);
+        let mut log = TraceLog::with_phases(p.phase_names());
+        if let (Some(m), Some(t0)) = (mob, queue_t0) {
+            m.add_elapsed(ObsMetric::HarnessQueueNs, t0);
         }
+        let run_t0 = mob.is_some().then(std::time::Instant::now);
+        let out = Self::run_backend(&p, &ids, o, &mut log)?;
+        if let (Some(m), Some(t0)) = (mob, run_t0) {
+            m.add_elapsed(ObsMetric::HarnessRunNs, t0);
+            m.add(ObsMetric::HarnessTrials, 1);
+        }
+        let verify_t0 = mob.is_some().then(std::time::Instant::now);
+        let (verdict, extracted) = self.judge(&p, &gg.graph, &out, cap);
+        let commit = extracted.and_then(|e| e.commit);
+        if let (Some(m), Some(t0)) = (mob, verify_t0) {
+            m.add_elapsed(ObsMetric::HarnessVerifyNs, t0);
+        }
+        let metrics = commit.as_ref().unwrap_or(&out.metrics);
+        let breakdown = PhaseBreakdown::from_log(&log);
+        let row = self
+            .row(o, metrics, verdict, &out.stats, cap)
+            .with_trace(&out.metrics, &breakdown);
+        Ok(ExecOutcome {
+            row,
+            stats: out.stats,
+            breakdown,
+            trace: log,
+        })
     }
 }
 

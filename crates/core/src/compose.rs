@@ -316,15 +316,16 @@ mod tests {
 
     #[test]
     fn phase_breakdown_partitions_round_sum() {
-        use simlocal::{PhaseBreakdown, Protocol as _};
+        use simlocal::{PhaseBreakdown, Protocol as _, TraceLog};
         let mut rng = ChaCha8Rng::seed_from_u64(202);
         let gg = gen::forest_union(512, 2, &mut rng);
         let ids = IdAssignment::identity(512);
         let p = Compose::new(2, Delay { t: 4 });
-        let mut pb = PhaseBreakdown::new(p.phase_names());
+        let mut log = TraceLog::with_phases(p.phase_names());
         let out = simlocal::Runner::new(&p, &gg.graph, &ids)
-            .run_with(&mut pb)
+            .run_with(&mut log)
             .unwrap();
+        let pb = PhaseBreakdown::from_log(&log);
         assert_eq!(pb.total_round_sum(), out.metrics.round_sum());
         assert_eq!(pb.total_round_sum(), out.stats.steps);
         // Every vertex spends Delay's T rounds in the in-set phase plus

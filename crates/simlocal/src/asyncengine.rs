@@ -60,27 +60,28 @@
 //!
 //! ## Observers
 //!
-//! Observer hooks fire on the coordinating thread *after* the run, in
-//! the sync engine's deterministic `(round, vertex)` order: shards record
-//! their step events (only when the observer is enabled) and the merge
-//! replays them. Round records match the sync engine exactly, except
-//! per-round wall times, which measure shard-side round latency here.
-//! Failed runs (round cap) replay the rounds that completed, like the
-//! sync engine's as-you-go hooks. The replay buffer costs `O(RoundSum)`
-//! memory on observed runs; unobserved runs record nothing.
+//! The observer sees the run on the coordinating thread *after* it ends:
+//! on observed runs each shard logs one [`RoundRecord`] per round it
+//! stepped — its active count, wire bits and per-phase tallies — in a
+//! [`TraceLog`], and the merge sums the shards' records round by round
+//! into the sync engine's records. They match it exactly, except per-round wall times, which
+//! are the slowest shard's step time here. Failed runs (round cap)
+//! still hand over the rounds that completed, like the sync engine's
+//! as-you-go hook. A shard's records cost `O(rounds × phases)` memory;
+//! unobserved runs record nothing.
 
 use crate::active::{clear_bit, full_words};
 use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
-use crate::kernel::{Kernel, Record, Slots};
+use crate::kernel::{phase_tally, Kernel, Slots};
 use crate::obs::{Metric, Registry};
-use crate::observer::{NoObserver, Observer, RoundRecord, StepEvent};
+use crate::observer::{add_tallies, NoObserver, Observer, PhaseTally, RoundRecord};
 use crate::protocol::Protocol;
+use crate::trace::TraceLog;
 use crate::transport::{
     channel_mesh, tcp_loopback_mesh, Batch, Recv, Transport, TransportStats, Update,
 };
 use crate::wire::WireCodec;
 use graphcore::{Graph, IdAssignment, VertexId};
-use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// Why a shard's barrier drain stopped making progress — the raw
@@ -247,9 +248,9 @@ impl<M> RoundBarrier<M> {
 }
 
 /// Balanced contiguous vertex ranges, one per shard: the first `n % k`
-/// shards own one extra vertex. Contiguity is what lets the merge (and
-/// the observer replay) recover global vertex order by concatenating
-/// shard results in shard order.
+/// shards own one extra vertex. Contiguity is what lets the merge
+/// recover global vertex order by concatenating shard results in shard
+/// order.
 pub fn shard_ranges(n: usize, shards: usize) -> Vec<(VertexId, VertexId)> {
     let base = n / shards;
     let extra = n % shards;
@@ -283,11 +284,9 @@ struct ShardResult<P: Protocol> {
     /// Peer retirements the barrier had registered when this shard
     /// retired.
     deregistered: u64,
-    /// Step events in `(round, vertex)` order (observed runs only).
-    events: Vec<StepEvent>,
-    /// Per-round `(stepped, msg_bits, max_msg_bits, wall)` (observed
-    /// runs only).
-    round_stats: Vec<(usize, u64, u64, Duration)>,
+    /// One record per round this shard stepped, over its own vertices
+    /// (observed runs only).
+    log: TraceLog,
 }
 
 impl<P: Protocol> ShardResult<P> {
@@ -354,9 +353,9 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         last_round: 0,
         transport: TransportStats::default(),
         deregistered: 0,
-        events: Vec::new(),
-        round_stats: Vec::new(),
+        log: TraceLog::new(),
     };
+    let mut phases = phase_tally::<P, Ob>(protocol);
     let mut barrier = RoundBarrier::new(shards, sid);
     // A retiring shard's final tallies, taken before it lingers.
     let retire = |result: &mut ShardResult<P>, barrier: &RoundBarrier<P::Msg>, t: &T| {
@@ -410,12 +409,11 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
             &mut result.outputs,
             &mut result.term,
         );
-        let mut record = Record::<Ob>(&mut result.events, PhantomData);
         let mut entries: Vec<Update<P::Msg>> = active
             .iter()
             .map(|&v| Update {
                 v,
-                msg: kernel.step(v, &mut slots, &mut record),
+                msg: kernel.step::<Ob>(v, &mut slots, &mut phases),
                 terminated: false,
             })
             .collect();
@@ -423,10 +421,15 @@ fn shard_main<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         result.msg_bits += round_bits;
         result.max_msg_bits = result.max_msg_bits.max(round_max);
         if let Some(t0) = round_t0 {
-            let wall = t0.elapsed();
-            result
-                .round_stats
-                .push((active.len(), round_bits, round_max, wall));
+            result.log.on_round_end(&RoundRecord {
+                round,
+                active: active.len(),
+                msg_bits: round_bits,
+                max_msg_bits: round_max,
+                wall: t0.elapsed(),
+                phases: &phases,
+            });
+            phases.fill(PhaseTally::default());
         }
 
         // Retire phase, local half: fold this shard's fresh messages into
@@ -572,6 +575,33 @@ fn stall_error<P: Protocol>(joined: &[Result<ShardResult<P>, String>]) -> Engine
     }
 }
 
+/// Hands `observer` one record per round, summed over the shard logs
+/// that recorded it (every shard steps rounds 1 through its last): counts
+/// add, the widest message and the wall time are the shards' largest.
+fn merge_rounds<'l, Ob: Observer>(logs: impl Iterator<Item = &'l TraceLog>, observer: &mut Ob) {
+    let mut shard_rounds: Vec<_> = logs.map(TraceLog::records).collect();
+    let mut phases = Vec::new();
+    loop {
+        let mut parts = shard_rounds.iter_mut().filter_map(Iterator::next);
+        let Some(mut record) = parts.next() else {
+            return;
+        };
+        phases.clear();
+        phases.extend_from_slice(record.phases);
+        for part in parts {
+            record.active += part.active;
+            record.msg_bits += part.msg_bits;
+            record.max_msg_bits = record.max_msg_bits.max(part.max_msg_bits);
+            record.wall = record.wall.max(part.wall);
+            add_tallies(&mut phases, part.phases);
+        }
+        observer.on_round_end(&RoundRecord {
+            phases: &phases,
+            ..record
+        });
+    }
+}
+
 /// Runs the shard workers on scoped threads and merges their results into
 /// the sync engine's `SimOutcome` shape.
 fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
@@ -619,45 +649,9 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
         .map(|r| r.expect("crash handled above"))
         .collect();
 
-    // Replay observer hooks in the sync engine's (round, vertex) order:
-    // shard ranges are contiguous and each shard's events are already
-    // sorted, so walking shards in order per round is vertex order. Runs
-    // even when the round cap was hit — the sync engine's hooks fire
-    // as-you-go, so completed rounds must be visible either way.
-    if Ob::ENABLED {
-        let rounds = results
-            .iter()
-            .map(|r| r.round_stats.len())
-            .max()
-            .unwrap_or(0);
-        let mut cursors = vec![0usize; shards];
-        for r in 1..=rounds as u32 {
-            let this_round = || {
-                results
-                    .iter()
-                    .filter_map(|res| res.round_stats.get(r as usize - 1))
-            };
-            let active_r: usize = this_round().map(|s| s.0).sum();
-            observer.on_round_start(r, active_r);
-            for (res, cursor) in results.iter().zip(&mut cursors) {
-                let stepped = res.round_stats.get(r as usize - 1).map_or(0, |s| s.0);
-                for e in &res.events[*cursor..*cursor + stepped] {
-                    observer.on_step(e);
-                }
-                *cursor += stepped;
-            }
-            let bits = this_round().map(|s| s.1).sum();
-            let max_bits = this_round().map(|s| s.2).max().unwrap_or(0);
-            let wall = this_round().map(|s| s.3).max().unwrap_or_default();
-            observer.on_round_end(&RoundRecord {
-                round: r,
-                active: active_r,
-                msg_bits: bits,
-                max_msg_bits: max_bits,
-                wall,
-            });
-        }
-    }
+    // Runs even when the round cap was hit — the sync engine's hook
+    // fires as-you-go, so completed rounds must be visible either way.
+    merge_rounds(results.iter().map(|res| &res.log), observer);
 
     let still_active: usize = results.iter().filter_map(|r| r.still_active).sum();
     if results.iter().any(|r| r.still_active.is_some()) {
@@ -809,8 +803,9 @@ impl<'a, P: Protocol> ActorRunner<'a, P> {
         self.run_with(&mut NoObserver)
     }
 
-    /// Runs over in-process channels with `observer` attached (hooks are
-    /// replayed after the run in deterministic order — see module docs).
+    /// Runs over in-process channels with `observer` attached (it
+    /// receives the merged round records after the run — see module
+    /// docs).
     pub fn run_with<Ob: Observer>(
         self,
         observer: &mut Ob,
@@ -879,7 +874,7 @@ mod tests {
     use super::*;
     use crate::engine::Runner;
     use crate::protocol::{StepCtx, Transition};
-    use crate::trace::testing::rounds_and_terminations;
+    use crate::trace::testing::counts;
     use crate::trace::TraceLog;
     use graphcore::gen;
 
@@ -1094,14 +1089,13 @@ mod tests {
             .run_with(&mut actor_t)
             .unwrap();
         assert_eq!(actor.outputs, sync.outputs);
-        // Per-round active / msg_bits / max_msg_bits and the termination
-        // order: everything but the machine-dependent wall time.
-        let (actor_rounds, actor_terms) = rounds_and_terminations(&actor_t);
-        let (sync_rounds, sync_terms) = rounds_and_terminations(&sync_t);
-        assert_eq!(actor_rounds, sync_rounds);
-        assert_eq!(actor_terms, sync_terms);
-        let active: Vec<usize> = sync_rounds.iter().map(|r| r.0).collect();
+        // The merged records carry everything the sync engine's do but
+        // the machine-dependent wall time: per-round active, bits and
+        // per-phase steps and terminations.
+        assert_eq!(counts(&actor_t), counts(&sync_t));
+        let active: Vec<usize> = sync_t.records().map(|r| r.active).collect();
         assert_eq!(active, sync.metrics.active_per_round());
+        assert_eq!(sync_t.terminations(), n as u64);
     }
 
     #[test]

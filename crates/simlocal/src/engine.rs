@@ -37,11 +37,12 @@
 //! bits of vertices that terminated, and compacts the live-word list —
 //! all in one `O(active)` sweep.
 //!
-//! Observers ride the same kernel: sequential rounds fire the hooks
-//! inline, in vertex order; parallel workers buffer their step events
-//! and the coordinating thread replays them in chunk order — the same
-//! sequence. Property tests pin every mode, observed and unobserved,
-//! byte-identical to the retained dense engine in [`crate::reference`].
+//! Observers ride the same kernel: on observed runs each worker's slots
+//! tally its steps and terminations per phase, and the coordinating
+//! thread sums the tallies into the round's one
+//! [`RoundRecord`](crate::RoundRecord). Property tests pin every mode,
+//! observed and unobserved, byte-identical to the retained dense engine
+//! in [`crate::reference`].
 //!
 //! ## Allocation discipline
 //!
@@ -51,13 +52,12 @@
 //! (stacks), so the zero-alloc contract is a sequential-path guarantee.
 
 use crate::active::ActiveSet;
-use crate::kernel::{Kernel, Record, Slots};
+use crate::kernel::{phase_tally, Kernel, Slots};
 use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry, ShardObs};
-use crate::observer::{NoObserver, Observer, RoundRecord, StepEvent};
+use crate::observer::{add_tallies, NoObserver, Observer, PhaseTally, RoundRecord};
 use crate::protocol::Protocol;
 use graphcore::{Graph, IdAssignment};
-use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// Default active-set size above which a parallel-mode round fans out to
@@ -94,26 +94,30 @@ impl EngineTuning {
     /// Sets the worker-thread count for parallel rounds (min 1). Auto
     /// uses the machine's available parallelism. Forcing a count above
     /// the core count is legal — useful for exercising the parallel
-    /// path deterministically on small machines.
+    /// path deterministically on small machines. Sequential runs use one
+    /// worker whatever this says.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
     }
 
     /// Resolves every auto knob against the graph:
-    /// `(par_threshold, workers)`.
-    pub(crate) fn resolve(&self, g: &Graph) -> (usize, usize) {
+    /// `(par_threshold, workers)`. A sequential run has one worker and
+    /// never asks for the core count.
+    pub(crate) fn resolve(&self, g: &Graph, parallel: bool) -> (usize, usize) {
         let par_threshold = self.par_threshold.unwrap_or_else(|| {
             // Dense graphs do more work per step (neighbor walks), so
             // fan-out pays for itself at smaller active sets.
             let scale = 1.0 + g.avg_degree() / 4.0;
             ((DEFAULT_PAR_THRESHOLD as f64 / scale) as usize).clamp(256, DEFAULT_PAR_THRESHOLD)
         });
-        let workers = self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
+        let workers = match self.workers {
+            _ if !parallel => 1,
+            Some(w) => w,
+            None => std::thread::available_parallelism()
                 .map(|w| w.get())
-                .unwrap_or(1)
-        });
+                .unwrap_or(1),
+        };
         (par_threshold, workers)
     }
 }
@@ -400,8 +404,8 @@ impl<'a, P: Protocol> Runner<'a, P> {
         )
     }
 
-    /// Runs with `observer` attached (per-round and per-step hooks
-    /// enabled).
+    /// Runs with `observer` attached: it receives one [`RoundRecord`]
+    /// per round.
     pub fn run_with<Ob: Observer>(
         self,
         observer: &mut Ob,
@@ -454,18 +458,16 @@ fn fill_balanced_cuts(
 
 /// One fanned-out step phase: each chunk of live words steps on its own
 /// scoped thread against the shared snapshot, writing only the slots and
-/// `next` messages of its vertex range; step events buffer per worker
-/// (observed runs only)
-/// and replay on this thread in chunk order — vertex order. Returns the
-/// round's wire-bit total and widest message.
+/// `next` messages of its vertex range and its own phase tally (one per
+/// worker in `tallies`). Returns the round's wire-bit total and widest
+/// message.
 fn step_parallel<P: Protocol, Ob: Observer>(
     kernel: &Kernel<'_, P>,
     live: &[u32],
     cuts: &[usize],
     slots: Slots<'_, P>,
     next: &mut [P::Msg],
-    worker_events: &mut [Vec<StepEvent>],
-    observer: &mut Ob,
+    tallies: &mut [Vec<PhaseTally>],
 ) -> (u64, u64) {
     // Chunk k owns every vertex from its first live word up to the next
     // chunk's first live word, so the slab splits are disjoint.
@@ -484,12 +486,11 @@ fn step_parallel<P: Protocol, Ob: Observer>(
         let handles: Vec<_> = parts
             .into_iter()
             .zip(cuts.windows(2))
-            .zip(worker_events.iter_mut())
-            .map(|(((mut part, next), w), events)| {
+            .zip(tallies.iter_mut())
+            .map(|(((mut part, next), w), phases)| {
                 let chunk = &live[w[0]..w[1]];
                 scope.spawn(move || {
-                    let mut record = Record::<Ob>(events, PhantomData);
-                    kernel.step_words(chunk, words, &mut part, next, &mut record);
+                    kernel.step_words::<Ob>(chunk, words, &mut part, next, phases);
                     (part.bits, part.max_bits)
                 })
             })
@@ -499,11 +500,6 @@ fn step_parallel<P: Protocol, Ob: Observer>(
             .map(|h| h.join().expect("step panicked"))
             .collect()
     });
-    for events in worker_events.iter_mut() {
-        for e in events.drain(..) {
-            observer.on_step(&e);
-        }
-    }
     bits.iter()
         .fold((0, 0), |(sum, max), &(s, m)| (sum + s, max.max(m)))
 }
@@ -529,8 +525,7 @@ fn execute<P: Protocol, Ob: Observer>(
     assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
     let n = g.n();
     let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
-    let (par_threshold, workers) = cfg.tuning.resolve(g);
-    let workers = if cfg.parallel { workers } else { 1 };
+    let (par_threshold, workers) = cfg.tuning.resolve(g, cfg.parallel);
     // Metrics handle — engine series are global (shard-agnostic), so the
     // slot-0 handle serves. Every `ob` touch in the loop below times a
     // phase, a handful of times per round and never per vertex; the
@@ -548,7 +543,9 @@ fn execute<P: Protocol, Ob: Observer>(
     let mut termination_round = vec![0u32; n];
     let mut active = ActiveSet::full(n);
     let mut cuts: Vec<usize> = Vec::with_capacity(workers + 1);
-    let mut worker_events: Vec<Vec<StepEvent>> = vec![Vec::new(); workers];
+    // One phase tally per worker, summed into the round's record.
+    let mut tallies = vec![phase_tally::<P, Ob>(protocol); workers];
+    let mut round_phases = phase_tally::<P, Ob>(protocol);
     let mut stats = EngineStats::default();
 
     let mut round: u32 = 0;
@@ -561,9 +558,7 @@ fn execute<P: Protocol, Ob: Observer>(
             });
         }
         let stepped = active.count();
-        observer.on_round_start(round, stepped);
-        let round_t0 = Ob::ENABLED.then(Instant::now);
-        let obs_round_t0 = obs_on.then(Instant::now);
+        let round_t0 = (Ob::ENABLED || obs_on).then(Instant::now);
 
         let fan_out = workers > 1 && stepped >= par_threshold;
         let kernel = Kernel {
@@ -582,21 +577,20 @@ fn execute<P: Protocol, Ob: Observer>(
             fill_balanced_cuts(g, active.live_words(), active.words(), workers, &mut cuts);
             obs_lap(ob, Metric::EngineScanNs, scan_t0);
             let step_t0 = obs_on.then(Instant::now);
-            let bits = step_parallel(
+            let bits = step_parallel::<P, Ob>(
                 &kernel,
                 active.live_words(),
                 &cuts,
                 slots,
                 &mut msgs_next,
-                &mut worker_events,
-                observer,
+                &mut tallies,
             );
             obs_lap(ob, Metric::EngineStepNs, step_t0);
             bits
         } else {
             let step_t0 = obs_on.then(Instant::now);
             let (live, words) = (active.live_words(), active.words());
-            kernel.step_words(live, words, &mut slots, &mut msgs_next, observer);
+            kernel.step_words::<Ob>(live, words, &mut slots, &mut msgs_next, &mut tallies[0]);
             obs_lap(ob, Metric::EngineStepNs, step_t0);
             (slots.bits, slots.max_bits)
         };
@@ -613,22 +607,23 @@ fn execute<P: Protocol, Ob: Observer>(
 
         stats.msg_bits += round_bits;
         stats.max_msg_bits = stats.max_msg_bits.max(round_max_bits);
+        let wall = round_t0.map_or(Duration::ZERO, |t0| t0.elapsed());
         if let Some(o) = ob {
-            o.observe(
-                Metric::EngineRoundWallNs,
-                obs_round_t0
-                    .expect("timed when obs attached")
-                    .elapsed()
-                    .as_nanos() as u64,
-            );
+            o.observe(Metric::EngineRoundWallNs, wall.as_nanos() as u64);
         }
-        if let Some(t0) = round_t0 {
+        if Ob::ENABLED {
+            round_phases.fill(PhaseTally::default());
+            for t in &mut tallies {
+                add_tallies(&mut round_phases, t);
+                t.fill(PhaseTally::default());
+            }
             observer.on_round_end(&RoundRecord {
                 round,
                 active: stepped,
                 msg_bits: round_bits,
                 max_msg_bits: round_max_bits,
-                wall: t0.elapsed(),
+                wall,
+                phases: &round_phases,
             });
         }
     }
@@ -658,7 +653,6 @@ fn execute<P: Protocol, Ob: Observer>(
 mod tests {
     use super::*;
     use crate::protocol::{Protocol, StepCtx, Transition};
-    use crate::trace::testing::rounds_and_terminations;
     use crate::trace::TraceLog;
     use graphcore::{gen, Graph, IdAssignment, VertexId};
     use rand::Rng;
@@ -995,23 +989,21 @@ mod tests {
         let out = Runner::new(&FloodMax { rounds: 2 }, &g, &ids(5))
             .run_with(&mut t)
             .unwrap();
-        let (rounds, terminations) = rounds_and_terminations(&t);
-        let active: Vec<usize> = rounds.iter().map(|r| r.0).collect();
+        let active: Vec<usize> = t.records().map(|r| r.active).collect();
         assert_eq!(active, out.metrics.active_per_round());
-        assert_eq!(t.step_events(), out.stats.steps);
-        assert_eq!(rounds.iter().map(|r| r.1).sum::<u64>(), out.stats.msg_bits);
-        assert_eq!(
-            rounds.iter().map(|r| r.2).max(),
-            Some(out.stats.max_msg_bits)
-        );
+        assert_eq!(t.steps(), out.stats.steps);
+        let bits = t.records().map(|r| r.msg_bits);
+        assert_eq!(bits.sum::<u64>(), out.stats.msg_bits);
+        let widest = t.records().map(|r| r.max_msg_bits).max();
+        assert_eq!(widest, Some(out.stats.max_msg_bits));
         assert_eq!(t.rounds(), out.stats.rounds);
-        // Every vertex terminates exactly once, at its recorded round.
-        let mut seen = [0u32; 5];
-        for &(v, r) in &terminations {
-            seen[v as usize] += 1;
-            assert_eq!(out.metrics.termination_round[v as usize], r);
+        // Every vertex terminates exactly once, in its recorded round.
+        for (i, r) in t.records().enumerate() {
+            let ended = out.metrics.termination_round.iter();
+            let ended = ended.filter(|&&tr| tr as usize == i + 1).count();
+            assert_eq!(r.terminations(), ended as u64);
         }
-        assert!(seen.iter().all(|&c| c == 1));
+        assert_eq!(t.terminations(), 5);
     }
 
     #[test]
@@ -1031,19 +1023,20 @@ mod tests {
     #[test]
     fn auto_tuning_resolves_from_graph_shape() {
         let sparse = gen::cycle(1000);
-        let (threshold, workers) = EngineTuning::default().resolve(&sparse);
+        let (threshold, workers) = EngineTuning::default().resolve(&sparse, true);
         assert!(threshold <= DEFAULT_PAR_THRESHOLD);
         assert!(threshold >= 256);
         assert!(workers >= 1);
         // Denser graph → lower threshold (heavier steps amortize sooner).
         let dense = gen::clique(64);
-        let (dense_threshold, _) = EngineTuning::default().resolve(&dense);
+        let (dense_threshold, _) = EngineTuning::default().resolve(&dense, true);
         assert!(dense_threshold <= threshold);
         // Explicit settings win over auto.
-        let forced = EngineTuning::default()
-            .par_threshold(7)
-            .workers(3)
-            .resolve(&sparse);
-        assert_eq!(forced, (7, 3));
+        let forced = EngineTuning::default().par_threshold(7).workers(3);
+        assert_eq!(forced.resolve(&sparse, true), (7, 3));
+        // A sequential run has one worker, auto or forced.
+        assert_eq!(forced.resolve(&sparse, false), (7, 1));
+        let auto = EngineTuning::default().resolve(&sparse, false);
+        assert_eq!(auto, (threshold, 1));
     }
 }

@@ -60,7 +60,8 @@
 //! ```
 //!
 //! `run()` is the zero-overhead unobserved path; `run_with(&mut observer)`
-//! attaches an [`Observer`] for per-round and per-step events (see
+//! attaches an [`Observer`], which receives one [`RoundRecord`] per
+//! round with the round's steps and terminations per phase (see
 //! [`observer`]).
 //! The engine does sparse rounds — per-round work proportional to the
 //! active set — so wall time tracks `RoundSum`, not `n × worst-case`.
@@ -86,10 +87,10 @@ pub use engine::{
     EngineError, EngineStats, EngineTuning, RunConfig, Runner, SimOutcome, DEFAULT_PAR_THRESHOLD,
 };
 pub use metrics::{Percentiles, RoundMetrics};
-pub use observer::{NoObserver, Observer, RoundRecord, StepEvent, Tee};
+pub use observer::{NoObserver, Observer, PhaseTally, RoundRecord};
 pub use protocol::{NeighborView, PhaseId, Protocol, StepCtx, Transition};
 pub use reference::run_reference;
-pub use trace::{Histogram, PhaseBreakdown, TraceEvent, TraceLog};
+pub use trace::{Histogram, PhaseBreakdown, TraceLog};
 pub use warm::{Replay, WarmOutcome, WarmStart, WarmStats};
 
 pub use transport::{

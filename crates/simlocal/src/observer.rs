@@ -1,33 +1,41 @@
 //! Execution observers: pluggable per-round instrumentation.
 //!
 //! The engine is monomorphized over an [`Observer`] type. The default,
-//! [`NoObserver`], has `ENABLED = false` and empty inline hooks, so an
+//! [`NoObserver`], has `ENABLED = false` and an empty inline hook, so an
 //! unobserved run compiles to exactly the bare engine — no timestamps are
-//! taken and no callback code is emitted. Attaching an observer (e.g.
-//! [`TraceLog`](crate::trace::TraceLog)) turns on per-round wall-clock
-//! timing and the full hook sequence:
+//! taken, no phase is evaluated and no callback code is emitted.
+//! Attaching an observer (e.g. [`TraceLog`](crate::trace::TraceLog))
+//! turns on per-round wall-clock timing and phase attribution, and the
+//! engine hands it one [`RoundRecord`] per completed round, in round
+//! order, through [`Observer::on_round_end`].
 //!
-//! 1. [`Observer::on_round_start`] — before any vertex steps;
-//! 2. [`Observer::on_step`] — once per `(active vertex, round)`, in
-//!    deterministic vertex order (identical in sequential and parallel
-//!    modes and on the actor backend), with the vertex's [`StepEvent`]:
-//!    the [`PhaseId`] of the subroutine that consumed the round (computed
-//!    via [`Protocol::phase_of`](crate::Protocol::phase_of) from the state
-//!    the vertex entered the round with) and whether it terminated;
-//! 3. [`Observer::on_round_end`] — with the round's [`RoundRecord`].
-//!
-//! Observers compose with [`Tee`]; the tracing observers built on these
-//! hooks live in [`crate::trace`]. Run-level counts (the activity series,
+//! A record carries the round's counts split by phase: for each
+//! [`PhaseId`](crate::PhaseId) of
+//! [`Protocol::phase_names`](crate::Protocol::phase_names),
+//! how many vertices stepped in it — the phase being
+//! [`Protocol::phase_of`](crate::Protocol::phase_of) the state the vertex
+//! entered the round with — and how many of those terminated. Records
+//! are identical in sequential and parallel modes and on the actor
+//! backend, wall time aside. Run-level counts (the activity series,
 //! rounds, steps) are not observer business: they follow from the
 //! termination rounds in [`RoundMetrics`](crate::RoundMetrics).
 
-use crate::protocol::PhaseId;
-use graphcore::VertexId;
 use std::time::Duration;
 
-/// Everything the engine measured about one completed round.
-#[derive(Clone, Debug)]
-pub struct RoundRecord {
+/// One phase's share of a round.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseTally {
+    /// Vertices that stepped in this phase.
+    pub steps: u64,
+    /// Those of them that terminated in the step.
+    pub terminations: u64,
+}
+
+/// Everything the engine measured about one completed round. It borrows
+/// its phase tallies from the engine, so handing an observer a round
+/// allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RoundRecord<'a> {
     /// Round number (1-based).
     pub round: u32,
     /// Vertices that stepped this round (the paper's `n_i`); each
@@ -40,97 +48,54 @@ pub struct RoundRecord {
     pub max_msg_bits: u64,
     /// Wall-clock time of the round (step + publish phases).
     pub wall: Duration,
+    /// The round's steps and terminations per phase, indexed by
+    /// [`PhaseId`](crate::PhaseId); one entry per name in
+    /// [`Protocol::phase_names`](crate::Protocol::phase_names).
+    pub phases: &'a [PhaseTally],
 }
 
-/// One vertex's step in one round, as [`Observer::on_step`] reports it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StepEvent {
-    /// The vertex that stepped.
-    pub v: VertexId,
-    /// The round it stepped in (1-based).
-    pub round: u32,
-    /// [`Protocol::phase_of`](crate::Protocol::phase_of) the state the
-    /// vertex entered the round with.
-    pub phase: PhaseId,
-    /// Whether the vertex terminated in this step — true exactly once
-    /// per vertex, in its termination round.
-    pub terminated: bool,
+impl RoundRecord<'_> {
+    /// Vertices that terminated this round.
+    pub fn terminations(&self) -> u64 {
+        self.phases.iter().map(|t| t.terminations).sum()
+    }
 }
 
-/// Per-round instrumentation hooks. All hooks default to no-ops; see the
-/// module docs for the exact firing sequence.
+/// Adds `part` into `acc`, phase by phase.
+pub(crate) fn add_tallies(acc: &mut [PhaseTally], part: &[PhaseTally]) {
+    for (a, p) in acc.iter_mut().zip(part) {
+        a.steps += p.steps;
+        a.terminations += p.terminations;
+    }
+}
+
+/// Per-round instrumentation: the engine calls
+/// [`on_round_end`](Observer::on_round_end) once per completed round, in
+/// round order, on observed runs only.
 pub trait Observer {
     /// When `false`, the engine skips per-round clock reads and phase
     /// attribution entirely. [`NoObserver`] is the only implementation
     /// that should disable this.
     const ENABLED: bool = true;
 
-    /// A round is about to execute with `active` live vertices.
-    fn on_round_start(&mut self, round: u32, active: usize) {
-        let _ = (round, active);
-    }
-
-    /// A vertex stepped (fires exactly once per active vertex per round,
-    /// in deterministic vertex order, and only on observed runs).
-    fn on_step(&mut self, event: &StepEvent) {
-        let _ = event;
-    }
-
     /// A round finished; `record` carries its measurements.
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        let _ = record;
-    }
+    fn on_round_end(&mut self, record: &RoundRecord<'_>);
 }
 
-/// The zero-cost default observer: all hooks compile to nothing.
+/// The zero-cost default observer: its hook compiles to nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoObserver;
 
 impl Observer for NoObserver {
     const ENABLED: bool = false;
-}
 
-/// Forwards every hook to two observers, so tracing and phase accounting
-/// compose in a single run: `Tee(a, Tee(b, c))` nests freely.
-///
-/// `ENABLED` is the OR of the halves, so teeing with [`NoObserver`]
-/// keeps the other half fully observed.
-#[derive(Clone, Debug, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Observer, B: Observer> Observer for Tee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn on_round_start(&mut self, round: u32, active: usize) {
-        self.0.on_round_start(round, active);
-        self.1.on_round_start(round, active);
-    }
-
-    fn on_step(&mut self, event: &StepEvent) {
-        self.0.on_step(event);
-        self.1.on_step(event);
-    }
-
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        self.0.on_round_end(record);
-        self.1.on_round_end(record);
-    }
+    fn on_round_end(&mut self, _: &RoundRecord<'_>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceEvent, TraceLog};
-
-    fn record(round: u32, active: usize) -> RoundRecord {
-        RoundRecord {
-            round,
-            active,
-            msg_bits: 8 * active as u64,
-            max_msg_bits: 8,
-            wall: Duration::from_micros(7),
-        }
-    }
+    use crate::trace::TraceLog;
 
     #[test]
     fn no_observer_is_disabled() {
@@ -141,43 +106,5 @@ mod tests {
         }
         assert!(!enabled::<NoObserver>());
         assert!(enabled::<TraceLog>());
-    }
-
-    #[test]
-    fn tee_forwards_to_both_and_ors_enabled() {
-        fn enabled<Ob: Observer>() -> bool {
-            Ob::ENABLED
-        }
-        assert!(!enabled::<Tee<NoObserver, NoObserver>>());
-        assert!(enabled::<Tee<NoObserver, TraceLog>>());
-        assert!(enabled::<Tee<TraceLog, NoObserver>>());
-
-        let mut tee = Tee(TraceLog::new(), TraceLog::new());
-        tee.on_round_start(1, 2);
-        tee.on_step(&StepEvent {
-            v: 0,
-            round: 1,
-            phase: 0,
-            terminated: false,
-        });
-        tee.on_step(&StepEvent {
-            v: 1,
-            round: 1,
-            phase: 0,
-            terminated: true,
-        });
-        tee.on_round_end(&record(1, 2));
-        for t in [&tee.0, &tee.1] {
-            assert_eq!(t.rounds(), 1);
-            assert_eq!(t.step_events(), 2);
-            assert_eq!(
-                t.events[0],
-                TraceEvent::RoundStart {
-                    round: 1,
-                    active: 2
-                }
-            );
-            assert_eq!(t.events[3], TraceEvent::Terminate { v: 1, round: 1 });
-        }
     }
 }

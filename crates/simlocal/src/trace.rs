@@ -1,85 +1,44 @@
-//! Structured tracing observers built on the hook sequence of
-//! [`crate::observer`].
+//! The round log an observed run records, and what is derived from it.
 //!
-//! Two layers, freely composable via [`Tee`](crate::observer::Tee):
-//!
-//! * [`TraceLog`] — records the full event stream (round start/end, per-
-//!   vertex steps with their [`PhaseId`], terminations) and exports it as
-//!   a JSONL event log ([`TraceLog::write_jsonl`]) or a Chrome-trace /
-//!   Perfetto JSON file ([`TraceLog::write_chrome_trace`]) openable in
-//!   `chrome://tracing`;
-//! * [`PhaseBreakdown`] — per-phase `RoundSum` and termination counts for
-//!   composed protocols, so the subroutine-level round accounting behind
-//!   the paper's Theorems 6.3–9.2 is observable, not just asserted.
+//! * [`TraceLog`] — the [`Observer`] that keeps every [`RoundRecord`]:
+//!   `O(rounds × phases)` memory, whatever the graph size. It exports
+//!   the run as a JSONL log with one line per round
+//!   ([`TraceLog::write_jsonl`]) or a Chrome-trace / Perfetto JSON file
+//!   ([`TraceLog::write_chrome_trace`]) openable in `chrome://tracing`;
+//! * [`PhaseBreakdown`] — per-phase `RoundSum` and termination counts of
+//!   a recorded run, so the subroutine-level round accounting behind the
+//!   paper's Theorems 6.3–9.2 is observable, not just asserted.
 //!
 //! [`Histogram`] is the log₂ bucketing shared with [`crate::obs`]; the
 //! `trace` binary also builds its termination-round and round-wall
-//! histograms from a [`TraceLog`]'s events.
+//! histograms from a [`TraceLog`]'s records.
 //!
-//! None of this costs anything on unobserved runs: the engine only calls
-//! these hooks when the observer's `ENABLED` flag is true.
+//! None of this costs anything on unobserved runs: the engine only
+//! tallies phases and calls the hook when the observer's `ENABLED` flag
+//! is true.
 
-use crate::observer::{Observer, RoundRecord, StepEvent};
-use crate::protocol::PhaseId;
-use graphcore::VertexId;
+use crate::observer::{Observer, PhaseTally, RoundRecord};
 use std::io::{self, Write};
 
-/// One entry of the recorded event stream, in engine order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A round began with `active` live vertices.
-    RoundStart {
-        /// Round number (1-based).
-        round: u32,
-        /// Vertices stepping this round.
-        active: usize,
-    },
-    /// A vertex stepped, attributed to a protocol phase.
-    Step {
-        /// The vertex.
-        v: VertexId,
-        /// Round it stepped in.
-        round: u32,
-        /// Phase the round belonged to ([`crate::Protocol::phase_of`]).
-        phase: PhaseId,
-    },
-    /// A vertex terminated (fires once per vertex).
-    Terminate {
-        /// The vertex.
-        v: VertexId,
-        /// Its termination round — the vertex's running time `r(v)`.
-        round: u32,
-    },
-    /// A round completed.
-    RoundEnd {
-        /// Round number (1-based).
-        round: u32,
-        /// Vertices that stepped (each published one message).
-        active: usize,
-        /// Wire bits published this round.
-        msg_bits: u64,
-        /// Widest message published this round, in bits.
-        max_msg_bits: u64,
-        /// Wall-clock time of the round, in microseconds.
-        wall_us: u64,
-    },
-}
-
-/// Records the complete event stream of an observed run and exports it as
-/// JSONL or Chrome-trace JSON. Step events carry phase attribution, so the
-/// exporters can break the run down per subroutine of a composed protocol.
+/// Records every round of an observed run and exports the log as JSONL
+/// or Chrome-trace JSON. Each record splits its round by phase, so the
+/// exporters can break the run down per subroutine of a composed
+/// protocol.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    /// Phase names used to label Chrome-trace counters (from
+    /// Phase names used to label the per-phase counts (from
     /// [`crate::Protocol::phase_names`]); phases beyond the list are
     /// labeled `phase<N>`.
     phase_names: Vec<String>,
-    /// The recorded events, in engine order.
-    pub events: Vec<TraceEvent>,
+    /// The recorded rounds, in round order, each with `phases` left
+    /// empty: their tallies sit in `tallies`, the same number per round,
+    /// so recording a round allocates only by amortized growth.
+    rounds: Vec<RoundRecord<'static>>,
+    tallies: Vec<PhaseTally>,
 }
 
 impl TraceLog {
-    /// Empty log with no phase names (counters fall back to `phase<N>`).
+    /// Empty log with no phase names (phases are labeled `phase<N>`).
     pub fn new() -> TraceLog {
         TraceLog::default()
     }
@@ -89,70 +48,81 @@ impl TraceLog {
     pub fn with_phases(names: &[&str]) -> TraceLog {
         TraceLog {
             phase_names: names.iter().map(|s| s.to_string()).collect(),
-            events: Vec::new(),
+            rounds: Vec::new(),
+            tallies: Vec::new(),
         }
     }
 
-    fn phase_label(&self, p: PhaseId) -> String {
+    /// The recorded rounds, in round order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = RoundRecord<'_>> + '_ {
+        let width = self.phases_per_round();
+        self.rounds
+            .iter()
+            .enumerate()
+            .map(move |(i, r)| RoundRecord {
+                phases: &self.tallies[i * width..(i + 1) * width],
+                ..*r
+            })
+    }
+
+    fn phases_per_round(&self) -> usize {
+        self.tallies.len() / self.rounds.len().max(1)
+    }
+
+    fn phase_label(&self, p: usize) -> String {
         self.phase_names
-            .get(p as usize)
+            .get(p)
             .cloned()
             .unwrap_or_else(|| format!("phase{p}"))
     }
 
-    /// Number of recorded step events (== the run's `RoundSum`).
-    pub fn step_events(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Step { .. }))
-            .count() as u64
+    /// Steps recorded over all rounds (== the run's `RoundSum`).
+    pub fn steps(&self) -> u64 {
+        self.rounds.iter().map(|r| r.active as u64).sum()
     }
 
-    /// Number of recorded termination events (== `n` on a completed run).
-    pub fn terminate_events(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Terminate { .. }))
-            .count() as u64
+    /// Terminations recorded over all rounds (== `n` on a completed run).
+    pub fn terminations(&self) -> u64 {
+        self.tallies.iter().map(|t| t.terminations).sum()
     }
 
     /// Number of recorded rounds.
     pub fn rounds(&self) -> u32 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::RoundEnd { .. }))
-            .count() as u32
+        self.rounds.len() as u32
     }
 
-    /// Writes the event stream as JSON Lines: one event object per line,
-    /// tagged with an `"ev"` discriminant, in engine order.
+    /// Writes the log as JSON Lines, one object per round:
+    /// `{"ev":"round","round":R,"active":A,"terminated":T,"msg_bits":B,
+    /// "max_msg_bits":M,"phases":{NAME:{"steps":S,"terminations":E},…},
+    /// "wall_us":W}`, with the phases in [`PhaseId`](crate::PhaseId)
+    /// order. Everything but `wall_us` is the same on every engine.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
-        for e in &self.events {
-            match e {
-                TraceEvent::RoundStart { round, active } => writeln!(
-                    w,
-                    "{{\"ev\":\"round_start\",\"round\":{round},\"active\":{active}}}"
-                )?,
-                TraceEvent::Step { v, round, phase } => writeln!(
-                    w,
-                    "{{\"ev\":\"step\",\"v\":{v},\"round\":{round},\"phase\":{phase}}}"
-                )?,
-                TraceEvent::Terminate { v, round } => {
-                    writeln!(w, "{{\"ev\":\"terminate\",\"v\":{v},\"round\":{round}}}")?
-                }
-                TraceEvent::RoundEnd {
-                    round,
-                    active,
-                    msg_bits,
-                    max_msg_bits,
-                    wall_us,
-                } => writeln!(
-                    w,
-                    "{{\"ev\":\"round_end\",\"round\":{round},\"active\":{active},\
-                     \"msg_bits\":{msg_bits},\"max_msg_bits\":{max_msg_bits},\
-                     \"wall_us\":{wall_us}}}"
-                )?,
-            }
+        for r in self.records() {
+            let phases: Vec<String> = r
+                .phases
+                .iter()
+                .enumerate()
+                .map(|(p, t)| {
+                    format!(
+                        "\"{}\":{{\"steps\":{},\"terminations\":{}}}",
+                        self.phase_label(p),
+                        t.steps,
+                        t.terminations
+                    )
+                })
+                .collect();
+            writeln!(
+                w,
+                "{{\"ev\":\"round\",\"round\":{},\"active\":{},\"terminated\":{},\
+                 \"msg_bits\":{},\"max_msg_bits\":{},\"phases\":{{{}}},\"wall_us\":{}}}",
+                r.round,
+                r.active,
+                r.terminations(),
+                r.msg_bits,
+                r.max_msg_bits,
+                phases.join(","),
+                r.wall.as_micros()
+            )?;
         }
         Ok(())
     }
@@ -182,7 +152,9 @@ impl TraceLog {
     ) -> io::Result<()> {
         writeln!(w, "{{\"traceEvents\":[")?;
         let mut ts_us: u64 = 0;
-        let mut phase_steps: Vec<u64> = Vec::new();
+        // A phase joins the "phase steps" counter from the first round
+        // in which it steps, and stays in it.
+        let mut counted_phases = 0;
         let mut first = true;
         let emit = |w: &mut W, first: &mut bool, line: String| -> io::Result<()> {
             if *first {
@@ -192,59 +164,45 @@ impl TraceLog {
             }
             write!(w, "{line}")
         };
-        for e in &self.events {
-            match e {
-                TraceEvent::RoundStart { .. } => phase_steps.iter_mut().for_each(|c| *c = 0),
-                TraceEvent::Step { phase, .. } => {
-                    let p = *phase as usize;
-                    if p >= phase_steps.len() {
-                        phase_steps.resize(p + 1, 0);
-                    }
-                    phase_steps[p] += 1;
-                }
-                TraceEvent::Terminate { .. } => {}
-                TraceEvent::RoundEnd {
-                    round,
-                    active,
-                    wall_us,
-                    ..
-                } => {
-                    emit(
-                        &mut w,
-                        &mut first,
-                        format!(
-                            "{{\"name\":\"round {round}\",\"ph\":\"X\",\"ts\":{ts_us},\
-                             \"dur\":{wall_us},\"pid\":1,\"tid\":1,\
-                             \"args\":{{\"active\":{active}}}}}"
-                        ),
-                    )?;
-                    emit(
-                        &mut w,
-                        &mut first,
-                        format!(
-                            "{{\"name\":\"active vertices\",\"ph\":\"C\",\"ts\":{ts_us},\
-                             \"pid\":1,\"args\":{{\"active\":{active}}}}}"
-                        ),
-                    )?;
-                    let args: Vec<String> = phase_steps
-                        .iter()
-                        .enumerate()
-                        .map(|(p, c)| format!("\"{}\":{c}", self.phase_label(p as PhaseId)))
-                        .collect();
-                    if !args.is_empty() {
-                        emit(
-                            &mut w,
-                            &mut first,
-                            format!(
-                                "{{\"name\":\"phase steps\",\"ph\":\"C\",\"ts\":{ts_us},\
-                                 \"pid\":1,\"args\":{{{}}}}}",
-                                args.join(",")
-                            ),
-                        )?;
-                    }
-                    ts_us += wall_us;
-                }
+        for r in self.records() {
+            let (round, active) = (r.round, r.active);
+            let wall_us = r.wall.as_micros() as u64;
+            emit(
+                &mut w,
+                &mut first,
+                format!(
+                    "{{\"name\":\"round {round}\",\"ph\":\"X\",\"ts\":{ts_us},\
+                     \"dur\":{wall_us},\"pid\":1,\"tid\":1,\
+                     \"args\":{{\"active\":{active}}}}}"
+                ),
+            )?;
+            emit(
+                &mut w,
+                &mut first,
+                format!(
+                    "{{\"name\":\"active vertices\",\"ph\":\"C\",\"ts\":{ts_us},\
+                     \"pid\":1,\"args\":{{\"active\":{active}}}}}"
+                ),
+            )?;
+            let stepped = r.phases.iter().rposition(|t| t.steps > 0);
+            counted_phases = counted_phases.max(stepped.map_or(0, |p| p + 1));
+            let args: Vec<String> = r.phases[..counted_phases]
+                .iter()
+                .enumerate()
+                .map(|(p, t)| format!("\"{}\":{}", self.phase_label(p), t.steps))
+                .collect();
+            if !args.is_empty() {
+                emit(
+                    &mut w,
+                    &mut first,
+                    format!(
+                        "{{\"name\":\"phase steps\",\"ph\":\"C\",\"ts\":{ts_us},\
+                         \"pid\":1,\"args\":{{{}}}}}",
+                        args.join(",")
+                    ),
+                )?;
             }
+            ts_us += wall_us;
         }
         for (name, value) in counters {
             // Series names can carry label syntax (`{shard="K"}`), so
@@ -265,31 +223,20 @@ impl TraceLog {
 }
 
 impl Observer for TraceLog {
-    fn on_round_start(&mut self, round: u32, active: usize) {
-        self.events.push(TraceEvent::RoundStart { round, active });
-    }
-
-    fn on_step(&mut self, e: &StepEvent) {
-        self.events.push(TraceEvent::Step {
-            v: e.v,
-            round: e.round,
-            phase: e.phase,
-        });
-        if e.terminated {
-            self.events.push(TraceEvent::Terminate {
-                v: e.v,
-                round: e.round,
-            });
-        }
-    }
-
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        self.events.push(TraceEvent::RoundEnd {
+    fn on_round_end(&mut self, record: &RoundRecord<'_>) {
+        assert_eq!(
+            self.tallies.len(),
+            self.rounds.len() * record.phases.len(),
+            "every round of a log has the same phases"
+        );
+        self.tallies.extend_from_slice(record.phases);
+        self.rounds.push(RoundRecord {
             round: record.round,
             active: record.active,
             msg_bits: record.msg_bits,
             max_msg_bits: record.max_msg_bits,
-            wall_us: record.wall.as_micros() as u64,
+            wall: record.wall,
+            phases: &[],
         });
     }
 }
@@ -308,20 +255,22 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    /// Breakdown over the protocol's
-    /// [`phase_names`](crate::Protocol::phase_names).
-    pub fn new(names: &[&str]) -> PhaseBreakdown {
-        PhaseBreakdown {
-            names: names.iter().map(|s| s.to_string()).collect(),
-            steps: vec![0; names.len().max(1)],
-            terminations: vec![0; names.len().max(1)],
+    /// The breakdown of a recorded run: each phase's steps and
+    /// terminations summed over the log's rounds, one row per phase name
+    /// (at least one).
+    pub fn from_log(log: &TraceLog) -> PhaseBreakdown {
+        let phases = log.phase_names.len().max(log.phases_per_round()).max(1);
+        let (mut steps, mut terminations) = (vec![0; phases], vec![0; phases]);
+        for r in log.records() {
+            for (p, t) in r.phases.iter().enumerate() {
+                steps[p] += t.steps;
+                terminations[p] += t.terminations;
+            }
         }
-    }
-
-    fn grow(&mut self, p: usize) {
-        if p >= self.steps.len() {
-            self.steps.resize(p + 1, 0);
-            self.terminations.resize(p + 1, 0);
+        PhaseBreakdown {
+            names: (0..phases).map(|p| log.phase_label(p)).collect(),
+            steps,
+            terminations,
         }
     }
 
@@ -332,7 +281,6 @@ impl PhaseBreakdown {
             .cloned()
             .unwrap_or_else(|| format!("phase{p}"))
     }
-
     /// Number of phases tracked.
     pub fn phases(&self) -> usize {
         self.steps.len()
@@ -368,15 +316,6 @@ impl PhaseBreakdown {
         (0..self.phases())
             .map(|p| (self.name(p), self.round_sum(p), self.terminations(p)))
             .collect()
-    }
-}
-
-impl Observer for PhaseBreakdown {
-    fn on_step(&mut self, e: &StepEvent) {
-        let p = e.phase as usize;
-        self.grow(p);
-        self.steps[p] += 1;
-        self.terminations[p] += e.terminated as u64;
     }
 }
 
@@ -475,108 +414,95 @@ impl Histogram {
 
 #[cfg(test)]
 pub(crate) mod testing {
-    use super::{TraceEvent, TraceLog};
-    use graphcore::VertexId;
+    use super::TraceLog;
+    use crate::observer::RoundRecord;
+    use std::time::Duration;
 
-    /// Per-round `(active, msg_bits, max_msg_bits)` — every round-end
-    /// field but the machine-dependent wall time — and the termination
-    /// events, in order, that a trace recorded.
-    pub(crate) type RoundsAndTerminations = (Vec<(usize, u64, u64)>, Vec<(VertexId, u32)>);
-
-    pub(crate) fn rounds_and_terminations(log: &TraceLog) -> RoundsAndTerminations {
-        let (mut rounds, mut terminations) = (Vec::new(), Vec::new());
-        for e in &log.events {
-            match *e {
-                TraceEvent::RoundEnd {
-                    active,
-                    msg_bits,
-                    max_msg_bits,
-                    ..
-                } => rounds.push((active, msg_bits, max_msg_bits)),
-                TraceEvent::Terminate { v, round } => terminations.push((v, round)),
-                _ => {}
-            }
-        }
-        (rounds, terminations)
+    /// A log's records with the machine-dependent wall time zeroed:
+    /// everything that must agree across engines and modes.
+    pub(crate) fn counts(log: &TraceLog) -> Vec<RoundRecord<'_>> {
+        let counted = |r| RoundRecord {
+            wall: Duration::ZERO,
+            ..r
+        };
+        log.records().map(counted).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::PhaseTally;
     use std::time::Duration;
 
-    fn record(round: u32, active: usize, wall_us: u64) -> RoundRecord {
-        RoundRecord {
+    /// Hands `log` a round with the given `(steps, terminations)` per
+    /// phase.
+    fn end_round(log: &mut TraceLog, round: u32, wall_us: u64, phases: &[(u64, u64)]) {
+        let tallies: Vec<PhaseTally> = phases
+            .iter()
+            .map(|&(steps, terminations)| PhaseTally {
+                steps,
+                terminations,
+            })
+            .collect();
+        let active = phases.iter().map(|p| p.0).sum::<u64>() as usize;
+        log.on_round_end(&RoundRecord {
             round,
             active,
             msg_bits: active as u64 * 64,
             max_msg_bits: if active == 0 { 0 } else { 64 },
             wall: Duration::from_micros(wall_us),
-        }
-    }
-
-    fn step(v: VertexId, round: u32, phase: PhaseId, terminated: bool) -> StepEvent {
-        StepEvent {
-            v,
-            round,
-            phase,
-            terminated,
-        }
+            phases: &tallies,
+        });
     }
 
     #[test]
     fn trace_log_records_and_counts() {
         let mut t = TraceLog::with_phases(&["partition", "inset"]);
-        t.on_round_start(1, 2);
-        t.on_step(&step(0, 1, 0, false));
-        t.on_step(&step(1, 1, 1, true));
-        t.on_round_end(&record(1, 2, 10));
-        assert_eq!(t.step_events(), 2);
-        assert_eq!(t.terminate_events(), 1);
-        assert_eq!(t.rounds(), 1);
-        assert_eq!(
-            t.events[1],
-            TraceEvent::Step {
-                v: 0,
-                round: 1,
-                phase: 0
-            }
-        );
-        // A terminating step records its termination right after it.
-        assert_eq!(t.events[3], TraceEvent::Terminate { v: 1, round: 1 });
+        end_round(&mut t, 1, 10, &[(1, 0), (1, 1)]);
+        end_round(&mut t, 2, 4, &[(0, 0), (1, 1)]);
+        assert_eq!(t.steps(), 3);
+        assert_eq!(t.terminations(), 2);
+        assert_eq!(t.rounds(), 2);
+        let records: Vec<RoundRecord> = t.records().collect();
+        assert_eq!((records[0].round, records[0].active), (1, 2));
+        assert_eq!(records[0].wall, Duration::from_micros(10));
+        let tally = |steps, terminations| PhaseTally {
+            steps,
+            terminations,
+        };
+        assert_eq!(records[0].phases, [tally(1, 0), tally(1, 1)]);
+        assert_eq!(records[1].phases, [tally(0, 0), tally(1, 1)]);
+        assert_eq!(records[1].terminations(), 1);
     }
 
     #[test]
     fn jsonl_export_shape() {
-        let mut t = TraceLog::new();
-        t.on_round_start(1, 1);
-        t.on_step(&step(0, 1, 0, true));
-        t.on_round_end(&record(1, 1, 3));
+        let mut t = TraceLog::with_phases(&["a", "b"]);
+        end_round(&mut t, 1, 3, &[(2, 0), (1, 1)]);
+        end_round(&mut t, 2, 5, &[(0, 0), (2, 2)]);
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 2, "one line per round");
         assert_eq!(
             lines[0],
-            "{\"ev\":\"round_start\",\"round\":1,\"active\":1}"
+            "{\"ev\":\"round\",\"round\":1,\"active\":3,\"terminated\":1,\
+             \"msg_bits\":192,\"max_msg_bits\":64,\
+             \"phases\":{\"a\":{\"steps\":2,\"terminations\":0},\
+             \"b\":{\"steps\":1,\"terminations\":1}},\"wall_us\":3}"
         );
-        assert!(lines[1].contains("\"ev\":\"step\""));
-        assert!(lines[1].contains("\"phase\":0"));
-        assert!(lines[2].contains("\"ev\":\"terminate\""));
-        assert!(lines[3].contains("\"wall_us\":3"));
+        assert!(lines[1].contains("\"terminated\":2"));
+        assert!(lines[1].ends_with(",\"wall_us\":5}"));
     }
 
     #[test]
     fn chrome_trace_monotone_timestamps() {
-        let mut t = TraceLog::with_phases(&["main"]);
+        let mut t = TraceLog::with_phases(&["main", "late"]);
         for r in 1..=3u32 {
-            t.on_round_start(r, 4);
-            for v in 0..4 {
-                t.on_step(&step(v, r, 0, r == 3));
-            }
-            t.on_round_end(&record(r, 4, 7));
+            let late = u64::from(r == 2);
+            end_round(&mut t, r, 7, &[(4, u64::from(r == 3) * 4), (late, 0)]);
         }
         let mut buf = Vec::new();
         t.write_chrome_trace(&mut buf).unwrap();
@@ -586,18 +512,21 @@ mod tests {
         assert!(s.contains("\"name\":\"round 1\",\"ph\":\"X\",\"ts\":0,\"dur\":7"));
         assert!(s.contains("\"name\":\"round 2\",\"ph\":\"X\",\"ts\":7,\"dur\":7"));
         assert!(s.contains("\"name\":\"round 3\",\"ph\":\"X\",\"ts\":14,\"dur\":7"));
-        assert!(s.contains("\"main\":4"));
+        // A phase joins the step counter once it first steps.
+        assert!(s.contains("\"ts\":0,\"pid\":1,\"args\":{\"main\":4}}"));
+        assert!(s.contains("\"ts\":7,\"pid\":1,\"args\":{\"main\":4,\"late\":1}}"));
+        assert!(s.contains("\"ts\":14,\"pid\":1,\"args\":{\"main\":4,\"late\":0}}"));
     }
 
     #[test]
     fn phase_breakdown_sums_to_round_sum() {
-        let mut b = PhaseBreakdown::new(&["a", "b"]);
         // Vertex 0: two rounds in phase a, then terminates in phase b.
-        b.on_step(&step(0, 1, 0, false));
-        b.on_step(&step(0, 2, 0, false));
-        b.on_step(&step(0, 3, 1, true));
         // Vertex 1: terminates immediately in phase a.
-        b.on_step(&step(1, 1, 0, true));
+        let mut t = TraceLog::with_phases(&["a", "b"]);
+        end_round(&mut t, 1, 1, &[(2, 1), (0, 0)]);
+        end_round(&mut t, 2, 1, &[(1, 0), (0, 0)]);
+        end_round(&mut t, 3, 1, &[(0, 0), (1, 1)]);
+        let b = PhaseBreakdown::from_log(&t);
         assert_eq!(b.round_sum(0), 3);
         assert_eq!(b.round_sum(1), 1);
         assert_eq!(b.total_round_sum(), 4);
@@ -609,6 +538,9 @@ mod tests {
             vec![("a".into(), 3, 1), ("b".into(), 1, 1)],
             "rows mirror the accessors"
         );
+        // An empty log still has a row per named phase.
+        let empty = PhaseBreakdown::from_log(&TraceLog::with_phases(&["a", "b"]));
+        assert_eq!(empty.rows(), vec![("a".into(), 0, 0), ("b".into(), 0, 0)]);
     }
 
     #[test]

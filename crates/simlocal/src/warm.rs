@@ -236,7 +236,7 @@ pub(crate) fn run_recorded<P: Protocol>(
         };
         let mut slots = Slots::new(0, &mut states, &mut outputs, &mut termination_round);
         let (live, words) = (active.live_words(), active.words());
-        kernel.step_words(live, words, &mut slots, &mut msgs_next, &mut NoObserver);
+        kernel.step_words::<NoObserver>(live, words, &mut slots, &mut msgs_next, &mut []);
         stats.msg_bits += slots.bits;
         stats.max_msg_bits = stats.max_msg_bits.max(slots.max_bits);
         starts.push(log.len());
@@ -371,7 +371,7 @@ impl<'a, P: Protocol> Warm<'a, P> {
             &mut self.outputs[k..=k],
             &mut self.term[k..=k],
         );
-        let m = kernel.step(v, &mut slots, &mut NoObserver);
+        let m = kernel.step::<NoObserver>(v, &mut slots, &mut []);
         self.stats.msg_bits += slots.bits;
         self.stats.max_msg_bits = self.stats.max_msg_bits.max(slots.max_bits);
         m

@@ -1,16 +1,19 @@
 //! The sparse engine is an optimization, not a semantics change: across
 //! graph families, seeds, and execution modes it must produce outcomes
 //! identical to the retained naive engine (`simlocal::reference`), and
-//! its observer hooks must fire exactly per contract.
+//! its observer must see exactly one record per round, whose per-phase
+//! tallies match what the steps themselves saw.
 
 use graphcore::{gen, Graph, IdAssignment, VertexId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simlocal::{
-    run_reference, ActorRunner, EngineTuning, Observer, Protocol, RoundRecord, Runner, StepCtx,
-    StepEvent, TraceEvent, TraceLog, Transition,
+    run_reference, ActorRunner, EngineTuning, NoObserver, Observer, PhaseId, PhaseTally, Protocol,
+    RoundRecord, Runner, SimOutcome, StepCtx, TraceLog, Transition, WireCodec,
 };
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// Tuning that forces genuine thread fan-out on every round, regardless
 /// of the host's core count.
@@ -90,13 +93,99 @@ impl Protocol for Stagger {
             Transition::Continue(dead)
         }
     }
-    // Phase attribution for the observer-sequence tests: rounds entered
-    // before any neighbor died vs. after.
+    // Phase attribution for the observer tests: rounds entered before
+    // any neighbor died vs. after.
     fn phase_names(&self) -> &'static [&'static str] {
         &["quiet", "draining"]
     }
-    fn phase_of(&self, state: &u32) -> simlocal::PhaseId {
-        (*state > 0) as simlocal::PhaseId
+    fn phase_of(&self, state: &u32) -> PhaseId {
+        (*state > 0) as PhaseId
+    }
+}
+
+/// A phase that goes back and forth, as `rand_delta_plus_one`'s
+/// undecided ↔ proposed does: each round a vertex proposes or stays
+/// idle on a coin, and a proposing vertex terminates on a second coin.
+struct Blink;
+impl Protocol for Blink {
+    type State = u8;
+    type Msg = u8;
+    type Output = u32;
+    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> u8 {
+        0
+    }
+    fn publish(&self, s: &u8) -> u8 {
+        *s
+    }
+    fn step(&self, ctx: StepCtx<'_, u8>) -> Transition<u8, u32> {
+        let mut rng = ctx.rng();
+        if *ctx.state == 1 && rng.gen_bool(0.5) {
+            Transition::Terminate(1, ctx.round)
+        } else {
+            Transition::Continue(rng.gen_bool(0.5) as u8)
+        }
+    }
+    fn phase_names(&self) -> &'static [&'static str] {
+        &["idle", "proposed"]
+    }
+    fn phase_of(&self, state: &u8) -> PhaseId {
+        *state
+    }
+}
+
+/// Wraps a protocol and records, from inside `step`, the round, the
+/// phase of the state the vertex entered it with, and whether it
+/// terminated — the oracle the engines' per-phase tallies must match.
+struct Oracle<'p, P> {
+    inner: &'p P,
+    seen: Mutex<Vec<(u32, PhaseId, bool)>>,
+}
+
+impl<'p, P> Oracle<'p, P> {
+    fn new(inner: &'p P) -> Self {
+        Oracle {
+            inner,
+            seen: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// What the steps saw, as per-round, per-phase tallies.
+    fn tallies(self, phases: usize) -> Vec<Vec<PhaseTally>> {
+        let mut out: Vec<Vec<PhaseTally>> = Vec::new();
+        for (round, phase, terminated) in self.seen.into_inner().unwrap() {
+            let r = round as usize - 1;
+            if out.len() <= r {
+                out.resize(r + 1, vec![PhaseTally::default(); phases]);
+            }
+            out[r][phase as usize].steps += 1;
+            out[r][phase as usize].terminations += u64::from(terminated);
+        }
+        out
+    }
+}
+
+impl<P: Protocol> Protocol for Oracle<'_, P> {
+    type State = P::State;
+    type Msg = P::Msg;
+    type Output = P::Output;
+    fn init(&self, g: &Graph, ids: &IdAssignment, v: VertexId) -> P::State {
+        self.inner.init(g, ids, v)
+    }
+    fn publish(&self, s: &P::State) -> P::Msg {
+        self.inner.publish(s)
+    }
+    fn step(&self, ctx: StepCtx<'_, P::State, P::Msg>) -> Transition<P::State, P::Output> {
+        let (round, phase) = (ctx.round, self.inner.phase_of(ctx.state));
+        let t = self.inner.step(ctx);
+        let terminated = matches!(t, Transition::Terminate(..));
+        self.seen.lock().unwrap().push((round, phase, terminated));
+        t
+    }
+    fn phase_names(&self) -> &'static [&'static str] {
+        self.inner.phase_names()
+    }
+    fn phase_of(&self, s: &P::State) -> PhaseId {
+        self.inner.phase_of(s)
     }
 }
 
@@ -209,25 +298,80 @@ impl Protocol for HeapTrail {
     }
 }
 
-/// Per-round `(active, msg_bits, max_msg_bits)` — every round-end field
-/// but the machine-dependent wall time — and the termination events, in
-/// order, that a trace recorded.
-type RoundsAndTerminations = (Vec<(usize, u64, u64)>, Vec<(VertexId, u32)>);
-fn rounds_and_terminations(log: &TraceLog) -> RoundsAndTerminations {
-    let (mut rounds, mut terminations) = (Vec::new(), Vec::new());
-    for e in &log.events {
-        match *e {
-            TraceEvent::RoundEnd {
-                active,
-                msg_bits,
-                max_msg_bits,
-                ..
-            } => rounds.push((active, msg_bits, max_msg_bits)),
-            TraceEvent::Terminate { v, round } => terminations.push((v, round)),
-            _ => {}
-        }
+/// A log's records with the machine-dependent wall time zeroed: every
+/// count a round record carries.
+fn counts(log: &TraceLog) -> Vec<RoundRecord<'_>> {
+    let counted = |r| RoundRecord {
+        wall: Duration::ZERO,
+        ..r
+    };
+    log.records().map(counted).collect()
+}
+
+/// The engines an observer can ride.
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    Sequential,
+    FannedOut,
+    ActorChannels,
+    ActorTcp,
+}
+
+fn run_on<P, Ob>(engine: Engine, p: &P, g: &Graph, seed: u64, ob: &mut Ob) -> SimOutcome<P::Output>
+where
+    P: Protocol,
+    P::Msg: WireCodec + 'static,
+    Ob: Observer,
+{
+    let ids = IdAssignment::identity(g.n());
+    let actor = || ActorRunner::new(p, g, &ids).seed(seed).shards(3);
+    match engine {
+        Engine::Sequential => Runner::new(p, g, &ids).seed(seed).run_with(ob),
+        Engine::FannedOut => Runner::new(p, g, &ids)
+            .seed(seed)
+            .parallel()
+            .tuning(fan_out())
+            .run_with(ob),
+        Engine::ActorChannels => actor().run_with(ob),
+        Engine::ActorTcp => actor().run_tcp_with(ob),
     }
-    (rounds, terminations)
+    .unwrap()
+}
+
+/// On each engine, the observer's records split every round by phase
+/// exactly as the steps saw it from inside (the [`Oracle`]), one record
+/// per round: `active` is the activity series, the terminations sum to
+/// `n`, and the observed outcome equals the unobserved one.
+fn assert_records_match_oracle<P>(p: &P, g: &Graph, seed: u64, engines: &[Engine])
+where
+    P: Protocol,
+    P::Msg: WireCodec + 'static,
+    P::Output: PartialEq + std::fmt::Debug,
+{
+    let phases = p.phase_names().len();
+    for &engine in engines {
+        let oracle = Oracle::new(p);
+        let mut log = TraceLog::with_phases(p.phase_names());
+        let out = run_on(engine, &oracle, g, seed, &mut log);
+        let recorded: Vec<Vec<PhaseTally>> = log.records().map(|r| r.phases.to_vec()).collect();
+        assert_eq!(
+            recorded,
+            oracle.tallies(phases),
+            "{engine:?}: per-phase tallies"
+        );
+        let rounds: Vec<u32> = log.records().map(|r| r.round).collect();
+        assert_eq!(
+            rounds,
+            (1..=out.stats.rounds).collect::<Vec<_>>(),
+            "{engine:?}"
+        );
+        let active: Vec<usize> = log.records().map(|r| r.active).collect();
+        assert_eq!(active, out.metrics.active_per_round(), "{engine:?}: active");
+        assert_eq!(log.terminations(), g.n() as u64, "{engine:?}: terminations");
+        let plain = run_on(engine, p, g, seed, &mut NoObserver);
+        assert_eq!(plain.outputs, out.outputs, "{engine:?}: observed outputs");
+        assert_eq!(plain.metrics, out.metrics, "{engine:?}: observed metrics");
+    }
 }
 
 /// A graph from one of four families, chosen by `pick`.
@@ -256,9 +400,9 @@ where
         .unwrap();
     let dense = run_reference(p, g, &ids, seed).unwrap();
     // Observed runs step through the same in-place kernel as unobserved
-    // ones (hooks inline when sequential, replayed in chunk order when
-    // fanned out): attaching an observer must not change a byte — wire
-    // stats included — sequentially or under real fan-out.
+    // ones (tallying phases as they go): attaching an observer must not
+    // change a byte — wire stats included — sequentially or under real
+    // fan-out.
     let mut seq_t = TraceLog::new();
     let observed = Runner::new(p, g, &ids)
         .seed(seed)
@@ -281,12 +425,8 @@ where
             "{label} max bits"
         );
     }
-    // Per-round active / bits / max bits and the termination order.
-    assert_eq!(
-        rounds_and_terminations(&seq_t),
-        rounds_and_terminations(&par_t),
-        "per-round records and hook order"
-    );
+    // Per-round active, bits, max bits and per-phase tallies.
+    assert_eq!(counts(&seq_t), counts(&par_t), "per-round records");
     assert_eq!(sparse.outputs, dense.outputs, "sparse vs reference outputs");
     assert_eq!(sparse.metrics, dense.metrics, "sparse vs reference metrics");
     assert_eq!(sparse.outputs, par.outputs, "seq vs par outputs");
@@ -393,7 +533,7 @@ proptest! {
             .tuning(fan_out())
             .run_with(&mut par)
             .unwrap();
-        prop_assert_eq!(rounds_and_terminations(&seq).0, rounds_and_terminations(&par).0);
+        prop_assert_eq!(counts(&seq), counts(&par));
     }
 
     #[test]
@@ -413,42 +553,27 @@ proptest! {
         prop_assert_eq!(&plain.metrics, &traced.metrics);
         prop_assert_eq!(plain.stats.msg_bits, traced.stats.msg_bits);
         prop_assert_eq!(plain.stats.max_msg_bits, traced.stats.max_msg_bits);
-        let (rounds, _) = rounds_and_terminations(&obs);
-        prop_assert_eq!(rounds.iter().map(|r| r.1).sum::<u64>(), plain.stats.msg_bits);
-        prop_assert_eq!(rounds.iter().map(|r| r.2).max().unwrap_or(0), plain.stats.max_msg_bits);
+        let bits = obs.records().map(|r| r.msg_bits);
+        prop_assert_eq!(bits.sum::<u64>(), plain.stats.msg_bits);
+        let widest = obs.records().map(|r| r.max_msg_bits).max();
+        prop_assert_eq!(widest.unwrap_or(0), plain.stats.max_msg_bits);
     }
 
     #[test]
-    fn hook_sequence_identical_sequential_and_parallel(
+    fn round_records_match_in_step_oracle(
         pick in any::<u8>(),
         n in 4usize..100,
         gseed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
-        // The parallel engine may *execute* steps out of order, but the
-        // observer must see the exact same hook sequence as a sequential
-        // run — same events, same order, same phase attributions.
+        // The parallel engine and the actor shards *execute* steps out of
+        // order, but each round's per-phase steps and terminations must
+        // be what the steps saw — for a phase that only moves forward
+        // (Stagger) and for one that goes back and forth (Blink).
         let g = family_graph(pick, n, 2, gseed);
-        let ids = IdAssignment::identity(g.n());
-        let mut seq = Counting::default();
-        let out_seq = Runner::new(&Stagger, &g, &ids).run_with(&mut seq).unwrap();
-        let mut par = Counting::default();
-        let out_par = Runner::new(&Stagger, &g, &ids)
-            .parallel()
-            .tuning(fan_out())
-            .run_with(&mut par)
-            .unwrap();
-        prop_assert_eq!(out_seq.outputs, out_par.outputs);
-        prop_assert_eq!(&seq.round_starts, &par.round_starts);
-        // Step events carry vertex, round, phase, and termination flag.
-        prop_assert_eq!(&seq.steps, &par.steps);
-        // Round records match field-for-field except machine-dependent wall.
-        prop_assert_eq!(seq.round_ends.len(), par.round_ends.len());
-        for (s, p) in seq.round_ends.iter().zip(&par.round_ends) {
-            prop_assert_eq!(
-                (s.round, s.active, s.msg_bits, s.max_msg_bits),
-                (p.round, p.active, p.msg_bits, p.max_msg_bits)
-            );
-        }
+        let engines = [Engine::Sequential, Engine::FannedOut, Engine::ActorChannels];
+        assert_records_match_oracle(&Stagger, &g, seed, &engines);
+        assert_records_match_oracle(&Blink, &g, seed, &engines);
     }
 
     #[test]
@@ -458,21 +583,21 @@ proptest! {
         gseed in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        // Σ on_step == Σ round-end active == RoundSum, and a step
-        // reports termination exactly once per vertex.
+        // Σ active == Σ phase steps == RoundSum, and each round's
+        // terminations are the vertices whose termination round it is.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
-        let mut obs = Counting::default();
+        let mut obs = TraceLog::new();
         let out = Runner::new(&CoinFlip, &g, &ids).seed(seed).run_with(&mut obs).unwrap();
-        prop_assert_eq!(obs.steps.len() as u64, out.metrics.round_sum());
+        prop_assert_eq!(obs.steps(), out.metrics.round_sum());
         prop_assert_eq!(out.stats.steps, out.metrics.round_sum());
-        let active: u64 = obs.round_ends.iter().map(|r| r.active as u64).sum();
-        prop_assert_eq!(active, out.metrics.round_sum());
-        let mut vs: Vec<VertexId> = obs.steps.iter().filter(|e| e.terminated).map(|e| e.v).collect();
-        prop_assert_eq!(vs.len(), g.n());
-        vs.sort_unstable();
-        vs.dedup();
-        prop_assert_eq!(vs.len(), g.n(), "termination must be reported once per vertex");
+        let phase_steps: u64 = obs.records().flat_map(|r| r.phases).map(|t| t.steps).sum();
+        prop_assert_eq!(phase_steps, out.metrics.round_sum());
+        for r in obs.records() {
+            let ended = out.metrics.termination_round.iter().filter(|&&t| t == r.round);
+            prop_assert_eq!(r.terminations(), ended.count() as u64);
+        }
+        prop_assert_eq!(obs.terminations(), g.n() as u64);
     }
 
     #[test]
@@ -491,8 +616,8 @@ proptest! {
         let dense = run_reference(&Stagger, &g, &ids, 0).unwrap();
         prop_assert_eq!(&traced.outputs, &dense.outputs);
         prop_assert_eq!(&traced.metrics, &dense.metrics);
-        prop_assert_eq!(obs.step_events(), traced.metrics.round_sum());
-        prop_assert_eq!(obs.terminate_events() as usize, g.n());
+        prop_assert_eq!(obs.steps(), traced.metrics.round_sum());
+        prop_assert_eq!(obs.terminations() as usize, g.n());
         prop_assert_eq!(obs.rounds(), traced.stats.rounds);
     }
 
@@ -502,11 +627,10 @@ proptest! {
         let ids = IdAssignment::identity(g.n());
         let mut t = TraceLog::new();
         let out = Runner::new(&CoinFlip, &g, &ids).seed(seed).run_with(&mut t).unwrap();
-        let (rounds, terminations) = rounds_and_terminations(&t);
-        let active: Vec<usize> = rounds.iter().map(|r| r.0).collect();
+        let active: Vec<usize> = t.records().map(|r| r.active).collect();
         prop_assert_eq!(&active, &out.metrics.active_per_round());
         prop_assert_eq!(active.iter().sum::<usize>() as u64, out.metrics.round_sum());
-        prop_assert_eq!(terminations.len(), g.n());
+        prop_assert_eq!(t.terminations() as usize, g.n());
     }
 
     #[test]
@@ -517,10 +641,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The activity series is derived from termination rounds, not
-        // pushed per round: it must equal what the engine announced at
-        // each round start and the step events it fired in that round —
-        // sync sequential, sync fanned out, and the actor backend over
-        // channels.
+        // pushed per round: it must equal each round record's active
+        // count and its per-phase steps — sync sequential, sync fanned
+        // out, and the actor backend over channels.
         let g = family_graph(pick, n, 2, gseed);
         let ids = IdAssignment::identity(g.n());
         let mut seq = TraceLog::new();
@@ -543,47 +666,18 @@ proptest! {
             ("par", &par, &out_par),
             ("actor", &actor, &out_actor),
         ] {
-            let (mut starts, mut steps) = (Vec::new(), Vec::new());
-            for e in &log.events {
-                match *e {
-                    TraceEvent::RoundStart { round, active } => {
-                        prop_assert_eq!(round as usize, starts.len() + 1, "{}", label);
-                        starts.push(active);
-                        steps.push(0usize);
-                    }
-                    TraceEvent::Step { round, .. } => {
-                        prop_assert_eq!(round as usize, steps.len(), "{}", label);
-                        *steps.last_mut().unwrap() += 1;
-                    }
-                    _ => {}
-                }
+            let (mut active, mut steps) = (Vec::new(), Vec::new());
+            for (i, r) in log.records().enumerate() {
+                prop_assert_eq!(r.round as usize, i + 1, "{}", label);
+                active.push(r.active);
+                steps.push(r.phases.iter().map(|t| t.steps as usize).sum::<usize>());
             }
             let series = out.metrics.active_per_round();
-            prop_assert_eq!(&starts, &series, "{}: round-start active", label);
-            prop_assert_eq!(&steps, &series, "{}: step events per round", label);
+            prop_assert_eq!(&active, &series, "{}: record active", label);
+            prop_assert_eq!(&steps, &series, "{}: phase steps per round", label);
             prop_assert_eq!(out.stats.rounds as usize, series.len(), "{}: rounds", label);
             prop_assert!(out.metrics.check_identities().is_ok(), "{}", label);
         }
-    }
-}
-
-/// Observer that records every hook invocation.
-#[derive(Default, Clone, Debug)]
-struct Counting {
-    round_starts: Vec<(u32, usize)>,
-    round_ends: Vec<RoundRecord>,
-    steps: Vec<StepEvent>,
-}
-
-impl Observer for Counting {
-    fn on_round_start(&mut self, round: u32, active: usize) {
-        self.round_starts.push((round, active));
-    }
-    fn on_step(&mut self, event: &StepEvent) {
-        self.steps.push(*event);
-    }
-    fn on_round_end(&mut self, record: &RoundRecord) {
-        self.round_ends.push(record.clone());
     }
 }
 
@@ -591,51 +685,44 @@ impl Observer for Counting {
 fn observer_hooks_fire_exactly_per_contract() {
     let g = gen::grid(4, 5);
     let ids = IdAssignment::identity(g.n());
-    let mut obs = Counting::default();
+    let mut obs = TraceLog::with_phases(Stagger.phase_names());
     let out = Runner::new(&Stagger, &g, &ids).run_with(&mut obs).unwrap();
-    let rounds = out.stats.rounds as usize;
 
-    // Round hooks: once per round, in order, with the active-set size.
-    assert_eq!(obs.round_starts.len(), rounds);
-    assert_eq!(obs.round_ends.len(), rounds);
+    // One record per round, in order, with the active-set size and one
+    // tally per named phase.
+    assert_eq!(obs.rounds(), out.stats.rounds);
     let series = out.metrics.active_per_round();
-    for (i, &(round, active)) in obs.round_starts.iter().enumerate() {
-        assert_eq!(round as usize, i + 1);
-        assert_eq!(active, series[i]);
-        assert_eq!(obs.round_ends[i].round as usize, i + 1);
-        assert_eq!(obs.round_ends[i].active, active);
+    for (i, r) in obs.records().enumerate() {
+        assert_eq!(r.round as usize, i + 1);
+        assert_eq!(r.active, series[i]);
+        assert_eq!(r.phases.len(), Stagger.phase_names().len());
+        assert_eq!(
+            r.phases.iter().map(|t| t.steps as usize).sum::<usize>(),
+            r.active
+        );
     }
-
-    // on_step: exactly once per (active vertex, round) — i.e. for every
-    // vertex, rounds 1..=termination_round, and nothing else.
-    let mut expected_steps = Vec::new();
-    for v in g.vertices() {
-        for r in 1..=out.metrics.termination_round[v as usize] {
-            expected_steps.push((v, r));
-        }
+    // Each step counts under `phase_of` the state the vertex entered
+    // the round with; Stagger's is 0 until a neighbor dies.
+    assert_eq!(obs.records().next().unwrap().phases[1].steps, 0);
+    assert!(obs.records().any(|r| r.phases[1].steps > 0));
+    // Termination: each vertex once, in its termination round.
+    for r in obs.records() {
+        let ended = out
+            .metrics
+            .termination_round
+            .iter()
+            .filter(|&&t| t == r.round);
+        assert_eq!(r.terminations(), ended.count() as u64);
     }
-    let mut got: Vec<(VertexId, u32)> = obs.steps.iter().map(|e| (e.v, e.round)).collect();
-    got.sort_unstable();
-    expected_steps.sort_unstable();
-    assert_eq!(got, expected_steps);
-    assert_eq!(obs.steps.len() as u64, out.metrics.round_sum());
+    assert_eq!(obs.terminations(), g.n() as u64);
+}
 
-    // Each step reports its phase — `phase_of` the state the vertex
-    // entered the round with; Stagger's is 0 until a neighbor dies.
-    assert!(obs.steps.iter().any(|e| e.phase == 1));
-    assert!(obs.steps.iter().all(|e| e.round > 1 || e.phase == 0));
-
-    // Termination: reported exactly once per vertex, at its termination
-    // round.
-    let terminates: Vec<&StepEvent> = obs.steps.iter().filter(|e| e.terminated).collect();
-    assert_eq!(terminates.len(), g.n());
-    for e in &terminates {
-        assert_eq!(out.metrics.termination_round[e.v as usize], e.round);
-    }
-    let mut vs: Vec<VertexId> = terminates.iter().map(|e| e.v).collect();
-    vs.sort_unstable();
-    vs.dedup();
-    assert_eq!(vs.len(), g.n());
+#[test]
+fn round_records_match_in_step_oracle_over_tcp() {
+    // The TCP mesh merges the same shard records as the channels.
+    let g = gen::grid(5, 7);
+    assert_records_match_oracle(&Stagger, &g, 3, &[Engine::ActorTcp]);
+    assert_records_match_oracle(&Blink, &g, 3, &[Engine::ActorTcp]);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use benchharness::forest_workload;
 use distsym::algos::mis::MisExtension;
 use distsym::algos::Partition;
 use distsym::graphcore::IdAssignment;
-use distsym::simlocal::{run_reference, EngineTuning, Runner, TraceEvent, TraceLog};
+use distsym::simlocal::{run_reference, EngineTuning, Runner, TraceLog};
 
 const N: usize = 1 << 16;
 
@@ -77,16 +77,9 @@ fn per_round_telemetry_mirrors_active_set_decay() {
     let out = Runner::new(&MisExtension::new(2), &gg.graph, &ids)
         .run_with(&mut t)
         .unwrap();
-    let active: Vec<usize> = t
-        .events
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::RoundEnd { active, .. } => Some(active),
-            _ => None,
-        })
-        .collect();
+    let active: Vec<usize> = t.records().map(|r| r.active).collect();
     assert_eq!(active, out.metrics.active_per_round());
-    assert_eq!(t.step_events(), out.metrics.round_sum());
+    assert_eq!(t.steps(), out.metrics.round_sum());
     assert_eq!(t.rounds(), out.stats.rounds);
     // The active series is the engine's actual per-round work, so the
     // whole run's work is its sum — not rounds × n.
