@@ -12,6 +12,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (intra-doc links resolve)"
+# A deleted or renamed item leaves dangling doc links behind; rustdoc
+# reports them as warnings, which fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p graphcore -p simlocal -p algos -p benchharness -p distsym
+
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
@@ -85,35 +90,33 @@ echo "== actor-backend smoke: table2 --quick --backend actor vs the same baselin
 ./target/release/bench-diff --check \
     results/table2.quick.json target/ci-results/table2.quick.actor.json --tol 0
 
-echo "== metrics smoke: table2 --quick --metrics, self-validated exposition"
+echo "== metrics smoke: table2 --quick --metrics, self-validated JSONL export"
 # A metrics-enabled quick sweep on the actor backend (per-shard series
-# plus transport counters), then the export pair validates itself:
-# parseable typed exposition without duplicate series, histogram
-# consistency, monotone counters across JSONL snapshots, final snapshot
-# agreeing with the exposition. Attaching --metrics must not change
-# results, so the rows still gate against the sync baseline at tol 0.
+# plus transport counters), then the export validates itself: every
+# snapshot line schema-valid and free of repeated keys, histogram
+# buckets adding up to their counts, counters monotone across lines.
+# Attaching --metrics must not change results, so the rows still gate
+# against the sync baseline at tol 0.
 ./target/release/table2 --quick --seeds 2 --ids identity,random --backend actor \
-    --metrics target/ci-results/obs.prom \
+    --metrics target/ci-results/obs.jsonl \
     --json target/ci-results/table2.quick.metrics.json > /dev/null
 ./target/release/bench-diff --check \
     results/table2.quick.json target/ci-results/table2.quick.metrics.json --tol 0
-./target/release/bench-diff --metrics-check \
-    target/ci-results/obs.prom target/ci-results/obs.prom.jsonl
+./target/release/bench-diff --metrics-check target/ci-results/obs.jsonl
 
 echo "== parallel-scheduler gate: table2 --jobs 4 is byte-identical to the baseline"
 # The trial pipeline's determinism guarantee, end to end: a 4-worker run
 # of the same sweep must produce byte-identical results JSON to the
 # committed *sequential* baseline (tol 0 — wall-clock stats excluded as
 # always). The attached metrics export also revalidates (monotone
-# counters across snapshots, exposition/JSONL agreement) with the
-# scheduler/cache gauges and histograms present.
+# counters across snapshots) with the scheduler/cache counters and
+# histograms present.
 ./target/release/table2 --quick --seeds 2 --ids identity,random --jobs 4 \
-    --metrics target/ci-results/obs.jobs4.prom \
+    --metrics target/ci-results/obs.jobs4.jsonl \
     --json target/ci-results/table2.quick.jobs4.json > /dev/null
 ./target/release/bench-diff --check \
     results/table2.quick.json target/ci-results/table2.quick.jobs4.json --tol 0
-./target/release/bench-diff --metrics-check \
-    target/ci-results/obs.jobs4.prom target/ci-results/obs.jobs4.prom.jsonl
+./target/release/bench-diff --metrics-check target/ci-results/obs.jobs4.jsonl
 
 echo "== transport smoke: loopback-TCP round-trip pins to the sync engine"
 # Framed codec messages over real sockets: the fixed-config TCP tests
@@ -136,14 +139,13 @@ echo "== trace smoke: export + self-validate JSONL, Chrome-trace and metrics"
 # Chrome-trace timestamps are monotone, the recorded rounds, steps,
 # per-phase steps and terminations match the engine's statistics, and
 # the active-set series passes the Lemma 6.1 geometric-decay check. The
-# attached --metrics export (also merged into the Chrome trace as
-# counter events) then validates itself like the suite exports above.
+# attached --metrics export then validates itself like the suite exports
+# above.
 ./target/release/trace --algo rand_delta_plus_one --n 4096 --a 2 --seed 1 \
-    --out target/ci-trace --metrics target/ci-trace/obs.prom > /dev/null
+    --out target/ci-trace --metrics target/ci-trace/obs.jsonl > /dev/null
 test -s target/ci-trace/trace.jsonl
 test -s target/ci-trace/trace.chrome.json
-./target/release/bench-diff --metrics-check \
-    target/ci-trace/obs.prom target/ci-trace/obs.prom.jsonl
+./target/release/bench-diff --metrics-check target/ci-trace/obs.jsonl
 
 echo "== actor trace smoke: the actor merge's round records equal the sync engine's"
 # The same run on two actor shards, whose coordinator sums the shards'
@@ -151,9 +153,8 @@ echo "== actor trace smoke: the actor merge's round records equal the sync engin
 # JSONL must be byte-identical to the sync run's above.
 ./target/release/trace --algo rand_delta_plus_one --n 4096 --a 2 --seed 1 \
     --backend actor:2 --out target/ci-trace-actor \
-    --metrics target/ci-trace-actor/obs.prom > /dev/null
-./target/release/bench-diff --metrics-check \
-    target/ci-trace-actor/obs.prom target/ci-trace-actor/obs.prom.jsonl
+    --metrics target/ci-trace-actor/obs.jsonl > /dev/null
+./target/release/bench-diff --metrics-check target/ci-trace-actor/obs.jsonl
 for dir in target/ci-trace target/ci-trace-actor; do
     sed 's/,"wall_us":[0-9]*//' "$dir/trace.jsonl" > "$dir/trace.counts.jsonl"
 done

@@ -1,6 +1,6 @@
 //! `bench-diff` — the regression gates over committed results JSON.
 //!
-//! Two modes:
+//! Three modes:
 //!
 //! - `--check BASELINE.json FRESH.json [--tol 0.05]`: the correctness
 //!   gate. Compares a fresh harness run against a committed baseline
@@ -19,17 +19,16 @@
 //!   printed as a cue to refresh the baseline. See EXPERIMENTS.md for the
 //!   refresh procedure.
 //!
-//! - `--metrics-check PROM JSONL`: self-validation of a `--metrics`
-//!   export pair — the Prometheus exposition must parse cleanly (typed,
-//!   duplicate-free, histogram-consistent, render round-trip) and the
-//!   JSONL snapshot stream must be schema-valid with monotone counters
-//!   whose final state agrees with the exposition. No baseline: the
-//!   artifacts validate themselves.
+//! - `--metrics-check PATH`: self-validation of a `--metrics` export —
+//!   every JSONL snapshot line must be schema-valid and duplicate-free,
+//!   each histogram's buckets must add up to its count, and counters
+//!   must be monotone across lines (see `benchharness::metricscheck`).
+//!   No baseline: the artifact validates itself.
 
 use benchharness::metricscheck::check_metrics;
 use benchharness::perf::{diff_perf, perf_notes, PerfSummary};
 use benchharness::results::{diff, wall_notes, SuiteResult};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -41,8 +40,10 @@ enum Mode {
 
 struct Args {
     mode: Mode,
+    /// BASELINE.json, or the one PATH `--metrics-check` reads.
     baseline: PathBuf,
-    fresh: PathBuf,
+    /// FRESH.json: `Some` exactly for `--check` and `--perf`.
+    fresh: Option<PathBuf>,
     tol: f64,
 }
 
@@ -63,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "  --perf           one-sided throughput floor vs committed perf JSON (tol 0.25)"
                 );
-                println!("  --metrics-check  self-validate a --metrics export (PROM + JSONL pair)");
+                println!("  --metrics-check  self-validate a --metrics export (one JSONL file)");
                 println!("\nbaselines compared here are produced by the suite binaries; their");
                 println!("rows are backend-independent (sync and actor are byte-identical).");
                 benchharness::print_backends();
@@ -88,11 +89,20 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let mode = mode.ok_or("missing mode: --check or --perf")?;
+    let mode = mode.ok_or("missing mode: --check, --perf or --metrics-check")?;
+    if let (Mode::Metrics, Some(extra)) = (mode, &fresh) {
+        return Err(format!("unexpected argument `{}`", extra.display()));
+    }
     Ok(Args {
         mode,
-        baseline: baseline.ok_or("missing BASELINE.json argument")?,
-        fresh: fresh.ok_or("missing FRESH.json argument")?,
+        baseline: baseline.ok_or(match mode {
+            Mode::Metrics => "missing PATH argument",
+            _ => "missing BASELINE.json argument",
+        })?,
+        fresh: match mode {
+            Mode::Metrics => None,
+            _ => Some(fresh.ok_or("missing FRESH.json argument")?),
+        },
         // The correctness gate is tight; the perf gate tolerates the
         // wall-clock noise of a shared machine. An explicit --tol wins;
         // otherwise the perf default honors the PERF_GATE_TOL environment
@@ -125,8 +135,8 @@ fn perf_gate_tol_env() -> Result<Option<f64>, String> {
     }
 }
 
-fn run_check(args: &Args) {
-    let load = |path: &PathBuf| match SuiteResult::read(path) {
+fn run_check(args: &Args, fresh_path: &Path) {
+    let load = |path: &Path| match SuiteResult::read(path) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -134,7 +144,7 @@ fn run_check(args: &Args) {
         }
     };
     let baseline = load(&args.baseline);
-    let fresh = load(&args.fresh);
+    let fresh = load(fresh_path);
     let drifts = diff(&baseline, &fresh, args.tol);
     // Wall time is machine-dependent: report large swings but never gate.
     for note in wall_notes(&baseline, &fresh, args.tol) {
@@ -143,7 +153,7 @@ fn run_check(args: &Args) {
     if drifts.is_empty() {
         println!(
             "bench-diff: {} matches {} ({} summaries, tol {})",
-            args.fresh.display(),
+            fresh_path.display(),
             args.baseline.display(),
             baseline.summaries.len(),
             args.tol
@@ -152,7 +162,7 @@ fn run_check(args: &Args) {
     }
     eprintln!(
         "bench-diff: {} DRIFTED from {}:",
-        args.fresh.display(),
+        fresh_path.display(),
         args.baseline.display()
     );
     for d in &drifts {
@@ -161,8 +171,8 @@ fn run_check(args: &Args) {
     exit(1);
 }
 
-fn run_perf(args: &Args) {
-    let load = |path: &PathBuf| match PerfSummary::read(path) {
+fn run_perf(args: &Args, fresh_path: &Path) {
+    let load = |path: &Path| match PerfSummary::read(path) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -170,7 +180,7 @@ fn run_perf(args: &Args) {
         }
     };
     let baseline = load(&args.baseline);
-    let fresh = load(&args.fresh);
+    let fresh = load(fresh_path);
     // Improvements are the trajectory moving forward, not a failure.
     for note in perf_notes(&baseline, &fresh, args.tol) {
         println!("bench-diff: note: {note}");
@@ -179,7 +189,7 @@ fn run_perf(args: &Args) {
     if failures.is_empty() {
         println!(
             "bench-diff: {} holds the perf floor of {} ({} entries, tol {})",
-            args.fresh.display(),
+            fresh_path.display(),
             args.baseline.display(),
             baseline.entries.len(),
             args.tol
@@ -188,7 +198,7 @@ fn run_perf(args: &Args) {
     }
     eprintln!(
         "bench-diff: {} REGRESSED against {}:",
-        args.fresh.display(),
+        fresh_path.display(),
         args.baseline.display()
     );
     for f in &failures {
@@ -197,32 +207,23 @@ fn run_perf(args: &Args) {
     exit(1);
 }
 
-fn run_metrics(args: &Args) {
-    // `baseline` holds the exposition path, `fresh` the JSONL stream.
-    let load = |path: &PathBuf| match std::fs::read_to_string(path) {
+fn run_metrics(path: &Path) {
+    let jsonl = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: read {}: {e}", path.display());
             exit(2);
         }
     };
-    let prom = load(&args.baseline);
-    let jsonl = load(&args.fresh);
-    let (series, snapshots, failures) = check_metrics(&prom, &jsonl);
+    let (snapshots, failures) = check_metrics(&jsonl);
     if failures.is_empty() {
         println!(
-            "bench-diff: {} is a valid metrics export ({series} series, \
-             {snapshots} snapshots in {})",
-            args.baseline.display(),
-            args.fresh.display()
+            "bench-diff: {} is a valid metrics export ({snapshots} snapshots)",
+            path.display()
         );
         return;
     }
-    eprintln!(
-        "bench-diff: metrics export {} / {} is INVALID:",
-        args.baseline.display(),
-        args.fresh.display()
-    );
+    eprintln!("bench-diff: metrics export {} is INVALID:", path.display());
     for f in &failures {
         eprintln!("  - {f}");
     }
@@ -237,14 +238,15 @@ fn main() {
             eprintln!(
                 "usage: bench-diff --check BASELINE.json FRESH.json [--tol 0.05]\n\
                         bench-diff --perf  BASELINE.json FRESH.json [--tol 0.25]\n\
-                        bench-diff --metrics-check METRICS.prom METRICS.prom.jsonl"
+                        bench-diff --metrics-check METRICS.jsonl"
             );
             exit(2);
         }
     };
-    match args.mode {
-        Mode::Check => run_check(&args),
-        Mode::Perf => run_perf(&args),
-        Mode::Metrics => run_metrics(&args),
+    match (args.mode, args.fresh.as_deref()) {
+        (Mode::Check, Some(fresh)) => run_check(&args, fresh),
+        (Mode::Perf, Some(fresh)) => run_perf(&args, fresh),
+        (Mode::Metrics, None) => run_metrics(&args.baseline),
+        _ => unreachable!("parse_args gives FRESH.json to --check and --perf only"),
     }
 }

@@ -26,9 +26,9 @@
 //! the CONGEST budget `c·log₂ n` bits, enforcing the registry's
 //! `AlgoSpec::congest` claims (exit nonzero on a violated claim).
 //!
-//! `--metrics PATH` also attaches an obs registry and writes its
-//! Prometheus exposition to `PATH` and a snapshot to `PATH.jsonl`, and
-//! merges its counters into the Chrome-trace export.
+//! `--metrics PATH` also attaches an obs registry and writes one JSONL
+//! snapshot of it, tagged `trace`, to `PATH` (`bench-diff
+//! --metrics-check PATH` validates it).
 //!
 //! Usage: `trace [--algo NAME] [--n N] [--a A] [--seed S] [--out DIR]
 //! [--parallel] [--backend sync|actor[:K]] [--metrics PATH] [--list]
@@ -155,9 +155,8 @@ fn main() {
 /// both export files. Returns failure messages (empty = pass).
 fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
     let trial = Trial::identity(args.seed);
-    // `--metrics PATH`: attach an obs registry sized for the backend;
-    // its counters are merged into the Chrome export and written as a
-    // Prometheus exposition + JSONL snapshot at the end.
+    // `--metrics PATH`: attach an obs registry sized for the backend and
+    // write its JSONL snapshot at the end.
     let export = match args
         .metrics
         .as_ref()
@@ -281,15 +280,10 @@ fn trace_run(spec: &registry::AlgoSpec, args: &Args) -> Vec<String> {
         Ok(()) => println!("\nwrote {}", jsonl_path.display()),
         Err(e) => failures.push(format!("write {}: {e}", jsonl_path.display())),
     }
-    // Obs counters (when attached) become Chrome counter events at the
-    // trace tail, so Perfetto shows the run totals next to the slices.
-    let counters = reg.map(|r| r.chrome_counters()).unwrap_or_default();
     match fs::File::create(&chrome_path)
         .map_err(|e| e.to_string())
-        .and_then(|f| {
-            log.write_chrome_trace_with_counters(io_buf(f), &counters)
-                .map_err(|e| e.to_string())
-        }) {
+        .and_then(|f| log.write_chrome_trace(io_buf(f)).map_err(|e| e.to_string()))
+    {
         Ok(()) => println!("wrote {}", chrome_path.display()),
         Err(e) => failures.push(format!("write {}: {e}", chrome_path.display())),
     }

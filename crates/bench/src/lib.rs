@@ -380,8 +380,8 @@ pub struct Cli {
     pub jobs: usize,
     /// Where to write the JSON results, if requested.
     pub json: Option<std::path::PathBuf>,
-    /// Where to write the Prometheus metrics exposition, if requested
-    /// (a JSONL snapshot stream goes to the same path + `.jsonl`).
+    /// Where to write the metrics export, if requested: a JSONL stream
+    /// of registry snapshots, one per experiment plus a `final` one.
     /// Enables the [`simlocal::obs`] registry for every run.
     pub metrics: Option<std::path::PathBuf>,
     /// Print the suite's registered experiments and exit 0.

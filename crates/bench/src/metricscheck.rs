@@ -1,366 +1,137 @@
-//! Self-validation of a `--metrics` export pair (`bench-diff
-//! --metrics-check PROM JSONL`).
+//! Self-validation of a `--metrics` export (`bench-diff --metrics-check
+//! PATH`).
 //!
-//! The exporters in `simlocal::obs` are hand-rolled writers, so CI
-//! validates their output the way a consumer would read it:
+//! The snapshot writer in `simlocal::obs` is hand-rolled, so CI reads
+//! its output back the way a consumer would:
 //!
-//! - the Prometheus text exposition must parse, declare a `# TYPE` for
-//!   every series, contain no duplicate series, and round-trip through
-//!   a parse → render → parse cycle unchanged;
-//! - histogram series must be internally consistent (cumulative
-//!   `_bucket` values non-decreasing, the `+Inf` bucket equal to
-//!   `_count`);
-//! - every JSONL snapshot line must parse with the documented shape
-//!   (`tag` / `counters` / `gauges` / `hists`), and counters must be
-//!   monotone non-decreasing across successive lines — they come from
-//!   one cumulative registry, so a decrease means the writer or the
-//!   recording is broken;
-//! - the last snapshot and the exposition are written from the same
-//!   final registry state, so their counter/gauge values must agree
-//!   exactly.
+//! - every line is one JSON snapshot — no blank lines — with a string
+//!   `tag` and the `counters` and `hists` sections, each mapping a
+//!   metric name to its slots by shard label (`""` for global metrics);
+//! - no metric appears twice in a line, and no shard label twice in a
+//!   metric;
+//! - a counter is a non-negative number, and a histogram holds `count`,
+//!   `sum` and per-bucket `buckets` that add up to its `count`;
+//! - counters are monotone non-decreasing across successive lines, and
+//!   none appears mid-stream — the lines come from one cumulative
+//!   registry, so a decrease or a new series means the writer or the
+//!   recording is broken.
 
 use crate::results::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One parsed sample line: `name{labels} value` (labels may be empty).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sample {
-    /// Series name as written (histogram suffixes included).
-    pub name: String,
-    /// Raw label block without braces (`shard="1",le="+Inf"` or empty).
-    pub labels: String,
-    /// Sample value.
-    pub value: f64,
-}
+/// Counter values of one snapshot line, by `(metric, shard label)`.
+type Counters = BTreeMap<(String, String), f64>;
 
-/// A parsed exposition: declared types plus samples, in file order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Exposition {
-    /// `# TYPE` declarations in order: (metric name, kind).
-    pub types: Vec<(String, String)>,
-    /// `# HELP` declarations in order: (metric name, help text).
-    pub helps: Vec<(String, String)>,
-    /// Samples in order.
-    pub samples: Vec<Sample>,
-}
-
-impl Exposition {
-    /// Parses Prometheus text exposition format (the subset
-    /// `Registry::write_prometheus` emits). Returns the parsed document
-    /// or a list of line-attributed errors.
-    pub fn parse(text: &str) -> Result<Exposition, Vec<String>> {
-        let mut doc = Exposition {
-            types: Vec::new(),
-            helps: Vec::new(),
-            samples: Vec::new(),
-        };
-        let mut errors = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let lineno = i + 1;
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                match rest.split_once(' ') {
-                    Some((name, help)) => doc.helps.push((name.to_string(), help.to_string())),
-                    None => errors.push(format!("line {lineno}: HELP without text: `{line}`")),
-                }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                match rest.split_once(' ') {
-                    Some((name, kind)) if ["counter", "gauge", "histogram"].contains(&kind) => {
-                        doc.types.push((name.to_string(), kind.to_string()));
-                    }
-                    _ => errors.push(format!("line {lineno}: malformed TYPE: `{line}`")),
-                }
-                continue;
-            }
-            if line.starts_with('#') {
-                // Other comments are legal exposition; our writer emits
-                // none, but tolerate them like a real scraper would.
-                continue;
-            }
-            let Some((series, value)) = line.rsplit_once(' ') else {
-                errors.push(format!("line {lineno}: no value: `{line}`"));
-                continue;
-            };
-            let Ok(value) = value.parse::<f64>() else {
-                errors.push(format!("line {lineno}: unparsable value: `{line}`"));
-                continue;
-            };
-            if !value.is_finite() {
-                errors.push(format!("line {lineno}: non-finite value: `{line}`"));
-                continue;
-            }
-            let (name, labels) = match series.split_once('{') {
-                Some((name, rest)) => match rest.strip_suffix('}') {
-                    Some(labels) => (name, labels),
-                    None => {
-                        errors.push(format!("line {lineno}: unclosed label block: `{line}`"));
-                        continue;
-                    }
-                },
-                None => (series, ""),
-            };
-            if name.is_empty()
-                || !name
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
-            {
-                errors.push(format!("line {lineno}: bad metric name: `{line}`"));
-                continue;
-            }
-            doc.samples.push(Sample {
-                name: name.to_string(),
-                labels: labels.to_string(),
-                value,
-            });
-        }
-        if errors.is_empty() {
-            Ok(doc)
-        } else {
-            Err(errors)
-        }
+/// Reads one snapshot line, pushing what is wrong with it onto
+/// `failures` (each message prefixed with `at`). Returns the line's
+/// counters, or `None` when the line is blank or not JSON at all.
+fn read_snapshot(line: &str, at: &str, failures: &mut Vec<String>) -> Option<Counters> {
+    if line.trim().is_empty() {
+        failures.push(format!("{at}: blank line in JSONL stream"));
+        return None;
     }
-
-    /// Renders back to exposition text (HELP, then TYPE, then each
-    /// type's samples, in parsed order) — the round-trip counterpart of
-    /// [`Exposition::parse`].
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, kind) in &self.types {
-            if let Some((_, help)) = self.helps.iter().find(|(n, _)| n == name) {
-                out.push_str(&format!("# HELP {name} {help}\n"));
-            }
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            for s in self.samples.iter().filter(|s| base_of(&s.name) == *name) {
-                let labels = if s.labels.is_empty() {
-                    String::new()
-                } else {
-                    format!("{{{}}}", s.labels)
-                };
-                out.push_str(&format!("{}{labels} {}\n", s.name, num(s.value)));
-            }
+    let v = match Json::parse(line) {
+        Ok(v) => v,
+        Err(e) => {
+            failures.push(format!("{at}: {e}"));
+            return None;
         }
-        out
-    }
-}
-
-/// Formats a sample value the way the writers do: integers bare, which
-/// is every value `Registry::write_prometheus` emits (u64 counters).
-fn num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// The metric name a sample belongs to: histogram samples carry
-/// `_bucket`/`_sum`/`_count` suffixes on top of the declared name.
-fn base_of(sample_name: &str) -> String {
-    for suffix in ["_bucket", "_sum", "_count"] {
-        if let Some(base) = sample_name.strip_suffix(suffix) {
-            return base.to_string();
-        }
-    }
-    sample_name.to_string()
-}
-
-/// Validates a Prometheus exposition document. Returns human-readable
-/// failures; empty means the document is well-formed.
-pub fn check_exposition(text: &str) -> Vec<String> {
-    let doc = match Exposition::parse(text) {
-        Ok(d) => d,
-        Err(errors) => return errors,
     };
-    let mut failures = Vec::new();
-
-    // TYPE declared at most once per name, and every sample has one.
-    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
-    for (name, kind) in &doc.types {
-        if types.insert(name, kind).is_some() {
-            failures.push(format!("metric `{name}` has more than one TYPE line"));
-        }
+    if let Err(e) = v.get("tag").and_then(Json::as_str) {
+        failures.push(format!("{at}: tag: {e}"));
     }
-    for s in &doc.samples {
-        let base = base_of(&s.name);
-        let declared = types.get(base.as_str()).or_else(|| {
-            // `_bucket` etc. only alias a histogram; a counter named
-            // `..._count` must be declared under its full name.
-            types.get(s.name.as_str())
-        });
-        match declared {
-            None => failures.push(format!("series `{}` has no TYPE declaration", s.name)),
-            Some(&kind) => {
-                if s.name != base && kind != "histogram" {
-                    failures.push(format!(
-                        "series `{}` uses histogram suffixes but `{base}` is a {kind}",
-                        s.name
-                    ));
-                }
-                if kind == "counter" && s.value < 0.0 {
-                    failures.push(format!("counter `{}` is negative ({})", s.name, s.value));
-                }
-            }
-        }
-    }
-
-    // No duplicate series (name + full label block).
-    let mut seen = std::collections::BTreeSet::new();
-    for s in &doc.samples {
-        if !seen.insert((s.name.as_str(), s.labels.as_str())) {
-            failures.push(format!("duplicate series `{}{{{}}}`", s.name, s.labels));
-        }
-    }
-
-    // Histogram consistency: cumulative buckets non-decreasing in file
-    // order, +Inf bucket present and equal to _count.
-    for (name, kind) in &doc.types {
-        if kind != "histogram" {
-            continue;
-        }
-        // Group bucket samples by their labels minus `le`.
-        let mut groups: BTreeMap<String, Vec<&Sample>> = BTreeMap::new();
-        for s in &doc.samples {
-            if s.name == format!("{name}_bucket") {
-                let key: Vec<&str> = s
-                    .labels
-                    .split(',')
-                    .filter(|l| !l.starts_with("le="))
-                    .collect();
-                groups.entry(key.join(",")).or_default().push(s);
-            }
-        }
-        for (labels, buckets) in &groups {
-            for pair in buckets.windows(2) {
-                if pair[1].value < pair[0].value {
-                    failures.push(format!(
-                        "histogram `{name}`{{{labels}}} buckets are not cumulative"
-                    ));
-                    break;
-                }
-            }
-            let inf = buckets.iter().find(|s| s.labels.contains("le=\"+Inf\""));
-            let count = doc
-                .samples
-                .iter()
-                .find(|s| s.name == format!("{name}_count") && s.labels == *labels);
-            match (inf, count) {
-                (Some(inf), Some(count)) if inf.value == count.value => {}
-                (Some(_), Some(_)) => failures.push(format!(
-                    "histogram `{name}`{{{labels}}}: +Inf bucket disagrees with _count"
-                )),
-                _ => failures.push(format!(
-                    "histogram `{name}`{{{labels}}}: missing +Inf bucket or _count"
-                )),
-            }
-        }
-    }
-
-    // Parse → render → parse round-trip is lossless.
-    match Exposition::parse(&doc.render()) {
-        Ok(again) => {
-            if again.types != doc.types || again.samples.len() != doc.samples.len() {
-                failures.push("exposition does not survive a parse/render round-trip".into());
-            }
-        }
-        Err(errors) => {
-            failures.push(format!(
-                "re-rendered exposition fails to parse: {}",
-                errors.join("; ")
-            ));
-        }
-    }
-    failures
-}
-
-/// Flattened counter/gauge values of one JSONL snapshot line:
-/// `(section, metric, label) -> value`.
-type SnapshotValues = BTreeMap<(String, String, String), f64>;
-
-fn snapshot_values(v: &Json, line: usize, failures: &mut Vec<String>) -> SnapshotValues {
-    let mut out = SnapshotValues::new();
-    for section in ["counters", "gauges"] {
-        let obj = match v.get(section) {
-            Ok(Json::Obj(fields)) => fields,
+    let mut counters = Counters::new();
+    let mut metrics = BTreeSet::new();
+    for section in ["counters", "hists"] {
+        let series = match v.get(section) {
+            Ok(Json::Obj(series)) => series,
             Ok(_) => {
-                failures.push(format!("snapshot {line}: `{section}` is not an object"));
+                failures.push(format!("{at}: `{section}` is not an object"));
                 continue;
             }
             Err(e) => {
-                failures.push(format!("snapshot {line}: {e}"));
+                failures.push(format!("{at}: {e}"));
                 continue;
             }
         };
-        for (metric, by_label) in obj {
-            let Json::Obj(entries) = by_label else {
-                failures.push(format!("snapshot {line}: `{metric}` is not a label map"));
+        for (metric, slots) in series {
+            if !metrics.insert(metric.as_str()) {
+                failures.push(format!("{at}: metric `{metric}` appears more than once"));
+            }
+            let Json::Obj(slots) = slots else {
+                failures.push(format!("{at}: `{metric}` is not a shard map"));
                 continue;
             };
-            for (label, value) in entries {
-                match value.as_f64() {
-                    Ok(x) if x.is_finite() => {
-                        out.insert((section.to_string(), metric.clone(), label.clone()), x);
+            let mut shards = BTreeSet::new();
+            for (shard, value) in slots {
+                if !shards.insert(shard.as_str()) {
+                    failures.push(format!("{at}: `{metric}` repeats shard `{shard}`"));
+                }
+                let problem = if section == "counters" {
+                    match value.as_f64() {
+                        Ok(x) if x.is_finite() && x >= 0.0 => {
+                            counters.insert((metric.clone(), shard.clone()), x);
+                            None
+                        }
+                        _ => Some("is not a non-negative number".to_string()),
                     }
-                    _ => failures.push(format!(
-                        "snapshot {line}: `{metric}`[{label}] is not a finite number"
-                    )),
+                } else {
+                    histogram_problem(value)
+                };
+                if let Some(p) = problem {
+                    failures.push(format!("{at}: `{metric}`[{shard}] {p}"));
                 }
             }
         }
     }
-    out
+    Some(counters)
 }
 
-/// Validates a JSONL snapshot stream against its exposition: schema per
-/// line, counter monotonicity across lines, and final-state agreement
-/// with the Prometheus document. Empty return means all checks passed.
-pub fn check_jsonl(jsonl: &str, prom: &str) -> Vec<String> {
+/// What is wrong with one histogram slot, if anything: it must hold a
+/// `count`, a `sum` and `buckets`, and its buckets must add up to its
+/// count.
+fn histogram_problem(h: &Json) -> Option<String> {
+    let read = || -> Result<(f64, f64), String> {
+        h.get("sum")?.as_f64()?;
+        let mut total = 0.0;
+        for b in h.get("buckets")?.as_array()? {
+            total += b.as_f64()?;
+        }
+        Ok((h.get("count")?.as_f64()?, total))
+    };
+    match read() {
+        Err(e) => Some(e),
+        Ok((count, total)) if total != count => {
+            Some(format!("buckets sum to {total}, not its count {count}"))
+        }
+        Ok(_) => None,
+    }
+}
+
+/// The whole `--metrics-check` gate over a `--metrics` JSONL stream.
+/// Returns the number of snapshot lines and human-readable failures;
+/// no failures means the export is valid.
+pub fn check_metrics(jsonl: &str) -> (usize, Vec<String>) {
     let mut failures = Vec::new();
-    let mut prev: Option<SnapshotValues> = None;
-    let mut lines = 0usize;
+    let mut prev: Option<Counters> = None;
+    let mut lines = 0;
     for (i, line) in jsonl.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            failures.push(format!("snapshot {lineno}: blank line in JSONL stream"));
-            continue;
-        }
         lines += 1;
-        let v = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                failures.push(format!("snapshot {lineno}: {e}"));
-                continue;
-            }
+        let at = format!("snapshot {}", i + 1);
+        let Some(cur) = read_snapshot(line, &at, &mut failures) else {
+            continue;
         };
-        match v.get("tag").and_then(|t| t.as_str()) {
-            Ok(_) => {}
-            Err(e) => failures.push(format!("snapshot {lineno}: {e}")),
-        }
-        if v.get("hists").is_err() {
-            failures.push(format!("snapshot {lineno}: missing `hists` section"));
-        }
-        let cur = snapshot_values(&v, lineno, &mut failures);
         if let Some(prev) = &prev {
-            for (key, value) in &cur {
-                if key.0 != "counters" {
-                    continue;
-                }
-                if let Some(before) = prev.get(key) {
-                    if value < before {
-                        failures.push(format!(
-                            "snapshot {lineno}: counter `{}`[{}] decreased ({before} -> {value}) \
-                             — counters are cumulative",
-                            key.1, key.2
-                        ));
-                    }
-                } else {
-                    failures.push(format!(
-                        "snapshot {lineno}: counter `{}`[{}] appeared mid-stream",
-                        key.1, key.2
-                    ));
+            for ((metric, shard), value) in &cur {
+                match prev.get(&(metric.clone(), shard.clone())) {
+                    Some(before) if value < before => failures.push(format!(
+                        "{at}: counter `{metric}`[{shard}] decreased ({before} -> {value}) \
+                         — counters are cumulative"
+                    )),
+                    Some(_) => {}
+                    None => failures.push(format!(
+                        "{at}: counter `{metric}`[{shard}] appeared mid-stream"
+                    )),
                 }
             }
         }
@@ -368,50 +139,8 @@ pub fn check_jsonl(jsonl: &str, prom: &str) -> Vec<String> {
     }
     if lines == 0 {
         failures.push("JSONL stream is empty".into());
-        return failures;
     }
-
-    // The exposition and the last snapshot are written from the same
-    // final registry state: their counter/gauge values must agree.
-    let last = prev.expect("at least one line");
-    if let Ok(doc) = Exposition::parse(prom) {
-        for ((_, metric, label), value) in &last {
-            let labels = if label.is_empty() {
-                String::new()
-            } else {
-                format!("shard=\"{label}\"")
-            };
-            match doc
-                .samples
-                .iter()
-                .find(|s| s.name == *metric && s.labels == labels)
-            {
-                Some(s) if s.value == *value => {}
-                Some(s) => failures.push(format!(
-                    "final snapshot disagrees with exposition on `{metric}`[{label}]: \
-                     {value} vs {}",
-                    s.value
-                )),
-                None => failures.push(format!(
-                    "`{metric}`[{label}] is in the final snapshot but not the exposition"
-                )),
-            }
-        }
-    }
-    failures
-}
-
-/// The whole `--metrics-check` gate: exposition well-formedness plus
-/// JSONL stream validation. Returns (series sampled, snapshot lines,
-/// failures).
-pub fn check_metrics(prom: &str, jsonl: &str) -> (usize, usize, Vec<String>) {
-    let mut failures = check_exposition(prom);
-    failures.extend(check_jsonl(jsonl, prom));
-    let series = Exposition::parse(prom)
-        .map(|d| d.samples.len())
-        .unwrap_or(0);
-    let snapshots = jsonl.lines().filter(|l| !l.trim().is_empty()).count();
-    (series, snapshots, failures)
+    (lines, failures)
 }
 
 #[cfg(test)]
@@ -419,49 +148,35 @@ mod tests {
     use super::*;
     use simlocal::obs::{Metric, Registry};
 
-    /// A registry with activity in every section.
-    fn busy_registry() -> Registry {
+    /// A two-line export of a registry with activity in both sections.
+    fn real_export() -> String {
         let reg = Registry::new(2);
         reg.add(Metric::EngineRounds, 0, 9);
         reg.add(Metric::HarnessTrials, 0, 3);
         reg.add(Metric::ActorBarrierWaitNs, 1, 1234);
         reg.observe(Metric::ActorBarrierWaitHistNs, 1, 1234);
         reg.observe(Metric::ActorBarrierWaitHistNs, 0, 7);
-        reg.set(Metric::TransportInboxDepth, 0, 2);
-        reg
+        let mut jsonl = reg.jsonl_snapshot("t1");
+        reg.add(Metric::EngineRounds, 0, 1);
+        reg.observe(Metric::EngineRoundWallNs, 0, 0);
+        jsonl.push_str(&reg.jsonl_snapshot("final"));
+        jsonl
+    }
+
+    /// Fails unless checking `jsonl` reports a failure containing `what`.
+    fn assert_caught(jsonl: &str, what: &str) {
+        let (_, failures) = check_metrics(jsonl);
+        assert!(
+            failures.iter().any(|f| f.contains(what)),
+            "expected a failure naming `{what}`, got {failures:?}"
+        );
     }
 
     #[test]
     fn real_export_passes_all_checks() {
-        let reg = busy_registry();
-        let mut jsonl = reg.jsonl_snapshot("t1");
-        reg.add(Metric::EngineRounds, 0, 1);
-        jsonl.push_str(&reg.jsonl_snapshot("final"));
-        let prom = reg.prometheus_text();
-        let (series, snapshots, failures) = check_metrics(&prom, &jsonl);
+        let (snapshots, failures) = check_metrics(&real_export());
         assert!(failures.is_empty(), "{failures:?}");
-        assert!(series > 30, "every declared metric exports series");
         assert_eq!(snapshots, 2);
-    }
-
-    #[test]
-    fn duplicate_series_and_missing_type_are_caught() {
-        let text = "# TYPE a_total counter\na_total 1\na_total 2\nb_total 3\n";
-        let failures = check_exposition(text);
-        assert!(failures.iter().any(|f| f.contains("duplicate series")));
-        assert!(failures.iter().any(|f| f.contains("no TYPE declaration")));
-    }
-
-    #[test]
-    fn non_cumulative_histogram_is_caught() {
-        let text = "# TYPE h histogram\n\
-                    h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n\
-                    h_bucket{le=\"+Inf\"} 3\nh_sum 9\nh_count 3\n";
-        let failures = check_exposition(text);
-        assert!(
-            failures.iter().any(|f| f.contains("not cumulative")),
-            "{failures:?}"
-        );
     }
 
     #[test]
@@ -472,31 +187,52 @@ mod tests {
         let fresh = Registry::new(1);
         fresh.add(Metric::EngineRounds, 0, 3);
         let b = fresh.jsonl_snapshot("b");
-        let failures = check_jsonl(&format!("{a}{b}"), &fresh.prometheus_text());
-        assert!(
-            failures.iter().any(|f| f.contains("decreased")),
-            "{failures:?}"
-        );
+        assert_caught(&format!("{a}{b}"), "decreased");
     }
 
     #[test]
-    fn final_snapshot_must_match_exposition() {
-        let reg = Registry::new(1);
-        reg.add(Metric::EngineRounds, 0, 5);
-        let jsonl = reg.jsonl_snapshot("final");
-        reg.add(Metric::EngineRounds, 0, 1); // exposition written later
-        let failures = check_jsonl(&jsonl, &reg.prometheus_text());
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("disagrees with exposition")),
-            "{failures:?}"
-        );
+    fn counter_appearing_mid_stream_is_caught() {
+        let a = r#"{"tag":"a","counters":{"x_total":{"":1}},"hists":{}}"#;
+        let b = r#"{"tag":"b","counters":{"x_total":{"":1},"y_total":{"":0}},"hists":{}}"#;
+        assert_caught(&format!("{a}\n{b}\n"), "`y_total`[] appeared mid-stream");
     }
 
     #[test]
-    fn garbage_prom_reports_line_errors() {
-        let (_, _, failures) = check_metrics("not a metric line\n", "");
-        assert!(!failures.is_empty());
+    fn histogram_buckets_must_sum_to_count() {
+        let line =
+            r#"{"tag":"a","counters":{},"hists":{"h":{"":{"count":3,"sum":9,"buckets":[1,1]}}}}"#;
+        assert_caught(line, "buckets sum to 2, not its count 3");
+        let real = real_export();
+        let broken = real.replacen("\"count\":1,", "\"count\":2,", 1);
+        assert_ne!(broken, real);
+        assert_caught(&broken, "not its count 2");
+    }
+
+    #[test]
+    fn duplicate_metric_or_shard_key_is_caught() {
+        let line = r#"{"tag":"a","counters":{"x_total":{"":1},"x_total":{"":1}},"hists":{}}"#;
+        assert_caught(line, "metric `x_total` appears more than once");
+        let line = r#"{"tag":"a","counters":{"x_total":{"0":1,"0":2}},"hists":{}}"#;
+        assert_caught(line, "`x_total` repeats shard `0`");
+        let line = r#"{"tag":"a","counters":{"h":{"":1}},"hists":{"h":{"":{"count":0,"sum":0,"buckets":[]}}}}"#;
+        assert_caught(line, "metric `h` appears more than once");
+    }
+
+    #[test]
+    fn blank_or_unparsable_line_is_caught() {
+        let real = real_export();
+        let (first, rest) = real.split_once('\n').unwrap();
+        assert_caught(&format!("{first}\n\n{rest}"), "snapshot 2: blank line");
+        assert_caught(&format!("{first}\nnot json\n{rest}"), "snapshot 2:");
+        assert_caught(
+            &format!("{}\n{rest}", &first[..first.len() / 2]),
+            "snapshot 1:",
+        );
+        assert_caught("", "JSONL stream is empty");
+        assert_caught(
+            r#"{"tag":"a","counters":{"x_total":{"":-1}},"hists":{}}"#,
+            "is not a non-negative number",
+        );
+        assert_caught(r#"{"counters":{},"hists":{}}"#, "tag: missing field `tag`");
     }
 }

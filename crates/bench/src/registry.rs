@@ -40,7 +40,8 @@ use std::sync::OnceLock;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The sync sparse engine ([`simlocal::Runner`]) — sequential, or
-    /// rayon-parallel when [`ExecOptions::parallel`] is set.
+    /// fanning each round out over `std::thread::scope` workers when
+    /// [`ExecOptions::parallel`] is set.
     #[default]
     Sync,
     /// The actor backend ([`simlocal::ActorRunner`]): vertex shards as
@@ -105,7 +106,8 @@ impl Backend {
         vec![
             (
                 "sync",
-                "sparse synchronous engine (default; --parallel selects the rayon path)",
+                "sparse synchronous engine (default; trace and distsym run take --parallel \
+                 to fan rounds out over worker threads)",
             ),
             (
                 "actor",

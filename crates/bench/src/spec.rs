@@ -509,37 +509,29 @@ fn churn_label(plan: &graphcore::churn::ChurnPlan) -> String {
     )
 }
 
-/// The metrics-JSONL sibling of a `--metrics PATH`: `PATH.jsonl`.
-fn metrics_jsonl_path(prom: &Path) -> PathBuf {
-    let mut os = prom.as_os_str().to_owned();
-    os.push(".jsonl");
-    PathBuf::from(os)
-}
-
 /// A `--metrics PATH` export, shared by the suite binaries and `trace`:
 /// one registry, sized for the backend, that every run of the
-/// invocation records into, and the `PATH.jsonl` stream of cumulative
-/// snapshots.
+/// invocation records into, and the JSONL stream of its cumulative
+/// snapshots at `PATH`.
 pub struct MetricsExport {
     /// The registry the runs record into.
     pub registry: simlocal::obs::Registry,
-    prom: PathBuf,
+    path: PathBuf,
     jsonl: std::fs::File,
 }
 
 impl MetricsExport {
-    /// Sizes the registry for `backend` and creates `PATH.jsonl`
-    /// (creating parent directories).
-    pub fn create(prom: &Path, backend: registry::Backend) -> Result<MetricsExport, String> {
-        if let Some(dir) = prom.parent() {
+    /// Sizes the registry for `backend` and creates `path` (creating
+    /// parent directories).
+    pub fn create(path: &Path, backend: registry::Backend) -> Result<MetricsExport, String> {
+        if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         }
-        let path = metrics_jsonl_path(prom);
-        let jsonl = std::fs::File::create(&path)
+        let jsonl = std::fs::File::create(path)
             .map_err(|e| format!("create metrics JSONL {}: {e}", path.display()))?;
         Ok(MetricsExport {
             registry: backend.metrics_registry(),
-            prom: prom.to_path_buf(),
+            path: path.to_path_buf(),
             jsonl,
         })
     }
@@ -551,17 +543,15 @@ impl MetricsExport {
             .map_err(|e| format!("write metrics snapshot: {e}"))
     }
 
-    /// Ends the export: a last snapshot tagged `tag`, the Prometheus
-    /// exposition at `PATH`, and the one-line `#obs` summary.
+    /// Ends the export: a last snapshot tagged `tag` and the one-line
+    /// `#obs` summary.
     pub fn finish(self, tag: &str) -> Result<(), String> {
         use simlocal::obs::Metric;
         self.snapshot(tag)?;
         let r = &self.registry;
-        std::fs::write(&self.prom, r.prometheus_text())
-            .map_err(|e| format!("write metrics exposition {}: {e}", self.prom.display()))?;
         println!(
             "#obs trials={} engine_rounds={} actor_rounds={} steps={} msg_bits={} \
-             barrier_wait_ns={} transport_bytes_out={} prom={} jsonl={}",
+             barrier_wait_ns={} transport_bytes_out={} jsonl={}",
             r.total(Metric::HarnessTrials),
             r.total(Metric::EngineRounds),
             r.total(Metric::ActorRounds),
@@ -569,8 +559,7 @@ impl MetricsExport {
             r.total(Metric::EngineMsgBits) + r.total(Metric::ActorMsgBits),
             r.total(Metric::ActorBarrierWaitNs),
             r.total(Metric::TransportBytesOut),
-            self.prom.display(),
-            metrics_jsonl_path(&self.prom).display(),
+            self.path.display(),
         );
         Ok(())
     }
@@ -649,13 +638,19 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
         std::process::exit(0);
     }
     // `--metrics PATH`: one registry spans the whole invocation. A JSONL
-    // snapshot is appended after every experiment (tag = experiment id)
-    // and the final Prometheus exposition goes to PATH.
+    // snapshot is appended to PATH after every `Rows` or `Dynamic`
+    // experiment that ran (tag = experiment id), and a last one tagged
+    // `final` when the suite ends.
     let export = cli
         .metrics
         .as_ref()
         .map(|p| MetricsExport::create(p, cli.backend).unwrap_or_else(|e| panic!("{e}")));
     let metrics_reg = export.as_ref().map(|x| &x.registry);
+    let snapshot = |tag: &str| {
+        if let Some(x) = &export {
+            x.snapshot(tag).unwrap_or_else(|e| panic!("{e}"));
+        }
+    };
     // One workload cache and one job-id space span the invocation, so
     // graphs are shared across specs and every job of a suite run has a
     // globally unique, stable id.
@@ -676,9 +671,7 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
                 if rows.is_empty() {
                     continue;
                 }
-                if let Some(x) = &export {
-                    x.snapshot(spec.id).unwrap_or_else(|e| panic!("{e}"));
-                }
+                snapshot(spec.id);
                 print_rows(spec.title, &rows);
                 if let Some(post) = post {
                     post(cli, &rows);
@@ -714,6 +707,7 @@ pub fn execute(suite: &'static str, specs: &[ExperimentSpec], cli: &Cli) -> Suit
                 if rows.is_empty() {
                     continue;
                 }
+                snapshot(spec.id);
                 print_rows(spec.title, &rows);
                 active_bounds.extend(bounds.iter().cloned());
                 all_rows.extend(rows);
@@ -837,4 +831,55 @@ pub fn render_index(suites: &[(&'static str, Vec<ExperimentSpec>)]) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metricscheck::check_metrics;
+    use crate::results::Json;
+
+    #[test]
+    fn dynamic_specs_append_a_metrics_snapshot() {
+        let path =
+            std::env::temp_dir().join(format!("spec-dynamic-metrics-{}.jsonl", std::process::id()));
+        let args = ["--quick", "--metrics", path.to_str().unwrap()];
+        let cli = Cli::parse_from(args.map(String::from)).unwrap();
+        let specs = [ExperimentSpec::dynamic(
+            "D.t",
+            "D.t: churn with a metrics export",
+            vec![WorkloadSpec::ForestAt {
+                n_quick: 256,
+                n_full: 256,
+                a: 2,
+                seed: 3,
+            }],
+            vec![RunSpec::new("D.t", "mis_luby")],
+            graphcore::churn::ChurnPlan {
+                seed: 4,
+                batches: 2,
+                inserts_per_batch: 1,
+                deletes_per_batch: 1,
+            },
+            vec![],
+        )];
+        execute("spec-test", &specs, &cli);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let (_, failures) = check_metrics(&text);
+        assert!(failures.is_empty(), "{failures:?}");
+        let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let tags: Vec<&str> = lines
+            .iter()
+            .map(|l| l.get("tag").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(tags, ["D.t", "final"]);
+        // The spec's own line already holds its warm runs.
+        let warm_runs = lines[0]
+            .get("counters")
+            .and_then(|c| c.get("simlocal_engine_warm_runs_total"))
+            .and_then(|m| m.get_u64(""))
+            .unwrap();
+        assert_eq!(warm_runs, 2, "one warm run per churn batch");
+    }
 }

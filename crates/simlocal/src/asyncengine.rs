@@ -279,7 +279,7 @@ struct ShardResult<P: Protocol> {
     stalled: Option<BarrierStall>,
     /// Last round this shard fully completed (broadcast and drained).
     last_round: u32,
-    /// The transport's tallies, read at retirement (before lingering).
+    /// The transport's outgoing tallies, read at retirement.
     transport: TransportStats,
     /// Peer retirements the barrier had registered when this shard
     /// retired.
@@ -293,7 +293,7 @@ impl<P: Protocol> ShardResult<P> {
     /// Records the retired shard `sid`'s counts into its registry slots,
     /// once per completed run: its rounds, its steps (the sum of its
     /// vertices' termination rounds), its wire bits, its retirement and
-    /// deregistrations, and its transport's tallies.
+    /// deregistrations, and its transport's outgoing tallies.
     fn record(&self, reg: &Registry, sid: usize) {
         let t = &self.transport;
         for (m, v) in [
@@ -306,16 +306,11 @@ impl<P: Protocol> ShardResult<P> {
             (Metric::ActorRetire, 1),
             (Metric::ActorDeregister, self.deregistered),
             (Metric::TransportBatchesOut, t.batches_out),
-            (Metric::TransportBatchesIn, t.batches_in),
             (Metric::TransportEntriesOut, t.entries_out),
-            (Metric::TransportEntriesIn, t.entries_in),
             (Metric::TransportBytesOut, t.bytes_out),
-            (Metric::TransportBytesIn, t.bytes_in),
-            (Metric::TransportFramesIn, t.frames_in),
         ] {
             reg.add(m, sid, v);
         }
-        reg.set(Metric::TransportInboxDepth, sid, t.inbox_depth);
     }
 }
 
@@ -683,8 +678,9 @@ fn run_actors<P: Protocol, Ob: Observer, T: Transport<P::Msg>>(
     Ok(SimOutcome::derived(outputs, termination_round, stats))
 }
 
-/// Execution entry point for the actor backend — the [`Runner`]
-/// (crate::Runner) shape, plus a shard count and a transport choice:
+/// Execution entry point for the actor backend — the
+/// [`Runner`](crate::Runner) shape, plus a shard count and a transport
+/// choice:
 ///
 /// ```
 /// use simlocal::asyncengine::ActorRunner;

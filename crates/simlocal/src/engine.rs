@@ -39,10 +39,9 @@
 //!
 //! Observers ride the same kernel: on observed runs each worker's slots
 //! tally its steps and terminations per phase, and the coordinating
-//! thread sums the tallies into the round's one
-//! [`RoundRecord`](crate::RoundRecord). Property tests pin every mode,
-//! observed and unobserved, byte-identical to the retained dense engine
-//! in [`crate::reference`].
+//! thread sums the tallies into the round's one [`RoundRecord`].
+//! Property tests pin every mode, observed and unobserved, byte-identical
+//! to the retained dense engine in [`crate::reference`].
 //!
 //! ## Allocation discipline
 //!

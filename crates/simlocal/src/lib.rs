@@ -33,7 +33,7 @@
 //! Randomized protocols draw from a per-`(run seed, vertex, round)` ChaCha
 //! stream ([`rng::vertex_round_rng`]), so a step is a pure function of its
 //! inputs; sequential and parallel execution produce byte-identical
-//! outcomes (tested against the naive engine in [`reference`]).
+//! outcomes (tested against the naive engine in [`reference`](mod@reference)).
 //!
 //! ## Execution API
 //!

@@ -3,9 +3,9 @@
 //!
 //! The registry is deliberately dumb: every metric the runtime can
 //! record is declared once in the [`METRICS`] table, and a
-//! [`Registry`] is nothing but a fixed block of [`AtomicU64`] slots
-//! (one per metric, or one per metric × shard for per-shard metrics)
-//! plus a block of log₂ histograms with the same bucketing as
+//! [`Registry`] is nothing but a fixed block of [`AtomicU64`] counter
+//! slots (one per metric, or one per metric × shard for per-shard
+//! metrics) plus a block of log₂ histograms with the same bucketing as
 //! [`trace::Histogram`](crate::trace::Histogram). There is no
 //! interior locking, no registration-at-runtime, and no string
 //! hashing on the hot path — recording is a `fetch_add(Relaxed)` at a
@@ -23,12 +23,13 @@
 //!
 //! ## Counts and timings
 //!
-//! A count (rounds, steps, message bits, transport traffic, warm-start
-//! re-steps) is written once per completed run, copied from the values
-//! the run returns — its `EngineStats`, or each actor shard's result —
-//! so it agrees with the run's own record by construction. Only what a
-//! run cannot return is recorded as it goes: phase laps, barrier waits
-//! and the per-round wall-time histograms. A run that returns an error
+//! A count (rounds, steps, message bits, outgoing transport traffic,
+//! warm-start re-steps) is written once per completed run, copied from
+//! the values the run returns — its `EngineStats`, or each actor
+//! shard's result — so it agrees with the run's own record by
+//! construction and repeats exactly from run to run. Only what a run
+//! cannot return is recorded as it goes: phase laps, barrier waits and
+//! the per-round wall-time histograms. A run that returns an error
 //! records its timings but no counts, just as `EngineStats` exists only
 //! for completed runs.
 //!
@@ -38,18 +39,15 @@
 //! `simlocal_<subsystem>_<what>[_<unit>][_total]`, where subsystem is
 //! one of `engine` (sync round loop), `actor` (shard threads),
 //! `transport` (links), or `harness` (trial driver). Per-shard
-//! metrics carry a single `shard="K"` label; global metrics carry no
-//! labels. Durations are nanosecond counters (`_ns_total`) so rates
+//! metrics carry a shard label `"K"`; global metrics carry the empty
+//! label. Durations are nanosecond counters (`_ns_total`) so rates
 //! and fractions fall out of plain counter arithmetic.
 //!
-//! ## Exposition
+//! ## Export
 //!
-//! [`Registry::write_prometheus`] renders the standard text format
-//! (`# HELP`/`# TYPE`, cumulative `_bucket{le=...}` histograms);
 //! [`Registry::write_jsonl_snapshot`] appends one self-contained JSON
-//! line per call so a stream of snapshots can be checked for counter
-//! monotonicity; [`Registry::chrome_counters`] flattens the scalar
-//! series for merging into the Chrome-trace export as `"C"` events.
+//! line per call, so a stream of snapshots from one registry can be
+//! checked for counter monotonicity; it is the one export format.
 
 use crate::trace::Histogram;
 use std::io::{self, Write};
@@ -62,29 +60,26 @@ use std::time::Instant;
 /// fixed at the full `u64` range so slots never resize.
 pub const HIST_BUCKETS: usize = 65;
 
-/// What kind of series a metric is (decides exposition format and
+/// What kind of series a metric is (decides its snapshot section and
 /// which consistency checks apply to it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically non-decreasing sum.
     Counter,
-    /// A point-in-time level; may move both ways.
-    Gauge,
     /// A log₂ distribution of recorded values.
     Histogram,
 }
 
-/// One row of the metric table: the wire name, help text, kind, and
-/// whether the metric has one slot per shard or a single global slot.
+/// One row of the metric table: the series name, kind, and whether the
+/// metric has one slot per shard or a single global slot.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricDef {
-    /// Prometheus series name.
+    /// Series name.
     pub name: &'static str,
-    /// One-line help text (the `# HELP` line).
-    pub help: &'static str,
-    /// Counter, gauge, or histogram.
+    /// Counter or histogram.
     pub kind: MetricKind,
-    /// Whether the metric is recorded per shard (`shard="K"` label).
+    /// Whether the metric has one slot per shard, labelled `"K"`, rather
+    /// than one global slot.
     pub per_shard: bool,
 }
 
@@ -100,11 +95,11 @@ macro_rules! metric_table {
 
         /// The full metric table, indexed by `Metric as usize`.
         pub const METRICS: &[MetricDef] = &[
-            $(MetricDef { name: $name, help: $help, kind: MetricKind::$kind, per_shard: $per_shard },)+
+            $(MetricDef { name: $name, kind: MetricKind::$kind, per_shard: $per_shard },)+
         ];
 
-        /// All metrics in table order (for iteration in exposition
-        /// and in the docs drift test).
+        /// All metrics in table order (for iteration in the snapshot
+        /// writer and in the docs drift test).
         pub const ALL_METRICS: &[Metric] = &[$(Metric::$variant,)+];
     };
 }
@@ -160,20 +155,10 @@ metric_table! {
     // Transport links (one endpoint per shard).
     (TransportBatchesOut, "simlocal_transport_batches_out_total", Counter, true,
      "Batches this shard sent to peers live at round start."),
-    (TransportBatchesIn, "simlocal_transport_batches_in_total", Counter, true,
-     "Batches this shard received from peers."),
     (TransportEntriesOut, "simlocal_transport_entries_out_total", Counter, true,
      "Vertex updates this shard sent to peers live at round start."),
-    (TransportEntriesIn, "simlocal_transport_entries_in_total", Counter, true,
-     "Vertex updates this shard received from peers."),
     (TransportBytesOut, "simlocal_transport_bytes_out_total", Counter, true,
      "Encoded frame bytes this shard sent to peers live at round start (0 for the in-process channel transport)."),
-    (TransportBytesIn, "simlocal_transport_bytes_in_total", Counter, true,
-     "Encoded frame bytes this shard's reader threads received (0 for the in-process channel transport)."),
-    (TransportFramesIn, "simlocal_transport_frames_in_total", Counter, true,
-     "Frames this shard's reader threads decoded (0 for the in-process channel transport)."),
-    (TransportInboxDepth, "simlocal_transport_inbox_depth", Gauge, true,
-     "Batches queued in this shard's inbox when it last looked (channel occupancy)."),
     // Harness trial driver (global).
     (HarnessTrials, "simlocal_harness_trials_total", Counter, false,
      "Trials the harness executed."),
@@ -239,10 +224,10 @@ impl AtomicHistogram {
 }
 
 /// The fixed-slot metrics registry. Create one per run (or per suite
-/// invocation), hand shard threads [`ShardObs`] handles, and render
-/// with the exposition writers when the run completes. All recording
-/// uses relaxed atomics — thread join is the synchronization point,
-/// exactly as for the shard results themselves.
+/// invocation), hand shard threads [`ShardObs`] handles, and write
+/// snapshots as the runs complete. All recording uses relaxed atomics —
+/// thread join is the synchronization point, exactly as for the shard
+/// results themselves.
 pub struct Registry {
     shards: usize,
     scalars: Vec<AtomicU64>,
@@ -279,7 +264,7 @@ impl Registry {
                     hist_base.push(hists);
                     hists += slots;
                 }
-                MetricKind::Counter | MetricKind::Gauge => {
+                MetricKind::Counter => {
                     scalar_base.push(scalars);
                     hist_base.push(usize::MAX);
                     scalars += slots;
@@ -325,14 +310,9 @@ impl Registry {
         &self.hists[base + if def.per_shard { shard } else { 0 }]
     }
 
-    /// Adds `delta` to a counter (or gauge) slot.
+    /// Adds `delta` to a counter slot.
     pub fn add(&self, m: Metric, shard: usize, delta: u64) {
         self.scalar_slot(m, shard).fetch_add(delta, Relaxed);
-    }
-
-    /// Stores an absolute value into a gauge slot.
-    pub fn set(&self, m: Metric, shard: usize, value: u64) {
-        self.scalar_slot(m, shard).store(value, Relaxed);
     }
 
     /// Records one observation into a histogram slot.
@@ -340,12 +320,12 @@ impl Registry {
         self.hist_slot(m, shard).observe(value);
     }
 
-    /// Current value of one counter/gauge slot.
+    /// Current value of one counter slot.
     pub fn value(&self, m: Metric, shard: usize) -> u64 {
         self.scalar_slot(m, shard).load(Relaxed)
     }
 
-    /// Sum of a counter/gauge over all its slots (equals
+    /// Sum of a counter over all its slots (equals
     /// [`value`](Registry::value)`(m, 0)` for global metrics).
     pub fn total(&self, m: Metric) -> u64 {
         let slots = if METRICS[m as usize].per_shard {
@@ -370,160 +350,63 @@ impl Registry {
         }
     }
 
-    /// Writes the registry in the Prometheus text exposition format.
-    /// Every declared series is emitted (zeros included) so scrapes
-    /// are schema-stable; histograms render as cumulative
-    /// `_bucket{le="..."}` series up to their highest non-empty
-    /// bucket, plus `_sum` and `_count`.
-    pub fn write_prometheus<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for &m in ALL_METRICS {
-            let def = &METRICS[m as usize];
-            let kind = match def.kind {
-                MetricKind::Counter => "counter",
-                MetricKind::Gauge => "gauge",
-                MetricKind::Histogram => "histogram",
-            };
-            writeln!(w, "# HELP {} {}", def.name, def.help)?;
-            writeln!(w, "# TYPE {} {}", def.name, kind)?;
-            for shard in 0..self.slots_of(m) {
-                let label = |le: Option<String>| -> String {
-                    let mut parts = Vec::new();
-                    if def.per_shard {
-                        parts.push(format!("shard=\"{shard}\""));
-                    }
-                    if let Some(le) = le {
-                        parts.push(format!("le=\"{le}\""));
-                    }
-                    if parts.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{{{}}}", parts.join(","))
-                    }
-                };
-                match def.kind {
-                    MetricKind::Counter | MetricKind::Gauge => {
-                        writeln!(w, "{}{} {}", def.name, label(None), self.value(m, shard))?;
-                    }
-                    MetricKind::Histogram => {
-                        let h = self.histogram(m, shard);
-                        let mut cum = 0u64;
-                        for (i, &b) in h.buckets().iter().enumerate() {
-                            cum += b;
-                            // Bucket i covers values of bit length i;
-                            // its inclusive upper bound is 2^i - 1.
-                            let le = if i == 0 {
-                                "0".to_string()
-                            } else if i >= 64 {
-                                u64::MAX.to_string()
-                            } else {
-                                ((1u64 << i) - 1).to_string()
-                            };
-                            writeln!(w, "{}_bucket{} {}", def.name, label(Some(le)), cum)?;
-                        }
-                        writeln!(
-                            w,
-                            "{}_bucket{} {}",
-                            def.name,
-                            label(Some("+Inf".to_string())),
-                            h.count()
-                        )?;
-                        writeln!(w, "{}_sum{} {}", def.name, label(None), h.sum())?;
-                        writeln!(w, "{}_count{} {}", def.name, label(None), h.count())?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`write_prometheus`](Registry::write_prometheus) into a string.
-    pub fn prometheus_text(&self) -> String {
-        let mut out = Vec::new();
-        self.write_prometheus(&mut out).expect("write to Vec");
-        String::from_utf8(out).expect("exposition is ASCII")
-    }
-
     /// Appends one self-contained JSON snapshot line:
-    /// `{"tag":...,"counters":{name:{label:v}},"gauges":{...},"hists":{name:{label:{"count":c,"sum":s,"buckets":[..]}}}}`
-    /// where `label` is the shard index (`""` for global metrics).
-    /// Counter values are non-decreasing across successive lines from
-    /// the same registry, which is what the CI schema check gates.
+    /// `{"tag":...,"counters":{name:{label:v}},"hists":{name:{label:{"count":c,"sum":s,"buckets":[..]}}}}`
+    /// where `label` is the shard index (`""` for global metrics) and a
+    /// histogram's `buckets` are per-bucket counts, trailing zeros
+    /// dropped. Every declared metric appears once per line, zeros
+    /// included, and counter values are non-decreasing across
+    /// successive lines from the same registry, which is what the CI
+    /// schema check gates.
     pub fn write_jsonl_snapshot<W: Write>(&self, w: &mut W, tag: &str) -> io::Result<()> {
-        let mut line = String::from("{\"tag\":\"");
+        let mut escaped = String::new();
         for c in tag.chars() {
             match c {
-                '"' => line.push_str("\\\""),
-                '\\' => line.push_str("\\\\"),
-                c if (c as u32) < 0x20 => line.push_str(&format!("\\u{:04x}", c as u32)),
-                c => line.push(c),
+                '"' => escaped.push_str("\\\""),
+                '\\' => escaped.push_str("\\\\"),
+                c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
+                c => escaped.push(c),
             }
         }
-        line.push('"');
-        for (section, kind) in [
-            ("counters", MetricKind::Counter),
-            ("gauges", MetricKind::Gauge),
-        ] {
-            line.push_str(&format!(",\"{section}\":{{"));
-            let mut first = true;
-            for &m in ALL_METRICS {
-                let def = &METRICS[m as usize];
-                if def.kind != kind {
-                    continue;
-                }
-                if !first {
-                    line.push(',');
-                }
-                first = false;
-                line.push_str(&format!("\"{}\":{{", def.name));
-                for shard in 0..self.slots_of(m) {
-                    if shard > 0 {
-                        line.push(',');
-                    }
-                    let key = if def.per_shard {
+        let (mut counters, mut hists) = (Vec::new(), Vec::new());
+        for &m in ALL_METRICS {
+            let def = &METRICS[m as usize];
+            let slots: Vec<String> = (0..self.slots_of(m))
+                .map(|shard| {
+                    let label = if def.per_shard {
                         shard.to_string()
                     } else {
                         String::new()
                     };
-                    line.push_str(&format!("\"{key}\":{}", self.value(m, shard)));
-                }
-                line.push('}');
+                    let value = match def.kind {
+                        MetricKind::Counter => self.value(m, shard).to_string(),
+                        MetricKind::Histogram => {
+                            let h = self.histogram(m, shard);
+                            let buckets: Vec<String> =
+                                h.buckets().iter().map(|b| b.to_string()).collect();
+                            format!(
+                                "{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                                h.count(),
+                                h.sum(),
+                                buckets.join(",")
+                            )
+                        }
+                    };
+                    format!("\"{label}\":{value}")
+                })
+                .collect();
+            let series = format!("\"{}\":{{{}}}", def.name, slots.join(","));
+            match def.kind {
+                MetricKind::Counter => counters.push(series),
+                MetricKind::Histogram => hists.push(series),
             }
-            line.push('}');
         }
-        line.push_str(",\"hists\":{");
-        let mut first = true;
-        for &m in ALL_METRICS {
-            let def = &METRICS[m as usize];
-            if def.kind != MetricKind::Histogram {
-                continue;
-            }
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            line.push_str(&format!("\"{}\":{{", def.name));
-            for shard in 0..self.slots_of(m) {
-                if shard > 0 {
-                    line.push(',');
-                }
-                let key = if def.per_shard {
-                    shard.to_string()
-                } else {
-                    String::new()
-                };
-                let h = self.histogram(m, shard);
-                let buckets: Vec<String> = h.buckets().iter().map(|b| b.to_string()).collect();
-                line.push_str(&format!(
-                    "\"{key}\":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                    h.count(),
-                    h.sum(),
-                    buckets.join(",")
-                ));
-            }
-            line.push('}');
-        }
-        line.push_str("}}");
-        writeln!(w, "{line}")
+        writeln!(
+            w,
+            "{{\"tag\":\"{escaped}\",\"counters\":{{{}}},\"hists\":{{{}}}}}",
+            counters.join(","),
+            hists.join(",")
+        )
     }
 
     /// [`write_jsonl_snapshot`](Registry::write_jsonl_snapshot) into a
@@ -533,32 +416,6 @@ impl Registry {
         self.write_jsonl_snapshot(&mut out, tag)
             .expect("write to Vec");
         String::from_utf8(out).expect("snapshot is valid UTF-8")
-    }
-
-    /// Flattens every non-zero counter/gauge slot into
-    /// `(series-with-label, value)` pairs for merging into the
-    /// Chrome-trace export as counter (`"C"`) events.
-    pub fn chrome_counters(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::new();
-        for &m in ALL_METRICS {
-            let def = &METRICS[m as usize];
-            if def.kind == MetricKind::Histogram {
-                continue;
-            }
-            for shard in 0..self.slots_of(m) {
-                let v = self.value(m, shard);
-                if v == 0 {
-                    continue;
-                }
-                let name = if def.per_shard {
-                    format!("{}{{shard=\"{shard}\"}}", def.name)
-                } else {
-                    def.name.to_string()
-                };
-                out.push((name, v));
-            }
-        }
-        out
     }
 }
 
@@ -636,23 +493,24 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_is_wellformed() {
+    fn every_metric_appears_once_per_snapshot() {
         let reg = Registry::new(2);
         reg.add(Metric::EngineRounds, 0, 9);
         reg.add(Metric::ActorBarrierWaitNs, 1, 1234);
         reg.observe(Metric::ActorBarrierWaitHistNs, 1, 1234);
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE simlocal_engine_rounds_total counter"));
-        assert!(text.contains("simlocal_engine_rounds_total 9"));
-        assert!(text.contains("simlocal_actor_barrier_wait_ns_total{shard=\"1\"} 1234"));
-        assert!(text.contains("simlocal_actor_barrier_wait_ns_bucket{shard=\"1\",le=\"+Inf\"} 1"));
-        assert!(text.contains("simlocal_actor_barrier_wait_ns_sum{shard=\"1\"} 1234"));
-        // Every declared series name appears exactly once as a TYPE line.
+        let line = reg.jsonl_snapshot("t");
+        assert!(line.contains("\"simlocal_engine_rounds_total\":{\"\":9}"));
+        assert!(line.contains("\"simlocal_actor_barrier_wait_ns_total\":{\"0\":0,\"1\":1234}"));
+        assert!(line.contains(
+            "\"simlocal_actor_barrier_wait_ns\":{\"0\":{\"count\":0,\"sum\":0,\"buckets\":[]},\
+             \"1\":{\"count\":1,\"sum\":1234,\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,1]}}"
+        ));
+        // Every declared series appears exactly once, zeros included.
         for name in metric_names() {
             assert_eq!(
-                text.matches(&format!("# TYPE {name} ")).count(),
+                line.matches(&format!("\"{name}\":{{")).count(),
                 1,
-                "{name} TYPE line"
+                "{name} in {line}"
             );
         }
     }
@@ -674,20 +532,6 @@ mod tests {
         let reg = Registry::new(1);
         let line = reg.jsonl_snapshot("a\"b\\c");
         assert!(line.starts_with("{\"tag\":\"a\\\"b\\\\c\""));
-    }
-
-    #[test]
-    fn chrome_counters_skip_zero_series() {
-        let reg = Registry::new(2);
-        reg.add(Metric::TransportBytesOut, 1, 77);
-        let counters = reg.chrome_counters();
-        assert_eq!(
-            counters,
-            vec![(
-                "simlocal_transport_bytes_out_total{shard=\"1\"}".to_string(),
-                77
-            )]
-        );
     }
 
     #[test]

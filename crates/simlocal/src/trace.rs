@@ -136,20 +136,7 @@ impl TraceLog {
     /// sum of preceding round walls, so timestamps are monotone non-
     /// decreasing. `"ph":"C"` counter events track the active-set decay
     /// (Lemma 6.1's `n_i`) and the per-phase step counts per round.
-    pub fn write_chrome_trace<W: Write>(&self, w: W) -> io::Result<()> {
-        self.write_chrome_trace_with_counters(w, &[])
-    }
-
-    /// [`write_chrome_trace`](TraceLog::write_chrome_trace), plus one
-    /// trailing `"ph":"C"` counter event per `(series, value)` pair at
-    /// the final timestamp — the hook that merges end-of-run registry
-    /// counters ([`crate::obs::Registry::chrome_counters`]) into the
-    /// same timeline.
-    pub fn write_chrome_trace_with_counters<W: Write>(
-        &self,
-        mut w: W,
-        counters: &[(String, u64)],
-    ) -> io::Result<()> {
+    pub fn write_chrome_trace<W: Write>(&self, mut w: W) -> io::Result<()> {
         writeln!(w, "{{\"traceEvents\":[")?;
         let mut ts_us: u64 = 0;
         // A phase joins the "phase steps" counter from the first round
@@ -203,19 +190,6 @@ impl TraceLog {
                 )?;
             }
             ts_us += wall_us;
-        }
-        for (name, value) in counters {
-            // Series names can carry label syntax (`{shard="K"}`), so
-            // the quotes need JSON escaping.
-            let escaped = name.replace('\\', "\\\\").replace('"', "\\\"");
-            emit(
-                &mut w,
-                &mut first,
-                format!(
-                    "{{\"name\":\"{escaped}\",\"ph\":\"C\",\"ts\":{ts_us},\
-                     \"pid\":1,\"args\":{{\"value\":{value}}}}}"
-                ),
-            )?;
         }
         writeln!(w, "\n],\"displayTimeUnit\":\"ms\"}}")?;
         Ok(())

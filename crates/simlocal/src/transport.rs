@@ -12,8 +12,11 @@
 //!   ([`channel_mesh`]), moving `Msg` values directly (no serialization);
 //! * [`TcpTransport`] — length-prefixed frames over TCP sockets
 //!   ([`tcp_loopback_mesh`]), for runs whose shards do not share an
-//!   address space; messages cross as bytes via
-//!   [`WireCodec`](crate::wire::WireCodec).
+//!   address space; messages cross as bytes via [`WireCodec`].
+//!
+//! Each endpoint meters only what it sends ([`TransportStats`]): which
+//! peers a shard sends to in a round is fixed by the run, while what it
+//! has received when it retires depends on how far its peers ran ahead.
 //!
 //! Channel capacity and socket framing are transport concerns; *when* a
 //! shard may advance is not — the round barrier lives in the engine. The
@@ -27,9 +30,7 @@ use crate::wire::WireCodec;
 use graphcore::VertexId;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Default stall timeout: how long a `recv` may sit idle before the
@@ -95,17 +96,16 @@ pub enum Recv<M> {
     Stalled,
 }
 
-/// Cumulative I/O accounting for one shard's transport endpoint.
-/// Counters only grow; `inbox_depth` is a point-in-time level
-/// (batches delivered to this shard's inbox but not yet received).
-/// Byte and frame counts are zero for transports that move values
-/// without serializing (the in-process channel mesh).
+/// Cumulative outgoing traffic of one shard's transport endpoint. The
+/// byte count is zero for transports that move values without
+/// serializing (the in-process channel mesh).
 ///
-/// The outgoing counts are per send attempted to a peer live at round
-/// start, delivered or not. Which peers are live at the start of round
-/// `r` (those whose last round is ≥ `r`) is a function of the run alone,
-/// so the counts repeat exactly from run to run; whether a send reaches
-/// a peer that has just finished its last round is a race.
+/// Every count is per send attempted to a peer live at round start,
+/// delivered or not. Which peers are live at the start of round `r`
+/// (those whose last round is ≥ `r`) is a function of the run alone, so
+/// the counts repeat exactly from run to run; whether a send reaches a
+/// peer that has just finished its last round is a race. Nothing
+/// incoming is counted (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Batches sent to peers.
@@ -114,16 +114,6 @@ pub struct TransportStats {
     pub entries_out: u64,
     /// Encoded frame bytes sent to peers.
     pub bytes_out: u64,
-    /// Batches received from peers.
-    pub batches_in: u64,
-    /// Vertex updates received from peers.
-    pub entries_in: u64,
-    /// Encoded frame bytes read off the wire by reader threads.
-    pub bytes_in: u64,
-    /// Frames decoded by reader threads.
-    pub frames_in: u64,
-    /// Batches queued in this shard's inbox right now.
-    pub inbox_depth: u64,
 }
 
 /// A shard's endpoint: broadcast one batch per round, receive peers'.
@@ -155,7 +145,7 @@ pub trait Transport<M>: Send {
     /// [`Recv::Stalled`]. The default is a no-op for transports that
     /// never stall (test doubles, in-memory scripts).
     fn set_stall_timeout(&mut self, _timeout: Duration) {}
-    /// Cumulative I/O accounting for this endpoint. Transports that do
+    /// Cumulative outgoing traffic of this endpoint. Transports that do
     /// not meter return zeros.
     fn stats(&self) -> TransportStats {
         TransportStats::default()
@@ -172,19 +162,11 @@ fn inbox_capacity(shards: usize) -> usize {
 // In-process channels
 // ---------------------------------------------------------------------------
 
-/// A peer link: the sender plus the peer inbox's shared depth counter.
-type PeerTx<M> = (SyncSender<Batch<M>>, Arc<AtomicU64>);
-
 /// In-process transport: bounded mpsc channels in a full mesh, moving
 /// `Msg` values directly. Build one per shard with [`channel_mesh`].
-///
-/// Each inbox keeps a shared depth counter (senders increment, the
-/// owner decrements on receive) so [`Transport::stats`] can report
-/// channel occupancy without peeking into the channel itself.
 pub struct ChannelTransport<M> {
-    txs: Vec<Option<PeerTx<M>>>,
+    txs: Vec<Option<SyncSender<Batch<M>>>>,
     rx: Receiver<Batch<M>>,
-    depth: Arc<AtomicU64>,
     stall_timeout: Duration,
     stats: TransportStats,
 }
@@ -197,18 +179,15 @@ pub fn channel_mesh<M: Send>(shards: usize) -> Vec<ChannelTransport<M>> {
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
         .map(|_| std::sync::mpsc::sync_channel::<Batch<M>>(cap))
         .unzip();
-    let depths: Vec<Arc<AtomicU64>> = (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
     rxs.into_iter()
         .enumerate()
         .map(|(me, rx)| ChannelTransport {
             txs: txs
                 .iter()
-                .zip(&depths)
                 .enumerate()
-                .map(|(j, (tx, depth))| (j != me).then(|| (tx.clone(), Arc::clone(depth))))
+                .map(|(j, tx)| (j != me).then(|| tx.clone()))
                 .collect(),
             rx,
-            depth: Arc::clone(&depths[me]),
             stall_timeout: RECV_STALL_TIMEOUT,
             stats: TransportStats::default(),
         })
@@ -218,19 +197,14 @@ pub fn channel_mesh<M: Send>(shards: usize) -> Vec<ChannelTransport<M>> {
 impl<M: Clone + Send> Transport<M> for ChannelTransport<M> {
     fn broadcast(&mut self, batch: Batch<M>, live: &[bool]) {
         // A send error means the peer exited (retired and dropped its
-        // receiver) — by the trait contract that is a no-op. The depth
-        // bump happens before the send so the receiver's decrement can
-        // never observe it missing.
-        for (tx, depth) in self
+        // receiver) — by the trait contract that is a no-op.
+        for tx in self
             .txs
             .iter()
             .zip(live)
             .filter_map(|(tx, &l)| tx.as_ref().filter(|_| l))
         {
-            depth.fetch_add(1, Relaxed);
-            if tx.send(batch.clone()).is_err() {
-                depth.fetch_sub(1, Relaxed);
-            }
+            let _ = tx.send(batch.clone());
             self.stats.batches_out += 1;
             self.stats.entries_out += batch.entries.len() as u64;
         }
@@ -238,12 +212,7 @@ impl<M: Clone + Send> Transport<M> for ChannelTransport<M> {
 
     fn recv(&mut self) -> Recv<M> {
         match self.rx.recv_timeout(self.stall_timeout) {
-            Ok(batch) => {
-                self.depth.fetch_sub(1, Relaxed);
-                self.stats.batches_in += 1;
-                self.stats.entries_in += batch.entries.len() as u64;
-                Recv::Batch(batch)
-            }
+            Ok(batch) => Recv::Batch(batch),
             Err(RecvTimeoutError::Disconnected) => Recv::Closed,
             Err(RecvTimeoutError::Timeout) => Recv::Stalled,
         }
@@ -254,10 +223,7 @@ impl<M: Clone + Send> Transport<M> for ChannelTransport<M> {
     }
 
     fn stats(&self) -> TransportStats {
-        TransportStats {
-            inbox_depth: self.depth.load(Relaxed),
-            ..self.stats
-        }
+        self.stats
     }
 }
 
@@ -323,21 +289,9 @@ pub struct TcpTransport<M> {
     lost_seen: usize,
     stall_timeout: Duration,
     stats: TransportStats,
-    /// Counters the reader threads feed (they outlive borrows, so the
-    /// shared tallies ride an `Arc` instead of a registry reference).
-    inflow: Arc<Inflow>,
     // Keeps the inbox open while the endpoint lives even if every reader
     // thread has exited (so `recv` reports per-peer `Lost`, not `Closed`).
     _tx: SyncSender<Recv<M>>,
-}
-
-/// What the reader threads meter: wire bytes and frames in, plus the
-/// inbox depth (readers increment before enqueueing, `recv` decrements).
-#[derive(Default)]
-struct Inflow {
-    bytes: AtomicU64,
-    frames: AtomicU64,
-    depth: AtomicU64,
 }
 
 /// Builds a `shards`-way TCP full mesh over loopback: shard `i < j`
@@ -388,16 +342,14 @@ where
         .into_iter()
         .map(|peers| {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Recv<M>>(inbox_capacity(shards));
-            let inflow = Arc::new(Inflow::default());
             let mut kept = Vec::with_capacity(peers.len());
             for (peer, stream) in peers {
                 let reader = stream.try_clone()?;
                 let tx = tx.clone();
-                let inflow = Arc::clone(&inflow);
                 // Reader threads exit on EOF (peer retired and closed) or
                 // on socket error; either way they report `Lost` so the
                 // engine can tell clean retirement from a crashed shard.
-                std::thread::spawn(move || read_frames(peer, reader, tx, inflow));
+                std::thread::spawn(move || read_frames(peer, reader, tx));
                 kept.push((peer, stream));
             }
             Ok(TcpTransport {
@@ -406,7 +358,6 @@ where
                 lost_seen: 0,
                 stall_timeout: RECV_STALL_TIMEOUT,
                 stats: TransportStats::default(),
-                inflow,
                 _tx: tx,
             })
         })
@@ -430,28 +381,17 @@ fn read_payload(stream: &mut TcpStream) -> Option<Vec<u8>> {
 }
 
 /// Reader-thread body: decode length-prefixed frames from `stream` into
-/// `tx` until the peer closes or the inbox goes away, metering wire
-/// bytes and frames into `inflow`. A link that ends, breaks, or delivers
-/// an oversize or undecodable frame reports [`Recv::Lost`] — to the
-/// engine, a peer that misframes is as gone as one that hung up.
-fn read_frames<M: WireCodec>(
-    peer: usize,
-    mut stream: TcpStream,
-    tx: SyncSender<Recv<M>>,
-    inflow: Arc<Inflow>,
-) {
+/// `tx` until the peer closes or the inbox goes away. A link that ends,
+/// breaks, or delivers an oversize or undecodable frame reports
+/// [`Recv::Lost`] — to the engine, a peer that misframes is as gone as
+/// one that hung up.
+fn read_frames<M: WireCodec>(peer: usize, mut stream: TcpStream, tx: SyncSender<Recv<M>>) {
     loop {
-        let Some((payload, batch)) =
-            read_payload(&mut stream).and_then(|p| decode_payload::<M>(&p).map(|b| (p, b)))
-        else {
+        let Some(batch) = read_payload(&mut stream).and_then(|p| decode_payload::<M>(&p)) else {
             let _ = tx.send(Recv::Lost(peer));
             return;
         };
-        inflow.bytes.fetch_add(4 + payload.len() as u64, Relaxed);
-        inflow.frames.fetch_add(1, Relaxed);
-        inflow.depth.fetch_add(1, Relaxed);
         if tx.send(Recv::Batch(batch)).is_err() {
-            inflow.depth.fetch_sub(1, Relaxed);
             return; // Endpoint dropped; stop reading.
         }
     }
@@ -473,14 +413,8 @@ impl<M: WireCodec + Send> Transport<M> for TcpTransport<M> {
     fn recv(&mut self) -> Recv<M> {
         match self.rx.recv_timeout(self.stall_timeout) {
             Ok(event) => {
-                match &event {
-                    Recv::Lost(_) => self.lost_seen += 1,
-                    Recv::Batch(b) => {
-                        self.inflow.depth.fetch_sub(1, Relaxed);
-                        self.stats.batches_in += 1;
-                        self.stats.entries_in += b.entries.len() as u64;
-                    }
-                    _ => {}
+                if let Recv::Lost(_) = event {
+                    self.lost_seen += 1;
                 }
                 event
             }
@@ -494,12 +428,7 @@ impl<M: WireCodec + Send> Transport<M> for TcpTransport<M> {
     }
 
     fn stats(&self) -> TransportStats {
-        TransportStats {
-            bytes_in: self.inflow.bytes.load(Relaxed),
-            frames_in: self.inflow.frames.load(Relaxed),
-            inbox_depth: self.inflow.depth.load(Relaxed),
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Graceful leave: half-close every stream (the FIN lands *after* the
@@ -608,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_stats_meter_batches_entries_and_depth() {
+    fn channel_stats_meter_batches_and_entries() {
         let mut mesh = channel_mesh::<u64>(2);
         let mut t1 = mesh.pop().unwrap();
         let mut t0 = mesh.pop().unwrap();
@@ -617,11 +546,12 @@ mod tests {
         assert_eq!(t0.stats().batches_out, 2);
         assert_eq!(t0.stats().entries_out, 4);
         assert_eq!(t0.stats().bytes_out, 0, "channels do not serialize");
-        assert_eq!(t1.stats().inbox_depth, 2);
         assert!(matches!(t1.recv(), Recv::Batch(_)));
-        assert_eq!(t1.stats().inbox_depth, 1);
-        assert_eq!(t1.stats().batches_in, 1);
-        assert_eq!(t1.stats().entries_in, 2);
+        assert_eq!(
+            t1.stats(),
+            TransportStats::default(),
+            "receiving counts nothing"
+        );
     }
 
     #[test]
@@ -634,12 +564,17 @@ mod tests {
         assert_eq!(t0.stats().bytes_out, frame_len);
         assert_eq!(t0.stats().batches_out, 1);
         assert!(matches!(t1.recv(), Recv::Batch(_)));
-        let s1 = t1.stats();
-        assert_eq!(s1.bytes_in, frame_len, "wire bytes in == peer's out");
-        assert_eq!(s1.frames_in, 1);
-        assert_eq!(s1.batches_in, 1);
-        assert_eq!(s1.entries_in, 2);
-        assert_eq!(s1.inbox_depth, 0);
+        assert_eq!(
+            t1.stats(),
+            TransportStats::default(),
+            "receiving counts nothing"
+        );
+        // The reply crosses the same duplex stream, metered at its sender.
+        let reply_len = encode_frame(&batch(1, 2)).len() as u64;
+        t1.broadcast(batch(1, 2), &peers(2, 1));
+        assert!(matches!(t0.recv(), Recv::Batch(_)));
+        assert_eq!(t1.stats().bytes_out, reply_len);
+        assert_eq!(t0.stats().bytes_out, frame_len);
     }
 
     #[test]
@@ -660,7 +595,6 @@ mod tests {
                                                  // Counted all the same: the peer was live at round start.
         assert_eq!(t0.stats().batches_out, 1);
         assert_eq!(t0.stats().entries_out, 2);
-        assert_eq!(t0.stats().inbox_depth, 0);
     }
 
     #[test]
@@ -697,8 +631,7 @@ mod tests {
         let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (reader, _) = listener.accept().unwrap();
         let (tx, rx) = std::sync::mpsc::sync_channel(4);
-        let inflow = Arc::new(Inflow::default());
-        let handle = std::thread::spawn(move || read_frames::<u64>(5, reader, tx, inflow));
+        let handle = std::thread::spawn(move || read_frames::<u64>(5, reader, tx));
         writer.write_all(bytes).unwrap();
         let event = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         // The reader must have stopped on its own, socket still open.
@@ -730,8 +663,7 @@ mod tests {
         let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (reader, _) = listener.accept().unwrap();
         let (tx, rx) = std::sync::mpsc::sync_channel(4);
-        let inflow = Arc::new(Inflow::default());
-        let handle = std::thread::spawn(move || read_frames::<u64>(2, reader, tx, inflow));
+        let handle = std::thread::spawn(move || read_frames::<u64>(2, reader, tx));
         writer.write_all(&100u32.to_le_bytes()).unwrap();
         writer.write_all(&[1, 2, 3]).unwrap();
         drop(writer);

@@ -7,9 +7,9 @@
 //! messages and activity bits that `v`'s neighbors show entering round
 //! `t`, the round, the run seed, the IDs, and `v`'s own incident edges;
 //! `init` reads only `v`'s incident edges and the IDs. Protocols declare
-//! this with [`Protocol::is_local`](crate::Protocol::is_local); for any
-//! other protocol [`run_warm`] falls back to a full cold re-solve, which
-//! is always correct.
+//! this with [`Protocol::is_local`]; for any other protocol a warm run
+//! ([`Runner::run_warm`](crate::Runner::run_warm)) falls back to a full
+//! cold re-solve, which is always correct.
 //!
 //! # The propagation rule
 //!
@@ -95,7 +95,7 @@ const CHUNK: usize = 64;
 /// entering round `t + 1` (index 0 is its initial publish). A vertex
 /// stops publishing when it terminates, so its history has `term[v] + 1`
 /// entries and the last one is its terminal broadcast. Histories are
-/// frozen once written and stored in copy-on-write chunks of [`CHUNK`]
+/// frozen once written and stored in copy-on-write chunks of `CHUNK`
 /// vertices, so a warm run's log shares every chunk without a dirty
 /// vertex with the prior log.
 #[derive(Clone, Debug)]

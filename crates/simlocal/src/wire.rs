@@ -103,12 +103,12 @@ exact_tuple!(A: 0, B: 1, C: 2, D: 3);
 
 /// Canonical byte encoding for values that cross a real wire.
 ///
-/// The actor backend's TCP transport serializes [`Protocol::Msg`]
-/// (crate::Protocol::Msg) values with this trait; the encoding is
-/// little-endian, self-delimiting, and mirrors [`WireSize`]'s composition
-/// rules (it is byte-padded, so `encode` may emit up to 7 bits more than
-/// `wire_bits` charges — accounting stays with `WireSize`, bytes on the
-/// socket come from here). `decode` consumes from the front of `buf` and
+/// The actor backend's TCP transport serializes
+/// [`Protocol::Msg`](crate::Protocol::Msg) values with this trait; the
+/// encoding is little-endian, self-delimiting, and mirrors
+/// [`WireSize`]'s composition rules (it is byte-padded, so `encode` may
+/// emit up to 7 bits more than `wire_bits` charges — accounting stays
+/// with `WireSize`, bytes on the socket come from here). `decode` consumes from the front of `buf` and
 /// returns `None` on truncated or malformed input.
 pub trait WireCodec: Sized {
     /// Appends the canonical encoding of `self` to `out`.

@@ -232,10 +232,9 @@ fn count_series() -> impl Iterator<Item = Metric> {
 #[test]
 fn actor_counts_accumulate_across_runs() {
     // A transport's tallies restart with every run; the registry's slots
-    // must add each completed run's on top of the last. Over a two-shard
-    // mesh every count, incoming traffic included, is fixed by the run;
-    // over three shards a peer's next-round batch may arrive before a
-    // shard retires, so the incoming tallies are left out there.
+    // must add each completed run's on top of the last. Every actor and
+    // transport count is fixed by the run, so on two and three shards
+    // alike a second run adds exactly what the first one recorded.
     let g = gen::grid(5, 8);
     let ids = IdAssignment::identity(g.n());
     for shards in [2, 3] {
@@ -251,14 +250,10 @@ fn actor_counts_accumulate_across_runs() {
         run(&once);
         run(&twice);
         run(&twice);
-        let incoming = [Metric::TransportBatchesIn, Metric::TransportEntriesIn];
         for m in count_series().filter(|m| {
             let name = METRICS[*m as usize].name;
             name.starts_with("simlocal_actor_") || name.starts_with("simlocal_transport_")
         }) {
-            if shards > 2 && incoming.contains(&m) {
-                continue;
-            }
             for sid in 0..3 {
                 assert_eq!(
                     twice.value(m, sid),
@@ -301,7 +296,7 @@ fn failed_runs_record_no_counts() {
 #[test]
 fn tcp_export_has_per_shard_barrier_and_byte_series() {
     // The acceptance pin: a metrics-enabled loopback-TCP actor run
-    // exports a Prometheus snapshot with per-shard barrier-wait and
+    // exports a JSONL snapshot with per-shard barrier-wait and
     // transport-byte series, while staying byte-identical to sync.
     let g = gen::grid(5, 8);
     let ids = IdAssignment::identity(g.n());
@@ -314,27 +309,27 @@ fn tcp_export_has_per_shard_barrier_and_byte_series() {
         .run_tcp()
         .unwrap();
     assert_runs_identical(&plain, &tcp, "tcp");
-    assert!(
-        reg.total(Metric::TransportBytesOut) > 0,
-        "TCP runs meter real socket bytes"
+    let line = reg.jsonl_snapshot("tcp");
+    // The slots of one series in the snapshot line, by shard label.
+    let slots = |name: &str| -> String {
+        let start = line.find(&format!("\"{name}\":{{")).expect(name) + name.len() + 4;
+        line[start..start + line[start..].find('}').unwrap()].to_string()
+    };
+    let (waits, bytes) = (
+        slots("simlocal_actor_barrier_wait_ns_total"),
+        slots("simlocal_transport_bytes_out_total"),
     );
-    assert!(
-        reg.total(Metric::TransportBytesIn) > 0,
-        "TCP reader threads meter received bytes"
-    );
-    let text = reg.prometheus_text();
     for shard in 0..3 {
-        assert!(
-            text.contains(&format!(
-                "simlocal_actor_barrier_wait_ns_total{{shard=\"{shard}\"}}"
-            )),
-            "per-shard barrier-wait series for shard {shard}"
+        assert_eq!(
+            waits.matches(&format!("\"{shard}\":")).count(),
+            1,
+            "per-shard barrier-wait series for shard {shard}: {waits}"
         );
+        let sent = reg.value(Metric::TransportBytesOut, shard);
+        assert!(sent > 0, "shard {shard} meters real socket bytes");
         assert!(
-            text.contains(&format!(
-                "simlocal_transport_bytes_out_total{{shard=\"{shard}\"}}"
-            )),
-            "per-shard transport-bytes series for shard {shard}"
+            bytes.contains(&format!("\"{shard}\":{sent}")),
+            "per-shard transport-bytes series for shard {shard}: {bytes}"
         );
     }
 }

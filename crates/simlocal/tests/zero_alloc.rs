@@ -11,28 +11,39 @@
 //! regressions a capacity `debug_assert` cannot (e.g. a fresh `Vec` per
 //! round that never grows, or an allocating iterator adapter).
 //!
-//! One `#[test]` only: the counter is process-global, and sibling tests
-//! in the same binary would run on other threads and pollute it.
+//! The allocator counts calls per thread, and the measuring thread reads
+//! its own count: the runs are sequential (`run_counting` asserts that
+//! no round fanned out), so every allocation they make happens on that
+//! thread, and what other threads of the test process allocate
+//! meanwhile cannot leak into the comparison.
 
 use graphcore::{gen, Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, Runner, StepCtx, Transition};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by this thread. `const`-initialised and
+    /// without a destructor, so counting never allocates itself.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -40,10 +51,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocation calls this thread makes while running `f`.
 fn alloc_calls_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let before = ALLOC_CALLS.with(Cell::get);
     f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
+    ALLOC_CALLS.with(Cell::get) - before
 }
 
 /// Every vertex stays active for exactly `rounds` rounds, then
@@ -110,6 +122,9 @@ fn run_counting<P: Protocol>(p: &P, g: &Graph, ids: &IdAssignment, rounds: u32) 
         let out = Runner::new(p, g, ids).run().unwrap();
         stats_rounds = out.stats.rounds;
         assert_eq!(out.stats.steps, g.n() as u64 * rounds as u64);
+        // No round fanned out to worker threads, so this thread's count
+        // covers the whole run.
+        assert_eq!(out.stats.parallel_rounds, 0);
         drop(out);
     });
     assert_eq!(stats_rounds, rounds, "protocol must run the full schedule");
