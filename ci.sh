@@ -79,7 +79,11 @@ echo "== dynamic-mode smoke: scenarios D.1 D.1x D.2 warm-start churn + locality 
 # filter selects itself and its dotted children, so D.1x is named too.
 # The warm ≡ cold identity itself is proptest-pinned in the test suite
 # (crates/bench/tests/dynamic_identity.rs) run by the workspace wall.
-./target/release/scenarios --quick --seeds 2 --ids identity,random D.1 D.1x D.2 > /dev/null
+# The metrics export holds one line per dynamic spec (cold-solve engine
+# counts, trials, warm runs) and validates itself like the exports below.
+./target/release/scenarios --quick --seeds 2 --ids identity,random D.1 D.1x D.2 \
+    --metrics target/ci-results/obs.scenarios.jsonl > /dev/null
+./target/release/bench-diff --metrics-check target/ci-results/obs.scenarios.jsonl
 
 echo "== actor-backend smoke: table2 --quick --backend actor vs the same baseline"
 # The actor backend is pinned byte-identical to the sync engine, so its

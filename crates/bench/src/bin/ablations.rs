@@ -7,8 +7,9 @@
 //!   (also rendered as figure F.6);
 //! * `AB.3` — C in One-Plus-Eta-Arb-Col: larger C means fewer recursion
 //!   levels and smaller η (fewer colors) but wider per-level windows;
-//! * `AB.4` — sequential vs Rayon-parallel engine equivalence (results
-//!   must be identical; wall-clock is reported).
+//! * `AB.4` — sequential vs parallel engine equivalence, the parallel
+//!   one fanning rounds out on `std::thread::scope` (results must be
+//!   identical; wall-clock is reported).
 //!
 //! The ablations are declared in `benchharness::suites::ablations` and
 //! run by the shared spec engine, which checks validity and palette caps

@@ -42,7 +42,6 @@ pub use bounds::Bound;
 pub use results::{diff, SuiteResult, SCHEMA_VERSION};
 pub use trials::{print_summaries, summarize, IdMode, Stats, Sweep, Trial, TrialSummary};
 
-use algos::itlog;
 use graphcore::gen::GenGraph;
 use simlocal::{EngineStats, PhaseBreakdown, RoundMetrics, RunConfig};
 
@@ -315,20 +314,11 @@ pub fn n_sweep(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Convenience: `log* n` for annotations.
-pub fn log_star(n: usize) -> u32 {
-    itlog::log_star(n as u64)
-}
-
 /// Builds the default bounded-arboricity workload.
 pub fn forest_workload(n: usize, a: usize, seed: u64) -> GenGraph {
     use rand::SeedableRng;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    gen_forest(n, a, &mut rng)
-}
-
-fn gen_forest(n: usize, a: usize, rng: &mut rand_chacha::ChaCha8Rng) -> GenGraph {
-    graphcore::gen::forest_union(n, a, rng)
+    graphcore::gen::forest_union(n, a, &mut rng)
 }
 
 /// Builds the `a ≪ Δ` hub workload with realized arboricity exactly `a`.

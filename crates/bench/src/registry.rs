@@ -406,8 +406,10 @@ pub trait ErasedAlgo: Send + Sync {
     /// over all of them. `check_cold` additionally cold-solves
     /// every edited graph and asserts the warm solution is identical —
     /// the equivalence oracle the tests and the CI smoke run through.
-    /// Always executes on the sync engine (the warm path lives there);
-    /// the options' backend is ignored.
+    /// With a metrics registry attached, the cold solve records its
+    /// engine counts and one harness trial, and each warm run its warm
+    /// counts. Always executes on the sync engine (the warm path lives
+    /// there); the options' backend is ignored.
     fn exec_dynamic(&self, opts: &ExecOptions<'_>, plan: &ChurnPlan, check_cold: bool) -> Vec<Row>;
 }
 
@@ -515,11 +517,9 @@ where
 {
     /// The engine configuration an [`ExecOptions`] value asks for.
     fn run_cfg(o: &ExecOptions<'_>) -> simlocal::RunConfig {
-        let run_cfg = cfg(o.trial.seed);
-        if o.parallel {
-            run_cfg.parallel()
-        } else {
-            run_cfg
+        simlocal::RunConfig {
+            parallel: o.parallel,
+            ..cfg(o.trial.seed)
         }
     }
 
@@ -614,12 +614,15 @@ where
             gg, params, trial, ..
         } = *o;
         let ids = trial.ids(gg.graph.n());
-        // Cold recorded solve of the base graph seeds the warm chain.
+        // Cold recorded solve of the base graph seeds the warm chain; it
+        // counts as the call's one harness trial.
         let p0 = (self.build)(gg, params);
-        let (out0, mut replay) = Runner::new(&p0, &gg.graph, &ids)
-            .config(Self::run_cfg(o))
-            .run_recorded()
-            .expect("protocol terminates");
+        let mut cold = Runner::new(&p0, &gg.graph, &ids).config(Self::run_cfg(o));
+        if let Some(m) = o.metrics {
+            cold = cold.obs(m);
+            m.add(ObsMetric::HarnessTrials, 0, 1);
+        }
+        let (out0, mut replay) = cold.run_recorded().expect("protocol terminates");
         let mut outputs = out0.outputs;
         let mut cur = gg.graph.clone();
         let mut rows = Vec::with_capacity(plan.batches);

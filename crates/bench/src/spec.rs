@@ -874,12 +874,23 @@ mod tests {
             .map(|l| l.get("tag").and_then(Json::as_str).unwrap())
             .collect();
         assert_eq!(tags, ["D.t", "final"]);
-        // The spec's own line already holds its warm runs.
-        let warm_runs = lines[0]
-            .get("counters")
-            .and_then(|c| c.get("simlocal_engine_warm_runs_total"))
-            .and_then(|m| m.get_u64(""))
-            .unwrap();
+        // The spec's own line already holds its warm runs, its one trial
+        // and the counts of the cold solve that seeds the chain.
+        let counter = |name| {
+            let counters = lines[0].get("counters").unwrap();
+            counters.get(name).and_then(|m| m.get_u64("")).unwrap()
+        };
+        let warm_runs = counter("simlocal_engine_warm_runs_total");
         assert_eq!(warm_runs, 2, "one warm run per churn batch");
+        assert_eq!(counter("simlocal_harness_trials_total"), 1);
+        let g = crate::forest_workload(256, 2, 3).graph;
+        let ids = graphcore::IdAssignment::identity(g.n());
+        let cold = simlocal::Runner::new(&algos::mis::LubyMis, &g, &ids)
+            .seed(0)
+            .run()
+            .unwrap();
+        let rounds = counter("simlocal_engine_rounds_total");
+        assert_eq!(rounds, u64::from(cold.stats.rounds));
+        assert_eq!(counter("simlocal_engine_steps_total"), cold.stats.steps);
     }
 }

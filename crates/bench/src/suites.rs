@@ -766,7 +766,8 @@ fn ab1(cli: &Cli) -> Vec<String> {
     Vec::new()
 }
 
-/// AB.4 — sequential vs Rayon-parallel engine byte-identity + timing.
+/// AB.4 — sequential vs parallel engine (rounds fanned out on
+/// `std::thread::scope`) byte-identity + timing.
 fn ab4(cli: &Cli) -> Vec<String> {
     println!("\n== AB.4: sequential vs parallel engine ==");
     let n = ablation_n(cli);

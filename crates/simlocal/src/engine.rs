@@ -43,12 +43,20 @@
 //! Property tests pin every mode, observed and unobserved, byte-identical
 //! to the retained dense engine in [`crate::reference`].
 //!
+//! A recorded run ([`Runner::run_recorded`]) is the same loop with a
+//! message log attached: the initial publishes, then in each retire
+//! sweep every stepped vertex's new message in vertex order. The log is
+//! round-major, so its shape follows from the termination rounds alone,
+//! and [`Replay`](crate::warm::Replay) gathers it into the per-vertex
+//! histories a warm start replays.
+//!
 //! ## Allocation discipline
 //!
 //! Every slab is sized at run start and the active set only shrinks, so
 //! steady-state sequential rounds allocate **nothing** (the `zero_alloc`
 //! integration test pins this). Thread fan-out itself allocates
-//! (stacks), so the zero-alloc contract is a sequential-path guarantee.
+//! (stacks), and a recorded run's log grows as it goes, so the zero-alloc
+//! contract is a guarantee of the sequential, unrecorded path.
 
 use crate::active::ActiveSet;
 use crate::kernel::{phase_tally, Kernel, Slots};
@@ -121,14 +129,17 @@ impl EngineTuning {
     }
 }
 
-/// Engine configuration. Buildable:
+/// Engine configuration, as [`Runner::config`] takes it whole; the
+/// [`Runner`] builder sets each field on its own:
 ///
 /// ```
 /// use simlocal::{EngineTuning, RunConfig};
-/// let cfg = RunConfig::seeded(7)
-///     .parallel()
-///     .with_max_rounds(100)
-///     .with_tuning(EngineTuning::default().par_threshold(512));
+/// let cfg = RunConfig {
+///     parallel: true,
+///     max_rounds: Some(100),
+///     tuning: EngineTuning::default().par_threshold(512),
+///     ..RunConfig::seeded(7)
+/// };
 /// assert_eq!(cfg.seed, 7);
 /// assert!(cfg.parallel);
 /// ```
@@ -151,30 +162,6 @@ impl RunConfig {
             seed,
             ..RunConfig::default()
         }
-    }
-
-    /// Enables parallel round execution.
-    pub fn parallel(mut self) -> RunConfig {
-        self.parallel = true;
-        self
-    }
-
-    /// Forces sequential round execution.
-    pub fn sequential(mut self) -> RunConfig {
-        self.parallel = false;
-        self
-    }
-
-    /// Overrides the protocol's round cap.
-    pub fn with_max_rounds(mut self, cap: u32) -> RunConfig {
-        self.max_rounds = Some(cap);
-        self
-    }
-
-    /// Replaces the engine tuning.
-    pub fn with_tuning(mut self, tuning: EngineTuning) -> RunConfig {
-        self.tuning = tuning;
-        self
     }
 }
 
@@ -339,15 +326,10 @@ impl<'a, P: Protocol> Runner<'a, P> {
         self
     }
 
-    /// Enables parallel round execution (subject to the cutover).
+    /// Enables parallel round execution (subject to the cutover); runs
+    /// are sequential by default.
     pub fn parallel(mut self) -> Self {
         self.cfg.parallel = true;
-        self
-    }
-
-    /// Forces sequential round execution (the default).
-    pub fn sequential(mut self) -> Self {
-        self.cfg.parallel = false;
         self
     }
 
@@ -378,11 +360,24 @@ impl<'a, P: Protocol> Runner<'a, P> {
         self.run_with(&mut NoObserver)
     }
 
-    /// Cold run that also records the message log a later warm start
-    /// replays (see [`crate::warm`]). Sequential, unobserved, and
-    /// byte-identical in outputs to [`Runner::run`].
+    /// Cold run that also records the [`Replay`](crate::warm::Replay) log
+    /// a later warm start replays (see [`crate::warm`]). It is
+    /// [`Runner::run`] with every setting honored (parallel mode, tuning,
+    /// the attached registry) and a message log attached, so its outputs,
+    /// metrics and stats are the plain run's.
     pub fn run_recorded(self) -> Result<crate::warm::Recorded<P>, EngineError> {
-        crate::warm::run_recorded(self.protocol, self.graph, self.ids, self.cfg)
+        let mut log = Vec::new();
+        let out = execute(
+            self.protocol,
+            self.graph,
+            self.ids,
+            self.cfg,
+            &mut NoObserver,
+            self.obs,
+            Some(&mut log),
+        )?;
+        let replay = crate::warm::Replay::gather(&log, &out.metrics);
+        Ok((out, replay))
     }
 
     /// Incremental re-solve after a batch of edge edits, warm-started
@@ -416,6 +411,7 @@ impl<'a, P: Protocol> Runner<'a, P> {
             self.cfg,
             observer,
             self.obs,
+            None,
         )
     }
 }
@@ -512,7 +508,9 @@ fn obs_lap(ob: Option<ShardObs<'_>>, m: Metric, t0: Option<Instant>) {
     }
 }
 
-/// The sparse-round engine body, monomorphized over the observer.
+/// The sparse-round engine body, monomorphized over the observer. With
+/// `log` present it also appends every publish to it, round-major: the
+/// initial publishes, then each round's in vertex order.
 fn execute<P: Protocol, Ob: Observer>(
     protocol: &P,
     g: &Graph,
@@ -520,6 +518,7 @@ fn execute<P: Protocol, Ob: Observer>(
     cfg: RunConfig,
     observer: &mut Ob,
     obs: Option<&Registry>,
+    mut log: Option<&mut Vec<P::Msg>>,
 ) -> Result<SimOutcome<P::Output>, EngineError> {
     assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
     let n = g.n();
@@ -538,6 +537,9 @@ fn execute<P: Protocol, Ob: Observer>(
     let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
     let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
     let mut msgs_next = msgs.clone();
+    if let Some(log) = log.as_deref_mut() {
+        log.extend_from_slice(&msgs);
+    }
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut termination_round = vec![0u32; n];
     let mut active = ActiveSet::full(n);
@@ -594,12 +596,16 @@ fn execute<P: Protocol, Ob: Observer>(
             (slots.bits, slots.max_bits)
         };
 
-        // Retire sweep: expose the new messages and drop the vertices
-        // that terminated this round from the active set.
+        // Retire sweep: expose the new messages (logging them on a
+        // recorded run) and drop the vertices that terminated this round
+        // from the active set.
         let retire_t0 = obs_on.then(Instant::now);
         active.retire(|v| {
             let vu = v as usize;
             std::mem::swap(&mut msgs[vu], &mut msgs_next[vu]);
+            if let Some(log) = log.as_deref_mut() {
+                log.push(msgs[vu].clone());
+            }
             termination_round[vu] == round
         });
         obs_lap(ob, Metric::EngineRetireNs, retire_t0);
@@ -1008,9 +1014,11 @@ mod tests {
     #[test]
     fn config_builder_reaches_engine() {
         let g = gen::cycle(8);
-        let cfg = RunConfig::seeded(9)
-            .sequential()
-            .with_tuning(EngineTuning::default().par_threshold(123));
+        let cfg = RunConfig {
+            parallel: false,
+            tuning: EngineTuning::default().par_threshold(123),
+            ..RunConfig::seeded(9)
+        };
         let out = Runner::new(&CoinFlip, &g, &ids(8))
             .config(cfg)
             .run()

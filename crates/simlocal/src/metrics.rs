@@ -40,27 +40,14 @@ impl RoundMetrics {
         self.termination_round.iter().copied().max().unwrap_or(0)
     }
 
-    /// Sorted view of the termination rounds, for querying many quantiles
-    /// of the same run: one sort, then each [`Percentiles::rank`] is O(1).
-    /// The harness asks for median + p95 per row — use this there instead
-    /// of [`RoundMetrics::median`]/[`RoundMetrics::percentile`], which
-    /// each clone and re-sort.
+    /// Sorted view of the termination rounds, for querying quantiles of
+    /// the run: one sort, then [`Percentiles::median`] and each
+    /// [`Percentiles::rank`] are O(1). The harness asks for median + p95
+    /// per row.
     pub fn percentiles(&self) -> Percentiles {
         let mut sorted = self.termination_round.clone();
         sorted.sort_unstable();
         Percentiles { sorted }
-    }
-
-    /// Median termination round (0 for empty graphs). One-shot; for
-    /// repeated quantile queries build [`RoundMetrics::percentiles`] once.
-    pub fn median(&self) -> u32 {
-        self.percentiles().median()
-    }
-
-    /// The `p`-th percentile termination round, `p ∈ [0, 100]`. One-shot;
-    /// for repeated queries build [`RoundMetrics::percentiles`] once.
-    pub fn percentile(&self, p: f64) -> u32 {
-        self.percentiles().rank(p)
     }
 
     /// `active_per_round()[i]` = number of vertices active during round
@@ -155,9 +142,10 @@ mod tests {
         assert_eq!(m.round_sum(), 5);
         assert!((m.vertex_averaged() - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.worst_case(), 2);
-        assert_eq!(m.median(), 2);
-        assert_eq!(m.percentile(0.0), 1);
-        assert_eq!(m.percentile(100.0), 2);
+        let p = m.percentiles();
+        assert_eq!(p.median(), 2);
+        assert_eq!(p.rank(0.0), 1);
+        assert_eq!(p.rank(100.0), 2);
     }
 
     #[test]
@@ -203,10 +191,11 @@ mod more_tests {
         let m = RoundMetrics {
             termination_round: vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
         };
-        assert_eq!(m.percentile(0.0), 1);
+        let p = m.percentiles();
+        assert_eq!(p.rank(0.0), 1);
         // Index round(0.5 · 9) = 5 into the sorted values 1..=10 is 6.
-        assert_eq!(m.percentile(50.0), 6);
-        assert_eq!(m.percentile(100.0), 10);
+        assert_eq!(p.rank(50.0), 6);
+        assert_eq!(p.rank(100.0), 10);
         assert_eq!(m.active_per_round(), vec![10, 9, 8, 7, 6, 5, 4, 3, 2, 1]);
         assert!(m.check_identities().is_ok());
     }
@@ -217,7 +206,7 @@ mod more_tests {
         let m = RoundMetrics {
             termination_round: vec![1],
         };
-        m.percentile(101.0);
+        m.percentiles().rank(101.0);
     }
 
     #[test]
@@ -226,20 +215,21 @@ mod more_tests {
             termination_round: vec![4],
         };
         assert_eq!(m.vertex_averaged(), 4.0);
-        assert_eq!(m.median(), 4);
+        assert_eq!(m.percentiles().median(), 4);
         assert_eq!(m.active_per_round(), vec![1, 1, 1, 1]);
         assert!(m.check_identities().is_ok());
     }
 
     #[test]
-    fn percentiles_struct_matches_one_shot_queries() {
+    fn percentiles_answer_every_query_from_one_sort() {
         let m = RoundMetrics {
             termination_round: vec![9, 1, 5, 3, 7],
         };
         let p = m.percentiles();
-        assert_eq!(p.median(), m.median());
-        for q in [0.0, 25.0, 50.0, 95.0, 100.0] {
-            assert_eq!(p.rank(q), m.percentile(q));
+        assert_eq!(p.median(), 5);
+        // Nearest rank into the sorted values 1, 3, 5, 7, 9.
+        for (q, want) in [(0.0, 1), (25.0, 3), (50.0, 5), (95.0, 9), (100.0, 9)] {
+            assert_eq!(p.rank(q), want, "p{q}");
         }
         let empty = RoundMetrics {
             termination_round: vec![],
@@ -259,11 +249,11 @@ mod quantile_edge_cases {
         let m = RoundMetrics {
             termination_round: vec![],
         };
+        let sorted = m.percentiles();
         for p in [0.0, 50.0, 95.0, 100.0] {
-            assert_eq!(m.percentile(p), 0);
-            assert_eq!(m.percentiles().rank(p), 0);
+            assert_eq!(sorted.rank(p), 0);
         }
-        assert_eq!(m.median(), 0);
+        assert_eq!(sorted.median(), 0);
     }
 
     #[test]
@@ -271,8 +261,6 @@ mod quantile_edge_cases {
         let m = RoundMetrics {
             termination_round: vec![7, 2, 9, 2, 4],
         };
-        assert_eq!(m.percentile(0.0), 2);
-        assert_eq!(m.percentile(100.0), 9);
         let p = m.percentiles();
         assert_eq!(p.rank(0.0), 2);
         assert_eq!(p.rank(100.0), 9);
@@ -285,19 +273,20 @@ mod quantile_edge_cases {
         let m = RoundMetrics {
             termination_round: vec![3],
         };
+        let sorted = m.percentiles();
         for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(m.percentile(p), 3);
+            assert_eq!(sorted.rank(p), 3);
         }
-        assert_eq!(m.median(), 3);
+        assert_eq!(sorted.median(), 3);
         assert!(m.check_identities().is_ok());
     }
 
     proptest! {
-        // The one-shot path and the sorted-once path are the same
-        // estimator: `RoundMetrics::percentile(p)` ≡ `Percentiles::rank(p)`
-        // for any rounds vector and any in-range `p`.
+        // Nearest-rank always returns an observed value, bracketed by the
+        // extremes, for any rounds vector and any in-range `p`; an empty
+        // run answers 0.
         #[test]
-        fn percentile_equals_rank(
+        fn rank_is_an_observed_value_between_the_extremes(
             rounds in proptest::collection::vec(1u32..500, 0..64),
             p_tenths in 0u32..=1000,
         ) {
@@ -306,14 +295,13 @@ mod quantile_edge_cases {
                 termination_round: rounds,
             };
             let sorted = m.percentiles();
-            prop_assert_eq!(m.percentile(p), sorted.rank(p));
-            prop_assert_eq!(m.median(), sorted.median());
-            // Nearest-rank always returns an observed value, bracketed by
-            // the extremes.
             if m.n() > 0 {
                 prop_assert!(m.termination_round.contains(&sorted.rank(p)));
+                prop_assert!(m.termination_round.contains(&sorted.median()));
                 prop_assert!(sorted.rank(0.0) <= sorted.rank(p));
                 prop_assert!(sorted.rank(p) <= sorted.rank(100.0));
+            } else {
+                prop_assert_eq!(sorted.rank(p), 0);
             }
         }
     }

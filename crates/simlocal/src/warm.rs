@@ -62,6 +62,13 @@
 //! because the live slots of dirty neighbors already hold round-`t`
 //! messages.
 //!
+//! # Recording
+//!
+//! [`Runner::run_recorded`](crate::Runner::run_recorded) is the sync
+//! engine's round loop with a round-major message log attached (see
+//! [`crate::engine`]), so it honors every `Runner` setting; [`Replay`]
+//! gathers each vertex's history from that log.
+//!
 //! # Cost accounting and the chained replay
 //!
 //! The warm outcome's metrics are the **update cost**: clean vertices
@@ -75,9 +82,10 @@
 //! (one reference count per chunk) and copies only the chunks that hold
 //! a dirty vertex before it writes that vertex's new history.
 
-use crate::active::{clear_bit, ActiveSet};
-use crate::engine::{EngineError, EngineStats, RunConfig, SimOutcome};
+use crate::active::clear_bit;
+use crate::engine::{EngineError, EngineStats, RunConfig, Runner, SimOutcome};
 use crate::kernel::{Kernel, Slots};
+use crate::metrics::RoundMetrics;
 use crate::obs::{Metric, Registry};
 use crate::observer::NoObserver;
 use crate::protocol::Protocol;
@@ -105,6 +113,40 @@ pub struct Replay<M> {
 }
 
 impl<M: Clone> Replay<M> {
+    /// The replay of a recorded run with termination rounds `metrics`:
+    /// gathers each vertex's history from `log`, which holds every
+    /// publish round-major — the `n` initial publishes, then for each
+    /// round `t` the message of every vertex active in it
+    /// (`active_per_round()[t - 1]` entries), in vertex order.
+    pub(crate) fn gather(log: &[M], metrics: &RoundMetrics) -> Self {
+        let term = metrics.termination_round.clone();
+        let n = term.len();
+        debug_assert_eq!(log.len() as u64, n as u64 + metrics.round_sum());
+        // Where each round's entries start.
+        let sizes = std::iter::once(n).chain(metrics.active_per_round());
+        let mut cursor: Vec<usize> = sizes
+            .scan(0, |start, len| Some(std::mem::replace(start, *start + len)))
+            .collect();
+        // Visiting the vertices in order, each one's round-`t` message
+        // is the next unread entry of round `t`.
+        let history = (0..n)
+            .step_by(CHUNK)
+            .map(|lo| {
+                (lo..n.min(lo + CHUNK))
+                    .map(|v| {
+                        (0..=term[v] as usize)
+                            .map(|t| {
+                                cursor[t] += 1;
+                                log[cursor[t] - 1].clone()
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        Replay { history, term }
+    }
+
     /// Number of vertices the log covers.
     pub fn n(&self) -> usize {
         self.term.len()
@@ -188,98 +230,6 @@ pub type Recorded<P> = (
     SimOutcome<<P as Protocol>::Output>,
     Replay<<P as Protocol>::Msg>,
 );
-
-/// Cold run that also records the [`Replay`] log. Sequential;
-/// byte-identical outputs to [`Runner::run`](crate::Runner::run).
-pub(crate) fn run_recorded<P: Protocol>(
-    protocol: &P,
-    g: &Graph,
-    ids: &IdAssignment,
-    cfg: RunConfig,
-) -> Result<Recorded<P>, EngineError> {
-    assert_eq!(ids.len(), g.n(), "ID assignment must cover all vertices");
-    let n = g.n();
-    let max_rounds = cfg.max_rounds.unwrap_or_else(|| protocol.max_rounds(g));
-    let run_t0 = Instant::now();
-
-    let mut states: Vec<P::State> = g.vertices().map(|v| protocol.init(g, ids, v)).collect();
-    let mut msgs: Vec<P::Msg> = states.iter().map(|s| protocol.publish(s)).collect();
-    let mut msgs_next = msgs.clone();
-    let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-    let mut termination_round = vec![0u32; n];
-    let mut active = ActiveSet::full(n);
-
-    // Every publish, round-major: `log[starts[t]..starts[t + 1]]` holds,
-    // in vertex order, the message each vertex still active in round `t`
-    // published in it (round 0: the initial publishes).
-    let mut log = msgs.clone();
-    let mut starts = vec![0];
-
-    let mut stats = EngineStats::default();
-    let mut round: u32 = 0;
-    while !active.is_empty() {
-        round += 1;
-        if round > max_rounds {
-            return Err(EngineError::RoundLimitExceeded {
-                max_rounds,
-                still_active: active.count(),
-            });
-        }
-        let kernel = Kernel {
-            protocol,
-            graph: g,
-            ids,
-            msgs: &msgs,
-            active_words: active.words(),
-            round,
-            seed: cfg.seed,
-        };
-        let mut slots = Slots::new(0, &mut states, &mut outputs, &mut termination_round);
-        let (live, words) = (active.live_words(), active.words());
-        kernel.step_words::<NoObserver>(live, words, &mut slots, &mut msgs_next, &mut []);
-        stats.msg_bits += slots.bits;
-        stats.max_msg_bits = stats.max_msg_bits.max(slots.max_bits);
-        starts.push(log.len());
-        active.retire(|v| {
-            let vu = v as usize;
-            log.push(msgs_next[vu].clone());
-            std::mem::swap(&mut msgs[vu], &mut msgs_next[vu]);
-            termination_round[vu] == round
-        });
-    }
-
-    stats.wall = run_t0.elapsed();
-    // Gather the histories chunk by chunk: visiting the vertices in
-    // order, each one's round-`t` message is the next unread entry of
-    // round `t`.
-    let mut cursor = starts;
-    let history = (0..n)
-        .step_by(CHUNK)
-        .map(|lo| {
-            (lo..n.min(lo + CHUNK))
-                .map(|v| {
-                    (0..=termination_round[v] as usize)
-                        .map(|t| {
-                            cursor[t] += 1;
-                            log[cursor[t] - 1].clone()
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let outputs = outputs
-        .into_iter()
-        .map(|o| o.expect("terminated vertex without an output"))
-        .collect();
-    Ok((
-        SimOutcome::derived(outputs, termination_round.clone(), stats),
-        Replay {
-            history,
-            term: termination_round,
-        },
-    ))
-}
 
 /// Sets (`on`) or clears vertex `v`'s bit in `words`.
 #[inline]
@@ -511,7 +461,7 @@ pub(crate) fn run_warm<P: Protocol>(
     if !protocol.is_local() {
         // No locality declaration: the only sound move is a full cold
         // re-solve (which also refreshes the replay log).
-        let (outcome, replay) = run_recorded(protocol, g, ids, cfg)?;
+        let (outcome, replay) = Runner::new(protocol, g, ids).config(cfg).run_recorded()?;
         if let Some(o) = ob {
             o.add(Metric::EngineWarmRuns, 1);
             o.add(Metric::EngineWarmFullResolves, 1);
@@ -599,7 +549,7 @@ pub(crate) fn run_warm<P: Protocol>(
 mod tests {
     use super::*;
     use crate::protocol::{StepCtx, Transition};
-    use crate::Runner;
+    use crate::EngineTuning;
     use graphcore::churn::{apply, churn_sequence, ChurnPlan};
     use graphcore::gen;
     use rand::Rng;
@@ -749,6 +699,11 @@ mod tests {
         IdAssignment::identity(n)
     }
 
+    /// A recorded cold run of `p` under `cfg`.
+    fn record<P: Protocol>(p: &P, g: &Graph, ids: &IdAssignment, cfg: RunConfig) -> Recorded<P> {
+        Runner::new(p, g, ids).config(cfg).run_recorded().unwrap()
+    }
+
     /// Seeded G(n, p) sample.
     fn rg(n: usize, p: f64, seed: u64) -> Graph {
         use rand::SeedableRng;
@@ -766,7 +721,7 @@ mod tests {
     {
         let idv = ids(base.n());
         let cfg = RunConfig::seeded(seed);
-        let (cold0, mut replay) = run_recorded(protocol, base, &idv, cfg).unwrap();
+        let (cold0, mut replay) = record(protocol, base, &idv, cfg);
         let mut outputs = cold0.outputs;
         let mut g = base.clone();
         for (bi, batch) in churn_sequence(base, plan).iter().enumerate() {
@@ -796,7 +751,7 @@ mod tests {
             assert!(warm.stats.reactivated <= base.n());
             // The replay must chain: its history is what a recorded cold
             // run on the edited graph would have logged.
-            let (_, cold_replay) = run_recorded(protocol, &g, &idv, cfg).unwrap();
+            let (_, cold_replay) = record(protocol, &g, &idv, cfg);
             assert_eq!(
                 warm.replay.history, cold_replay.history,
                 "batch {bi}: replay log"
@@ -843,7 +798,7 @@ mod tests {
     {
         let idv = ids(base.n());
         let cfg = RunConfig::seeded(seed);
-        let (cold0, mut replay) = run_recorded(protocol, base, &idv, cfg).unwrap();
+        let (cold0, mut replay) = record(protocol, base, &idv, cfg);
         let mut outputs = cold0.outputs;
         let mut g = base.clone();
         for (bi, batch) in churn_sequence(base, plan).iter().enumerate() {
@@ -863,7 +818,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let (cold, cold_replay) = run_recorded(protocol, &next, &idv, cfg).unwrap();
+            let (cold, cold_replay) = record(protocol, &next, &idv, cfg);
             assert_eq!(warm.outcome.outputs, cold.outputs, "batch {bi}: outputs");
             assert!(
                 warm.replay.history == cold_replay.history,
@@ -889,7 +844,7 @@ mod tests {
         let g = rg(120, 0.05, 9);
         let idv = ids(g.n());
         let cfg = RunConfig::seeded(3);
-        let (rec, replay) = run_recorded(&CoinDecay, &g, &idv, cfg).unwrap();
+        let (rec, replay) = record(&CoinDecay, &g, &idv, cfg);
         let plain = Runner::new(&CoinDecay, &g, &idv).config(cfg).run().unwrap();
         assert_eq!(rec.outputs, plain.outputs);
         assert_eq!(
@@ -906,6 +861,29 @@ mod tests {
                 "terminal broadcast is sticky"
             );
         }
+    }
+
+    #[test]
+    fn recorded_run_honors_parallel_and_obs() {
+        let g = rg(120, 0.05, 9);
+        let idv = ids(g.n());
+        let cfg = RunConfig::seeded(3);
+        let (seq, seq_replay) = record(&CoinDecay, &g, &idv, cfg);
+        let reg = Registry::new(1);
+        let (par, par_replay) = Runner::new(&CoinDecay, &g, &idv)
+            .config(cfg)
+            .parallel()
+            .tuning(EngineTuning::default().par_threshold(1).workers(4))
+            .obs(&reg)
+            .run_recorded()
+            .unwrap();
+        assert!(par.stats.parallel_rounds > 0, "cutover at 1 must fan out");
+        assert_eq!(par.outputs, seq.outputs);
+        assert_eq!(par.metrics, seq.metrics);
+        assert_eq!(par_replay.term, seq_replay.term);
+        assert_eq!(par_replay.history, seq_replay.history);
+        assert_eq!(reg.total(Metric::EngineSteps), par.stats.steps);
+        assert_eq!(reg.total(Metric::EngineRounds), par.stats.rounds as u64);
     }
 
     #[test]
@@ -938,7 +916,7 @@ mod tests {
         let idv = ids(400);
         let cfg = RunConfig::seeded(1);
         let p = MaxIdFlood { horizon: 3 };
-        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let (cold, replay) = record(&p, &g, &idv, cfg);
         let batch = graphcore::churn::EditBatch {
             inserts: vec![(0, 2)],
             deletes: vec![],
@@ -991,7 +969,7 @@ mod tests {
         let idv = ids(400);
         let cfg = RunConfig::seeded(4);
         let p = MaxIdFlood { horizon: 3 };
-        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let (cold, replay) = record(&p, &g, &idv, cfg);
         let insert = graphcore::churn::EditBatch {
             inserts: vec![(0, 200)],
             deletes: vec![],
@@ -1018,7 +996,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let (_, cold_replay) = run_recorded(&p, &new, &idv, cfg).unwrap();
+            let (_, cold_replay) = record(&p, &new, &idv, cfg);
             let expected = input_difference_set(&new, &touched, &replay, &cold_replay);
             let stepped: Vec<bool> = warm
                 .outcome
@@ -1047,7 +1025,7 @@ mod tests {
         let idv = ids(400);
         let cfg = RunConfig::seeded(4);
         let p = MaxIdFlood { horizon: 3 };
-        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let (cold, replay) = record(&p, &g, &idv, cfg);
         let batch = graphcore::churn::EditBatch {
             inserts: vec![(0, 200)],
             deletes: vec![],
@@ -1072,18 +1050,19 @@ mod tests {
         let g = rg(60, 0.06, 7);
         let idv = ids(60);
         let cfg = RunConfig::seeded(2);
-        let (cold, replay) = run_recorded(&OpaqueDecay, &g, &idv, cfg).unwrap();
+        let (cold, replay) = record(&OpaqueDecay, &g, &idv, cfg);
         let batch = graphcore::churn::EditBatch {
             inserts: vec![],
             deletes: vec![g.edges().next().unwrap().1],
         };
         let g2 = apply(&g, &batch);
+        let reg = Registry::new(1);
         let warm = run_warm(
             &OpaqueDecay,
             &g2,
             &idv,
             cfg,
-            None,
+            Some(&reg),
             WarmStart {
                 replay: &replay,
                 outputs: &cold.outputs,
@@ -1094,6 +1073,17 @@ mod tests {
         .unwrap();
         assert!(warm.stats.full_resolve);
         assert_eq!(warm.stats.reactivated, 60);
+        // The fallback's cold run attaches no registry: only the warm
+        // counts land in it.
+        for (m, v) in [
+            (Metric::EngineWarmRuns, 1),
+            (Metric::EngineWarmFullResolves, 1),
+            (Metric::EngineReactivated, 60),
+            (Metric::EngineRounds, 0),
+            (Metric::EngineSteps, 0),
+        ] {
+            assert_eq!(reg.total(m), v, "{m:?}");
+        }
         let cold2 = Runner::new(&OpaqueDecay, &g2, &idv)
             .config(cfg)
             .run()
@@ -1107,7 +1097,7 @@ mod tests {
         let idv = ids(50);
         let cfg = RunConfig::seeded(6);
         let p = MaxIdFlood { horizon: 2 };
-        let (cold, replay) = run_recorded(&p, &g, &idv, cfg).unwrap();
+        let (cold, replay) = record(&p, &g, &idv, cfg);
         let warm = run_warm(
             &p,
             &g,
