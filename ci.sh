@@ -128,6 +128,14 @@ echo "== transport smoke: loopback-TCP round-trip pins to the sync engine"
 # break is named here rather than inside the workspace test wall.
 cargo test -q -p simlocal --test actor_backend tcp > /dev/null
 
+echo "== protocol byte-identity: golden digests and schedule caches"
+# Every vertex's output, every termination round and the run's wire bits
+# of the §7–§8 protocols, pinned on the sync engine and on two actor
+# shards, plus the schedule-cache panics of each protocol driver. They
+# run in isolation so a protocol that drifts is named here rather than
+# inside the workspace test wall.
+cargo test -q -p algos --test extension_digests --test schedule_reuse > /dev/null
+
 echo "== distsym smoke: the CLI lists and runs through the algorithm registry"
 # `distsym run` dispatches every algorithm through the registry and `list`
 # is derived from it; the binary-driving tests (list, one --json run per

@@ -244,7 +244,7 @@ ka2 main:5120:1024
 ka2_rho main:3072:1024
 ka main:63962:1024
 ka_rho main:61914:1024
-delta_plus_one main:63916:1024
+delta_plus_one partition:1059:0 await_window:4288:0 inset_color:55296:0 slot_sweep:3273:1024
 legal_coloring main:72154:1024
 one_plus_eta main:6144:1024
 rand_delta_plus_one undecided:3119:0 proposed:1101:1024

@@ -17,183 +17,33 @@
 //! ([`crate::one_plus_eta`] embeds a level-windowed copy); the standalone
 //! protocol is exposed for direct use and direct testing against
 //! [`graphcore::verify::arbdefective_coloring`].
+//!
+//! The [`Cascade`] driver runs the scheme; this module keeps the rule: an
+//! open window (a vertex also waits for neighbors still partitioning,
+//! which will join later sets) and the least-used group.
 
-use crate::inset::DeltaPlusOneSchedule;
-use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
-use crate::schedule_cell::{ScheduleCell, ScheduleKey};
-use graphcore::{Graph, IdAssignment, VertexId};
-use simlocal::{Protocol, StepCtx, Transition, WireSize};
+use crate::inset::{Cascade, CascadeRule};
+use crate::segmentation::Shape;
 
-/// Per-vertex state.
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `g` the chosen
-/// group.
-#[allow(missing_docs)]
-#[derive(Clone, Debug, PartialEq)]
-pub enum SArbDef {
-    /// Running Procedure Partition.
-    Active,
-    /// In H-set `h`, running the in-set coloring.
-    InSet { h: u32, c: u64 },
-    /// Waiting for parents to pick groups.
-    Wait { h: u32, local: u64 },
-    /// Picked group `g` (terminal).
-    Done { h: u32, local: u64, g: u32 },
-}
-
-impl WireSize for SArbDef {
-    fn wire_bits(&self) -> u64 {
-        // 2-bit tag for four variants, then the payload.
-        match self {
-            SArbDef::Active => 2,
-            SArbDef::InSet { h, c } => 2 + h.wire_bits() + c.wire_bits(),
-            SArbDef::Wait { h, local } => 2 + h.wire_bits() + local.wire_bits(),
-            SArbDef::Done { h, local, g } => 2 + h.wire_bits() + local.wire_bits() + g.wire_bits(),
-        }
-    }
-}
-
-/// Procedure Arbdefective-Coloring: splits the graph into `k` groups of
-/// arboricity ≤ `⌊A/k⌋` each.
+/// The Arbdefective-Coloring rule.
 #[derive(Debug)]
-pub struct ArbdefectiveColoring {
-    /// Known arboricity.
-    pub arboricity: usize,
+pub struct ArbdefectiveRule {
     /// Number of groups (the paper's `k`).
     pub k: u32,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
-    sched: ScheduleCell<DeltaPlusOneSchedule>,
 }
 
-impl ArbdefectiveColoring {
-    /// Standard instance (ε = 2).
-    pub fn new(arboricity: usize, k: u32) -> Self {
-        assert!(k >= 1);
-        ArbdefectiveColoring {
-            arboricity,
-            k,
-            epsilon: 2.0,
-            sched: ScheduleCell::new(),
-        }
-    }
-
-    /// Degree threshold `A` — the orientation's out-degree bound.
-    pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
-    }
-
-    /// Arbdefect guarantee: every group has arboricity ≤ `⌊A/k⌋`.
-    pub fn arbdefect(&self) -> usize {
-        self.cap() / self.k as usize
-    }
-
-    fn schedule(&self, ids: &IdAssignment) -> &DeltaPlusOneSchedule {
-        let space = ids.id_space().max(2);
-        self.sched.get(ScheduleKey::ids(space), || {
-            DeltaPlusOneSchedule::new(space, self.cap() as u64)
-        })
-    }
-}
-
-impl Protocol for ArbdefectiveColoring {
-    type State = SArbDef;
-    type Msg = SArbDef;
+impl CascadeRule for ArbdefectiveRule {
+    type Pick = u32;
     type Output = u32;
 
-    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> SArbDef {
-        SArbDef::Active
+    fn shape(&self) -> Shape {
+        Shape::Open
     }
 
-    fn publish(&self, state: &SArbDef) -> SArbDef {
-        state.clone()
-    }
-
-    fn step(&self, ctx: StepCtx<'_, SArbDef>) -> Transition<SArbDef, u32> {
-        let sched = self.schedule(ctx.ids);
-        let d = sched.rounds();
-        match ctx.state.clone() {
-            SArbDef::Active => {
-                let active = ctx
-                    .view
-                    .neighbors()
-                    .filter(|(_, s)| matches!(s, SArbDef::Active))
-                    .count();
-                if partition_step(active, self.cap()) {
-                    Transition::Continue(SArbDef::InSet {
-                        h: ctx.round,
-                        c: ctx.my_id(),
-                    })
-                } else {
-                    Transition::Continue(SArbDef::Active)
-                }
-            }
-            SArbDef::InSet { h, c } => {
-                let i = ctx.round - h - 1;
-                if i >= d {
-                    return self.pick(&ctx, h, sched.finish(c));
-                }
-                let peers: Vec<u64> = ctx
-                    .view
-                    .neighbors()
-                    .filter_map(|(_, s)| match s {
-                        SArbDef::InSet { h: j, c } if *j == h => Some(*c),
-                        _ => None,
-                    })
-                    .collect();
-                let next = sched.step(i, c, &peers);
-                if i + 1 == d {
-                    Transition::Continue(SArbDef::Wait {
-                        h,
-                        local: sched.finish(next),
-                    })
-                } else {
-                    Transition::Continue(SArbDef::InSet { h, c: next })
-                }
-            }
-            SArbDef::Wait { h, local } => self.pick(&ctx, h, local),
-            SArbDef::Done { .. } => unreachable!("terminal"),
-        }
-    }
-
-    fn max_rounds(&self, g: &Graph) -> u32 {
-        let n = g.n() as u64;
-        let l = itlog::partition_round_bound(n, self.epsilon);
-        let d = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64).rounds();
-        // Partition + per-set coloring + the backward pick cascade whose
-        // length is the orientation length ≤ (A+1)·ℓ.
-        l + d + (self.cap() as u32 + 1) * (l + 1) + 16
-    }
-}
-
-impl ArbdefectiveColoring {
-    /// Waits for every parent under the partial orientation (same-set
-    /// higher in-set color, later set, or still active / still coloring)
-    /// to pick; then takes the group least used among them.
-    fn pick(&self, ctx: &StepCtx<'_, SArbDef>, h: u32, my_local: u64) -> Transition<SArbDef, u32> {
-        let stay = SArbDef::Wait { h, local: my_local };
+    fn pick(&self, _: usize, _: u32, parents: impl Iterator<Item = u32>) -> (u32, u32) {
         let mut counts = vec![0u32; self.k as usize];
-        for (_, s) in ctx.view.neighbors() {
-            match s {
-                // Future parents: not yet oriented — wait.
-                SArbDef::Active => return Transition::Continue(stay),
-                SArbDef::InSet { h: j, .. } => {
-                    if *j >= h {
-                        return Transition::Continue(stay);
-                    }
-                }
-                SArbDef::Wait { h: j, local } => {
-                    if *j > h || (*j == h && *local > my_local) {
-                        return Transition::Continue(stay);
-                    }
-                }
-                SArbDef::Done { h: j, local, g } => {
-                    if *j > h || (*j == h && *local > my_local) {
-                        counts[*g as usize] += 1;
-                    }
-                }
-            }
+        for g in parents {
+            counts[g as usize] += 1;
         }
         let g = counts
             .iter()
@@ -201,21 +51,31 @@ impl ArbdefectiveColoring {
             .min_by_key(|&(_, c)| *c)
             .map(|(i, _)| i as u32)
             .expect("k ≥ 1 groups");
-        Transition::Terminate(
-            SArbDef::Done {
-                h,
-                local: my_local,
-                g,
-            },
-            g,
-        )
+        (g, g)
+    }
+}
+
+/// Procedure Arbdefective-Coloring: splits the graph into `k` groups of
+/// arboricity ≤ `⌊A/k⌋` each.
+pub type ArbdefectiveColoring = Cascade<ArbdefectiveRule>;
+
+impl ArbdefectiveColoring {
+    /// Instance with `k` groups.
+    pub fn new(arboricity: usize, k: u32) -> Self {
+        assert!(k >= 1);
+        Cascade::with_rule(arboricity, ArbdefectiveRule { k })
+    }
+
+    /// Arbdefect guarantee: every group has arboricity ≤ `⌊A/k⌋`.
+    pub fn arbdefect(&self) -> usize {
+        self.cap() / self.rule.k as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{gen, verify, IdAssignment};
+    use graphcore::{gen, verify, Graph, IdAssignment};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -26,7 +26,7 @@ use crate::coverfree::CoverFree;
 use crate::forests::FState;
 use crate::inset::{DeltaPlusOneSchedule, LinialSchedule};
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
@@ -76,8 +76,7 @@ impl Protocol for GlobalLinial {
         if i >= sched.rounds() {
             return Transition::Terminate(*ctx.state, *ctx.state);
         }
-        let others: Vec<u64> = ctx.view.neighbors().map(|(_, &c)| c).collect();
-        let next = sched.step(i, *ctx.state, &others);
+        let next = sched.round(&ctx, i, *ctx.state, |(_, &c)| Some(c));
         if i + 1 == sched.rounds() {
             Transition::Terminate(next, next)
         } else {
@@ -138,10 +137,10 @@ impl Protocol for GlobalLinialKw {
         if i >= sched.rounds() {
             return Transition::Terminate(*ctx.state, sched.finish(*ctx.state));
         }
-        let others: Vec<u64> = ctx.view.neighbors().map(|(_, &c)| c).collect();
-        let next = sched.step(i, *ctx.state, &others);
+        // The last round finishes the color into `0..Δ+1`.
+        let next = sched.round(&ctx, i, *ctx.state, |(_, &c)| Some(c));
         if i + 1 == sched.rounds() {
-            Transition::Terminate(next, sched.finish(next))
+            Transition::Terminate(next, next)
         } else {
             Transition::Continue(next)
         }
@@ -159,24 +158,21 @@ impl Protocol for GlobalLinialKw {
 pub struct ArbLinialOneShot {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     fam: ScheduleCell<CoverFree>,
 }
 
 impl ArbLinialOneShot {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
         ArbLinialOneShot {
             arboricity,
-            epsilon: 2.0,
             fam: ScheduleCell::new(),
         }
     }
 
     /// Degree threshold `A`.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 
     /// The cover-free family (palette = its ground set).
@@ -202,7 +198,7 @@ impl Protocol for ArbLinialOneShot {
     }
 
     fn step(&self, ctx: StepCtx<'_, FState>) -> Transition<FState, u64> {
-        let l = itlog::partition_round_bound(ctx.graph.n() as u64, self.epsilon);
+        let l = itlog::partition_round_bound(ctx.graph.n() as u64, EPSILON);
         let next = match ctx.state.clone() {
             FState::Active => {
                 let active = ctx
@@ -241,7 +237,7 @@ impl Protocol for ArbLinialOneShot {
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
-        itlog::partition_round_bound(g.n() as u64, self.epsilon) + 8
+        itlog::partition_round_bound(g.n() as u64, EPSILON) + 8
     }
 }
 
@@ -252,8 +248,6 @@ impl Protocol for ArbLinialOneShot {
 pub struct ArbLinialFull {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     sched: ScheduleCell<LinialSchedule>,
 }
 
@@ -280,18 +274,17 @@ impl WireSize for SAlf {
 }
 
 impl ArbLinialFull {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
         ArbLinialFull {
             arboricity,
-            epsilon: 2.0,
             sched: ScheduleCell::new(),
         }
     }
 
     /// Degree threshold `A`.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 
     /// Shared Linial schedule.
@@ -317,7 +310,7 @@ impl Protocol for ArbLinialFull {
     }
 
     fn step(&self, ctx: StepCtx<'_, SAlf>) -> Transition<SAlf, u64> {
-        let l = itlog::partition_round_bound(ctx.graph.n() as u64, self.epsilon);
+        let l = itlog::partition_round_bound(ctx.graph.n() as u64, EPSILON);
         let sched = self.schedule(ctx.ids);
         match ctx.state.clone() {
             SAlf::Part(fs) => {
@@ -351,7 +344,7 @@ impl Protocol for ArbLinialFull {
 
     fn max_rounds(&self, g: &Graph) -> u32 {
         let n = g.n() as u64;
-        itlog::partition_round_bound(n, self.epsilon)
+        itlog::partition_round_bound(n, EPSILON)
             + LinialSchedule::new(n.max(2), self.cap() as u64).rounds()
             + 8
     }
@@ -370,19 +363,14 @@ impl ArbLinialFull {
             return Transition::Terminate(SAlf::Color { h, c: cur }, cur);
         }
         let my_id = ctx.my_id();
-        let parents: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, s)| {
-                let (j, col) = match s {
-                    SAlf::Part(FState::Joined { h: j }) => (*j, ctx.ids.id(u)),
-                    SAlf::Color { h: j, c } => (*j, *c),
-                    SAlf::Part(FState::Active) => unreachable!("partition done"),
-                };
-                (j > h || (j == h && ctx.ids.id(u) > my_id)).then_some(col)
-            })
-            .collect();
-        let next = sched.step(i, cur, &parents);
+        let next = sched.round(ctx, i, cur, |(u, s)| {
+            let (j, col) = match s {
+                SAlf::Part(FState::Joined { h: j }) => (*j, ctx.ids.id(u)),
+                SAlf::Color { h: j, c } => (*j, *c),
+                SAlf::Part(FState::Active) => unreachable!("partition done"),
+            };
+            (j > h || (j == h && ctx.ids.id(u) > my_id)).then_some(col)
+        });
         if i + 1 == sched.rounds() {
             Transition::Terminate(SAlf::Color { h, c: next }, next)
         } else {

@@ -21,224 +21,66 @@
 //! its parents: same-set neighbors with higher IDs plus neighbors in later
 //! sets of the same phase — at most `A` of them by the H-partition
 //! property, which is exactly the cover-free budget.
+//!
+//! The [`Windowed`] driver runs the scheme; this module keeps the rule:
+//! two phase windows, with the phase as the color's tag.
 
 use crate::inset::LinialSchedule;
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
-use crate::schedule_cell::{ScheduleCell, ScheduleKey};
-use graphcore::{Graph, IdAssignment, VertexId};
-use simlocal::{Protocol, StepCtx, Transition, WireSize};
+use crate::partition::EPSILON;
+use crate::segmentation::{self, Shape, WindowRule, Windowed};
+use graphcore::IdAssignment;
 
-/// Per-vertex state.
-#[derive(Clone, Debug, PartialEq)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
-pub enum S73 {
-    /// Running Procedure Partition.
-    Active,
-    /// Joined H-set `h`; waiting for its phase's coloring window.
-    Joined { h: u32 },
-    /// In the coloring window with a current Linial color.
-    Coloring { h: u32, color: u64 },
-}
+/// The §7.3 rule.
+#[derive(Debug)]
+pub struct A2LogLogRule;
 
-impl WireSize for S73 {
-    fn wire_bits(&self) -> u64 {
-        // 2-bit tag for three variants, then the payload.
-        match self {
-            S73::Active => 2,
-            S73::Joined { h } => 2 + h.wire_bits(),
-            S73::Coloring { h, color } => 2 + h.wire_bits() + color.wire_bits(),
-        }
+impl WindowRule for A2LogLogRule {
+    fn shape(&self) -> Shape {
+        Shape::TwoPhase
+    }
+
+    fn tag(&self, _: &LinialSchedule, phase: u32, c: u64) -> u64 {
+        2 * c + phase as u64
     }
 }
 
 /// The §7.3 protocol.
-#[derive(Debug, Default)]
-pub struct ColoringA2LogLog {
-    /// Known arboricity.
-    pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
-    /// Lazily computed Linial schedule (a pure function of the globally
-    /// known ID space and `A`; cached so steps don't recompute it).
-    sched: ScheduleCell<LinialSchedule>,
-}
+pub type ColoringA2LogLog = Windowed<A2LogLogRule>;
 
 impl ColoringA2LogLog {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        ColoringA2LogLog {
-            arboricity,
-            epsilon: 2.0,
-            sched: ScheduleCell::new(),
-        }
+        Windowed::with_rule(arboricity, A2LogLogRule)
     }
 
-    /// Degree threshold `A`.
-    pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
-    }
-
-    /// `t = ⌊c'·log log n⌋` with `c' = 1/log₂((2+ε)/2)`, clamped ≥ 1
+    /// `t = ⌊c'·log log n⌋` with `c' = 1/log₂((2+ε)/2) = 1`, clamped ≥ 1
     /// (after `t` partition rounds at most `n / log n` vertices remain).
     pub fn phase1_sets(&self, n: u64) -> u32 {
-        let c_prime = 1.0 / ((2.0 + self.epsilon) / 2.0).log2();
-        let ll = itlog::iterated_log(n.max(4), 2) as f64;
-        ((c_prime * ll).floor() as u32).max(1)
+        segmentation::phase1_sets(n)
     }
 
     /// Full-partition round bound `L`.
     pub fn full_rounds(&self, n: u64) -> u32 {
-        itlog::partition_round_bound(n, self.epsilon)
+        itlog::partition_round_bound(n, EPSILON)
     }
 
-    /// Shared Linial schedule (function of global knowledge only).
+    /// Shared Linial schedule (function of global knowledge only; the
+    /// two phases do not read `n`).
     pub fn schedule(&self, ids: &IdAssignment) -> &LinialSchedule {
-        let space = ids.id_space().max(2);
-        self.sched.get(ScheduleKey::ids(space), || {
-            LinialSchedule::new(space, self.cap() as u64)
-        })
+        &self.schedules(0, ids).1
     }
 
     /// Palette bound: two phase copies of the Linial fixpoint.
     pub fn palette(&self, ids: &IdAssignment) -> u64 {
         2 * self.schedule(ids).final_palette()
     }
-
-    /// Window start round of the phase containing H-set `h`.
-    fn window_start(&self, n: u64, h: u32) -> u32 {
-        let t = self.phase1_sets(n);
-        if h <= t {
-            t + 1
-        } else {
-            self.full_rounds(n).max(t) + 1
-        }
-    }
-
-    /// Phase tag (1 or 2) of H-set `h`.
-    fn phase_of(&self, n: u64, h: u32) -> u64 {
-        if h <= self.phase1_sets(n) {
-            0
-        } else {
-            1
-        }
-    }
-
-    /// Encodes the pair ⟨c, phase⟩ into a single color value.
-    fn encode(&self, c: u64, phase: u64) -> u64 {
-        2 * c + phase
-    }
-}
-
-/// The color a neighbor currently exposes for Linial purposes: its
-/// published Linial color if it has started coloring, otherwise its ID
-/// (the paper treats IDs as initial colors).
-fn exposed_color(ids: &IdAssignment, u: VertexId, s: &S73) -> u64 {
-    match s {
-        S73::Coloring { color, .. } => *color,
-        _ => ids.id(u),
-    }
-}
-
-impl Protocol for ColoringA2LogLog {
-    type State = S73;
-    type Msg = S73;
-    type Output = u64;
-
-    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> S73 {
-        S73::Active
-    }
-
-    fn publish(&self, state: &S73) -> S73 {
-        state.clone()
-    }
-
-    fn step(&self, ctx: StepCtx<'_, S73>) -> Transition<S73, u64> {
-        let n = ctx.graph.n() as u64;
-        match ctx.state.clone() {
-            S73::Active => {
-                let active = ctx
-                    .view
-                    .neighbors()
-                    .filter(|(_, s)| matches!(s, S73::Active))
-                    .count();
-                if partition_step(active, self.cap()) {
-                    Transition::Continue(S73::Joined { h: ctx.round })
-                } else {
-                    Transition::Continue(S73::Active)
-                }
-            }
-            S73::Joined { h } => {
-                let start = self.window_start(n, h);
-                if ctx.round < start {
-                    return Transition::Continue(S73::Joined { h });
-                }
-                // First Linial step (or immediate finish if the schedule
-                // is empty for tiny inputs).
-                self.coloring_step(&ctx, h, ctx.my_id(), ctx.round - start)
-            }
-            S73::Coloring { h, color } => {
-                let start = self.window_start(n, h);
-                self.coloring_step(&ctx, h, color, ctx.round - start)
-            }
-        }
-    }
-
-    fn max_rounds(&self, g: &Graph) -> u32 {
-        let n = g.n() as u64;
-        self.full_rounds(n).max(self.phase1_sets(n))
-            + LinialSchedule::new(n.max(2), self.cap() as u64).rounds()
-            + 8
-    }
-}
-
-impl ColoringA2LogLog {
-    /// Executes Linial step `i` of the window for a vertex in H-set `h`
-    /// currently colored `cur`; terminates after the last step.
-    fn coloring_step(
-        &self,
-        ctx: &StepCtx<'_, S73>,
-        h: u32,
-        cur: u64,
-        i: u32,
-    ) -> Transition<S73, u64> {
-        let n = ctx.graph.n() as u64;
-        let sched = self.schedule(ctx.ids);
-        let phase = self.phase_of(n, h);
-        if i >= sched.rounds() {
-            // Empty schedule (tiny instance): the ID itself is the color.
-            return Transition::Terminate(S73::Coloring { h, color: cur }, self.encode(cur, phase));
-        }
-        let t = self.phase1_sets(n);
-        let in_my_phase = |j: u32| (j <= t) == (h <= t);
-        let my_id = ctx.my_id();
-        let parents: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter(|(u, s)| match s {
-                S73::Active => false, // other phase still partitioning: not in my union
-                S73::Joined { h: j } | S73::Coloring { h: j, .. } => {
-                    in_my_phase(*j) && (*j > h || (*j == h && ctx.ids.id(*u) > my_id))
-                }
-            })
-            .map(|(u, s)| exposed_color(ctx.ids, u, s))
-            .collect();
-        let next = sched.step(i, cur, &parents);
-        if i + 1 == sched.rounds() {
-            Transition::Terminate(S73::Coloring { h, color: next }, self.encode(next, phase))
-        } else {
-            Transition::Continue(S73::Coloring { h, color: next })
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{gen, verify, IdAssignment};
+    use graphcore::{gen, verify, Graph, IdAssignment};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -330,7 +172,9 @@ mod tests {
         let n = 1 << 14;
         let t = p.phase1_sets(n);
         assert!(t >= 1);
-        assert!(p.window_start(n, 1) == t + 1);
-        assert!(p.window_start(n, t + 1) > p.window_start(n, t));
+        let windows = Shape::TwoPhase.windows(n, &None);
+        let window_start = |h| windows.opens(windows.of(h), 0).unwrap();
+        assert!(window_start(1) == t + 1);
+        assert!(window_start(t + 1) > window_start(t));
     }
 }

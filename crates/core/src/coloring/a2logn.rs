@@ -18,35 +18,32 @@
 use crate::coverfree::CoverFree;
 use crate::forests::FState;
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition};
 
 /// The §7.2 protocol.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ColoringA2LogN {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     /// Cached cover-free family (pure function of global knowledge).
     fam: ScheduleCell<CoverFree>,
 }
 
 impl ColoringA2LogN {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
         ColoringA2LogN {
             arboricity,
-            epsilon: 2.0,
             fam: ScheduleCell::new(),
         }
     }
 
     /// Degree threshold `A`.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 
     /// The cover-free family every vertex derives from global knowledge.
@@ -111,7 +108,7 @@ impl Protocol for ColoringA2LogN {
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
-        itlog::partition_round_bound(g.n() as u64, self.epsilon) + 8
+        itlog::partition_round_bound(g.n() as u64, EPSILON) + 8
     }
 
     fn phase_names(&self) -> &'static [&'static str] {

@@ -16,219 +16,36 @@
 //! our in-set solver is `O(a log a + a + log* n)` — both depend on `a`
 //! only once Procedure Partition has capped the degree, which is the
 //! claim under test (see DESIGN.md substitutions).
+//!
+//! The [`Extension`] driver runs the framework; this module keeps the
+//! slot rule. It reads Δ, so the protocol is not local.
 
-use crate::extension::IterationSchedule;
-use crate::inset::DeltaPlusOneSchedule;
-use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
-use crate::schedule_cell::{ScheduleCell, ScheduleKey};
-use graphcore::{Graph, IdAssignment, VertexId};
-use simlocal::{Protocol, StepCtx, Transition, WireSize};
+use crate::extension::{Extension, SlotRule};
+use crate::inset::smallest_free;
+use graphcore::Graph;
 
-/// Per-vertex state.
-#[derive(Clone, Debug)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
-pub enum SDp1 {
-    /// Running Procedure Partition.
-    Active,
-    /// Joined H-set `h`; waiting for the iteration window.
-    Joined { h: u32 },
-    /// Running the in-set slot-order coloring.
-    InSet { h: u32, c: u64 },
-    /// Holding slot color `slot`, waiting for its greedy slot.
-    Await { h: u32, slot: u64 },
-    /// Final color fixed (terminal, published).
-    Fin { h: u32, color: u64 },
-}
+/// The Corollary 8.3 slot rule: the smallest color of `{0..Δ}` unused by
+/// any decided neighbor.
+#[derive(Debug)]
+pub struct DeltaPlusOneRule;
 
-/// Wire message for [`DeltaPlusOneColoring`]. An `Await` vertex's slot
-/// and H-index are private while it holds for its greedy slot, and a
-/// finished vertex only shows its color — neighbors never need the
-/// H-index of a decided vertex.
-#[derive(Clone, Debug, PartialEq)]
-#[allow(missing_docs)] // mirrors the `SDp1` conventions above
-pub enum Dp1Msg {
-    Active,
-    Joined { h: u32 },
-    InSet { h: u32, c: u64 },
-    Await,
-    Fin { color: u64 },
-}
+impl SlotRule for DeltaPlusOneRule {
+    type Decision = u64;
+    // Δ is global topology that edge churn can move.
+    const LOCAL: bool = false;
 
-impl WireSize for Dp1Msg {
-    fn wire_bits(&self) -> u64 {
-        // 3-bit tag for five variants, then the payload.
-        match self {
-            Dp1Msg::Active | Dp1Msg::Await => 3,
-            Dp1Msg::Joined { h } => 3 + h.wire_bits(),
-            Dp1Msg::InSet { h, c } => 3 + h.wire_bits() + c.wire_bits(),
-            Dp1Msg::Fin { color } => 3 + color.wire_bits(),
-        }
+    fn decide(&self, g: &Graph, decided: impl Iterator<Item = u64>) -> u64 {
+        smallest_free(g.max_degree(), decided)
     }
 }
 
 /// The Corollary 8.3 protocol.
-#[derive(Debug)]
-pub struct DeltaPlusOneColoring {
-    /// Known arboricity.
-    pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
-    sched: ScheduleCell<(DeltaPlusOneSchedule, IterationSchedule)>,
-}
+pub type DeltaPlusOneColoring = Extension<DeltaPlusOneRule>;
 
 impl DeltaPlusOneColoring {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        DeltaPlusOneColoring {
-            arboricity,
-            epsilon: 2.0,
-            sched: ScheduleCell::new(),
-        }
-    }
-
-    /// Degree threshold `A`.
-    pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
-    }
-
-    fn schedules(&self, ids: &IdAssignment) -> &(DeltaPlusOneSchedule, IterationSchedule) {
-        let space = ids.id_space().max(2);
-        self.sched.get(ScheduleKey::ids(space), || {
-            let inset = DeltaPlusOneSchedule::new(space, self.cap() as u64);
-            let dur = inset.rounds() + self.cap() as u32 + 1;
-            (inset, IterationSchedule::new(dur))
-        })
-    }
-}
-
-impl Protocol for DeltaPlusOneColoring {
-    type State = SDp1;
-    type Msg = Dp1Msg;
-    type Output = u64;
-
-    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> SDp1 {
-        SDp1::Active
-    }
-
-    fn publish(&self, state: &SDp1) -> Dp1Msg {
-        match state {
-            SDp1::Active => Dp1Msg::Active,
-            SDp1::Joined { h } => Dp1Msg::Joined { h: *h },
-            SDp1::InSet { h, c } => Dp1Msg::InSet { h: *h, c: *c },
-            SDp1::Await { .. } => Dp1Msg::Await,
-            SDp1::Fin { color, .. } => Dp1Msg::Fin { color: *color },
-        }
-    }
-
-    fn step(&self, ctx: StepCtx<'_, SDp1, Dp1Msg>) -> Transition<SDp1, u64> {
-        let (inset, iters) = self.schedules(ctx.ids);
-        let d = inset.rounds();
-        match ctx.state.clone() {
-            SDp1::Active => {
-                let active = ctx
-                    .view
-                    .neighbors()
-                    .filter(|(_, s)| matches!(s, Dp1Msg::Active))
-                    .count();
-                if partition_step(active, self.cap()) {
-                    Transition::Continue(SDp1::Joined { h: ctx.round })
-                } else {
-                    Transition::Continue(SDp1::Active)
-                }
-            }
-            SDp1::Joined { h } => match iters.local_round(h, ctx.round) {
-                None => Transition::Continue(SDp1::Joined { h }),
-                Some(_) => self.inset_step(&ctx, h, ctx.my_id(), 0, d),
-            },
-            SDp1::InSet { h, c } => {
-                let i = iters
-                    .local_round(h, ctx.round)
-                    .expect("window already open");
-                self.inset_step(&ctx, h, c, i, d)
-            }
-            SDp1::Await { h, slot } => {
-                let i = iters
-                    .local_round(h, ctx.round)
-                    .expect("window already open");
-                self.slot_step(&ctx, h, slot, i - d)
-            }
-            SDp1::Fin { .. } => unreachable!("terminal"),
-        }
-    }
-
-    fn max_rounds(&self, g: &Graph) -> u32 {
-        let n = g.n() as u64;
-        let inset = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64);
-        let dur = inset.rounds() + self.cap() as u32 + 1;
-        IterationSchedule::new(dur).window_end(itlog::partition_round_bound(n, self.epsilon)) + 8
-    }
-}
-
-impl DeltaPlusOneColoring {
-    /// In-set slot-order coloring step `i ∈ 0..d`.
-    fn inset_step(
-        &self,
-        ctx: &StepCtx<'_, SDp1, Dp1Msg>,
-        h: u32,
-        cur: u64,
-        i: u32,
-        d: u32,
-    ) -> Transition<SDp1, u64> {
-        let (inset, _) = self.schedules(ctx.ids);
-        if i >= d {
-            // Degenerate tiny-instance schedule.
-            return self.slot_step(ctx, h, inset.finish(cur), i - d);
-        }
-        let peers: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, s)| match s {
-                Dp1Msg::InSet { h: j, c } if *j == h => Some(*c),
-                // Peers entering the window this round still expose their
-                // IDs as their initial colors.
-                Dp1Msg::Joined { h: j } if *j == h => Some(ctx.ids.id(u)),
-                _ => None,
-            })
-            .collect();
-        let next = inset.step(i, cur, &peers);
-        if i + 1 == d {
-            Transition::Continue(SDp1::Await {
-                h,
-                slot: inset.finish(next),
-            })
-        } else {
-            Transition::Continue(SDp1::InSet { h, c: next })
-        }
-    }
-
-    /// Greedy slot step: when `slot_round` reaches my slot index, pick the
-    /// smallest color of `{0..Δ}` unused by any decided neighbor.
-    fn slot_step(
-        &self,
-        ctx: &StepCtx<'_, SDp1, Dp1Msg>,
-        h: u32,
-        slot: u64,
-        slot_round: u32,
-    ) -> Transition<SDp1, u64> {
-        if (slot_round as u64) < slot {
-            return Transition::Continue(SDp1::Await { h, slot });
-        }
-        let delta = ctx.graph.max_degree() as u64;
-        let mut used = vec![false; delta as usize + 1];
-        for (_, s) in ctx.view.neighbors() {
-            if let Dp1Msg::Fin { color } = s {
-                used[*color as usize] = true;
-            }
-        }
-        let color = used
-            .iter()
-            .position(|&u| !u)
-            .expect("Δ+1 list vs ≤ Δ neighbors") as u64;
-        Transition::Terminate(SDp1::Fin { h, color }, color)
+        Extension::with_rule(arboricity, DeltaPlusOneRule)
     }
 }
 

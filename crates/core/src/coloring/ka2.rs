@@ -14,81 +14,44 @@
 //! terminates. Segment `k` (holding all but an `O(1/log^(k-1) n)` fraction
 //! of the vertices) closes after `O(log^(k) n + log* n)` rounds, which
 //! dominates the vertex-averaged complexity.
+//!
+//! The [`Windowed`] driver runs the scheme; this module keeps the rule:
+//! one window per segment, each with its own palette copy.
 
 use crate::inset::LinialSchedule;
-use crate::partition::{degree_cap, partition_step};
-use crate::schedule_cell::{ScheduleCell, ScheduleKey};
-use crate::segmentation::SegmentSchedule;
-use graphcore::{Graph, IdAssignment, VertexId};
-use simlocal::{Protocol, StepCtx, Transition, WireSize};
+use crate::partition::EPSILON;
+use crate::segmentation::{SegmentSchedule, Shape, WindowRule, Windowed};
+use graphcore::IdAssignment;
 
-/// Per-vertex state.
-#[derive(Clone, Debug, PartialEq)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
-pub enum SKa2 {
-    /// Running Procedure Partition.
-    Active,
-    /// Joined H-set `h`; waiting for the segment's 𝒞 window.
-    Joined { h: u32 },
-    /// Running the segment-wide iterated Linial coloring.
-    Coloring { h: u32, color: u64 },
+/// The §7.6 rule.
+#[derive(Debug)]
+pub struct Ka2Rule {
+    /// Number of segments `k ∈ [2, ρ(n)]` (clamped by the schedule).
+    pub k: u32,
 }
 
-impl WireSize for SKa2 {
-    fn wire_bits(&self) -> u64 {
-        // 2-bit tag for three variants, then the payload.
-        match self {
-            SKa2::Active => 2,
-            SKa2::Joined { h } => 2 + h.wire_bits(),
-            SKa2::Coloring { h, color } => 2 + h.wire_bits() + color.wire_bits(),
-        }
+impl WindowRule for Ka2Rule {
+    fn shape(&self) -> Shape {
+        Shape::Segments(self.k)
+    }
+
+    fn tag(&self, linial: &LinialSchedule, seg: u32, c: u64) -> u64 {
+        (seg as u64 - 1) * linial.final_palette().max(2) + c
     }
 }
 
 /// The §7.6 protocol.
-#[derive(Debug)]
-pub struct ColoringKa2 {
-    /// Known arboricity.
-    pub arboricity: usize,
-    /// Number of segments `k ∈ [2, ρ(n)]` (clamped by the schedule).
-    pub k: u32,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
-    sched: ScheduleCell<(SegmentSchedule, LinialSchedule)>,
-}
+pub type ColoringKa2 = Windowed<Ka2Rule>;
 
 impl ColoringKa2 {
-    /// Instance with `ε = 2`.
+    /// Instance with `k` segments.
     pub fn new(arboricity: usize, k: u32) -> Self {
-        ColoringKa2 {
-            arboricity,
-            k,
-            epsilon: 2.0,
-            sched: ScheduleCell::new(),
-        }
+        Windowed::with_rule(arboricity, Ka2Rule { k })
     }
 
     /// The `k = ρ(n)` instance of Corollary 7.14 (maximum segmentation).
     pub fn rho_instance(arboricity: usize, n: u64) -> Self {
         Self::new(arboricity, crate::itlog::rho(n))
-    }
-
-    /// Degree threshold `A`.
-    pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
-    }
-
-    fn schedules(&self, n: u64, ids: &IdAssignment) -> &(SegmentSchedule, LinialSchedule) {
-        let space = ids.id_space().max(2);
-        self.sched.get(ScheduleKey::ids(space).n(n), || {
-            (
-                SegmentSchedule::new(n, self.k, self.epsilon),
-                LinialSchedule::new(space, self.cap() as u64),
-            )
-        })
     }
 
     /// Per-segment palette width α (the Linial fixpoint, `O(a²)`).
@@ -98,108 +61,15 @@ impl ColoringKa2 {
 
     /// Total palette bound: `k · α = O(k a²)`.
     pub fn palette(&self, n: u64, ids: &IdAssignment) -> u64 {
-        let k = SegmentSchedule::new(n, self.k, self.epsilon).k();
+        let k = SegmentSchedule::new(n, self.rule.k, EPSILON).k();
         k as u64 * self.alpha(ids)
-    }
-}
-
-impl Protocol for ColoringKa2 {
-    type State = SKa2;
-    type Msg = SKa2;
-    type Output = u64;
-
-    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> SKa2 {
-        SKa2::Active
-    }
-
-    fn publish(&self, state: &SKa2) -> SKa2 {
-        state.clone()
-    }
-
-    fn step(&self, ctx: StepCtx<'_, SKa2>) -> Transition<SKa2, u64> {
-        let n = ctx.graph.n() as u64;
-        let (segs, linial) = self.schedules(n, ctx.ids);
-        match ctx.state.clone() {
-            SKa2::Active => {
-                let active = ctx
-                    .view
-                    .neighbors()
-                    .filter(|(_, s)| matches!(s, SKa2::Active))
-                    .count();
-                if partition_step(active, self.cap()) {
-                    Transition::Continue(SKa2::Joined { h: ctx.round })
-                } else {
-                    Transition::Continue(SKa2::Active)
-                }
-            }
-            SKa2::Joined { h } => {
-                let start = segs.c_start(segs.segment_of(h), 0);
-                if ctx.round < start {
-                    return Transition::Continue(SKa2::Joined { h });
-                }
-                self.linial_step(&ctx, segs, linial, h, ctx.my_id(), ctx.round - start)
-            }
-            SKa2::Coloring { h, color } => {
-                let start = segs.c_start(segs.segment_of(h), 0);
-                self.linial_step(&ctx, segs, linial, h, color, ctx.round - start)
-            }
-        }
-    }
-
-    fn max_rounds(&self, g: &Graph) -> u32 {
-        let n = g.n() as u64;
-        SegmentSchedule::new(n, self.k, self.epsilon).total_partition_rounds()
-            + LinialSchedule::new(n.max(2), self.cap() as u64).rounds()
-            + 8
-    }
-}
-
-impl ColoringKa2 {
-    fn linial_step(
-        &self,
-        ctx: &StepCtx<'_, SKa2>,
-        segs: &SegmentSchedule,
-        linial: &LinialSchedule,
-        h: u32,
-        cur: u64,
-        i: u32,
-    ) -> Transition<SKa2, u64> {
-        let seg = segs.segment_of(h);
-        let encode = |c: u64| (seg as u64 - 1) * linial.final_palette().max(2) + c;
-        if i >= linial.rounds() {
-            // Degenerate schedule (tiny instance).
-            return Transition::Terminate(SKa2::Coloring { h, color: cur }, encode(cur));
-        }
-        let my_id = ctx.my_id();
-        // Parents within my segment: same-set neighbors with higher IDs
-        // and neighbors in later sets of the same segment.
-        let parents: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, s)| {
-                let (j, col) = match s {
-                    SKa2::Active => return None,
-                    SKa2::Joined { h: j } => (*j, ctx.ids.id(u)),
-                    SKa2::Coloring { h: j, color } => (*j, *color),
-                };
-                let is_parent =
-                    segs.segment_of(j) == seg && (j > h || (j == h && ctx.ids.id(u) > my_id));
-                is_parent.then_some(col)
-            })
-            .collect();
-        let next = linial.step(i, cur, &parents);
-        if i + 1 == linial.rounds() {
-            Transition::Terminate(SKa2::Coloring { h, color: next }, encode(next))
-        } else {
-            Transition::Continue(SKa2::Coloring { h, color: next })
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{gen, verify, IdAssignment};
+    use graphcore::{gen, verify, Graph, IdAssignment};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

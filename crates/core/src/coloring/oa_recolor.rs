@@ -19,245 +19,50 @@
 //! phase 2 — but phase 2 only holds `O(n / log n)` vertices, giving the
 //! `O(a log log n)` vertex-averaged bound (plus the in-set coloring's
 //! `O(a log a + log* n)`; see DESIGN.md on the substituted inner routine).
+//!
+//! The [`Cascade`] driver runs the scheme; this module keeps the rule:
+//! two phase windows, the smallest free color, tagged with the phase.
 
-use crate::inset::DeltaPlusOneSchedule;
-use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
-use crate::schedule_cell::{ScheduleCell, ScheduleKey};
-use graphcore::{Graph, IdAssignment, VertexId};
-use simlocal::{Protocol, StepCtx, Transition, WireSize};
+use crate::inset::{smallest_free, Cascade, CascadeRule};
+use crate::segmentation::Shape;
 
-/// Per-vertex state.
-#[derive(Clone, Debug, PartialEq)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
-pub enum S74 {
-    /// Running Procedure Partition.
-    Active,
-    /// In H-set `h`, running the in-set coloring with current color `c`
-    /// (IDs until the window opens).
-    InSet { h: u32, c: u64 },
-    /// Holds a final in-set color; waiting for the recolor window and for
-    /// its parents to recolor.
-    WaitRecolor { h: u32, local: u64 },
-    /// Recolored (published so children can proceed).
-    Done { h: u32, local: u64, rec: u64 },
-}
+/// The §7.4 rule.
+#[derive(Debug)]
+pub struct OaRecolorRule;
 
-impl WireSize for S74 {
-    fn wire_bits(&self) -> u64 {
-        // 2-bit tag for four variants, then the payload.
-        match self {
-            S74::Active => 2,
-            S74::InSet { h, c } => 2 + h.wire_bits() + c.wire_bits(),
-            S74::WaitRecolor { h, local } => 2 + h.wire_bits() + local.wire_bits(),
-            S74::Done { h, local, rec } => 2 + h.wire_bits() + local.wire_bits() + rec.wire_bits(),
-        }
+impl CascadeRule for OaRecolorRule {
+    type Pick = u64;
+    type Output = u64;
+
+    fn shape(&self) -> Shape {
+        Shape::TwoPhase
+    }
+
+    fn pick(&self, cap: usize, phase: u32, parents: impl Iterator<Item = u64>) -> (u64, u64) {
+        let rec = smallest_free(cap, parents);
+        (rec, rec * 2 + phase as u64)
     }
 }
 
 /// The §7.4 protocol.
-#[derive(Debug, Default)]
-pub struct ColoringOaRecolor {
-    /// Known arboricity.
-    pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
-    sched: ScheduleCell<DeltaPlusOneSchedule>,
-}
+pub type ColoringOaRecolor = Cascade<OaRecolorRule>;
 
 impl ColoringOaRecolor {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        ColoringOaRecolor {
-            arboricity,
-            epsilon: 2.0,
-            sched: ScheduleCell::new(),
-        }
-    }
-
-    /// Degree threshold `A`.
-    pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
-    }
-
-    /// Phase-1 set count `t = ⌊log log n⌋`, clamped ≥ 1.
-    pub fn phase1_sets(&self, n: u64) -> u32 {
-        (itlog::iterated_log(n.max(4), 2) as u32).max(1)
-    }
-
-    /// Full partition bound `L`.
-    pub fn full_rounds(&self, n: u64) -> u32 {
-        itlog::partition_round_bound(n, self.epsilon)
-    }
-
-    /// In-set coloring schedule (global knowledge only).
-    pub fn schedule(&self, ids: &IdAssignment) -> &DeltaPlusOneSchedule {
-        let space = ids.id_space().max(2);
-        self.sched.get(ScheduleKey::ids(space), || {
-            DeltaPlusOneSchedule::new(space, self.cap() as u64)
-        })
+        Cascade::with_rule(arboricity, OaRecolorRule)
     }
 
     /// Total palette: two phase copies of `A + 1` colors.
     pub fn palette(&self) -> u64 {
         2 * (self.cap() as u64 + 1)
     }
-
-    /// Recolor-window start for the phase of H-set `h`.
-    fn recolor_start(&self, n: u64, d: u32, h: u32) -> u32 {
-        let t = self.phase1_sets(n);
-        if h <= t {
-            t + d + 1
-        } else {
-            self.full_rounds(n).max(t) + d + 1
-        }
-    }
-
-    fn phase_bit(&self, n: u64, h: u32) -> u64 {
-        u64::from(h > self.phase1_sets(n))
-    }
-}
-
-impl Protocol for ColoringOaRecolor {
-    type State = S74;
-    type Msg = S74;
-    type Output = u64;
-
-    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> S74 {
-        S74::Active
-    }
-
-    fn publish(&self, state: &S74) -> S74 {
-        state.clone()
-    }
-
-    fn step(&self, ctx: StepCtx<'_, S74>) -> Transition<S74, u64> {
-        let _n = ctx.graph.n() as u64;
-        let sched = self.schedule(ctx.ids);
-        let d = sched.rounds();
-        match ctx.state.clone() {
-            S74::Active => {
-                let active = ctx
-                    .view
-                    .neighbors()
-                    .filter(|(_, s)| matches!(s, S74::Active))
-                    .count();
-                if partition_step(active, self.cap()) {
-                    Transition::Continue(S74::InSet {
-                        h: ctx.round,
-                        c: ctx.my_id(),
-                    })
-                } else {
-                    Transition::Continue(S74::Active)
-                }
-            }
-            S74::InSet { h, c } => {
-                // In-set (Δ+1)-coloring window is [h+1, h+d].
-                let i = ctx.round - h - 1;
-                if i >= d {
-                    // Empty schedule (tiny instance): ID is already < A+1.
-                    return self.wait_or_recolor(&ctx, h, sched.finish(c));
-                }
-                let peers: Vec<u64> = ctx
-                    .view
-                    .neighbors()
-                    .filter_map(|(_, s)| match s {
-                        S74::InSet { h: j, c } if *j == h => Some(*c),
-                        _ => None,
-                    })
-                    .collect();
-                let next = sched.step(i, c, &peers);
-                if i + 1 == d {
-                    Transition::Continue(S74::WaitRecolor {
-                        h,
-                        local: sched.finish(next),
-                    })
-                } else {
-                    Transition::Continue(S74::InSet { h, c: next })
-                }
-            }
-            S74::WaitRecolor { h, local } => self.wait_or_recolor(&ctx, h, local),
-            S74::Done { .. } => unreachable!("Done is a terminal state"),
-        }
-    }
-
-    fn max_rounds(&self, g: &Graph) -> u32 {
-        let n = g.n() as u64;
-        let d = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64).rounds();
-        // Phase-2 recolor cascade is bounded by (A+1) per set across L sets.
-        self.full_rounds(n) + d + (self.cap() as u32 + 1) * (self.full_rounds(n) + 1) + 16
-    }
-}
-
-impl ColoringOaRecolor {
-    /// Recolor attempt: if the window is open and every parent in the
-    /// phase union has recolored, pick the smallest free color and finish.
-    fn wait_or_recolor(
-        &self,
-        ctx: &StepCtx<'_, S74>,
-        h: u32,
-        my_local: u64,
-    ) -> Transition<S74, u64> {
-        let n = ctx.graph.n() as u64;
-        let d = self.schedule(ctx.ids).rounds();
-        let stay = S74::WaitRecolor { h, local: my_local };
-        if ctx.round < self.recolor_start(n, d, h) {
-            return Transition::Continue(stay);
-        }
-        let t = self.phase1_sets(n);
-        let in_my_phase = |j: u32| (j <= t) == (h <= t);
-        // Parents: same-set neighbors with a higher in-set color, or
-        // same-phase neighbors in a later set. A parent that has not
-        // recolored yet forces another waiting round; recolored parents'
-        // colors are blocked.
-        let mut used = vec![false; self.cap() + 1];
-        for (_, s) in ctx.view.neighbors() {
-            match s {
-                // Other phase still partitioning — not in my union.
-                S74::Active => {}
-                S74::InSet { h: j, .. } => {
-                    // Still coloring: a (potential) parent unless it is a
-                    // same-set peer that cannot outrank an already-decided
-                    // local color — be conservative and wait.
-                    if in_my_phase(*j) && *j >= h {
-                        return Transition::Continue(stay);
-                    }
-                }
-                S74::WaitRecolor { h: j, local } => {
-                    if in_my_phase(*j) && (*j > h || (*j == h && *local > my_local)) {
-                        return Transition::Continue(stay);
-                    }
-                }
-                S74::Done { h: j, local, rec } => {
-                    if in_my_phase(*j) && (*j > h || (*j == h && *local > my_local)) {
-                        used[*rec as usize] = true;
-                    }
-                }
-            }
-        }
-        let rec = used
-            .iter()
-            .position(|&u| !u)
-            .expect("A+1 palette vs ≤ A parents") as u64;
-        let fin = rec * 2 + self.phase_bit(n, h);
-        Transition::Terminate(
-            S74::Done {
-                h,
-                local: my_local,
-                rec,
-            },
-            fin,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{gen, verify, IdAssignment};
+    use graphcore::{gen, verify, Graph, IdAssignment};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -14,7 +14,7 @@
 //! partition decay.
 
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
@@ -102,25 +102,19 @@ impl<S: WireSize> WireSize for ComposeMsg<S> {
 pub struct Compose<A> {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     /// The in-set algorithm.
     pub algo: A,
 }
 
 impl<A: HSetAlgo> Compose<A> {
-    /// Standard composition (ε = 2).
+    /// Standard composition.
     pub fn new(arboricity: usize, algo: A) -> Self {
-        Compose {
-            arboricity,
-            epsilon: 2.0,
-            algo,
-        }
+        Compose { arboricity, algo }
     }
 
     /// Degree threshold `A` — also the max in-set degree 𝒜 sees.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 }
 
@@ -170,7 +164,7 @@ impl<A: HSetAlgo> Protocol for Compose<A> {
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
-        itlog::partition_round_bound(g.n() as u64, self.epsilon) + self.algo.round_bound(g) + 8
+        itlog::partition_round_bound(g.n() as u64, EPSILON) + self.algo.round_bound(g) + 8
     }
 
     fn phase_names(&self) -> &'static [&'static str] {

@@ -35,7 +35,7 @@
 
 use crate::extension::{metrics_from_commits, EdgeSlot, EdgeWindow};
 use crate::forests::decide_out_edges;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{EdgeId, Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, RoundMetrics, SimOutcome, StepCtx, Transition, WireSize};
@@ -129,24 +129,21 @@ pub struct EcOut {
 pub struct EdgeColoringExtension {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     window: ScheduleCell<EdgeWindow>,
 }
 
 impl EdgeColoringExtension {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
         EdgeColoringExtension {
             arboricity,
-            epsilon: 2.0,
             window: ScheduleCell::new(),
         }
     }
 
     /// Degree threshold `A`.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 
     /// Edge palette `2Δ − 1`.
@@ -248,7 +245,7 @@ impl Protocol for EdgeColoringExtension {
 
     fn max_rounds(&self, g: &Graph) -> u32 {
         let n = g.n() as u64;
-        EdgeWindow::new(n, self.cap()).max_rounds(n, self.epsilon)
+        EdgeWindow::new(n, self.cap()).max_rounds(n)
     }
 
     fn phase_names(&self) -> &'static [&'static str] {

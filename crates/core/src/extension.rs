@@ -11,11 +11,21 @@
 //! the *average* number of rounds `O(T_𝒜 + T_ℬ)` (Corollary 6.4).
 //!
 //! This module provides the deterministic iteration timetable shared by
-//! the concrete instantiations:
+//! the concrete instantiations, and the driver of the vertex problems.
+//! [`Extension`] runs the whole framework for a problem whose 𝒜 is "color
+//! `G(H_i)` with the in-set `(A+1)`-coloring, then let its `A + 1` color
+//! classes decide one slot at a time against every decided neighbor". A
+//! [`SlotRule`] keeps what differs per result — the slot decision, its
+//! payload, and whether the decision reads only local inputs:
 //!
 //! * [`crate::coloring::delta_plus_one`] — `(Δ+1)`-vertex-coloring
-//!   (Corollary 8.3);
-//! * [`crate::mis`] — maximal independent set (Corollary 8.4);
+//!   (Corollary 8.3): the smallest color of `{0..Δ}` free among the
+//!   decided neighbors; it reads Δ, so it is not local;
+//! * [`crate::mis`] — maximal independent set (Corollary 8.4): join
+//!   unless a decided neighbor joined.
+//!
+//! The edge-labelled problems write their windows with [`EdgeWindow`]:
+//!
 //! * [`crate::edge_coloring`] — `(2Δ−1)`-edge-coloring (Corollary 8.6);
 //! * [`crate::matching`] — maximal matching (Corollary 8.8), which shares
 //!   the edge-window slots of [`EdgeWindow`] with edge coloring.
@@ -48,8 +58,10 @@
 
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
-use graphcore::VertexId;
-use simlocal::{RoundMetrics, StepCtx};
+use crate::partition::{degree_cap, partition_step, EPSILON};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
+use graphcore::{Graph, IdAssignment, VertexId};
+use simlocal::{Protocol, RoundMetrics, StepCtx, Transition, WireSize};
 
 /// The fixed-budget iteration timetable of Theorem 8.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,8 +132,8 @@ impl EdgeWindow {
     }
 
     /// Round cap for `n` vertices: the last window's end plus a relay margin.
-    pub fn max_rounds(&self, n: u64, epsilon: f64) -> u32 {
-        let last = itlog::partition_round_bound(n, epsilon);
+    pub fn max_rounds(&self, n: u64) -> u32 {
+        let last = itlog::partition_round_bound(n, EPSILON);
         self.iters.window_end(last) + 16
     }
 
@@ -159,12 +171,217 @@ impl EdgeWindow {
         my: u64,
         peer: impl Fn((VertexId, &M)) -> Option<u64>,
     ) -> u64 {
-        let peers: Vec<u64> = ctx.view.neighbors().filter_map(peer).collect();
-        let c = self.inset.step(i, my, &peers);
-        if i + 1 == self.inset.rounds() {
-            self.inset.finish(c)
-        } else {
-            c
+        self.inset.round(ctx, i, my, peer)
+    }
+}
+
+/// Per-vertex state of the [`Extension`] driver.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[allow(missing_docs)] // `h` is the 1-based H-set index, `c` the running in-set color
+pub enum ExtState<D> {
+    /// Running Procedure Partition.
+    Active,
+    /// Joined H-set `h`; waiting for its iteration window.
+    Joined { h: u32 },
+    /// Running the in-set slot-order coloring.
+    InSet { h: u32, c: u64 },
+    /// Holding slot `slot`, waiting for it.
+    Await { h: u32, slot: u64 },
+    /// Decided (terminal, published).
+    Fin { h: u32, decision: D },
+}
+
+/// Wire message of the [`Extension`] driver. An `Await` vertex's slot and
+/// H-index are private while it holds for its slot, and a decided vertex
+/// only shows its decision — neighbors never need the H-index of a
+/// decided vertex.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[allow(missing_docs)] // mirrors the `ExtState` conventions above
+pub enum ExtMsg<D> {
+    Active,
+    Joined { h: u32 },
+    InSet { h: u32, c: u64 },
+    Await,
+    Fin { decision: D },
+}
+
+impl<D: WireSize> WireSize for ExtMsg<D> {
+    fn wire_bits(&self) -> u64 {
+        // 3-bit tag for five variants, then the payload.
+        match self {
+            ExtMsg::Active | ExtMsg::Await => 3,
+            ExtMsg::Joined { h } => 3 + h.wire_bits(),
+            ExtMsg::InSet { h, c } => 3 + h.wire_bits() + c.wire_bits(),
+            ExtMsg::Fin { decision } => 3 + decision.wire_bits(),
+        }
+    }
+}
+
+/// What one vertex-extension result keeps; [`Extension`] does the rest.
+pub trait SlotRule: Sync {
+    /// What a vertex decides in its slot: its output, and all its
+    /// neighbors see of it from then on.
+    type Decision: Copy + std::fmt::Debug + PartialEq + Send + Sync + WireSize;
+
+    /// Whether the decision reads only LOCAL inputs
+    /// ([`Protocol::is_local`]).
+    const LOCAL: bool;
+
+    /// The decision of a vertex whose decided neighbors decided
+    /// `decided` — earlier sets, and earlier slots of its own set.
+    fn decide(&self, g: &Graph, decided: impl Iterator<Item = Self::Decision>) -> Self::Decision;
+}
+
+/// The extension framework of Theorem 8.2 for vertex problems: partition,
+/// then in H-set `h`'s iteration window an in-set `(A+1)`-coloring, whose
+/// color is the vertex's slot, then `A + 1` slots in which the vertices
+/// of each color class decide.
+#[derive(Debug)]
+pub struct Extension<R> {
+    /// Known arboricity.
+    pub arboricity: usize,
+    /// What the result keeps.
+    pub rule: R,
+    sched: ScheduleCell<(DeltaPlusOneSchedule, IterationSchedule)>,
+}
+
+impl<R: SlotRule> Extension<R> {
+    pub(crate) fn with_rule(arboricity: usize, rule: R) -> Self {
+        Extension {
+            arboricity,
+            rule,
+            sched: ScheduleCell::new(),
+        }
+    }
+
+    /// Degree threshold `A`.
+    pub fn cap(&self) -> usize {
+        degree_cap(self.arboricity, EPSILON)
+    }
+
+    /// The in-set schedule and the iteration timetable: `d` coloring
+    /// rounds plus `A + 1` slots per window.
+    fn schedules(&self, ids: &IdAssignment) -> &(DeltaPlusOneSchedule, IterationSchedule) {
+        let space = ids.id_space().max(2);
+        self.sched.get(ScheduleKey::ids(space), || {
+            let inset = DeltaPlusOneSchedule::new(space, self.cap() as u64);
+            let dur = inset.rounds() + self.cap() as u32 + 1;
+            (inset, IterationSchedule::new(dur))
+        })
+    }
+
+    /// Window round `i` of a vertex of H-set `h`: in-set coloring round
+    /// `i < d` from color `cur`, else slot round `i - d` holding slot
+    /// `cur`.
+    fn window_step(
+        &self,
+        ctx: &StepCtx<'_, ExtState<R::Decision>, ExtMsg<R::Decision>>,
+        inset: &DeltaPlusOneSchedule,
+        h: u32,
+        cur: u64,
+        i: u32,
+    ) -> Transition<ExtState<R::Decision>, R::Decision> {
+        let d = inset.rounds();
+        if i < d {
+            let next = inset.round(ctx, i, cur, |(u, s)| match *s {
+                ExtMsg::InSet { h: j, c } if j == h => Some(c),
+                // Peers entering the window this round still expose their
+                // IDs as their initial colors.
+                ExtMsg::Joined { h: j } if j == h => Some(ctx.ids.id(u)),
+                _ => None,
+            });
+            return Transition::Continue(if i + 1 == d {
+                ExtState::Await { h, slot: next }
+            } else {
+                ExtState::InSet { h, c: next }
+            });
+        }
+        // With an empty schedule (tiny instance) the ID is the slot.
+        if ((i - d) as u64) < cur {
+            return Transition::Continue(ExtState::Await { h, slot: cur });
+        }
+        let decided = ctx.view.neighbors().filter_map(|(_, s)| match *s {
+            ExtMsg::Fin { decision } => Some(decision),
+            _ => None,
+        });
+        let decision = self.rule.decide(ctx.graph, decided);
+        Transition::Terminate(ExtState::Fin { h, decision }, decision)
+    }
+}
+
+impl<R: SlotRule> Protocol for Extension<R> {
+    type State = ExtState<R::Decision>;
+    type Msg = ExtMsg<R::Decision>;
+    type Output = R::Decision;
+
+    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> Self::State {
+        ExtState::Active
+    }
+
+    // The schedules are keyed only on the ID space and the partition cap
+    // (fixed across edge edits — churn never changes n), and `step` reads
+    // only the neighbor view, the round counter, the vertex's own ID and
+    // whatever the rule's decision reads.
+    fn is_local(&self) -> bool {
+        R::LOCAL
+    }
+
+    fn publish(&self, state: &Self::State) -> Self::Msg {
+        match *state {
+            ExtState::Active => ExtMsg::Active,
+            ExtState::Joined { h } => ExtMsg::Joined { h },
+            ExtState::InSet { h, c } => ExtMsg::InSet { h, c },
+            ExtState::Await { .. } => ExtMsg::Await,
+            ExtState::Fin { decision, .. } => ExtMsg::Fin { decision },
+        }
+    }
+
+    fn step(
+        &self,
+        ctx: StepCtx<'_, Self::State, Self::Msg>,
+    ) -> Transition<Self::State, Self::Output> {
+        let (inset, iters) = self.schedules(ctx.ids);
+        let (h, cur) = match *ctx.state {
+            ExtState::Active => {
+                let active = ctx
+                    .view
+                    .neighbors()
+                    .filter(|(_, s)| matches!(s, ExtMsg::Active))
+                    .count();
+                return if partition_step(active, self.cap()) {
+                    Transition::Continue(ExtState::Joined { h: ctx.round })
+                } else {
+                    Transition::Continue(ExtState::Active)
+                };
+            }
+            ExtState::Joined { h } => (h, ctx.my_id()),
+            ExtState::InSet { h, c } => (h, c),
+            ExtState::Await { h, slot } => (h, slot),
+            ExtState::Fin { .. } => unreachable!("terminal"),
+        };
+        match iters.local_round(h, ctx.round) {
+            Some(i) => self.window_step(&ctx, inset, h, cur, i),
+            None => Transition::Continue(*ctx.state),
+        }
+    }
+
+    fn max_rounds(&self, g: &Graph) -> u32 {
+        let n = g.n() as u64;
+        let inset = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64);
+        let dur = inset.rounds() + self.cap() as u32 + 1;
+        IterationSchedule::new(dur).window_end(itlog::partition_round_bound(n, EPSILON)) + 8
+    }
+
+    fn phase_names(&self) -> &'static [&'static str] {
+        &["partition", "await_window", "inset_color", "slot_sweep"]
+    }
+
+    fn phase_of(&self, state: &Self::State) -> simlocal::PhaseId {
+        match state {
+            ExtState::Active => 0,
+            ExtState::Joined { .. } => 1,
+            ExtState::InSet { .. } => 2,
+            ExtState::Await { .. } | ExtState::Fin { .. } => 3,
         }
     }
 }

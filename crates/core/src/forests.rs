@@ -21,7 +21,7 @@
 //! round by exactly +1 and changes no asymptotics.
 
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
@@ -94,22 +94,17 @@ pub fn decide_out_edges<S, M>(
 pub struct ParallelizedForestDecomposition {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
 }
 
 impl ParallelizedForestDecomposition {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        ParallelizedForestDecomposition {
-            arboricity,
-            epsilon: 2.0,
-        }
+        ParallelizedForestDecomposition { arboricity }
     }
 
     /// Threshold `A` = number of forests produced.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 }
 
@@ -158,7 +153,7 @@ impl Protocol for ParallelizedForestDecomposition {
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
-        itlog::partition_round_bound(g.n() as u64, self.epsilon) + 8
+        itlog::partition_round_bound(g.n() as u64, EPSILON) + 8
     }
 
     fn phase_names(&self) -> &'static [&'static str] {
@@ -181,21 +176,16 @@ impl Protocol for ParallelizedForestDecomposition {
 pub struct ForestDecompositionBaseline {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
 }
 
 impl ForestDecompositionBaseline {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        ForestDecompositionBaseline {
-            arboricity,
-            epsilon: 2.0,
-        }
+        ForestDecompositionBaseline { arboricity }
     }
 
     fn schedule_end(&self, g: &Graph) -> u32 {
-        itlog::partition_round_bound(g.n() as u64, self.epsilon)
+        itlog::partition_round_bound(g.n() as u64, EPSILON)
     }
 }
 
@@ -220,7 +210,7 @@ impl Protocol for ForestDecompositionBaseline {
                     .neighbors()
                     .filter(|(_, s)| matches!(s, FState::Active))
                     .count();
-                if partition_step(active, degree_cap(self.arboricity, self.epsilon)) {
+                if partition_step(active, degree_cap(self.arboricity, EPSILON)) {
                     FState::Joined { h: ctx.round }
                 } else {
                     FState::Active

@@ -17,9 +17,35 @@
 //!
 //! Both schedules are pure functions of globally known quantities
 //! (`id_space`, `A`), so every vertex derives the same round layout — the
-//! synchronization the paper's phase analyses assume.
+//! synchronization the paper's phase analyses assume. A protocol runs one
+//! of their rounds with [`LinialSchedule::round`] or
+//! [`DeltaPlusOneSchedule::round`], which read the neighbors' colors
+//! through the protocol's own filter.
+//!
+//! [`Cascade`] is the driver of the family that colors each H-set with
+//! the in-set `(A+1)`-coloring, orients in-set edges toward the higher
+//! in-set color and cross-set edges toward the later set, then runs a
+//! cascade down that orientation: a vertex waits for its parents in its
+//! window (see [`crate::segmentation::Shape`]) and picks. A
+//! [`CascadeRule`] keeps what differs per result — the windows, which
+//! decide when the cascade opens and which neighbors are parents, and
+//! what a vertex picks:
+//!
+//! * [`crate::coloring::oa_recolor`] — two phases, smallest free color
+//!   (Theorem 7.9);
+//! * [`crate::coloring::ka`] — one window per segment, smallest free
+//!   color (Theorem 7.16);
+//! * [`crate::arb_color`] — one window for all sets, smallest free color
+//!   (\[8\]);
+//! * [`crate::arbdefective`] — an open window, the group least used by
+//!   the parents (§7.8).
 
 use crate::coverfree::{reduction_schedule, CoverFree};
+use crate::partition::{degree_cap, partition_step, EPSILON};
+use crate::schedule_cell::ScheduleCell;
+use crate::segmentation::{SegmentSchedule, Shape};
+use graphcore::{Graph, IdAssignment, VertexId};
+use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
 /// Iterated Linial reduction schedule.
 #[derive(Clone, Debug)]
@@ -53,6 +79,19 @@ impl LinialSchedule {
     /// (≤ `a_bound` of them). Returns the new color.
     pub fn step(&self, i: u32, my: u64, others: &[u64]) -> u64 {
         self.fams[i as usize].reduce(my, others)
+    }
+
+    /// Step `i` of a vertex colored `my`, against the colors `peer` reads
+    /// off its conflicting neighbors' messages.
+    pub fn round<S, M>(
+        &self,
+        ctx: &StepCtx<'_, S, M>,
+        i: u32,
+        my: u64,
+        peer: impl FnMut((VertexId, &M)) -> Option<u64>,
+    ) -> u64 {
+        let others: Vec<u64> = ctx.view.neighbors().filter_map(peer).collect();
+        self.step(i, my, &others)
     }
 }
 
@@ -194,6 +233,241 @@ impl DeltaPlusOneSchedule {
     /// Final color extraction after the last round: in `0..cap+1`.
     pub fn finish(&self, my: u64) -> u64 {
         self.kw.finish(my)
+    }
+
+    /// Round `i` of a vertex colored `my`, against the colors `peer`
+    /// reads off its relevant neighbors' messages; finished into
+    /// `0..cap+1` on the last round.
+    pub fn round<S, M>(
+        &self,
+        ctx: &StepCtx<'_, S, M>,
+        i: u32,
+        my: u64,
+        peer: impl FnMut((VertexId, &M)) -> Option<u64>,
+    ) -> u64 {
+        let others: Vec<u64> = ctx.view.neighbors().filter_map(peer).collect();
+        let c = self.step(i, my, &others);
+        if i + 1 == self.rounds() {
+            self.finish(c)
+        } else {
+            c
+        }
+    }
+}
+
+/// The smallest color of `0..=cap` not in `taken` (which holds at most
+/// `cap` colors).
+pub(crate) fn smallest_free(cap: usize, taken: impl Iterator<Item = u64>) -> u64 {
+    let mut used = vec![false; cap + 1];
+    for c in taken {
+        used[c as usize] = true;
+    }
+    used.iter()
+        .position(|&u| !u)
+        .expect("cap+1 colors vs ≤ cap taken") as u64
+}
+
+/// Per-vertex state of the [`Cascade`] driver, published whole.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[allow(missing_docs)] // `h` is the 1-based H-set index, `c` the running in-set color, `local` the final one
+pub enum CascadeState<P> {
+    /// Running Procedure Partition.
+    Active,
+    /// In H-set `h`, running the in-set coloring (IDs until it starts).
+    InSet { h: u32, c: u64 },
+    /// Holding its in-set color; waiting for its window to open and for
+    /// its parents to pick.
+    Wait { h: u32, local: u64 },
+    /// Picked (terminal; published so its children can proceed).
+    Done { h: u32, local: u64, pick: P },
+}
+
+impl<P: WireSize> WireSize for CascadeState<P> {
+    fn wire_bits(&self) -> u64 {
+        // 2-bit tag for four variants, then the payload.
+        match self {
+            CascadeState::Active => 2,
+            CascadeState::InSet { h, c } => 2 + h.wire_bits() + c.wire_bits(),
+            CascadeState::Wait { h, local } => 2 + h.wire_bits() + local.wire_bits(),
+            CascadeState::Done { h, local, pick } => {
+                2 + h.wire_bits() + local.wire_bits() + pick.wire_bits()
+            }
+        }
+    }
+}
+
+/// What one cascade result keeps; [`Cascade`] does the rest.
+pub trait CascadeRule: Sync {
+    /// What a vertex picks once its parents have.
+    type Pick: Copy + std::fmt::Debug + PartialEq + Send + Sync + WireSize;
+    /// Per-vertex output.
+    type Output: Clone + Send + Sync;
+
+    /// How the result groups H-sets into windows. A window's cascade
+    /// opens once the in-set colorings of its sets are done; its
+    /// vertices' parents are their neighbors in the same window.
+    fn shape(&self) -> Shape;
+
+    /// The pick and output of a vertex of window `w` whose parents
+    /// picked `parents` (at most `cap` of them).
+    fn pick(
+        &self,
+        cap: usize,
+        w: u32,
+        parents: impl Iterator<Item = Self::Pick>,
+    ) -> (Self::Pick, Self::Output);
+}
+
+/// Partition, the in-set `(A+1)`-coloring of every H-set as soon as it
+/// forms, then a cascade over each window of sets once it opens.
+#[derive(Debug)]
+pub struct Cascade<R> {
+    /// Known arboricity.
+    pub arboricity: usize,
+    /// What the result keeps.
+    pub rule: R,
+    sched: ScheduleCell<(Option<SegmentSchedule>, DeltaPlusOneSchedule)>,
+}
+
+impl<R: CascadeRule> Cascade<R> {
+    pub(crate) fn with_rule(arboricity: usize, rule: R) -> Self {
+        Cascade {
+            arboricity,
+            rule,
+            sched: ScheduleCell::new(),
+        }
+    }
+
+    /// Degree threshold `A`.
+    pub fn cap(&self) -> usize {
+        degree_cap(self.arboricity, EPSILON)
+    }
+
+    /// The segment layout and the in-set schedule (functions of global
+    /// knowledge only, built once per instance).
+    fn schedules(
+        &self,
+        n: u64,
+        ids: &IdAssignment,
+    ) -> &(Option<SegmentSchedule>, DeltaPlusOneSchedule) {
+        let space = ids.id_space().max(2);
+        let shape = self.rule.shape();
+        self.sched.get(shape.key(space, n), || {
+            (
+                shape.segments(n),
+                DeltaPlusOneSchedule::new(space, self.cap() as u64),
+            )
+        })
+    }
+
+    /// A vertex of H-set `h` holding in-set color `local`: once its
+    /// window is open and every parent has picked, it picks.
+    fn pick(
+        &self,
+        ctx: &StepCtx<'_, CascadeState<R::Pick>>,
+        segments: &Option<SegmentSchedule>,
+        d: u32,
+        h: u32,
+        local: u64,
+    ) -> Transition<CascadeState<R::Pick>, R::Output> {
+        let stay = Transition::Continue(CascadeState::Wait { h, local });
+        let windows = self.rule.shape().windows(ctx.graph.n() as u64, segments);
+        let w = windows.of(h);
+        let opens = windows.opens(w, d);
+        if opens.is_some_and(|start| ctx.round < start) {
+            return stay;
+        }
+        // Parents: same-window neighbors in later sets, or in my set with
+        // a higher in-set color. A window that opens has all its sets
+        // formed by then, so a still-active neighbor is no parent; in an
+        // open one it is a future parent.
+        let parent = |j: u32, l: u64| windows.of(j) == w && (j > h || (j == h && l > local));
+        for (_, s) in ctx.view.neighbors() {
+            let waits = match *s {
+                CascadeState::Active => opens.is_none(),
+                CascadeState::InSet { h: j, .. } => windows.of(j) == w && j >= h,
+                CascadeState::Wait { h: j, local: l } => parent(j, l),
+                CascadeState::Done { .. } => false,
+            };
+            if waits {
+                return stay;
+            }
+        }
+        let parents = ctx.view.neighbors().filter_map(|(_, s)| match *s {
+            CascadeState::Done {
+                h: j,
+                local: l,
+                pick,
+            } if parent(j, l) => Some(pick),
+            _ => None,
+        });
+        let (pick, out) = self.rule.pick(self.cap(), w, parents);
+        Transition::Terminate(CascadeState::Done { h, local, pick }, out)
+    }
+}
+
+impl<R: CascadeRule> Protocol for Cascade<R> {
+    type State = CascadeState<R::Pick>;
+    type Msg = CascadeState<R::Pick>;
+    type Output = R::Output;
+
+    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> Self::State {
+        CascadeState::Active
+    }
+
+    fn publish(&self, state: &Self::State) -> Self::Msg {
+        *state
+    }
+
+    fn step(&self, ctx: StepCtx<'_, Self::State>) -> Transition<Self::State, Self::Output> {
+        let n = ctx.graph.n() as u64;
+        let (segments, inset) = self.schedules(n, ctx.ids);
+        let d = inset.rounds();
+        match *ctx.state {
+            CascadeState::Active => {
+                let active = ctx
+                    .view
+                    .neighbors()
+                    .filter(|(_, s)| matches!(s, CascadeState::Active))
+                    .count();
+                if partition_step(active, self.cap()) {
+                    Transition::Continue(CascadeState::InSet {
+                        h: ctx.round,
+                        c: ctx.my_id(),
+                    })
+                } else {
+                    Transition::Continue(CascadeState::Active)
+                }
+            }
+            CascadeState::InSet { h, c } => {
+                // The in-set coloring runs in rounds [h+1, h+d].
+                let i = ctx.round - h - 1;
+                if i >= d {
+                    // Empty schedule (tiny instance): the ID is < A+1.
+                    return self.pick(&ctx, segments, d, h, c);
+                }
+                let next = inset.round(&ctx, i, c, |(_, s)| match *s {
+                    CascadeState::InSet { h: j, c } if j == h => Some(c),
+                    _ => None,
+                });
+                if i + 1 == d {
+                    Transition::Continue(CascadeState::Wait { h, local: next })
+                } else {
+                    Transition::Continue(CascadeState::InSet { h, c: next })
+                }
+            }
+            CascadeState::Wait { h, local } => self.pick(&ctx, segments, d, h, local),
+            CascadeState::Done { .. } => unreachable!("Done is terminal"),
+        }
+    }
+
+    fn max_rounds(&self, g: &Graph) -> u32 {
+        let n = g.n() as u64;
+        let shape = self.rule.shape();
+        let l = shape.windows(n, &shape.segments(n)).partition_end();
+        let d = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64).rounds();
+        // The cascade is bounded by (A+1) per set across all sets.
+        l + d + (self.cap() as u32 + 1) * (l + 1) + 16
     }
 }
 

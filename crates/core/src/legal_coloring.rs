@@ -24,7 +24,7 @@
 
 use crate::inset::DeltaPlusOneSchedule;
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
@@ -113,19 +113,16 @@ pub struct LegalColoring {
     pub arboricity: usize,
     /// The refinement parameter `p` (≥ 6 so the budget shrinks with ε=2).
     pub p: u32,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     sched: ScheduleCell<LcSchedule>,
 }
 
 impl LegalColoring {
-    /// Instance with ε = 2.
+    /// Standard instance.
     pub fn new(arboricity: usize, p: u32) -> Self {
         assert!(p >= 6, "p must exceed 3+ε = 5 for the budget to shrink");
         LegalColoring {
             arboricity,
             p,
-            epsilon: 2.0,
             sched: ScheduleCell::new(),
         }
     }
@@ -133,13 +130,13 @@ impl LegalColoring {
     fn schedule(&self, n: u64, ids: &IdAssignment) -> &LcSchedule {
         let ids_space = ids.id_space().max(2);
         self.sched.get(ScheduleKey::ids(ids_space).n(n), || {
-            let full = itlog::partition_round_bound(n, self.epsilon);
+            let full = itlog::partition_round_bound(n, EPSILON);
             let mut levels = Vec::new();
             let mut insets = Vec::new();
             let mut starts = vec![1u32];
             let mut alpha = self.arboricity.max(1);
             while alpha > self.p as usize {
-                let cap = degree_cap(alpha, self.epsilon);
+                let cap = degree_cap(alpha, EPSILON);
                 let inset = DeltaPlusOneSchedule::new(ids_space, cap as u64);
                 let dur = full + inset.rounds() + (cap as u32 + 1) * (full + 1) + 4;
                 levels.push((alpha, cap));
@@ -147,10 +144,10 @@ impl LegalColoring {
                 starts.push(starts.last().unwrap() + dur);
                 // α ← ⌊(3+ε)·α/p⌋, clamped ≥ 1 (the paper's line 15 with
                 // the defect term dropped by our 0-defect substitution).
-                alpha = (((3.0 + self.epsilon) * alpha as f64) / self.p as f64).floor() as usize;
+                alpha = (((3.0 + EPSILON) * alpha as f64) / self.p as f64).floor() as usize;
                 alpha = alpha.max(1);
             }
-            let leaf_cap = degree_cap(alpha, self.epsilon);
+            let leaf_cap = degree_cap(alpha, EPSILON);
             let leaf_inset = DeltaPlusOneSchedule::new(ids_space, leaf_cap as u64);
             LcSchedule {
                 levels,
@@ -407,26 +404,18 @@ impl LegalColoring {
                 },
             });
         }
-        let peers: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, o)| {
-                if !Self::same_branch(&prefix, o) {
-                    return None;
-                }
-                match &o.mode {
-                    LcMode::InSet { h: j, c } if *j == h => Some(*c),
-                    LcMode::Part { h: Some(j) } if *j == h => Some(ctx.ids.id(u)),
-                    _ => None,
-                }
-            })
-            .collect();
-        let next = inset.step(i, cur, &peers);
-        let mode = if i + 1 == d {
-            LcMode::Wait {
-                h,
-                local: inset.finish(next),
+        let next = inset.round(ctx, i, cur, |(u, o)| {
+            if !Self::same_branch(&prefix, o) {
+                return None;
             }
+            match &o.mode {
+                LcMode::InSet { h: j, c } if *j == h => Some(*c),
+                LcMode::Part { h: Some(j) } if *j == h => Some(ctx.ids.id(u)),
+                _ => None,
+            }
+        });
+        let mode = if i + 1 == d {
+            LcMode::Wait { h, local: next }
         } else {
             LcMode::InSet { h, c: next }
         };
@@ -453,26 +442,18 @@ impl LegalColoring {
                 },
             });
         }
-        let peers: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, o)| {
-                if !Self::same_branch(&prefix, o) {
-                    return None;
-                }
-                match &o.mode {
-                    LcMode::LeafInSet { h: j, c } if *j == h => Some(*c),
-                    LcMode::LeafPart { h: Some(j) } if *j == h => Some(ctx.ids.id(u)),
-                    _ => None,
-                }
-            })
-            .collect();
-        let next = inset.step(i, cur, &peers);
-        let mode = if i + 1 == d {
-            LcMode::LeafWait {
-                h,
-                local: inset.finish(next),
+        let next = inset.round(ctx, i, cur, |(u, o)| {
+            if !Self::same_branch(&prefix, o) {
+                return None;
             }
+            match &o.mode {
+                LcMode::LeafInSet { h: j, c } if *j == h => Some(*c),
+                LcMode::LeafPart { h: Some(j) } if *j == h => Some(ctx.ids.id(u)),
+                _ => None,
+            }
+        });
+        let mode = if i + 1 == d {
+            LcMode::LeafWait { h, local: next }
         } else {
             LcMode::LeafInSet { h, c: next }
         };

@@ -32,7 +32,7 @@
 
 use crate::extension::{metrics_from_commits, EdgeSlot, EdgeWindow};
 use crate::forests::decide_out_edges;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, RoundMetrics, SimOutcome, StepCtx, Transition, WireSize};
@@ -125,24 +125,21 @@ pub struct MmOut {
 pub struct MatchingExtension {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     window: ScheduleCell<EdgeWindow>,
 }
 
 impl MatchingExtension {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
         MatchingExtension {
             arboricity,
-            epsilon: 2.0,
             window: ScheduleCell::new(),
         }
     }
 
     /// Degree threshold `A`.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 }
 
@@ -240,7 +237,7 @@ impl Protocol for MatchingExtension {
 
     fn max_rounds(&self, g: &Graph) -> u32 {
         let n = g.n() as u64;
-        EdgeWindow::new(n, self.cap()).max_rounds(n, self.epsilon)
+        EdgeWindow::new(n, self.cap()).max_rounds(n)
     }
 
     fn phase_names(&self) -> &'static [&'static str] {

@@ -8,236 +8,36 @@
 //! MIS to coloring, §3.2 of \[4\], run per H-set). Independence and
 //! maximality extend across sets because later vertices always see the
 //! committed outputs of earlier ones.
+//!
+//! The [`Extension`] driver runs the framework; this module keeps the
+//! slot rule.
 
-use crate::extension::IterationSchedule;
-use crate::inset::DeltaPlusOneSchedule;
-use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
-use crate::schedule_cell::{ScheduleCell, ScheduleKey};
+use crate::extension::{Extension, SlotRule};
 use graphcore::{Graph, IdAssignment, VertexId};
 use rand::Rng;
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
-/// Per-vertex state.
-#[derive(Clone, Debug)]
-/// Field conventions: `h` is the 1-based H-set index, `c` a current
-/// Linial/KW color value, `local` a final in-set color, `rec` a
-/// recolored palette entry.
-#[allow(missing_docs)] // field meanings are shared across the state machines (see the note above)
-pub enum SMis {
-    /// Running Procedure Partition.
-    Active,
-    /// Joined H-set `h`, waiting for its iteration window.
-    Joined { h: u32 },
-    /// Running the in-set slot-order coloring.
-    InSet { h: u32, c: u64 },
-    /// Holding slot color, waiting for its decision slot.
-    Await { h: u32, slot: u64 },
-    /// Decided (terminal): `true` = in the MIS.
-    Fin { h: u32, in_mis: bool },
-}
+/// The Corollary 8.4 slot rule: join unless a decided neighbor joined.
+#[derive(Debug)]
+pub struct MisRule;
 
-/// Wire message for [`MisExtension`]. Neighbors need: the partition
-/// status, a joiner's or in-set vertex's H-index and running color, and a
-/// decided vertex's membership bit. An `Await` vertex's slot and H-index
-/// are private (it is just holding until its decision round), and a
-/// finished vertex's H-index never travels either — so both variants trim
-/// to (near-)empty.
-#[derive(Clone, Debug, PartialEq)]
-#[allow(missing_docs)] // mirrors the `SMis` conventions above
-pub enum MisMsg {
-    Active,
-    Joined { h: u32 },
-    InSet { h: u32, c: u64 },
-    Await,
-    Fin { in_mis: bool },
-}
+impl SlotRule for MisRule {
+    type Decision = bool;
+    // The decision reads only the neighbor view.
+    const LOCAL: bool = true;
 
-impl WireSize for MisMsg {
-    fn wire_bits(&self) -> u64 {
-        // 3-bit tag for five variants, then the payload.
-        match self {
-            MisMsg::Active | MisMsg::Await => 3,
-            MisMsg::Joined { h } => 3 + h.wire_bits(),
-            MisMsg::InSet { h, c } => 3 + h.wire_bits() + c.wire_bits(),
-            MisMsg::Fin { in_mis } => 3 + in_mis.wire_bits(),
-        }
+    fn decide(&self, _: &Graph, mut decided: impl Iterator<Item = bool>) -> bool {
+        !decided.any(|in_mis| in_mis)
     }
 }
 
 /// The Corollary 8.4 protocol.
-#[derive(Debug)]
-pub struct MisExtension {
-    /// Known arboricity.
-    pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
-    sched: ScheduleCell<(DeltaPlusOneSchedule, IterationSchedule)>,
-}
+pub type MisExtension = Extension<MisRule>;
 
 impl MisExtension {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        MisExtension {
-            arboricity,
-            epsilon: 2.0,
-            sched: ScheduleCell::new(),
-        }
-    }
-
-    /// Degree threshold `A`.
-    pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
-    }
-
-    fn schedules(&self, ids: &IdAssignment) -> &(DeltaPlusOneSchedule, IterationSchedule) {
-        let space = ids.id_space().max(2);
-        self.sched.get(ScheduleKey::ids(space), || {
-            let inset = DeltaPlusOneSchedule::new(space, self.cap() as u64);
-            let dur = inset.rounds() + self.cap() as u32 + 1;
-            (inset, IterationSchedule::new(dur))
-        })
-    }
-}
-
-impl Protocol for MisExtension {
-    type State = SMis;
-    type Msg = MisMsg;
-    type Output = bool;
-
-    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> SMis {
-        SMis::Active
-    }
-
-    // LOCAL-safe: `init` is constant, the schedules are keyed only on the
-    // ID space and the partition cap (fixed across edge edits — churn
-    // never changes n), and `step` reads only the neighbor view, the
-    // round counter, and the vertex's own ID. A vertex's trajectory is
-    // therefore a function of its inputs, so warm starts may re-step only
-    // the vertices whose inputs an edit changed.
-    fn is_local(&self) -> bool {
-        true
-    }
-
-    fn publish(&self, state: &SMis) -> MisMsg {
-        match state {
-            SMis::Active => MisMsg::Active,
-            SMis::Joined { h } => MisMsg::Joined { h: *h },
-            SMis::InSet { h, c } => MisMsg::InSet { h: *h, c: *c },
-            SMis::Await { .. } => MisMsg::Await,
-            SMis::Fin { in_mis, .. } => MisMsg::Fin { in_mis: *in_mis },
-        }
-    }
-
-    fn step(&self, ctx: StepCtx<'_, SMis, MisMsg>) -> Transition<SMis, bool> {
-        let (inset, iters) = self.schedules(ctx.ids);
-        let d = inset.rounds();
-        match ctx.state.clone() {
-            SMis::Active => {
-                let active = ctx
-                    .view
-                    .neighbors()
-                    .filter(|(_, s)| matches!(s, MisMsg::Active))
-                    .count();
-                if partition_step(active, self.cap()) {
-                    Transition::Continue(SMis::Joined { h: ctx.round })
-                } else {
-                    Transition::Continue(SMis::Active)
-                }
-            }
-            SMis::Joined { h } => match iters.local_round(h, ctx.round) {
-                None => Transition::Continue(SMis::Joined { h }),
-                Some(_) => self.inset_step(&ctx, h, ctx.my_id(), 0, d),
-            },
-            SMis::InSet { h, c } => {
-                let i = iters.local_round(h, ctx.round).expect("window open");
-                self.inset_step(&ctx, h, c, i, d)
-            }
-            SMis::Await { h, slot } => {
-                let i = iters.local_round(h, ctx.round).expect("window open");
-                self.slot_step(&ctx, h, slot, i - d)
-            }
-            SMis::Fin { .. } => unreachable!("terminal"),
-        }
-    }
-
-    fn max_rounds(&self, g: &Graph) -> u32 {
-        let n = g.n() as u64;
-        let inset = DeltaPlusOneSchedule::new(n.max(2), self.cap() as u64);
-        let dur = inset.rounds() + self.cap() as u32 + 1;
-        IterationSchedule::new(dur).window_end(itlog::partition_round_bound(n, self.epsilon)) + 8
-    }
-
-    fn phase_names(&self) -> &'static [&'static str] {
-        &["partition", "await_window", "inset_color", "slot_sweep"]
-    }
-
-    fn phase_of(&self, state: &SMis) -> simlocal::PhaseId {
-        match state {
-            SMis::Active => 0,
-            SMis::Joined { .. } => 1,
-            SMis::InSet { .. } => 2,
-            SMis::Await { .. } | SMis::Fin { .. } => 3,
-        }
-    }
-}
-
-impl MisExtension {
-    fn inset_step(
-        &self,
-        ctx: &StepCtx<'_, SMis, MisMsg>,
-        h: u32,
-        cur: u64,
-        i: u32,
-        d: u32,
-    ) -> Transition<SMis, bool> {
-        let (inset, _) = self.schedules(ctx.ids);
-        if i >= d {
-            return self.slot_step(ctx, h, inset.finish(cur), i - d);
-        }
-        let peers: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, s)| match s {
-                MisMsg::InSet { h: j, c } if *j == h => Some(*c),
-                // Peers entering the window this round still expose their
-                // IDs as their initial colors.
-                MisMsg::Joined { h: j } if *j == h => Some(ctx.ids.id(u)),
-                _ => None,
-            })
-            .collect();
-        let next = inset.step(i, cur, &peers);
-        if i + 1 == d {
-            Transition::Continue(SMis::Await {
-                h,
-                slot: inset.finish(next),
-            })
-        } else {
-            Transition::Continue(SMis::InSet { h, c: next })
-        }
-    }
-
-    fn slot_step(
-        &self,
-        ctx: &StepCtx<'_, SMis, MisMsg>,
-        h: u32,
-        slot: u64,
-        slot_round: u32,
-    ) -> Transition<SMis, bool> {
-        if (slot_round as u64) < slot {
-            return Transition::Continue(SMis::Await { h, slot });
-        }
-        let blocked = ctx
-            .view
-            .neighbors()
-            .any(|(_, s)| matches!(s, MisMsg::Fin { in_mis: true }));
-        Transition::Terminate(
-            SMis::Fin {
-                h,
-                in_mis: !blocked,
-            },
-            !blocked,
-        )
+        Extension::with_rule(arboricity, MisRule)
     }
 }
 

@@ -30,7 +30,7 @@
 
 use crate::inset::{DeltaPlusOneSchedule, LinialSchedule};
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
@@ -123,19 +123,16 @@ pub struct OnePlusEtaArbCol {
     pub arboricity: usize,
     /// The constant `C` of the recursion (`η = Θ(1/log C)`), ≥ 2.
     pub c_const: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     sched: ScheduleCell<OpeSchedule>,
 }
 
 impl OnePlusEtaArbCol {
-    /// Instance with ε = 2 and the given `C`.
+    /// Instance with the given `C`.
     pub fn new(arboricity: usize, c_const: usize) -> Self {
         assert!(c_const >= 2, "C must be at least 2");
         OnePlusEtaArbCol {
             arboricity,
             c_const,
-            epsilon: 2.0,
             sched: ScheduleCell::new(),
         }
     }
@@ -155,7 +152,7 @@ impl OnePlusEtaArbCol {
             let mut a = self.arboricity.max(1);
             let mut start = 1u32;
             while a >= self.c_const {
-                let cap = degree_cap(a, self.epsilon);
+                let cap = degree_cap(a, EPSILON);
                 let inset = DeltaPlusOneSchedule::new(ids_space, cap as u64);
                 let d = inset.rounds();
                 let w = (cap as u32 + 2) * r + 2;
@@ -170,14 +167,14 @@ impl OnePlusEtaArbCol {
                 start += r + d + w;
                 a /= self.c_const;
             }
-            let base_cap = degree_cap(a.max(1), self.epsilon);
+            let base_cap = degree_cap(a.max(1), EPSILON);
             OpeSchedule {
                 r,
                 levels,
                 base_start: start,
                 base_cap,
                 base_t: (itlog::iterated_log(n.max(4), 2) as u32).max(1),
-                full: itlog::partition_round_bound(n, self.epsilon),
+                full: itlog::partition_round_bound(n, EPSILON),
                 base_linial: LinialSchedule::new(ids_space, base_cap as u64),
                 level_inset,
             }
@@ -316,8 +313,9 @@ impl Protocol for OnePlusEtaArbCol {
         // Residual branches end by their start + L + d + cascade; the base
         // ends by base_start + L + linial; take a generous union bound.
         let tail = s.full
-            + DeltaPlusOneSchedule::new(n.max(2), degree_cap(self.arboricity, 2.0) as u64).rounds()
-            + (degree_cap(self.arboricity, 2.0) as u32 + 2) * (s.full + 2)
+            + DeltaPlusOneSchedule::new(n.max(2), degree_cap(self.arboricity, EPSILON) as u64)
+                .rounds()
+            + (degree_cap(self.arboricity, EPSILON) as u32 + 2) * (s.full + 2)
             + s.base_linial.rounds();
         s.base_start + tail + 64
     }
@@ -463,26 +461,18 @@ impl OnePlusEtaArbCol {
                 },
             });
         }
-        let peers: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, o)| {
-                if !same_level_branch(&prefix, o) {
-                    return None;
-                }
-                match o.mode {
-                    Mode::LevelInSet { h: j, c } if j == h => Some(c),
-                    Mode::LevelPart { h: Some(j) } if j == h => Some(ctx.ids.id(u)),
-                    _ => None,
-                }
-            })
-            .collect();
-        let next = inset.step(i, cur, &peers);
-        let mode = if i + 1 == d {
-            Mode::LevelWait {
-                h,
-                local: inset.finish(next),
+        let next = inset.round(ctx, i, cur, |(u, o)| {
+            if !same_level_branch(&prefix, o) {
+                return None;
             }
+            match o.mode {
+                Mode::LevelInSet { h: j, c } if j == h => Some(c),
+                Mode::LevelPart { h: Some(j) } if j == h => Some(ctx.ids.id(u)),
+                _ => None,
+            }
+        });
+        let mode = if i + 1 == d {
+            Mode::LevelWait { h, local: next }
         } else {
             Mode::LevelInSet { h, c: next }
         };
@@ -605,26 +595,18 @@ impl OnePlusEtaArbCol {
                 },
             });
         }
-        let peers: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, o)| {
-                if !same_res_branch(&prefix, o) {
-                    return None;
-                }
-                match o.mode {
-                    Mode::ResInSet { h: j, c } if j == h => Some(c),
-                    Mode::ResPart { h: Some(j) } if j == h => Some(ctx.ids.id(u)),
-                    _ => None,
-                }
-            })
-            .collect();
-        let next = inset.step(i, cur, &peers);
-        let mode = if i + 1 == d {
-            Mode::ResWait {
-                h,
-                local: inset.finish(next),
+        let next = inset.round(ctx, i, cur, |(u, o)| {
+            if !same_res_branch(&prefix, o) {
+                return None;
             }
+            match o.mode {
+                Mode::ResInSet { h: j, c } if j == h => Some(c),
+                Mode::ResPart { h: Some(j) } if j == h => Some(ctx.ids.id(u)),
+                _ => None,
+            }
+        });
+        let mode = if i + 1 == d {
+            Mode::ResWait { h, local: next }
         } else {
             Mode::ResInSet { h, c: next }
         };
@@ -715,22 +697,17 @@ impl OnePlusEtaArbCol {
         }
         let my_id = ctx.my_id();
         let in_my_phase = |j: u32| (j <= s.base_t) == (h <= s.base_t);
-        let parents: Vec<u64> = ctx
-            .view
-            .neighbors()
-            .filter_map(|(u, o)| {
-                if !same_base_branch(&prefix, o) {
-                    return None;
-                }
-                let (j, col) = match o.mode {
-                    Mode::BasePart { h: Some(j) } => (j, ctx.ids.id(u)),
-                    Mode::BaseColor { h: j, c } => (j, c),
-                    _ => return None,
-                };
-                (in_my_phase(j) && (j > h || (j == h && ctx.ids.id(u) > my_id))).then_some(col)
-            })
-            .collect();
-        let next = sched.step(i, cur, &parents);
+        let next = sched.round(ctx, i, cur, |(u, o)| {
+            if !same_base_branch(&prefix, o) {
+                return None;
+            }
+            let (j, col) = match o.mode {
+                Mode::BasePart { h: Some(j) } => (j, ctx.ids.id(u)),
+                Mode::BaseColor { h: j, c } => (j, c),
+                _ => return None,
+            };
+            (in_my_phase(j) && (j > h || (j == h && ctx.ids.id(u) > my_id))).then_some(col)
+        });
         if i + 1 == sched.rounds() {
             let rec = 2 * next + phase_bit;
             let value = self.encode(&prefix, 0, rec);

@@ -15,6 +15,10 @@ use crate::itlog;
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition};
 
+/// The ε of every protocol built on Procedure Partition, which gives the
+/// threshold `A = 4a`. Only [`Partition`] itself takes another ε.
+pub const EPSILON: f64 = 2.0;
+
 /// The degree threshold `A = ⌊(2+ε)·a⌋`, at least 1.
 pub fn degree_cap(arboricity: usize, epsilon: f64) -> usize {
     assert!(epsilon > 0.0 && epsilon <= 2.0, "ε must be in (0, 2]");
@@ -41,11 +45,11 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Standard instance with `ε = 2` (threshold `4a`).
+    /// Standard instance with `ε = `[`EPSILON`] (threshold `4a`).
     pub fn new(arboricity: usize) -> Self {
         Partition {
             arboricity,
-            epsilon: 2.0,
+            epsilon: EPSILON,
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::coverfree::CoverFree;
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use crate::schedule_cell::{ScheduleCell, ScheduleKey};
 use graphcore::{Graph, IdAssignment, VertexId};
 use simlocal::{Protocol, StepCtx, Transition, WireSize};
@@ -90,26 +90,23 @@ pub struct PipeOut {
 pub struct ColorThenCensus {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
     /// Length of subtask ℬ.
     pub b_rounds: u32,
     fam: ScheduleCell<CoverFree>,
 }
 
 impl ColorThenCensus {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize, b_rounds: u32) -> Self {
         ColorThenCensus {
             arboricity,
-            epsilon: 2.0,
             b_rounds: b_rounds.max(1),
             fam: ScheduleCell::new(),
         }
     }
 
     fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 
     fn family(&self, ids: &IdAssignment) -> CoverFree {
@@ -198,7 +195,7 @@ impl Protocol for ColorThenCensus {
     }
 
     fn max_rounds(&self, g: &Graph) -> u32 {
-        itlog::partition_round_bound(g.n() as u64, self.epsilon) + self.b_rounds + 8
+        itlog::partition_round_bound(g.n() as u64, EPSILON) + self.b_rounds + 8
     }
 
     fn phase_names(&self) -> &'static [&'static str] {

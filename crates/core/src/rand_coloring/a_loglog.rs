@@ -20,7 +20,7 @@
 //! the vertex-averaged complexity `O(1)` w.h.p.
 
 use crate::itlog;
-use crate::partition::{degree_cap, partition_step};
+use crate::partition::{degree_cap, partition_step, EPSILON};
 use graphcore::{Graph, IdAssignment, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -68,22 +68,17 @@ impl WireSize for SRal {
 pub struct RandALogLog {
     /// Known arboricity.
     pub arboricity: usize,
-    /// ε ∈ (0, 2].
-    pub epsilon: f64,
 }
 
 impl RandALogLog {
-    /// Standard instance (ε = 2).
+    /// Standard instance.
     pub fn new(arboricity: usize) -> Self {
-        RandALogLog {
-            arboricity,
-            epsilon: 2.0,
-        }
+        RandALogLog { arboricity }
     }
 
     /// Degree threshold `A`; per-copy palette is `A + 1`.
     pub fn cap(&self) -> usize {
-        degree_cap(self.arboricity, self.epsilon)
+        degree_cap(self.arboricity, EPSILON)
     }
 
     /// Phase-1 set count `t = ⌊2 log log n⌋`, clamped ≥ 1.

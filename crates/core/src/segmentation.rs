@@ -1,4 +1,5 @@
-//! §7.5 — the *segmentation* scheme.
+//! §7.5 — the *segmentation* scheme, the windows the §7.3–§7.8
+//! protocols color in, and the windowed Arb-Linial driver.
 //!
 //! The vertices are retired in `k` **segments**: segment `k` is formed
 //! first and consists of the first `≈ c·log^(k) n` H-sets, segment `k−1`
@@ -9,14 +10,33 @@
 //! windows, the vertex-averaged total is dominated by segment `k`'s
 //! `O(log^(k) n)`.
 //!
-//! This module computes the deterministic global round layout every vertex
-//! derives from `(n, k, ε)`: the partition window of each segment and the
-//! start of its algorithm-𝒞 window. The instantiations live in
-//! [`crate::coloring::ka2`] (𝒞 = iterated Arb-Linial, Theorem 7.13) and
-//! [`crate::coloring::ka`] (𝒜 = in-set (Δ+1)-coloring, 𝒞 = recoloring,
-//! Theorem 7.16).
+//! [`SegmentSchedule`] is the deterministic global round layout every
+//! vertex derives from `(n, k, ε)`: the partition window of each segment
+//! and the start of its algorithm-𝒞 window. [`Shape`] names the ways the
+//! protocols group H-sets into windows — the two phases of §7.3–§7.4, the
+//! segments, one window for all sets, or one that never closes — which
+//! each run resolves into the window of every H-set and the round each
+//! window opens.
+//!
+//! [`Windowed`] is the driver of the windowed Arb-Linial family: a vertex
+//! joins an H-set by Procedure Partition, idles until its window opens,
+//! then runs the iterated Arb-Linial coloring against its parents in the
+//! window (same-set neighbors with higher IDs and neighbors in later sets)
+//! and terminates. A [`WindowRule`] keeps what differs per result — the
+//! shape and how a color is tagged:
+//!
+//! * [`crate::coloring::a2_loglog`] — two phases (Theorem 7.6);
+//! * [`crate::coloring::ka2`] — one window per segment (Theorem 7.13).
+//!
+//! The cascade driver [`crate::inset::Cascade`] colors in the same
+//! windows.
 
+use crate::inset::LinialSchedule;
 use crate::itlog;
+use crate::partition::{degree_cap, partition_step, EPSILON};
+use crate::schedule_cell::{ScheduleCell, ScheduleKey};
+use graphcore::{Graph, IdAssignment, VertexId};
+use simlocal::{Protocol, StepCtx, Transition, WireSize};
 
 /// Deterministic segment layout for one run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,6 +109,278 @@ impl SegmentSchedule {
     /// have finished 𝒜/ℬ `d_ab` rounds later.
     pub fn c_start(&self, s: u32, d_ab: u32) -> u32 {
         self.window(s).1 + d_ab + 1
+    }
+}
+
+/// The phase-1 set count `t = ⌊log log n⌋` of §7.3–§7.4, clamped ≥ 1:
+/// after `t` partition rounds at most `n / log n` vertices remain.
+pub(crate) fn phase1_sets(n: u64) -> u32 {
+    (itlog::iterated_log(n.max(4), 2) as u32).max(1)
+}
+
+/// How a protocol groups its H-sets into windows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// §7.3–§7.4: H-sets `1..=t` with `t = ⌊log log n⌋`, then the rest
+    /// once the full partition has formed them.
+    TwoPhase,
+    /// §7.5: the `k` segments of a [`SegmentSchedule`].
+    Segments(u32),
+    /// One window for every H-set, once the full partition has formed
+    /// them (\[8\]'s Arb-Color).
+    Whole,
+    /// One window that never closes: every set formed so far or later
+    /// belongs to it.
+    Open,
+}
+
+impl Shape {
+    /// The schedule-cache key: segments read `n`, the other shapes only
+    /// the ID space.
+    pub(crate) fn key(self, id_space: u64, n: u64) -> ScheduleKey {
+        match self {
+            Shape::Segments(_) => ScheduleKey::ids(id_space).n(n),
+            _ => ScheduleKey::ids(id_space),
+        }
+    }
+
+    /// The segment layout a run caches, for [`Shape::Segments`].
+    pub(crate) fn segments(self, n: u64) -> Option<SegmentSchedule> {
+        match self {
+            Shape::Segments(k) => Some(SegmentSchedule::new(n, k, EPSILON)),
+            _ => None,
+        }
+    }
+
+    /// This shape's windows on `n` vertices; `segments` is the layout
+    /// [`Shape::segments`] built.
+    pub(crate) fn windows(self, n: u64, segments: &Option<SegmentSchedule>) -> Windows<'_> {
+        let full = || itlog::partition_round_bound(n, EPSILON);
+        match self {
+            Shape::TwoPhase => Windows::TwoPhase {
+                t: phase1_sets(n),
+                full: full(),
+            },
+            Shape::Segments(_) => Windows::Segments(
+                segments
+                    .as_ref()
+                    .expect("segments are built with the schedule"),
+            ),
+            Shape::Whole => Windows::Whole { full: full() },
+            Shape::Open => Windows::Open { full: full() },
+        }
+    }
+}
+
+/// A [`Shape`] resolved for one run: which window each H-set belongs to,
+/// and when each window opens. Windows are numbered as the shape numbers
+/// them: phase 0 then 1, segment `k` down to 1, and 0 for one window.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Windows<'a> {
+    /// `t` is the phase-1 set count, `full` the partition bound.
+    TwoPhase {
+        t: u32,
+        full: u32,
+    },
+    Segments(&'a SegmentSchedule),
+    Whole {
+        full: u32,
+    },
+    Open {
+        full: u32,
+    },
+}
+
+impl Windows<'_> {
+    /// The window of H-set `h`.
+    pub(crate) fn of(&self, h: u32) -> u32 {
+        match self {
+            Windows::TwoPhase { t, .. } => u32::from(h > *t),
+            Windows::Segments(segs) => segs.segment_of(h),
+            Windows::Whole { .. } | Windows::Open { .. } => 0,
+        }
+    }
+
+    /// The first round of window `w`'s algorithm-𝒞 stage, given that the
+    /// per-set stage takes `d` rounds after a set forms: every set of the
+    /// window has formed, and finished that stage, by then. `None` for an
+    /// open window, which never waits.
+    pub(crate) fn opens(&self, w: u32, d: u32) -> Option<u32> {
+        let last_set = match self {
+            Windows::TwoPhase { t, full } => {
+                if w == 0 {
+                    *t
+                } else {
+                    (*full).max(*t)
+                }
+            }
+            Windows::Segments(segs) => return Some(segs.c_start(w, d)),
+            Windows::Whole { full } => *full,
+            Windows::Open { .. } => return None,
+        };
+        Some(last_set + d + 1)
+    }
+
+    /// The round by which every H-set has formed.
+    pub(crate) fn partition_end(&self) -> u32 {
+        match self {
+            Windows::TwoPhase { t, full } => (*full).max(*t),
+            Windows::Segments(segs) => segs.total_partition_rounds(),
+            Windows::Whole { full } | Windows::Open { full } => *full,
+        }
+    }
+}
+
+/// Per-vertex state of the [`Windowed`] driver, published whole.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[allow(missing_docs)] // `h` is the 1-based H-set index, `color` the running Linial color
+pub enum WindowState {
+    /// Running Procedure Partition.
+    Active,
+    /// Joined H-set `h`; waiting for its window to open.
+    Joined { h: u32 },
+    /// Running the iterated Arb-Linial coloring of its window.
+    Coloring { h: u32, color: u64 },
+}
+
+impl WireSize for WindowState {
+    fn wire_bits(&self) -> u64 {
+        // 2-bit tag for three variants, then the payload.
+        match self {
+            WindowState::Active => 2,
+            WindowState::Joined { h } => 2 + h.wire_bits(),
+            WindowState::Coloring { h, color } => 2 + h.wire_bits() + color.wire_bits(),
+        }
+    }
+}
+
+/// What one windowed Arb-Linial result keeps; [`Windowed`] does the rest.
+pub trait WindowRule: Sync {
+    /// How the result groups H-sets into windows.
+    fn shape(&self) -> Shape;
+
+    /// The output of a vertex of window `w` whose final Linial color is
+    /// `c`: each window gets its own copy of the palette.
+    fn tag(&self, linial: &LinialSchedule, w: u32, c: u64) -> u64;
+}
+
+/// Partition, then the iterated Arb-Linial coloring of each window of
+/// H-sets once it opens.
+#[derive(Debug)]
+pub struct Windowed<R> {
+    /// Known arboricity.
+    pub arboricity: usize,
+    /// What the result keeps.
+    pub rule: R,
+    sched: ScheduleCell<(Option<SegmentSchedule>, LinialSchedule)>,
+}
+
+impl<R: WindowRule> Windowed<R> {
+    pub(crate) fn with_rule(arboricity: usize, rule: R) -> Self {
+        Windowed {
+            arboricity,
+            rule,
+            sched: ScheduleCell::new(),
+        }
+    }
+
+    /// Degree threshold `A`.
+    pub fn cap(&self) -> usize {
+        degree_cap(self.arboricity, EPSILON)
+    }
+
+    /// The segment layout and the Linial schedule (functions of global
+    /// knowledge only, built once per instance).
+    pub(crate) fn schedules(
+        &self,
+        n: u64,
+        ids: &IdAssignment,
+    ) -> &(Option<SegmentSchedule>, LinialSchedule) {
+        let space = ids.id_space().max(2);
+        let shape = self.rule.shape();
+        self.sched.get(shape.key(space, n), || {
+            (
+                shape.segments(n),
+                LinialSchedule::new(space, self.cap() as u64),
+            )
+        })
+    }
+}
+
+impl<R: WindowRule> Protocol for Windowed<R> {
+    type State = WindowState;
+    type Msg = WindowState;
+    type Output = u64;
+
+    fn init(&self, _: &Graph, _: &IdAssignment, _: VertexId) -> WindowState {
+        WindowState::Active
+    }
+
+    fn publish(&self, state: &WindowState) -> WindowState {
+        *state
+    }
+
+    fn step(&self, ctx: StepCtx<'_, WindowState>) -> Transition<WindowState, u64> {
+        let n = ctx.graph.n() as u64;
+        let (h, cur) = match *ctx.state {
+            WindowState::Active => {
+                let active = ctx
+                    .view
+                    .neighbors()
+                    .filter(|(_, s)| matches!(s, WindowState::Active))
+                    .count();
+                return if partition_step(active, self.cap()) {
+                    Transition::Continue(WindowState::Joined { h: ctx.round })
+                } else {
+                    Transition::Continue(WindowState::Active)
+                };
+            }
+            WindowState::Joined { h } => (h, None),
+            WindowState::Coloring { h, color } => (h, Some(color)),
+        };
+        let (segments, linial) = self.schedules(n, ctx.ids);
+        let windows = self.rule.shape().windows(n, segments);
+        let w = windows.of(h);
+        let start = windows.opens(w, 0).expect("Arb-Linial windows close");
+        let cur = match cur {
+            Some(color) => color,
+            None if ctx.round < start => return Transition::Continue(WindowState::Joined { h }),
+            // The paper treats IDs as initial colors.
+            None => ctx.my_id(),
+        };
+        let i = ctx.round - start;
+        let next = if i < linial.rounds() {
+            // Parents: same-set neighbors with higher IDs and neighbors in
+            // later sets of the window — at most `A` of them. Those that
+            // have not started coloring expose their IDs.
+            let my_id = ctx.my_id();
+            linial.round(&ctx, i, cur, |(u, s)| {
+                let (j, col) = match s {
+                    WindowState::Active => return None,
+                    WindowState::Joined { h: j } => (*j, ctx.ids.id(u)),
+                    WindowState::Coloring { h: j, color } => (*j, *color),
+                };
+                let parent = windows.of(j) == w && (j > h || (j == h && ctx.ids.id(u) > my_id));
+                parent.then_some(col)
+            })
+        } else {
+            // Empty schedule (tiny instance): the ID itself is the color.
+            cur
+        };
+        let state = WindowState::Coloring { h, color: next };
+        if i + 1 >= linial.rounds() {
+            Transition::Terminate(state, self.rule.tag(linial, w, next))
+        } else {
+            Transition::Continue(state)
+        }
+    }
+
+    fn max_rounds(&self, g: &Graph) -> u32 {
+        let n = g.n() as u64;
+        let shape = self.rule.shape();
+        shape.windows(n, &shape.segments(n)).partition_end()
+            + LinialSchedule::new(n.max(2), self.cap() as u64).rounds()
+            + 8
     }
 }
 

@@ -2,10 +2,15 @@
 //! run's ID space (and `n` or Δ where the schedule reads them). Reusing
 //! the instance on a run with a different key must panic rather than run
 //! the first run's schedule, which for a larger ID space is truncated;
-//! reusing it with the same key must change nothing.
+//! reusing it with the same key must change nothing. Each protocol driver
+//! has a case: the extension driver (MIS, Δ+1), the cascade driver
+//! (`oa_recolor`), the windowed driver (`ka2`), and a baseline
+//! (`GlobalLinial`).
 
 use algos::baselines::GlobalLinial;
-use algos::coloring::delta_plus_one::DeltaPlusOneColoring;
+use algos::coloring::{
+    delta_plus_one::DeltaPlusOneColoring, ka2::ColoringKa2, oa_recolor::ColoringOaRecolor,
+};
 use algos::mis::MisExtension;
 use graphcore::{gen, Graph, IdAssignment};
 use rand::SeedableRng;
@@ -35,6 +40,26 @@ fn mis_extension_reused_across_id_spaces_panics() {
 #[should_panic(expected = "reused for ScheduleKey { id_space: 4096")]
 fn delta_plus_one_reused_across_id_spaces_panics() {
     reuse_on_larger_id_space(&DeltaPlusOneColoring::new(2));
+}
+
+#[test]
+#[should_panic(expected = "reused for ScheduleKey { id_space: 4096")]
+fn oa_recolor_reused_across_id_spaces_panics() {
+    // The cascade driver's in-set schedule reads the ID space.
+    reuse_on_larger_id_space(&ColoringOaRecolor::new(2));
+}
+
+#[test]
+#[should_panic(expected = "reused for ScheduleKey { id_space: 4096, n: Some(4096)")]
+fn ka2_reused_across_vertex_counts_panics() {
+    // Same ID space, four times the vertices: the windowed driver's
+    // segment layout reads n too.
+    let p = ColoringKa2::new(2, 2);
+    let sparse = IdAssignment::from_vec((0..1024).map(|i| 4 * i + 3).collect());
+    Runner::new(&p, &forest(1024, 1), &sparse)
+        .run()
+        .expect("terminates on the smaller forest");
+    let _ = Runner::new(&p, &forest(4096, 1), &IdAssignment::identity(4096)).run();
 }
 
 #[test]

@@ -59,11 +59,6 @@ impl GraphBuilder {
         self.edges.push(if u < v { (u, v) } else { (v, u) });
     }
 
-    /// Number of (not yet deduplicated) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a CSR [`Graph`], deduplicating parallel edges.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
